@@ -7,12 +7,6 @@ from dataclasses import dataclass, field
 
 from .geometry import ball_volume
 
-_VOL_CACHE = {d: ball_volume(d) for d in range(1, 17)}
-
-
-def _vol(dim: int) -> float:
-    return _VOL_CACHE.get(dim) or ball_volume(dim)
-
 
 @dataclass(frozen=True)
 class BranchReport:
@@ -118,7 +112,7 @@ def _distance_branch(n: float, d: float, dim: int, mode: str) -> BranchReport:
             c1=1.0,
             hypothesis_met=d >= n ** ((dim - 1) / dim),
         )
-    vol = _vol(dim)
+    vol = ball_volume(dim)
     c1 = 2.0 * (6.0**dim * dim / vol) ** (dim / (dim - 1))
     ell = vol * d / (6.0**dim * dim * n ** ((dim - 1) / dim))
     return BranchReport(
@@ -155,7 +149,7 @@ def subsystem_bounds(
             hypothesis_met=ratio >= 1.0,
         )
         return _assemble(dim, n, k, d, "subsystem", mode, dist, dim_branch, m_star=max(k, d))
-    vol = _vol(dim)
+    vol = ball_volume(dim)
     c0 = vol ** (1.0 / dim) / (400.0 * dim)
     c1 = (1.0 / c0) ** (dim / (dim - 1))
     dim_branch = BranchReport(
@@ -188,7 +182,7 @@ def projector_bounds(
             hypothesis_met=ratio >= 1.0,
         )
         return _assemble(dim, n, k, d, "projector", mode, dist, dim_branch, m_star=max(k, d))
-    vol = _vol(dim)
+    vol = ball_volume(dim)
     c0 = vol ** (1.0 / dim) / (800.0 * dim**2)
     c1 = (1.0 / c0) ** (2.0 * dim / (dim - 1))
     dim_branch = BranchReport(
@@ -268,7 +262,7 @@ def proof_constants(d: float, ell: float, dim: int, alpha: float = 1.0) -> Proof
         raise ValueError("d and ell must be positive")
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
-    vol = _vol(dim)
+    vol = ball_volume(dim)
     w0 = (vol / (2.0 * 4.0 ** (dim + 1) * dim) * d / ell) ** (1.0 / (dim - 1))
     c = vol ** (1.0 / dim) / (400.0 * alpha * dim)
     lhs = 2.0**dim / vol * (2.0 * w0) ** (dim - 1) * ell
@@ -298,4 +292,4 @@ def holographic_box_width(d: float, ell: float, dim: int) -> float:
 
 def holographic_base_width(d: float, dim: int) -> float:
     """Base-case cube side: packing already keeps the count below d."""
-    return (_vol(dim) / (2.0 * 4.0**dim) * d) ** (1.0 / dim)
+    return (ball_volume(dim) / (2.0 * 4.0**dim) * d) ** (1.0 / dim)

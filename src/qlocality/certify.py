@@ -326,10 +326,6 @@ class SweepState:
     depth: int
     coords: list[float]
     nxts: list[float]
-    tau: float
-    ell: float
-    gamma: float
-    extent: float
 
 
 def _bad_intervals(values: np.ndarray, ell: float, tau: float) -> list[tuple[float, float]]:
@@ -461,9 +457,7 @@ def expansion_sweep(
                 members.add(q)
         return members
 
-    state = SweepState(
-        depth=1, coords=[0.0], nxts=[], tau=tau, ell=ell, gamma=gamma, extent=extent
-    )
+    state = SweepState(depth=1, coords=[0.0], nxts=[])
     cert = Certificate(
         kind="sweep",
         mode=mode,

@@ -286,7 +286,10 @@ def _cmd_holographic(args: argparse.Namespace) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed box file: {exc}") from None
     mode = "verified" if args.verified else "strict"
-    cert = certify.holographic_certify(code, emb, box, args.ell, mode=mode, d=args.d)
+    try:
+        cert = certify.holographic_certify(code, emb, box, args.ell, mode=mode, d=args.d)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(cert.to_json_lines())

@@ -14,13 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from .pauli import (
-    BitMatrix,
-    PauliVector,
-    in_span,
-    kernel_on_support,
-    symplectic_product,
-)
+from .pauli import BitMatrix, PauliVector, _swap_halves, kernel_in_span, symplectic_bits
 
 
 @dataclass(frozen=True)
@@ -70,6 +64,8 @@ class SubsystemCode:
     """
 
     def __init__(self, n: int, gauge_generators: Iterable[PauliVector]) -> None:
+        if n < 0:
+            raise ValueError(f"qubit count {n} is negative")
         self.n = n
         self.gauge_generators: tuple[PauliVector, ...] = tuple(gauge_generators)
         for g in self.gauge_generators:
@@ -113,9 +109,9 @@ class SubsystemCode:
 
     def has_abelian_gauge(self) -> bool:
         if self._abelian is None:
-            rows = [PauliVector.from_bits(self.n, b) for b in self.gauge_basis.rows]
             self._abelian = all(
-                symplectic_product(a, b) == 0 for a, b in itertools.combinations(rows, 2)
+                symplectic_bits(a, b, self.n) == 0
+                for a, b in itertools.combinations(self.gauge_basis.rows, 2)
             )
         return self._abelian
 
@@ -142,6 +138,8 @@ class SubsystemCode:
             gens = obj["gauge_generators"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed code object: {exc}") from None
+        if not isinstance(gens, list) or not all(isinstance(s, str) for s in gens):
+            raise ValueError("gauge_generators must be a list of Pauli strings")
         paulis = []
         for s in gens:
             p = PauliVector.from_string(s)
@@ -163,15 +161,15 @@ def derive_stabilizer(code: SubsystemCode) -> BitMatrix:
     r = len(basis.rows)
     if r == 0:
         return BitMatrix(2 * code.n)
-    basis_paulis = [PauliVector.from_bits(code.n, b) for b in basis.rows]
     # Coefficient-space constraints: an element sum_j a_j b_j is central iff
-    # sum_j a_j <b_j, b_i> = 0 for every basis row b_i.
-    gram_rows = []
-    for b_i in basis_paulis:
-        row = 0
-        for j, b_j in enumerate(basis_paulis):
-            row |= symplectic_product(b_j, b_i) << j
-        gram_rows.append(row)
+    # sum_j a_j <b_j, b_i> = 0 for every basis row b_i.  The form is
+    # symmetric and alternating, so each pair i > j is computed once.
+    gram_rows = [0] * r
+    for i, b_i in enumerate(basis.rows):
+        for j in range(i):
+            if symplectic_bits(basis.rows[j], b_i, code.n):
+                gram_rows[i] |= 1 << j
+                gram_rows[j] |= 1 << i
     coeff_kernel = BitMatrix(r, gram_rows).nullspace()
     stab_rows = []
     for coeffs in coeff_kernel.rows:
@@ -196,14 +194,8 @@ def parameters(code: SubsystemCode) -> CodeParameters:
 
 
 def region_is_correctable(code: SubsystemCode, qubits: Iterable[int]) -> bool:
-    """True iff every stabilizer-commuting Pauli on the region is pure gauge.
-
-    The escape set is a coset structure, so the region is correctable iff
-    the whole kernel lies in the gauge span.
-    """
-    kernel = kernel_on_support(qubits, code.stabilizer_basis)
-    gauge = code.gauge_basis
-    return all(gauge.contains(v) for v in kernel.rows)
+    """True iff every stabilizer-commuting Pauli on the region is pure gauge."""
+    return kernel_in_span(qubits, code.stabilizer_basis, code.gauge_basis)
 
 
 def distance(code: SubsystemCode, weight_cap: int | None = None) -> DistanceResult:
@@ -236,7 +228,7 @@ def logical_representatives(code: SubsystemCode) -> list[LogicalPair]:
     if p.k == 0:
         raise ValueError("no logical qubits (k = 0)")
     n = code.n
-    centralizer = kernel_on_support(range(n), code.gauge_basis)
+    centralizer = BitMatrix(2 * n, (_swap_halves(g, n) for g in code.gauge_basis.rows)).nullspace()
     # Strip the stabilizer part: keep centralizer vectors independent mod S.
     mod_out = BitMatrix(2 * n, code.stabilizer_basis.rows)
     complement: list[int] = []
@@ -248,7 +240,7 @@ def logical_representatives(code: SubsystemCode) -> list[LogicalPair]:
     assert len(complement) == 2 * p.k, "centralizer/stabilizer dimension mismatch"
 
     def sym(a: int, b: int) -> int:
-        return symplectic_product(PauliVector.from_bits(n, a), PauliVector.from_bits(n, b))
+        return symplectic_bits(a, b, n)
 
     pairs = []
     pool = list(complement)
@@ -268,7 +260,3 @@ def logical_representatives(code: SubsystemCode) -> list[LogicalPair]:
             )
         )
     return out
-
-
-def stabilizer_paulis(code: SubsystemCode) -> list[PauliVector]:
-    return [PauliVector.from_bits(code.n, b) for b in code.stabilizer_basis.rows]

@@ -68,6 +68,8 @@ class Embedding:
             arr = arr.reshape(0, dimension)
         if arr.ndim != 2 or arr.shape[1] != dimension:
             raise ValueError(f"coordinates must be n x {dimension}")
+        if not np.isfinite(arr).all():
+            raise ValueError("coordinates must be finite")
         self.coordinates = arr
         self.coordinates.setflags(write=False)
 

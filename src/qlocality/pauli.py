@@ -82,11 +82,16 @@ class PauliVector:
         return self.to_string()
 
 
+def symplectic_bits(a: int, b: int, n: int) -> int:
+    """Symplectic form <a, b> of two length-2n vectors (low n bits X, high n bits Z)."""
+    return ((a & (b >> n)) ^ ((a >> n) & b)).bit_count() & 1
+
+
 def symplectic_product(p: PauliVector, q: PauliVector) -> int:
     """0 iff p and q commute (phases ignored), else 1."""
     if p.n != q.n:
         raise ValueError(f"length mismatch: {p.n} != {q.n}")
-    return ((p.x_bits & q.z_bits).bit_count() + (p.z_bits & q.x_bits).bit_count()) & 1
+    return symplectic_bits(p.to_bits(), q.to_bits(), p.n)
 
 
 def weight(p: PauliVector) -> int:
@@ -200,34 +205,41 @@ def _swap_halves(bits: int, n: int) -> int:
     return ((bits & mask) << n) | (bits >> n)
 
 
-def kernel_on_support(support: Iterable[int], constraints: BitMatrix) -> BitMatrix:
-    """Basis of Paulis supported on ``support`` commuting with every constraint row.
+def _rank(vectors: Iterable[int]) -> int:
+    """GF(2) rank via an XOR basis keyed by leading bit; work grows with rank, not width."""
+    basis: dict[int, int] = {}
+    for v in vectors:
+        while v:
+            top = v.bit_length() - 1
+            if top not in basis:
+                basis[top] = v
+                break
+            v ^= basis[top]
+    return len(basis)
 
-    Returns a BitMatrix of full-width (2n) symplectic vectors.  The
-    symplectic product against a constraint row c is an ordinary GF(2) dot
-    product against c with X/Z halves swapped, so the computation reduces
-    to a nullspace over the 2|support| variables.
+
+def kernel_in_span(support: Iterable[int], constraints: BitMatrix, span: BitMatrix) -> bool:
+    """True iff every Pauli on ``support`` commuting with every constraint row lies in ``span``.
+
+    ``span`` must commute with every constraint row.  Then its part on the
+    support lies inside that kernel, so the two are equal iff their
+    dimensions are.  With m the support's bits in both halves, the kernel
+    has dimension 2|support| - rank(c & m).  dim(span on support) is read
+    off span's RREF: the rows whose pivot lies in m, cut to the outside of
+    m, give it as their count minus their rank (a row with its pivot
+    outside m leaves that bit set in every combination it enters).
     """
     if constraints.width % 2:
         raise ValueError("constraints width must be even")
     n = constraints.width // 2
-    cols = sorted(set(support))
-    if cols and (cols[0] < 0 or cols[-1] >= n):
-        raise ValueError(f"support {cols} outside qubit range [0, {n})")
-    # variable order: x on each support qubit, then z on each support qubit
-    positions = cols + [n + i for i in cols]
-    compressed = []
-    for row in constraints.rows:
-        swapped = _swap_halves(row, n)
-        packed = 0
-        for j, pos in enumerate(positions):
-            packed |= (swapped >> pos & 1) << j
-        compressed.append(packed)
-    kernel_small = BitMatrix(len(positions), compressed).nullspace()
-    full_rows = []
-    for v in kernel_small.rows:
-        full = 0
-        for j, pos in enumerate(positions):
-            full |= (v >> j & 1) << pos
-        full_rows.append(full)
-    return BitMatrix(2 * n, full_rows)
+    cols = set(support)
+    if cols and (min(cols) < 0 or max(cols) >= n):
+        raise ValueError(f"support {sorted(cols)} outside qubit range [0, {n})")
+    half = 0
+    for q in cols:
+        half |= 1 << q
+    m = half | half << n
+    kernel_dim = 2 * len(cols) - _rank(c & m for c in constraints.rows)
+    rows, pivots = span.rref()
+    cut = [r & ~m for r, p in zip(rows, pivots) if m >> p & 1]
+    return kernel_dim == len(cut) - _rank(cut)

@@ -10,13 +10,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .codes import SubsystemCode, parameters, region_is_correctable
-from .pauli import kernel_on_support
-
-Region = frozenset
-
-
-def region(qubits: Iterable[int]) -> frozenset[int]:
-    return frozenset(qubits)
+from .pauli import kernel_in_span
 
 
 def validate_region(code: SubsystemCode, u: frozenset[int]) -> None:
@@ -35,9 +29,7 @@ def is_dressed_cleanable(code: SubsystemCode, u: Iterable[int]) -> bool:
     """True iff no non-trivial bare logical operator is supported on u."""
     u = frozenset(u)
     validate_region(code, u)
-    kernel = kernel_on_support(u, code.gauge_basis)
-    gauge = code.gauge_basis
-    return all(gauge.contains(v) for v in kernel.rows)
+    return kernel_in_span(u, code.gauge_basis, code.stabilizer_basis)
 
 
 def boundary(code: SubsystemCode, u: Iterable[int]) -> frozenset[int]:

@@ -317,6 +317,29 @@ def test_malformed_json_exits_two(capsys, tmp_path):
     assert rc == EXIT_INPUT
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [{"n": -1, "gauge_generators": []}, {"n": 1, "gauge_generators": "XYZ"}],
+    ids=["negative-n", "generators-not-a-list"],
+)
+def test_malformed_code_file_exits_two(capsys, tmp_path, obj):
+    bad = tmp_path / "code.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["params", str(bad)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_holographic_size_mismatch_exits_two(bs3_files, capsys, tmp_path):
+    code_path, _ = bs3_files
+    emb = tmp_path / "seven.json"
+    emb.write_text(json.dumps({"dimension": 1, "coordinates": [[float(i)] for i in range(7)]}))
+    box = tmp_path / "box.json"
+    box.write_text(json.dumps({"min": [0], "max": [1]}))
+    rc = main(["holographic", code_path, str(emb), "--box", str(box), "--ell", "1"])
+    assert rc == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_missing_file_exits_two(capsys):
     rc, _ = run(capsys, "params", "/nonexistent/code.json")
     assert rc == EXIT_INPUT

@@ -87,6 +87,12 @@ def test_embedding_rejects_ragged_coordinates():
         Embedding(2, [(0.0, 0.0), (1.0,)])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_embedding_rejects_non_finite_coordinates(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Embedding(2, [(0.0, 0.0), (bad, 3.0)])
+
+
 # ── interactions ───────────────────────────────────────────────────────
 
 

@@ -10,7 +10,8 @@ from qlocality.pauli import (
     BitMatrix,
     PauliVector,
     in_span,
-    kernel_on_support,
+    kernel_in_span,
+    symplectic_bits,
     symplectic_product,
     weight,
 )
@@ -85,7 +86,9 @@ def test_symplectic_symmetric_bilinear_and_alternating():
         a = PauliVector(n, rng.getrandbits(n), rng.getrandbits(n))
         b = PauliVector(n, rng.getrandbits(n), rng.getrandbits(n))
         c = PauliVector(n, rng.getrandbits(n), rng.getrandbits(n))
-        assert symplectic_product(a, b) == symplectic_product(b, a)
+        by_halves = ((a.x_bits & b.z_bits).bit_count() + (a.z_bits & b.x_bits).bit_count()) & 1
+        assert symplectic_bits(a.to_bits(), b.to_bits(), n) == by_halves
+        assert symplectic_product(a, b) == by_halves == symplectic_product(b, a)
         assert symplectic_product(a, a) == 0
         lhs = symplectic_product(a.compose(b), c)
         rhs = symplectic_product(a, c) ^ symplectic_product(b, c)
@@ -160,64 +163,89 @@ def test_nullspace_is_annihilated():
                 assert (row & v).bit_count() % 2 == 0
 
 
-def test_kernel_on_support_empty_support():
+def brute_kernel_in_span(support, gens, span_rows, n):
+    """Enumerate every Pauli on the support: each commuting one must be in the span."""
+    members = span_members(span_rows, 2 * n)
+    return all(
+        cand.to_bits() in members
+        for cand in all_paulis_on(support, n)
+        if all(symplectic_product(cand, g) == 0 for g in gens)
+    )
+
+
+def commutant(gens, n):
+    """Basis of the Paulis commuting with every generator."""
+    swapped = BitMatrix(2 * n, (PauliVector(n, g.z_bits, g.x_bits).to_bits() for g in gens))
+    return swapped.nullspace().rows
+
+
+def random_commuting_span(rng, gens, n):
+    """Random rows from the commutant of gens (the span must commute with them)."""
+    basis = commutant(gens, n)
+    rows = []
+    for _ in range(rng.randrange(0, len(basis) + 2)):
+        v = 0
+        for row in basis:
+            if rng.random() < 0.7:
+                v ^= row
+        rows.append(v)
+    return rows
+
+
+def test_kernel_in_span_empty_support():
     constraints = BitMatrix.from_paulis([P("XX")], 2)
-    assert kernel_on_support([], constraints).rows == ()
+    assert kernel_in_span([], constraints, BitMatrix(4))
 
 
-def test_kernel_on_support_no_constraints():
+def test_kernel_in_span_no_constraints():
     n = 3
-    kernel = kernel_on_support(range(n), BitMatrix(2 * n))
-    assert len(kernel.rows) == 2 * n
+    # with nothing to commute with, the kernel is every Pauli on the support
+    assert not kernel_in_span(range(n), BitMatrix(2 * n), BitMatrix(2 * n))
+    full = BitMatrix(2 * n, (1 << b for b in range(2 * n)))
+    assert kernel_in_span(range(n), BitMatrix(2 * n), full)
 
 
-def test_kernel_on_support_single_qubit_vs_xx_zz():
+def test_kernel_in_span_single_qubit_vs_xx_zz():
     constraints = BitMatrix.from_paulis([P("XX"), P("ZZ")], 2)
     # enumerating I, X, Y, Z on qubit 0: only I commutes with both
-    assert len(kernel_on_support([0], constraints).rows) == 0
+    assert kernel_in_span([0], constraints, BitMatrix(4))
+    # on both qubits XX, YY and ZZ commute with both constraints
+    assert not kernel_in_span([0, 1], constraints, BitMatrix(4))
+    assert kernel_in_span([0, 1], constraints, BitMatrix.from_paulis([P("XX"), P("ZZ")], 2))
 
 
-def test_kernel_on_support_matches_brute_force_count():
+def test_kernel_in_span_matches_brute_force():
     rng = random.Random(19)
-    for _ in range(25):
+    for _ in range(60):
         n = rng.randrange(2, 7)
         gens = [
             PauliVector(n, rng.getrandbits(n), rng.getrandbits(n))
             for _ in range(rng.randrange(0, 5))
         ]
-        constraints = BitMatrix.from_paulis(gens, n)
+        span_rows = random_commuting_span(rng, gens, n)
         support = {q for q in range(n) if rng.random() < 0.6}
-        kernel = kernel_on_support(support, constraints)
-        satisfying = 0
-        for cand in all_paulis_on(support, n):
-            if all(symplectic_product(cand, g) == 0 for g in gens):
-                satisfying += 1
-        assert satisfying == 2 ** len(kernel.rows)
-        for v in kernel.rows:
-            p = PauliVector.from_bits(n, v)
-            assert p.support() <= set(support)
-            assert all(symplectic_product(p, g) == 0 for g in gens)
+        expected = brute_kernel_in_span(support, gens, span_rows, n)
+        constraints = BitMatrix.from_paulis(gens, n)
+        assert kernel_in_span(support, constraints, BitMatrix(2 * n, span_rows)) == expected
 
 
-def test_kernel_on_support_eight_qubit_support():
-    # the brute-force dimension check at the stated |support| = 8 bound
+def test_kernel_in_span_eight_qubit_support():
+    # the brute-force check at |support| = 8
     rng = random.Random(29)
     n = 9
     gens = [PauliVector(n, rng.getrandbits(n), rng.getrandbits(n)) for _ in range(3)]
     constraints = BitMatrix.from_paulis(gens, n)
     support = list(range(8))
-    kernel = kernel_on_support(support, constraints)
-    satisfying = sum(
-        1
-        for cand in all_paulis_on(support, n)
-        if all(symplectic_product(cand, g) == 0 for g in gens)
-    )
-    assert satisfying == 2 ** len(kernel.rows)
+    span_rows = commutant(gens, n)
+    assert kernel_in_span(support, constraints, BitMatrix(2 * n, span_rows))
+    cut = span_rows[:-1]
+    expected = brute_kernel_in_span(support, gens, cut, n)
+    assert kernel_in_span(support, constraints, BitMatrix(2 * n, cut)) == expected
 
 
-def test_kernel_on_support_rejects_out_of_range():
+def test_kernel_in_span_rejects_out_of_range():
     with pytest.raises(ValueError):
-        kernel_on_support([5], BitMatrix.from_paulis([P("XX")], 2))
+        kernel_in_span([5], BitMatrix.from_paulis([P("XX")], 2), BitMatrix(4))
 
 
 # ── size guard ─────────────────────────────────────────────────────────

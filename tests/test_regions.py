@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlocality.codes import SubsystemCode, distance, parameters
 from qlocality.pauli import PauliVector, in_span, symplectic_product
@@ -90,6 +92,24 @@ def test_correctable_matches_brute_force_random_bs3():
         u = [q for q in range(9) if rng.random() < 0.4]
         assert is_correctable(BS3, u) == brute_correctable(BS3, u)
         assert is_dressed_cleanable(BS3, u) == brute_cleanable(BS3, u)
+
+
+@st.composite
+def random_codes_and_regions(draw):
+    """Gauge sets with n <= 6, commuting or not, empty included, plus a region."""
+    n = draw(st.integers(1, 6))
+    bits = st.integers(0, (1 << n) - 1)
+    gens = draw(st.lists(st.tuples(bits, bits), max_size=7))
+    code = SubsystemCode(n, [PauliVector(n, x, z) for x, z in gens])
+    return code, draw(st.sets(st.integers(0, n - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_codes_and_regions())
+def test_oracles_match_brute_force_on_random_codes(case):
+    code, u = case
+    assert is_correctable(code, u) == brute_correctable(code, u)
+    assert is_dressed_cleanable(code, u) == brute_cleanable(code, u)
 
 
 def test_correctable_implies_cleanable():

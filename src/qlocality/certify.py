@@ -414,17 +414,25 @@ def expansion_sweep(
     spread = float((coords.max(axis=0) - coords.min(axis=0)).max())
     extent = spread + 2.0 * ell + 1.0
 
-    diffs = set()
+    # gamma: half the smallest positive b - a or |b - a - 2 ell| over pairs of
+    # coordinate values a < b on one axis; rows of the difference table go in
+    # blocks of about 2^20 entries
+    smallest = []
     for axis in range(dim):
         vals = np.unique(coords[:, axis])
-        for a, b in itertools.combinations(vals, 2):
-            delta = abs(b - a)
-            diffs.add(delta)
-            diffs.add(abs(delta - 2.0 * ell))
-    nonzero = [v for v in diffs if v > 1e-12]
-    gamma = min(nonzero) / 2.0 if nonzero else ell / 2.0
+        rows = max(1, (1 << 20) // len(vals))
+        for start in range(0, len(vals), rows):
+            delta = vals[None, :] - vals[start : start + rows, None]
+            delta = delta[delta > 0]
+            cand = np.concatenate([delta, np.abs(delta - 2.0 * ell)])
+            cand = cand[cand > 1e-12]
+            if len(cand):
+                smallest.append(cand.min())
+    gamma = min(smallest) / 2.0 if smallest else ell / 2.0
 
     bad_set = s.bad_qubits(ell)
+    bad_mask = np.zeros(n, dtype=bool)
+    bad_mask[list(bad_set)] = True
     bad_intervals = [_bad_intervals(coords[:, axis], ell, tau) for axis in range(dim)]
 
     def is_good(axis: int, x: float) -> bool:
@@ -437,25 +445,19 @@ def expansion_sweep(
         assert interval is not None, "nxt is only defined at bad coordinates"
         return interval[1] + gamma
 
-    def slab_qubits(axis: int, center: float) -> set[int]:
-        sel = np.abs(coords[:, axis] - center) <= ell
-        return set(np.nonzero(sel)[0].tolist())
+    def slab_mask(axis: int, center: float) -> np.ndarray:
+        return np.abs(coords[:, axis] - center) <= ell
 
-    def region_qubits(a: list[float], nxts: list[float]) -> set[int]:
-        members: set[int] = set()
-        for q in range(n):
-            qc = coords[q]
-            inside = qc[0] <= a[0]
-            for lvl in range(1, len(a)):
-                prefix_ok = all(
-                    a[j] <= qc[j] <= nxts[j] for j in range(lvl)
-                )
-                if prefix_ok and qc[lvl] <= a[lvl]:
-                    inside = True
-                    break
-            if inside:
-                members.add(q)
-        return members
+    def between(axis: int, lo: float, hi: float) -> np.ndarray:
+        return (lo <= coords[:, axis]) & (coords[:, axis] <= hi)
+
+    def region_qubits(a: list[float], nxts: list[float]) -> list[int]:
+        inside = coords[:, 0] <= a[0]
+        prefix = np.ones(n, dtype=bool)  # a_j <= q_j <= nxt_j for all j < lvl
+        for lvl in range(1, len(a)):
+            prefix &= between(lvl - 1, a[lvl - 1], nxts[lvl - 1])
+            inside |= prefix & (coords[:, lvl] <= a[lvl])
+        return np.flatnonzero(inside).tolist()
 
     state = SweepState(depth=1, coords=[0.0], nxts=[])
     cert = Certificate(
@@ -501,40 +503,33 @@ def expansion_sweep(
             )
         )
 
-    def frontier_slabs(depth_for_final: bool) -> set[int]:
-        """Union of B with the frontier slabs of the current state."""
-        members = set(bad_set)
+    def frontier_count(depth_for_final: bool) -> int:
+        """Size of the union of B with the frontier slabs of the current state."""
+        members = bad_mask.copy()
         i = state.depth
         for j in range(i - 1):
-            members |= slab_qubits(j, state.coords[j])
-            members |= slab_qubits(j, state.nxts[j])
+            members |= slab_mask(j, state.coords[j])
+            members |= slab_mask(j, state.nxts[j])
         if depth_for_final:
-            final = [
-                q
-                for q in range(n)
-                if all(
-                    state.coords[j] <= coords[q][j] <= state.nxts[j]
-                    for j in range(dim - 1)
-                )
-                and abs(coords[q][dim - 1] - state.coords[dim - 1]) <= ell
-            ]
-            members |= set(final)
+            final = slab_mask(dim - 1, state.coords[dim - 1])
+            for j in range(dim - 1):
+                final &= between(j, state.coords[j], state.nxts[j])
+            members |= final
         else:
-            members |= slab_qubits(i - 1, state.coords[i - 1])
-        return members
+            members |= slab_mask(i - 1, state.coords[i - 1])
+        return int(np.count_nonzero(members))
 
     def expansion_step(rule: str) -> bool:
         """Run one item-1 / item-3 expansion; returns False when stuck."""
         at_depth_d = state.depth == dim
-        f_members = frontier_slabs(depth_for_final=at_depth_d)
-        count = len(f_members)
+        count = frontier_count(depth_for_final=at_depth_d)
         strict_ok = count < d
         details: dict = {"f_size": count, "strict_ok": strict_ok}
         if mode == "verified":
             new_coords = state.coords[:-1] + [state.coords[-1] + ell]
             grown = region_qubits(new_coords, state.nxts)
             exact = is_correctable(code, grown)
-            details["region_qubits"] = sorted(grown)
+            details["region_qubits"] = grown
             details["exact_correctable"] = exact
             verdict = exact
         else:

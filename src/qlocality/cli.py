@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import bounds as bounds_mod
 from . import certify, families, geometry, regions
-from .codes import SubsystemCode, distance, parameters
+from .codes import SubsystemCode, distance, json_int, parameters
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -44,9 +44,14 @@ def _load_code(path: str) -> SubsystemCode:
 
 def _load_embedding(path: str) -> geometry.Embedding:
     try:
-        return geometry.Embedding.from_json(_load_json(path))
+        emb = geometry.Embedding.from_json(_load_json(path))
     except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"malformed embedding file {path}: {exc}") from None
+    close = geometry.validate_embedding(emb)
+    if close:
+        i, j, dist = close[0]
+        raise InputError(f"embedding file {path} places qubits {i} and {j} at distance {dist:g} < 1")
+    return emb
 
 
 def _dump(obj: dict, path: str | None = None) -> None:
@@ -241,7 +246,7 @@ def _cmd_subdivide(args: argparse.Namespace) -> int:
     obj = _load_json(args.spec)
     try:
         box = geometry.Box.from_json(obj["box"])
-        masses = [(tuple(m["point"]), int(m["mass"])) for m in obj["masses"]]
+        masses = [(tuple(m["point"]), json_int(m["mass"], "mass")) for m in obj["masses"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed subdivide spec: {exc}") from None
     try:

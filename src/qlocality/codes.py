@@ -49,6 +49,15 @@ class DistanceResult:
         return str(self.value)
 
 
+def json_int(value: object, what: str) -> int:
+    """An integer read from JSON: an int, or a float with no fractional part."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LogicalPair:
     index: int
@@ -134,7 +143,7 @@ class SubsystemCode:
     @classmethod
     def from_json(cls, obj: dict) -> SubsystemCode:
         try:
-            n = int(obj["n"])
+            n = json_int(obj["n"], "n")
             gens = obj["gauge_generators"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed code object: {exc}") from None

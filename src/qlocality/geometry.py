@@ -10,7 +10,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .codes import SubsystemCode
+from .codes import SubsystemCode, json_int
 
 DISTANCE_SLACK = 1e-12
 
@@ -88,25 +88,37 @@ class Embedding:
 
     @classmethod
     def from_json(cls, obj: dict) -> Embedding:
-        return cls(int(obj["dimension"]), obj["coordinates"])
+        return cls(json_int(obj["dimension"], "dimension"), obj["coordinates"])
 
     def __repr__(self) -> str:
         return f"Embedding(D={self.dimension}, n={self.n})"
 
 
 def validate_embedding(e: Embedding) -> list[tuple[int, int, float]]:
-    """All pairs at distance < 1 (allowing 1e-12 slack); empty list means valid."""
+    """All pairs at distance < 1 (allowing 1e-12 slack); empty list means valid.
+
+    Sort and shift: with the points sorted by x_1, keep the pairs k places
+    apart whose x_1 gap is < 1, for k = 1, 2, ...; the gaps only grow with
+    k, so the first k that keeps none ends the search.  Only kept pairs
+    are measured.
+    """
     coords = e.coordinates
-    violations = []
-    for i in range(e.n):
-        diffs = coords[i + 1 :] - coords[i]
-        if len(diffs) == 0:
-            continue
-        dists = np.linalg.norm(diffs, axis=1)
-        for off in np.nonzero(dists < 1.0 - DISTANCE_SLACK)[0]:
-            j = i + 1 + int(off)
-            violations.append((i, j, float(dists[off])))
-    return violations
+    order = np.argsort(coords[:, 0], kind="stable")
+    x = coords[order, 0]
+    firsts, seconds = [], []
+    for k in range(1, e.n):
+        near = np.flatnonzero(x[k:] - x[:-k] < 1.0)
+        if len(near) == 0:
+            break
+        firsts.append(order[near])
+        seconds.append(order[near + k])
+    if not firsts:
+        return []
+    a, b = np.concatenate(firsts), np.concatenate(seconds)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    dists = np.linalg.norm(coords[hi] - coords[lo], axis=1)
+    close = dists < 1.0 - DISTANCE_SLACK
+    return sorted(zip(lo[close].tolist(), hi[close].tolist(), dists[close].tolist()))
 
 
 @dataclass(frozen=True)
@@ -152,9 +164,11 @@ def extract_interactions(code: SubsystemCode, e: Embedding) -> InteractionSet:
     for g in code.gauge_generators:
         for pair in itertools.combinations(sorted(g.support()), 2):
             mult[pair] = mult.get(pair, 0) + 1
-    pairs = tuple(
-        (i, j, e.distance(i, j)) for i, j in sorted(mult)
-    )
+    keys = sorted(mult)
+    idx = np.array(keys, dtype=np.intp).reshape(-1, 2)
+    diff = e.coordinates[idx[:, 0]] - e.coordinates[idx[:, 1]]
+    lengths = np.sqrt(np.vecdot(diff, diff)).tolist()
+    pairs = tuple((i, j, length) for (i, j), length in zip(keys, lengths))
     return InteractionSet(n=code.n, pairs=pairs, multiplicity=dict(mult))
 
 
@@ -193,7 +207,12 @@ def packing_bound(b: Box) -> float:
 
 
 def points_in_box(e: Embedding, b: Box, half_open: bool = False) -> list[int]:
-    return [i for i in range(e.n) if b.contains(e.coordinates[i], half_open=half_open)]
+    """Indices of the points in b, with Box.contains' closed or half-open rule."""
+    if b.dimension != e.dimension:
+        raise ValueError(f"box has dimension {b.dimension}, embedding has {e.dimension}")
+    c = e.coordinates
+    upper = c < b.maxs if half_open else c <= b.maxs
+    return np.flatnonzero(((c >= b.mins) & upper).all(axis=1)).tolist()
 
 
 def check_density(b: Box, e: Embedding) -> bool:

@@ -64,7 +64,12 @@ class PauliVector:
 
     def support(self) -> frozenset[int]:
         bits = self.x_bits | self.z_bits
-        return frozenset(i for i in range(self.n) if bits >> i & 1)
+        out = []
+        while bits:
+            low = bits & -bits
+            out.append(low.bit_length() - 1)
+            bits ^= low
+        return frozenset(out)
 
     def is_identity(self) -> bool:
         return self.x_bits == 0 and self.z_bits == 0

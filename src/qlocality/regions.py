@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .codes import SubsystemCode, parameters, region_is_correctable
+from .codes import SubsystemCode, json_int, parameters, region_is_correctable
 from .pauli import kernel_in_span
 
 
@@ -243,16 +243,12 @@ def region_from_json(obj: dict, embedding=None) -> frozenset[int]:
     (closed membership, any box).
     """
     if "qubits" in obj:
-        return frozenset(int(q) for q in obj["qubits"])
+        return frozenset(json_int(q, "region qubit") for q in obj["qubits"])
     if "boxes" in obj:
         if embedding is None:
             raise ValueError("box-form region requires an embedding")
-        from .geometry import Box
+        from .geometry import Box, points_in_box
 
         boxes = [Box(tuple(b["min"]), tuple(b["max"])) for b in obj["boxes"]]
-        qubits = set()
-        for i, point in enumerate(embedding.coordinates):
-            if any(box.contains(point) for box in boxes):
-                qubits.add(i)
-        return frozenset(qubits)
+        return frozenset(q for box in boxes for q in points_in_box(embedding, box))
     raise ValueError("region object needs 'qubits' or 'boxes'")

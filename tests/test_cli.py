@@ -340,6 +340,72 @@ def test_holographic_size_mismatch_exits_two(bs3_files, capsys, tmp_path):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.fixture
+def coincident_files(tmp_path):
+    code = tmp_path / "xx_zz.json"
+    code.write_text(json.dumps({"n": 2, "gauge_generators": ["XX", "ZZ"]}))
+    emb = tmp_path / "coincident.json"
+    emb.write_text(json.dumps({"dimension": 1, "coordinates": [[0.0], [0.0]]}))
+    return str(code), str(emb)
+
+
+@pytest.mark.parametrize("command", ["interactions", "tile"])
+def test_coincident_embedding_exits_two(coincident_files, capsys, command):
+    code_path, emb_path = coincident_files
+    if command == "interactions":
+        argv = ["interactions", code_path, emb_path]
+    else:
+        argv = ["tile", emb_path, "--w", "8", "--ell", "1", "--seed", "1"]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "qubits 0 and 1 at distance 0 < 1" in captured.err
+
+
+@pytest.mark.parametrize(
+    "site",
+    ["code-n", "embedding-dimension", "region-qubit", "subdivide-mass"],
+)
+def test_non_integral_json_number_exits_two(bs3_files, capsys, tmp_path, site):
+    code_path, emb_path = bs3_files
+    if site == "code-n":
+        bad = tmp_path / "code.json"
+        bad.write_text(json.dumps({"n": 2.7, "gauge_generators": ["XX"]}))
+        argv = ["params", str(bad)]
+    elif site == "embedding-dimension":
+        bad = tmp_path / "emb.json"
+        bad.write_text(json.dumps({"dimension": 1.5, "coordinates": [[0.0], [1.0]]}))
+        argv = ["tile", str(bad), "--w", "8", "--ell", "1", "--seed", "1"]
+    elif site == "region-qubit":
+        bad = tmp_path / "region.json"
+        bad.write_text(json.dumps({"qubits": [0, 1.9]}))
+        argv = ["check-region", code_path, str(bad), "--correctable"]
+    else:
+        bad = tmp_path / "spec.json"
+        bad.write_text(
+            json.dumps(
+                {
+                    "box": {"min": [0, 0], "max": [20, 4]},
+                    "masses": [{"point": [10, 1], "mass": 2.5}],
+                }
+            )
+        )
+        argv = ["subdivide", str(bad), "--ell", "1", "--d1", "3"]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be an integer" in err
+
+
+def test_holographic_box_dimension_mismatch_exits_two(bs3_files, capsys, tmp_path):
+    code_path, emb_path = bs3_files
+    box = tmp_path / "box.json"
+    box.write_text(json.dumps({"min": [0], "max": [2]}))
+    rc = main(["holographic", code_path, emb_path, "--box", str(box), "--ell", "0.1"])
+    assert rc == EXIT_INPUT
+    assert "box has dimension 1, embedding has 2" in capsys.readouterr().err
+
+
 def test_missing_file_exits_two(capsys):
     rc, _ = run(capsys, "params", "/nonexistent/code.json")
     assert rc == EXIT_INPUT

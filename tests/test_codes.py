@@ -261,3 +261,13 @@ def test_code_json_round_trip():
 def test_code_json_rejects_bad_lengths():
     with pytest.raises(ValueError):
         SubsystemCode.from_json({"n": 3, "gauge_generators": ["XX"]})
+
+
+@pytest.mark.parametrize("value", [2.7, "2", True, None, float("nan"), float("inf")])
+def test_code_json_rejects_non_integral_n(value):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        SubsystemCode.from_json({"n": value, "gauge_generators": ["XX"]})
+
+
+def test_code_json_accepts_integral_float_n():
+    assert SubsystemCode.from_json({"n": 2.0, "gauge_generators": ["XX"]}).n == 2

@@ -1,0 +1,236 @@
+"""Vectorised geometry layer against brute-force references, pinned
+certificate digests on non-lattice inputs, and a smoke run at the qubit cap."""
+
+import itertools
+import math
+import random
+from hashlib import sha256
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qlocality import certify, families
+from qlocality.codes import SubsystemCode
+from qlocality.geometry import (
+    DISTANCE_SLACK,
+    Box,
+    Embedding,
+    InteractionSet,
+    extract_interactions,
+    points_in_box,
+    validate_embedding,
+)
+from qlocality.pauli import MAX_QUBITS, PauliVector
+
+
+def all_pairs_violations(e):
+    """The all-pairs loop that validate_embedding replaced."""
+    coords = e.coordinates
+    violations = []
+    for i in range(e.n):
+        diffs = coords[i + 1 :] - coords[i]
+        if len(diffs) == 0:
+            continue
+        dists = np.linalg.norm(diffs, axis=1)
+        for off in np.nonzero(dists < 1.0 - DISTANCE_SLACK)[0]:
+            violations.append((i, i + 1 + int(off), float(dists[off])))
+    return violations
+
+
+# grid values make duplicates, exact distance-1 ties and points on box faces
+GRID = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+COORD = st.one_of(GRID, st.floats(-1.0, 4.0, allow_nan=False))
+
+
+@st.composite
+def clouds(draw, max_n=60):
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(0, max_n))
+    coords = draw(st.lists(st.lists(COORD, min_size=dim, max_size=dim), min_size=n, max_size=n))
+    return Embedding(dim, coords)
+
+
+@settings(max_examples=150, deadline=None)
+@given(clouds())
+def test_validate_embedding_matches_all_pairs_loop(e):
+    assert validate_embedding(e) == all_pairs_violations(e)
+
+
+def test_validate_embedding_lattice_ties_and_duplicates():
+    lattice = Embedding(3, [(x, y, z) for x in range(5) for y in range(5) for z in range(5)])
+    assert validate_embedding(lattice) == []
+    stacked = Embedding(2, [(0.0, 0.0)] * 4 + [(1.0, 0.0), (0.5, 0.5)])
+    assert validate_embedding(stacked) == all_pairs_violations(stacked)
+    assert len(validate_embedding(stacked)) == 6 + 4 + 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(clouds(max_n=40), st.data())
+def test_points_in_box_matches_contains(e, data):
+    dim = e.dimension
+    lo = data.draw(st.lists(GRID, min_size=dim, max_size=dim))
+    ext = data.draw(st.lists(GRID, min_size=dim, max_size=dim))
+    box = Box(tuple(lo), tuple(a + b for a, b in zip(lo, ext)))
+    for half_open in (False, True):
+        expected = [i for i in range(e.n) if box.contains(e.coordinates[i], half_open)]
+        assert points_in_box(e, box, half_open) == expected
+
+
+def test_points_in_box_rejects_dimension_mismatch():
+    e = Embedding(1, [[0.0], [1.0]])
+    with pytest.raises(ValueError, match="box has dimension 2, embedding has 1"):
+        points_in_box(e, Box((0.0, 0.0), (1.0, 1.0)))
+
+
+@st.composite
+def jittered_codes(draw):
+    dim = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 30))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = random.Random(seed)
+    coords = [[rng.uniform(-50.0, 50.0) * rng.random() for _ in range(dim)] for _ in range(n)]
+    gens = []
+    for _ in range(draw(st.integers(1, 12))):
+        letters = ["I"] * n
+        for q in rng.sample(range(n), rng.randint(2, min(n, 6))):
+            letters[q] = rng.choice("XYZ")
+        gens.append(PauliVector.from_string("".join(letters)))
+    return SubsystemCode(n, gens), Embedding(dim, coords)
+
+
+@settings(max_examples=200, deadline=None)
+@given(jittered_codes())
+def test_interaction_lengths_match_per_pair_norm_exactly(code_and_embedding):
+    code, e = code_and_embedding
+    ints = extract_interactions(code, e)
+    c = e.coordinates
+    assert [(i, j) for i, j, _ in ints.pairs] == sorted(code.interaction_pairs())
+    for i, j, length in ints.pairs:
+        assert length == float(np.linalg.norm(c[i] - c[j]))
+
+
+def sweep_gamma_by_pairs(e, ell):
+    """The pairwise set loop that computed the sweep's gamma before."""
+    coords = e.coordinates - e.coordinates.min(axis=0) + ell
+    diffs = set()
+    for axis in range(e.dimension):
+        vals = np.unique(coords[:, axis])
+        for a, b in itertools.combinations(vals, 2):
+            delta = abs(b - a)
+            diffs.add(delta)
+            diffs.add(abs(delta - 2.0 * ell))
+    nonzero = [v for v in diffs if v > 1e-12]
+    return min(nonzero) / 2.0 if nonzero else ell / 2.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(clouds(max_n=30).filter(lambda e: e.n > 0), st.sampled_from([0.25, 0.5, 1.0, 1.5]))
+def test_sweep_gamma_matches_pairwise_loop(e, ell):
+    ints = InteractionSet(n=e.n, pairs=(), multiplicity={})
+    cert = certify.expansion_sweep(e, ints, ell, tau=e.n + 1, d=e.n + 1)
+    assert cert.metadata["gamma"] == sweep_gamma_by_pairs(e, ell)
+
+
+# ── certificates on non-lattice inputs, pinned at the per-qubit-loop code ──
+
+
+def jittered_bacon_shor(m=8, seed=3):
+    ec = families.bacon_shor(m)
+    rng = random.Random(seed)
+    coords = [
+        [1.25 * x + rng.uniform(-0.1, 0.1) for x in p]
+        for p in ec.embedding.coordinates.tolist()
+    ]
+    return ec.code, Embedding(2, coords)
+
+
+def chain_code(n):
+    """X_i X_{i+1} on a chain plus every Z_i: k = 0, so every region is correctable."""
+    gens = []
+    for i in range(n - 1):
+        gens.append("I" * i + "XX" + "I" * (n - i - 2))
+    for i in range(n):
+        gens.append("I" * i + "Z" + "I" * (n - i - 1))
+    return SubsystemCode(n, [PauliVector.from_string(g) for g in gens])
+
+
+def random_walk(n=80, side=9.0, seed=11):
+    """A 3-D walk of steps 1 to 1.6 long that keeps every pair >= 1 apart."""
+    rng = random.Random(seed)
+    pts = [[side / 2.0] * 3]
+    while len(pts) < n:
+        v = [rng.gauss(0.0, 1.0) for _ in range(3)]
+        r = rng.uniform(1.0, 1.6) / math.sqrt(sum(c * c for c in v))
+        p = [a + r * c for a, c in zip(pts[-1], v)]
+        if all(0.0 <= c <= side for c in p) and all(math.dist(p, q) >= 1.0 for q in pts):
+            pts.append(p)
+    return chain_code(n), Embedding(3, pts)
+
+
+def holographic_d(side, ell, dim):
+    """Smallest d meeting strict holographic mode's width and ell preconditions."""
+    vol = math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
+    width = side ** (dim - 1) * ell * 2.0 * 4.0 ** (dim + 1) * dim / vol
+    cap = (8.0 * math.sqrt(dim) * ell) ** dim
+    return math.ceil(max(width, cap)) + 1
+
+
+# (label, input function, sweep ell, tau, d, holographic ell) -> (strict sweep,
+# verified sweep, strict holographic) SHA-256 of to_json_lines(), computed
+# with the per-qubit loops these paths replaced.  The sweep's ell sits above
+# most interaction lengths, so B is small and each step's count depends on
+# the slab and final-box selections.
+PINNED = {
+    "bacon_shor-8-jittered": (
+        jittered_bacon_shor, 1.2, 10, 80, 1.6,
+        (
+            "595f0bf9a007ff80048b4e98f14b2c438698d257cd6f25ab58718411bd98c2c5",
+            "80929890758e1efffc877832f96871b4d5989469438b57fd721f51ba8e2a48c4",
+            "2725318839100763846f7d37ccff02f6ebbfa64782fd10e1fc1b14ff2fcd7802",
+        ),
+    ),
+    "walk-80-3d": (
+        random_walk, 1.5, 12, 100, 0.25,
+        (
+            "c35bed28ab5acaa717f35dd0a2845134e8cfeb2e5f9d0234e800a5d862b3bca3",
+            "e76a6e6c520163277f8e35769e61cc23d160f1023b45438c4adf433f4a716876",
+            "43272942e1ee2bf0f86ae65ef612f12500683be6c57df6b521093b26f56b640d",
+        ),
+    ),
+}
+
+
+def pinned_certificates(build, ell, tau, d, holo_ell):
+    code, e = build()
+    ints = extract_interactions(code, e)
+    strict = certify.expansion_sweep(e, ints, ell, tau, d)
+    verified = certify.expansion_sweep(e, ints, ell, tau, d, mode="verified", code=code)
+    lo, hi = e.coordinates.min(axis=0), e.coordinates.max(axis=0)
+    box = Box(tuple(map(float, lo)), tuple(map(float, hi)))
+    hd = holographic_d(max(box.side_lengths), holo_ell, e.dimension)
+    holographic = certify.holographic_certify(code, e, box, holo_ell, d=hd)
+    return strict, verified, holographic
+
+
+@pytest.mark.parametrize("label", sorted(PINNED))
+def test_certificates_match_pinned_digests(label):
+    build, ell, tau, d, holo_ell, digests = PINNED[label]
+    certs = pinned_certificates(build, ell, tau, d, holo_ell)
+    got = tuple(sha256(c.to_json_lines().encode()).hexdigest() for c in certs)
+    assert got == digests
+
+
+# ── scaling smoke test at the qubit cap ──
+
+
+def test_bacon_shor_at_qubit_cap():
+    m = 64
+    ec = families.bacon_shor(m)
+    assert ec.code.n == MAX_QUBITS
+    ints = extract_interactions(ec.code, ec.embedding)
+    assert len(ints.pairs) == 2 * m * (m - 1)
+    assert all(length == 1.0 for _, _, length in ints.pairs)
+    cert = certify.expansion_sweep(ec.embedding, ints, 1.5, 3 * m + 1, 10 * m)
+    assert cert.outcome == certify.OUTCOME_CERTIFIED

@@ -374,3 +374,17 @@ def test_region_json_boxes():
 def test_region_json_rejects_unknown_shape():
     with pytest.raises(ValueError):
         region_from_json({"stuff": []})
+
+
+def test_region_json_rejects_non_integral_qubit():
+    assert region_from_json({"qubits": [0, 2.0]}) == frozenset({0, 2})
+    with pytest.raises(ValueError, match="region qubit must be an integer"):
+        region_from_json({"qubits": [0, 1.9]})
+
+
+def test_region_json_box_dimension_must_match_embedding():
+    from qlocality.geometry import Embedding
+
+    emb = Embedding(1, [[0.0], [1.0], [2.0]])
+    with pytest.raises(ValueError, match="box has dimension 2, embedding has 1"):
+        region_from_json({"boxes": [{"min": [0, 0], "max": [1, 1]}]}, emb)

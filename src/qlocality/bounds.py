@@ -256,14 +256,10 @@ class ProofConstants:
 
 
 def proof_constants(d: float, ell: float, dim: int, alpha: float = 1.0) -> ProofConstants:
-    if dim < 2:
-        raise ValueError("constants require D >= 2")
-    if d <= 0 or ell <= 0:
-        raise ValueError("d and ell must be positive")
+    w0 = holographic_box_width(d, ell, dim)
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
     vol = ball_volume(dim)
-    w0 = (vol / (2.0 * 4.0 ** (dim + 1) * dim) * d / ell) ** (1.0 / (dim - 1))
     c = vol ** (1.0 / dim) / (400.0 * alpha * dim)
     lhs = 2.0**dim / vol * (2.0 * w0) ** (dim - 1) * ell
     rhs = d / (16.0 * dim)
@@ -286,8 +282,13 @@ def proof_constants(d: float, ell: float, dim: int, alpha: float = 1.0) -> Proof
 
 
 def holographic_box_width(d: float, ell: float, dim: int) -> float:
-    """Maximum box side for the holographic correctability certificate."""
-    return proof_constants(d, ell, dim).w0
+    """Maximum box side w0 for the holographic correctability certificate."""
+    if dim < 2:
+        raise ValueError("constants require D >= 2")
+    if d <= 0 or ell <= 0:
+        raise ValueError("d and ell must be positive")
+    vol = ball_volume(dim)
+    return (vol / (2.0 * 4.0 ** (dim + 1) * dim) * d / ell) ** (1.0 / (dim - 1))
 
 
 def holographic_base_width(d: float, dim: int) -> float:

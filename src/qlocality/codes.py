@@ -2,9 +2,11 @@
 
 A subsystem code is given by a list of gauge generators (phase-free
 Paulis).  The stabilizer group is recovered as the center of the gauge
-span, parameters follow from GF(2) ranks, distance is found by region
-enumeration, and canonical bare logical representatives come from a
-symplectic Gram-Schmidt on the gauge centralizer.
+span, parameters follow from GF(2) ranks, and canonical bare logical
+representatives come from a symplectic Gram-Schmidt on the gauge
+centralizer.  Both region oracles read two cached per-qubit column sets
+(``pauli.QubitColumns``), and distance is a depth-first search over
+regions in which each child extends its parent's XOR basis by one qubit.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from .pauli import BitMatrix, PauliVector, _swap_halves, kernel_in_span, symplectic_bits
+from .pauli import BitMatrix, PauliVector, QubitColumns, centralizer, symplectic_bits
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,8 @@ class SubsystemCode:
         self._parameters: CodeParameters | None = None
         self._interaction_pairs: frozenset[tuple[int, int]] | None = None
         self._abelian: bool | None = None
+        self._correctable_columns: QubitColumns | None = None
+        self._cleanable_columns: QubitColumns | None = None
 
     @classmethod
     def from_strings(cls, generators: Iterable[str], n: int | None = None) -> SubsystemCode:
@@ -115,6 +119,20 @@ class SubsystemCode:
         if self._stabilizer_basis is None:
             self._stabilizer_basis = derive_stabilizer(self)
         return self._stabilizer_basis
+
+    @property
+    def correctable_columns(self) -> QubitColumns:
+        """Columns of the pair (S, C(G)): a region passes iff it is correctable."""
+        if self._correctable_columns is None:
+            self._correctable_columns = QubitColumns(self.stabilizer_basis, self.gauge_basis)
+        return self._correctable_columns
+
+    @property
+    def cleanable_columns(self) -> QubitColumns:
+        """Columns of the pair (G, C(S)): a region passes iff it is dressed-cleanable."""
+        if self._cleanable_columns is None:
+            self._cleanable_columns = QubitColumns(self.gauge_basis, self.stabilizer_basis)
+        return self._cleanable_columns
 
     def has_abelian_gauge(self) -> bool:
         if self._abelian is None:
@@ -204,25 +222,37 @@ def parameters(code: SubsystemCode) -> CodeParameters:
 
 def region_is_correctable(code: SubsystemCode, qubits: Iterable[int]) -> bool:
     """True iff every stabilizer-commuting Pauli on the region is pure gauge."""
-    return kernel_in_span(qubits, code.stabilizer_basis, code.gauge_basis)
+    return code.correctable_columns.passes(qubits)
 
 
 def distance(code: SubsystemCode, weight_cap: int | None = None) -> DistanceResult:
-    """Minimum weight of a dressed logical operator, via region enumeration.
+    """Minimum weight of a dressed logical operator, via region search.
 
     Searches for the smallest w such that some w-qubit region supports a
-    stabilizer-commuting Pauli outside the gauge span.  Returns a
-    "greater than weight_cap" result when no such region exists up to the
-    cap (default cap: n).
+    stabilizer-commuting Pauli outside the gauge span, by iterative
+    deepening: for w = 1, 2, ... a depth-first search over the w-subsets in
+    lexicographic order, where a child copies its parent's XOR basis and
+    adds one qubit's two columns.  Returns a "greater than weight_cap"
+    result when no such region exists up to the cap (default cap: n).
     """
     p = parameters(code)
     if p.k == 0:
         raise ValueError("distance undefined for k = 0")
     cap = code.n if weight_cap is None else min(weight_cap, code.n)
+    cols = code.correctable_columns
+    n = code.n
+
+    def fails(basis: dict[int, int], start: int, left: int) -> bool:
+        """True iff some ``left`` qubits from ``start`` on make the region fail."""
+        for q in range(start, n - left + 1):
+            child = dict(basis)
+            if not cols.add(child, q) or (left > 1 and fails(child, q + 1, left - 1)):
+                return True
+        return False
+
     for w in range(1, cap + 1):
-        for region in itertools.combinations(range(code.n), w):
-            if not region_is_correctable(code, region):
-                return DistanceResult(weight_cap=cap, value=w)
+        if fails({}, 0, w):
+            return DistanceResult(weight_cap=cap, value=w)
     return DistanceResult(weight_cap=cap, value=None)
 
 
@@ -237,11 +267,10 @@ def logical_representatives(code: SubsystemCode) -> list[LogicalPair]:
     if p.k == 0:
         raise ValueError("no logical qubits (k = 0)")
     n = code.n
-    centralizer = BitMatrix(2 * n, (_swap_halves(g, n) for g in code.gauge_basis.rows)).nullspace()
     # Strip the stabilizer part: keep centralizer vectors independent mod S.
     mod_out = BitMatrix(2 * n, code.stabilizer_basis.rows)
     complement: list[int] = []
-    for v in centralizer.row_basis().rows:
+    for v in centralizer(code.gauge_basis).row_basis().rows:
         red = mod_out.reduce_vector(v)
         if red != 0:
             complement.append(red)

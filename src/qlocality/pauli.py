@@ -210,41 +210,67 @@ def _swap_halves(bits: int, n: int) -> int:
     return ((bits & mask) << n) | (bits >> n)
 
 
-def _rank(vectors: Iterable[int]) -> int:
-    """GF(2) rank via an XOR basis keyed by leading bit; work grows with rank, not width."""
-    basis: dict[int, int] = {}
-    for v in vectors:
-        while v:
-            top = v.bit_length() - 1
-            if top not in basis:
-                basis[top] = v
-                break
-            v ^= basis[top]
-    return len(basis)
+def centralizer(m: BitMatrix) -> BitMatrix:
+    """Basis of the Paulis commuting with every row of m: m's nullspace, halves swapped."""
+    n = m.width // 2
+    return BitMatrix(m.width, (_swap_halves(v, n) for v in m.nullspace().rows))
 
 
-def kernel_in_span(support: Iterable[int], constraints: BitMatrix, span: BitMatrix) -> bool:
-    """True iff every Pauli on ``support`` commuting with every constraint row lies in ``span``.
+class QubitColumns:
+    """Per-qubit X and Z columns that decide "every Pauli on U commuting with
+    ``constraints`` lies in ``span``" for any qubit set U.
 
-    ``span`` must commute with every constraint row.  Then its part on the
-    support lies inside that kernel, so the two are equal iff their
-    dimensions are.  With m the support's bits in both halves, the kernel
-    has dimension 2|support| - rank(c & m).  dim(span on support) is read
-    off span's RREF: the rows whose pivot lies in m, cut to the outside of
-    m, give it as their count minus their rank (a row with its pivot
-    outside m leaves that bit set in every combination it enters).
+    ``span`` must commute with every constraint row, so the constraints lie
+    in sup = C(span), the Paulis commuting with span.  The kernel of the
+    constraints on U has dimension 2|U| - rank(constraints|_U) and holds
+    span's part on U, which is the kernel of sup there, of dimension
+    2|U| - rank(sup|_U).  So U passes iff the two ranks are equal.
+
+    Each qubit gets its X and its Z column over the stacked rows
+    [sup; constraints], constraint rows in the high bits.  U's columns have
+    rank rank(sup|_U), and in an XOR basis keyed by leading bit the pivots
+    in the high bits number rank(constraints|_U).  U therefore fails
+    exactly when a pivot lands in the low bits, and every superset fails.
     """
-    if constraints.width % 2:
-        raise ValueError("constraints width must be even")
-    n = constraints.width // 2
-    cols = set(support)
-    if cols and (min(cols) < 0 or max(cols) >= n):
-        raise ValueError(f"support {sorted(cols)} outside qubit range [0, {n})")
-    half = 0
-    for q in cols:
-        half |= 1 << q
-    m = half | half << n
-    kernel_dim = 2 * len(cols) - _rank(c & m for c in constraints.rows)
-    rows, pivots = span.rref()
-    cut = [r & ~m for r, p in zip(rows, pivots) if m >> p & 1]
-    return kernel_dim == len(cut) - _rank(cut)
+
+    def __init__(self, constraints: BitMatrix, span: BitMatrix) -> None:
+        if constraints.width % 2 or span.width != constraints.width:
+            raise ValueError("constraints and span need one even width")
+        n = self.n = constraints.width // 2
+        sup = centralizer(span).rows
+        self.low = len(sup)
+        self.columns = [[0, 0] for _ in range(n)]
+        for i, row in enumerate(sup + constraints.rows):
+            bit = 1 << i
+            while row:
+                lsb = row & -row
+                col = lsb.bit_length() - 1
+                self.columns[col % n][col >= n] |= bit
+                row ^= lsb
+
+    def add(self, basis: dict[int, int], qubit: int) -> bool:
+        """Add the qubit's two columns to ``basis``; False iff the region fails.
+
+        ``basis`` maps leading bit to vector, all in the high bits; after a
+        False it is left part-updated and must be dropped.
+        """
+        for v in self.columns[qubit]:
+            while v:
+                top = v.bit_length() - 1
+                pivot = basis.get(top)
+                if pivot is None:
+                    if top < self.low:
+                        return False
+                    basis[top] = v
+                    break
+                v ^= pivot
+        return True
+
+    def passes(self, support: Iterable[int]) -> bool:
+        """True iff every Pauli on ``support`` (a qubit set) commuting with
+        the constraints lies in the span."""
+        cols = set(support)
+        if cols and (min(cols) < 0 or max(cols) >= self.n):
+            raise ValueError(f"support {sorted(cols)} outside qubit range [0, {self.n})")
+        basis: dict[int, int] = {}
+        return all(self.add(basis, q) for q in cols)

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .codes import SubsystemCode, json_int, parameters, region_is_correctable
-from .pauli import kernel_in_span
 
 
 def validate_region(code: SubsystemCode, u: frozenset[int]) -> None:
@@ -29,7 +28,7 @@ def is_dressed_cleanable(code: SubsystemCode, u: Iterable[int]) -> bool:
     """True iff no non-trivial bare logical operator is supported on u."""
     u = frozenset(u)
     validate_region(code, u)
-    return kernel_in_span(u, code.gauge_basis, code.stabilizer_basis)
+    return code.cleanable_columns.passes(u)
 
 
 def boundary(code: SubsystemCode, u: Iterable[int]) -> frozenset[int]:

@@ -59,6 +59,12 @@ def test_surface_code_parameters(m):
     assert distance(ec.code).value == m
 
 
+def test_distance_known_answers_at_five():
+    # d = m for both families; the region search reaches w = 5 here
+    assert distance(surface_code(5).code).value == 5
+    assert distance(bacon_shor(5).code).value == 5
+
+
 def test_surface_code_is_stabilizer_code():
     ec = surface_code(3)
     assert ec.code.has_abelian_gauge()

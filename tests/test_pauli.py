@@ -9,8 +9,9 @@ from qlocality.pauli import (
     MAX_QUBITS,
     BitMatrix,
     PauliVector,
+    QubitColumns,
+    centralizer,
     in_span,
-    kernel_in_span,
     symplectic_bits,
     symplectic_product,
     weight,
@@ -163,6 +164,11 @@ def test_nullspace_is_annihilated():
                 assert (row & v).bit_count() % 2 == 0
 
 
+def kernel_in_span(support, constraints, span):
+    """The region predicate under test, built afresh for each question."""
+    return QubitColumns(constraints, span).passes(support)
+
+
 def brute_kernel_in_span(support, gens, span_rows, n):
     """Enumerate every Pauli on the support: each commuting one must be in the span."""
     members = span_members(span_rows, 2 * n)
@@ -177,6 +183,19 @@ def commutant(gens, n):
     """Basis of the Paulis commuting with every generator."""
     swapped = BitMatrix(2 * n, (PauliVector(n, g.z_bits, g.x_bits).to_bits() for g in gens))
     return swapped.nullspace().rows
+
+
+def test_centralizer_matches_swapped_nullspace():
+    rng = random.Random(31)
+    for _ in range(40):
+        n = rng.randrange(1, 7)
+        gens = [
+            PauliVector(n, rng.getrandbits(n), rng.getrandbits(n))
+            for _ in range(rng.randrange(0, 6))
+        ]
+        got = centralizer(BitMatrix.from_paulis(gens, n))
+        assert got.row_basis() == BitMatrix(2 * n, commutant(gens, n)).row_basis()
+        assert all(symplectic_bits(v, g.to_bits(), n) == 0 for v in got.rows for g in gens)
 
 
 def random_commuting_span(rng, gens, n):
@@ -227,6 +246,9 @@ def test_kernel_in_span_matches_brute_force():
         expected = brute_kernel_in_span(support, gens, span_rows, n)
         constraints = BitMatrix.from_paulis(gens, n)
         assert kernel_in_span(support, constraints, BitMatrix(2 * n, span_rows)) == expected
+        # a support with repeated qubits is read as a set
+        doubled = sorted(support) * 2
+        assert kernel_in_span(doubled, constraints, BitMatrix(2 * n, span_rows)) == expected
 
 
 def test_kernel_in_span_eight_qubit_support():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlocality.codes import SubsystemCode, distance, parameters
+from qlocality.codes import DistanceResult, SubsystemCode, distance, parameters
 from qlocality.pauli import PauliVector, in_span, symplectic_product
 from qlocality.regions import (
     ab_bound_check,
@@ -110,6 +110,30 @@ def test_oracles_match_brute_force_on_random_codes(case):
     code, u = case
     assert is_correctable(code, u) == brute_correctable(code, u)
     assert is_dressed_cleanable(code, u) == brute_cleanable(code, u)
+
+
+def reference_distance(code):
+    """Smallest w with a non-correctable w-subset, by enumeration and brute force."""
+    for w in range(1, code.n + 1):
+        for u in itertools.combinations(range(code.n), w):
+            if not brute_correctable(code, u):
+                return w
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_codes_and_regions())
+def test_distance_matches_enumeration_on_random_codes(case):
+    code, _ = case
+    if parameters(code).k == 0:
+        with pytest.raises(ValueError):
+            distance(code)
+        return
+    d = reference_distance(code)
+    for cap in range(code.n + 1):
+        expected = DistanceResult(weight_cap=cap, value=d if d is not None and d <= cap else None)
+        assert distance(code, cap) == expected
+    assert distance(code) == DistanceResult(weight_cap=code.n, value=d)
 
 
 def test_correctable_implies_cleanable():

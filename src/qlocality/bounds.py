@@ -294,3 +294,102 @@ def holographic_box_width(d: float, ell: float, dim: int) -> float:
 def holographic_base_width(d: float, dim: int) -> float:
     """Base-case cube side: packing already keeps the count below d."""
     return (ball_volume(dim) / (2.0 * 4.0**dim) * d) ** (1.0 / dim)
+
+
+# ---------------------------------------------------------------------------
+# exponent-space contour tables
+
+
+@dataclass(frozen=True)
+class ContourTable:
+    dimension: int
+    code_class: str
+    grid_step: float
+    entries: tuple[tuple[float, float, float, float | None], ...]
+
+    def to_json(self) -> dict:
+        return {
+            "dimension": self.dimension,
+            "code_class": self.code_class,
+            "grid_step": self.grid_step,
+            "entries": [
+                {"kappa": k, "delta": d, "ell_exponent": e, "m_exponent": m}
+                for k, d, e, m in self.entries
+            ],
+        }
+
+    @classmethod
+    def from_json(cls, obj: dict) -> ContourTable:
+        entries = tuple(
+            (e["kappa"], e["delta"], e["ell_exponent"], e["m_exponent"])
+            for e in obj["entries"]
+        )
+        return cls(
+            dimension=int(obj["dimension"]),
+            code_class=obj["code_class"],
+            grid_step=float(obj["grid_step"]),
+            entries=entries,
+        )
+
+    def to_csv(self) -> str:
+        lines = ["kappa,delta,ell_exponent,m_exponent"]
+        for k, d, e, m in self.entries:
+            lines.append(f"{k:.6f},{d:.6f},{e:.6f},{'' if m is None else f'{m:.6f}'}")
+        return "\n".join(lines) + "\n"
+
+    def lookup(self, kappa: float, delta: float, tol: float = 1e-9) -> tuple[float, float | None]:
+        for k, d, e, m in self.entries:
+            if abs(k - kappa) <= tol and abs(d - delta) <= tol:
+                return e, m
+        raise KeyError(f"no grid entry at ({kappa}, {delta})")
+
+
+def ell_star_exponent(kappa: float, delta: float, dim: int, code_class: str) -> float:
+    """log_n ell* in exponent space, clamped at 0 in the local regime."""
+    frac = (dim - 1) / dim
+    branch_d = delta - frac
+    if code_class == "subsystem":
+        branch_k = frac * (kappa + delta / (dim - 1) - 1.0)
+    elif code_class == "projector":
+        branch_k = (dim - 1) / (2.0 * dim) * (kappa + 2.0 * delta / (dim - 1) - 1.0)
+    else:
+        raise ValueError(f"unknown code class {code_class!r}")
+    return max(branch_d, branch_k, 0.0)
+
+
+def m_star_exponent(kappa: float, delta: float, dim: int, code_class: str) -> float | None:
+    """log_n M* = max(kappa, delta), or None inside the local regime."""
+    frac = (dim - 1) / dim
+    if code_class == "subsystem":
+        local = kappa + delta / (dim - 1) <= 1.0 and delta <= frac
+    else:
+        local = kappa + 2.0 * delta / (dim - 1) <= 1.0 and delta <= frac
+    if local:
+        return None
+    return max(kappa, delta)
+
+
+def emit_contours(dim: int, code_class: str, grid_step: float) -> ContourTable:
+    if dim < 2:
+        raise ValueError("contours require D >= 2")
+    if not 0 < grid_step <= 0.5:
+        raise ValueError(f"grid step {grid_step} outside (0, 0.5]")
+    steps = int(round(1.0 / grid_step))
+    values = [min(i * grid_step, 1.0) for i in range(steps)] + [1.0]
+    entries = []
+    for kappa in values:
+        for delta in values:
+            entries.append(
+                (
+                    kappa,
+                    delta,
+                    ell_star_exponent(kappa, delta, dim, code_class),
+                    m_star_exponent(kappa, delta, dim, code_class),
+                )
+            )
+    return ContourTable(
+        dimension=dim,
+        code_class=code_class,
+        grid_step=grid_step,
+        entries=tuple(entries),
+    )

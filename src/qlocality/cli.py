@@ -8,9 +8,10 @@ lemma assertion); 2 = input or format errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
-from dataclasses import dataclass
 
 from . import bounds as bounds_mod
 from . import certify, families, geometry, regions
@@ -54,6 +55,26 @@ def _load_embedding(path: str) -> geometry.Embedding:
     return emb
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _dump(obj: dict, path: str | None = None) -> None:
     text = json.dumps(obj, sort_keys=True, indent=2)
     if path:
@@ -61,103 +82,6 @@ def _dump(obj: dict, path: str | None = None) -> None:
             fh.write(text + "\n")
     else:
         print(text)
-
-
-# ---------------------------------------------------------------------------
-# contour tables
-
-
-@dataclass(frozen=True)
-class ContourTable:
-    dimension: int
-    code_class: str
-    grid_step: float
-    entries: tuple[tuple[float, float, float, float | None], ...]
-
-    def to_json(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "code_class": self.code_class,
-            "grid_step": self.grid_step,
-            "entries": [
-                {"kappa": k, "delta": d, "ell_exponent": e, "m_exponent": m}
-                for k, d, e, m in self.entries
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> ContourTable:
-        entries = tuple(
-            (e["kappa"], e["delta"], e["ell_exponent"], e["m_exponent"])
-            for e in obj["entries"]
-        )
-        return cls(
-            dimension=int(obj["dimension"]),
-            code_class=obj["code_class"],
-            grid_step=float(obj["grid_step"]),
-            entries=entries,
-        )
-
-    def to_csv(self) -> str:
-        lines = ["kappa,delta,ell_exponent,m_exponent"]
-        for k, d, e, m in self.entries:
-            lines.append(f"{k:.6f},{d:.6f},{e:.6f},{'' if m is None else f'{m:.6f}'}")
-        return "\n".join(lines) + "\n"
-
-    def lookup(self, kappa: float, delta: float, tol: float = 1e-9) -> tuple[float, float | None]:
-        for k, d, e, m in self.entries:
-            if abs(k - kappa) <= tol and abs(d - delta) <= tol:
-                return e, m
-        raise KeyError(f"no grid entry at ({kappa}, {delta})")
-
-
-def ell_star_exponent(kappa: float, delta: float, dim: int, code_class: str) -> float:
-    """log_n ell* in exponent space, clamped at 0 in the local regime."""
-    frac = (dim - 1) / dim
-    branch_d = delta - frac
-    if code_class == "subsystem":
-        branch_k = frac * (kappa + delta / (dim - 1) - 1.0)
-    elif code_class == "projector":
-        branch_k = (dim - 1) / (2.0 * dim) * (kappa + 2.0 * delta / (dim - 1) - 1.0)
-    else:
-        raise InputError(f"unknown code class {code_class!r}")
-    return max(branch_d, branch_k, 0.0)
-
-
-def m_star_exponent(kappa: float, delta: float, dim: int, code_class: str) -> float | None:
-    """log_n M* = max(kappa, delta), or None inside the local regime."""
-    frac = (dim - 1) / dim
-    if code_class == "subsystem":
-        local = kappa + delta / (dim - 1) <= 1.0 and delta <= frac
-    else:
-        local = kappa + 2.0 * delta / (dim - 1) <= 1.0 and delta <= frac
-    if local:
-        return None
-    return max(kappa, delta)
-
-
-def emit_contours(dim: int, code_class: str, grid_step: float) -> ContourTable:
-    if not 0 < grid_step <= 0.5:
-        raise InputError(f"grid step {grid_step} outside (0, 0.5]")
-    steps = int(round(1.0 / grid_step))
-    values = [min(i * grid_step, 1.0) for i in range(steps)] + [1.0]
-    entries = []
-    for kappa in values:
-        for delta in values:
-            entries.append(
-                (
-                    kappa,
-                    delta,
-                    ell_star_exponent(kappa, delta, dim, code_class),
-                    m_star_exponent(kappa, delta, dim, code_class),
-                )
-            )
-    return ContourTable(
-        dimension=dim,
-        code_class=code_class,
-        grid_step=grid_step,
-        entries=tuple(entries),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +114,10 @@ def _cmd_interactions(args: argparse.Namespace) -> int:
     ints = geometry.extract_interactions(code, emb)
     out = ints.to_json()
     if args.ell is not None:
-        m, f = geometry.count_long(ints, args.ell)
+        try:
+            m, f = geometry.count_long(ints, args.ell)
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
         out["ell"] = args.ell
         out["long_count"] = m
         out["f_per_qubit"] = {str(q): v for q, v in sorted(f.items()) if v}
@@ -321,16 +248,19 @@ _FAMILIES = ("bacon_shor", "surface", "steane", "five_one_three", "repetition")
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    if args.family == "bacon_shor":
-        ec = families.bacon_shor(args.size)
-    elif args.family == "surface":
-        ec = families.surface_code(args.size)
-    elif args.family == "repetition":
-        ec = families.small_inner_codes("repetition", r=args.size)
-    elif args.family in ("steane", "five_one_three"):
-        ec = families.small_inner_codes(args.family)
-    else:
-        raise InputError(f"unknown family {args.family!r}")
+    try:
+        if args.family == "bacon_shor":
+            ec = families.bacon_shor(args.size)
+        elif args.family == "surface":
+            ec = families.surface_code(args.size)
+        elif args.family == "repetition":
+            ec = families.small_inner_codes("repetition", r=args.size)
+        elif args.family in ("steane", "five_one_three"):
+            ec = families.small_inner_codes(args.family)
+        else:
+            raise InputError(f"unknown family {args.family!r}")
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     _dump(ec.code.to_json(), args.out_code)
     _dump(ec.embedding.to_json(), args.out_embedding)
     return EXIT_OK
@@ -371,7 +301,10 @@ def _cmd_saturation(args: argparse.Namespace) -> int:
 
 
 def _cmd_contours(args: argparse.Namespace) -> int:
-    table = emit_contours(args.dimension, args.code_class, args.grid_step)
+    try:
+        table = bounds_mod.emit_contours(args.dimension, args.code_class, args.grid_step)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     if args.csv:
         if args.out:
             with open(args.out, "w") as fh:
@@ -383,7 +316,13 @@ def _cmd_contours(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser tree, built on first use and shared by every ``main`` call.
+
+    Reuse is safe because argparse keeps no per-parse state on the parser:
+    each ``parse_args`` fills a fresh ``Namespace``.
+    """
     parser = argparse.ArgumentParser(
         prog="qlocality",
         description="Locality analysis of subsystem and stabilizer codes embedded in R^D",
@@ -394,24 +333,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("code")
     p.set_defaults(fn=_cmd_params)
 
-    p = sub.add_parser("distance", help="distance by region enumeration")
+    p = sub.add_parser("distance", help="distance by depth-first region search")
     p.add_argument("code")
-    p.add_argument("--weight-cap", type=int, default=None)
+    p.add_argument("--weight-cap", type=_non_negative_int, default=None)
     p.set_defaults(fn=_cmd_distance)
 
     p = sub.add_parser("interactions", help="interaction set from code + embedding")
     p.add_argument("code")
     p.add_argument("embedding")
-    p.add_argument("--ell", type=float, default=None)
+    p.add_argument("--ell", type=_finite_float, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_interactions)
 
     p = sub.add_parser("bounds", help="evaluate M* and ell*")
     p.add_argument("--class", dest="code_class", choices=("subsystem", "projector"), required=True)
     p.add_argument("--mode", choices=("asymptotic", "explicit"), default="asymptotic")
-    p.add_argument("-n", type=float, required=True)
-    p.add_argument("-k", type=float, required=True)
-    p.add_argument("-d", type=float, required=True)
+    p.add_argument("-n", type=_finite_float, required=True)
+    p.add_argument("-k", type=_finite_float, required=True)
+    p.add_argument("-d", type=_finite_float, required=True)
     p.add_argument("-D", dest="dimension", type=int, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_bounds)
@@ -427,24 +366,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tile", help="find a grid tiling for the embedding's points")
     p.add_argument("embedding")
-    p.add_argument("--w", type=float, required=True)
-    p.add_argument("--ell", type=float, required=True)
+    p.add_argument("--w", type=_finite_float, required=True)
+    p.add_argument("--ell", type=_finite_float, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_tile)
 
     p = sub.add_parser("subdivide", help="split a box into light or short slabs")
     p.add_argument("spec", help="JSON file with 'box' and 'masses'")
-    p.add_argument("--ell", type=float, required=True)
-    p.add_argument("--d1", type=float, required=True)
+    p.add_argument("--ell", type=_finite_float, required=True)
+    p.add_argument("--d1", type=_finite_float, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_subdivide)
 
     p = sub.add_parser("sweep", help="run the expansion sweep")
     p.add_argument("embedding")
     p.add_argument("--code", default=None)
-    p.add_argument("--ell", type=float, required=True)
-    p.add_argument("--tau", type=float, required=True)
+    p.add_argument("--ell", type=_finite_float, required=True)
+    p.add_argument("--tau", type=_finite_float, required=True)
     p.add_argument("--d", type=int, required=True)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--strict", action="store_true")
@@ -456,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("code")
     p.add_argument("embedding")
     p.add_argument("--box", required=True, help="JSON file with min/max corners")
-    p.add_argument("--ell", type=float, required=True)
+    p.add_argument("--ell", type=_finite_float, required=True)
     p.add_argument("--d", type=int, default=None)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--strict", action="store_true")
@@ -467,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("partition", help="build a theorem's qubit partition")
     p.add_argument("code")
     p.add_argument("embedding")
-    p.add_argument("--ell", type=float, required=True)
+    p.add_argument("--ell", type=_finite_float, required=True)
     p.add_argument("--variant", choices=("thm3_2", "thm5_1_case1", "thm5_1_case2"), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-verify", action="store_true")
@@ -486,8 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inner-embedding", required=True)
     p.add_argument("--outer-code", required=True)
     p.add_argument("--outer-embedding", required=True)
-    p.add_argument("--ell-target", type=float, required=True)
-    p.add_argument("--ell2", type=float, default=None)
+    p.add_argument("--ell-target", type=_finite_float, required=True)
+    p.add_argument("--ell2", type=_finite_float, default=None)
     p.add_argument("--out-code", default=None)
     p.add_argument("--out-embedding", default=None)
     p.add_argument("--out-report", default=None)
@@ -497,14 +436,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("code")
     p.add_argument("embedding")
     p.add_argument("--class", dest="code_class", choices=("subsystem", "projector"), default="subsystem")
-    p.add_argument("--weight-cap", type=int, default=None)
+    p.add_argument("--weight-cap", type=_non_negative_int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_saturation)
 
     p = sub.add_parser("contours", help="exponent-space contour table")
     p.add_argument("--D", dest="dimension", type=int, required=True)
     p.add_argument("--class", dest="code_class", choices=("subsystem", "projector"), required=True)
-    p.add_argument("--grid-step", type=float, default=0.1)
+    p.add_argument("--grid-step", type=_finite_float, default=0.1)
     p.add_argument("--csv", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_contours)

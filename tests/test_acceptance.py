@@ -12,13 +12,18 @@ import time
 import numpy as np
 import pytest
 
-from qlocality.bounds import ball_volume, proof_constants, projector_bounds, subsystem_bounds
+from qlocality.bounds import (
+    ball_volume,
+    emit_contours,
+    proof_constants,
+    projector_bounds,
+    subsystem_bounds,
+)
 from qlocality.certify import (
     OUTCOME_CONTRADICTION,
     OUTCOME_STUCK,
     expansion_sweep,
 )
-from qlocality.cli import emit_contours
 from qlocality.codes import SubsystemCode, distance, parameters
 from qlocality.families import (
     ConcatPlan,

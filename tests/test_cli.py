@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, round trips, determinism."""
 
+import argparse
 import json
 import math
 import subprocess
@@ -7,15 +8,9 @@ import sys
 
 import pytest
 
-from qlocality.cli import (
-    EXIT_FAILED,
-    EXIT_INPUT,
-    EXIT_OK,
-    ell_star_exponent,
-    emit_contours,
-    m_star_exponent,
-    main,
-)
+from qlocality.bounds import ell_star_exponent, emit_contours, m_star_exponent
+from qlocality import cli
+from qlocality.cli import EXIT_FAILED, EXIT_INPUT, EXIT_OK, main
 from qlocality.families import bacon_shor, small_inner_codes
 
 
@@ -67,6 +62,14 @@ def test_interactions(bs3_files, capsys):
     obj = json.loads(out)
     assert len(obj["pairs"]) == 12
     assert obj["long_count"] == 12
+
+
+def test_interactions_negative_ell_exits_two(bs3_files, capsys):
+    code_path, emb_path = bs3_files
+    assert main(["interactions", code_path, emb_path, "--ell", "-1"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ell must be positive\n"
 
 
 def test_bounds_cli_example(capsys):
@@ -295,8 +298,18 @@ def test_contours_rejects_bad_step(capsys):
     assert rc == EXIT_INPUT
 
 
+@pytest.mark.parametrize("dim", ["1", "0", "-1"])
+def test_contours_reject_dimension_below_two(capsys, dim):
+    with pytest.raises(ValueError, match="require D >= 2"):
+        emit_contours(int(dim), "subsystem", 0.5)
+    assert main(["contours", "--D", dim, "--class", "subsystem"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: contours require D >= 2\n"
+
+
 def test_contour_table_round_trip():
-    from qlocality.cli import ContourTable
+    from qlocality.bounds import ContourTable
 
     table = emit_contours(3, "projector", 0.25)
     again = ContourTable.from_json(json.loads(json.dumps(table.to_json())))
@@ -406,6 +419,55 @@ def test_holographic_box_dimension_mismatch_exits_two(bs3_files, capsys, tmp_pat
     assert "box has dimension 1, embedding has 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "family,size",
+    [("bacon_shor", "0"), ("bacon_shor", "-2"), ("surface", "1"), ("repetition", "0")],
+)
+def test_construct_size_out_of_range_exits_two(capsys, tmp_path, family, size):
+    out_code = tmp_path / "c.json"
+    argv = ["construct", "--family", family, "--size", size, "--out-code", str(out_code)]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out_code.exists()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "needs" in captured.err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command",
+    ["tile --w", "sweep --tau", "interactions --ell", "bounds -n", "contours --grid-step"],
+)
+def test_non_finite_float_flag_exits_two(bs3_files, capsys, command, value):
+    code_path, emb_path = bs3_files
+    name, flag = command.split()
+    base = {
+        "tile": ["tile", emb_path, "--w", "8", "--ell", "1", "--seed", "1"],
+        "sweep": ["sweep", emb_path, "--ell", "2", "--tau", "9", "--d", "3"],
+        "interactions": ["interactions", code_path, emb_path, "--ell", "1"],
+        "bounds": ["bounds", "--class", "subsystem", "-n", "1e6", "-k", "1e4", "-d", "1e3", "-D", "2"],
+        "contours": ["contours", "--D", "2", "--class", "subsystem", "--grid-step", "0.5"],
+    }[name]
+    argv = list(base)
+    i = argv.index(flag)
+    argv[i : i + 2] = [f"{flag}={value}"]  # "=" so that "-inf" is not read as an option
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"expected a finite number, got '{value}'" in captured.err
+
+
+@pytest.mark.parametrize("command", ["distance", "saturation"])
+@pytest.mark.parametrize("value", ["-1", "two"])
+def test_bad_weight_cap_exits_two(bs3_files, capsys, command, value):
+    code_path, emb_path = bs3_files
+    files = [code_path] if command == "distance" else [code_path, emb_path]
+    assert main([command, *files, "--weight-cap", value]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"expected a non-negative integer, got '{value}'" in captured.err
+
+
 def test_missing_file_exits_two(capsys):
     rc, _ = run(capsys, "params", "/nonexistent/code.json")
     assert rc == EXIT_INPUT
@@ -439,3 +501,65 @@ def test_artifact_round_trips(bs3_files, capsys, tmp_path):
     assert rc == EXIT_OK
     obj = json.loads(out.read_text())
     assert obj["n"] == 9
+
+
+# ── one parser per process ─────────────────────────────────────────────
+
+
+def test_parser_reuse_leaks_no_state(bs3_files, capsys, tmp_path):
+    code_path, emb_path = bs3_files
+    out_path = tmp_path / "ints.json"
+    sweep = ["sweep", emb_path, "--code", code_path, "--ell", "2", "--tau", "9", "--d", "3"]
+    interactions = ["interactions", code_path, emb_path, "--ell", "1.0"]
+    commands = [
+        ["frobnicate"],
+        ["tile", emb_path, "--w", "nan", "--ell", "1", "--seed", "1"],
+        [*sweep, "--verified"],
+        sweep,
+        [*interactions, "--out", str(out_path)],
+        interactions,
+        ["distance", code_path, "--weight-cap", "2"],
+        ["distance", code_path],
+    ]
+
+    def run_all(order):
+        results = {}
+        for i in order:
+            rc = main(list(commands[i]))
+            captured = capsys.readouterr()
+            written = out_path.read_bytes() if out_path.exists() else None
+            out_path.unlink(missing_ok=True)
+            results[i] = (rc, captured.out, captured.err, written)
+        return results
+
+    forward = run_all(range(len(commands)))
+    backward = run_all(reversed(range(len(commands))))
+    assert forward == backward
+    assert [forward[i][0] for i in range(len(commands))] == [
+        EXIT_INPUT, EXIT_INPUT, EXIT_FAILED, EXIT_FAILED, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK,
+    ]
+    assert forward[2][1] != forward[3][1]  # verified and strict sweeps differ
+    assert forward[4][3] is not None and forward[5][3] is None
+    assert forward[4][3].decode() == forward[5][1]
+    assert json.loads(forward[6][1])["distance"] is None
+    assert json.loads(forward[7][1])["distance"] == 3
+
+
+def test_parser_tree_built_once_per_process(bs3_files, capsys, monkeypatch):
+    code_path, _ = bs3_files
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    assert main(["params", code_path]) == EXIT_OK
+    one_tree = len(progs)
+    for _ in range(5):
+        assert main(["params", code_path]) == EXIT_OK
+        assert main(["frobnicate"]) == EXIT_INPUT
+    assert progs.count("qlocality") == 1
+    assert len(progs) == one_tree

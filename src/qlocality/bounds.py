@@ -372,8 +372,9 @@ def m_star_exponent(kappa: float, delta: float, dim: int, code_class: str) -> fl
 def emit_contours(dim: int, code_class: str, grid_step: float) -> ContourTable:
     if dim < 2:
         raise ValueError("contours require D >= 2")
-    if not 0 < grid_step <= 0.5:
-        raise ValueError(f"grid step {grid_step} outside (0, 0.5]")
+    # a step finer than the CSV's 6 decimals prints repeated rows
+    if not 1e-6 <= grid_step <= 0.5:
+        raise ValueError(f"grid step {grid_step} outside [1e-06, 0.5]")
     steps = int(round(1.0 / grid_step))
     values = [min(i * grid_step, 1.0) for i in range(steps)] + [1.0]
     entries = []

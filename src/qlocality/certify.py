@@ -393,6 +393,8 @@ def expansion_sweep(
         raise ValueError("ell must be positive")
     if tau <= 0:
         raise ValueError("tau must be positive")
+    if d <= 0:
+        raise ValueError("d must be positive")
     if mode not in ("strict", "verified"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "verified" and code is None:

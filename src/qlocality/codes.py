@@ -16,7 +16,15 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from .pauli import BitMatrix, PauliVector, QubitColumns, centralizer, symplectic_bits
+from .pauli import (
+    BitMatrix,
+    PauliVector,
+    QubitColumns,
+    centralizer,
+    set_bits,
+    symplectic_bits,
+    transpose,
+)
 
 
 @dataclass(frozen=True)
@@ -87,7 +95,6 @@ class SubsystemCode:
         self._stabilizer_basis: BitMatrix | None = None
         self._parameters: CodeParameters | None = None
         self._interaction_pairs: frozenset[tuple[int, int]] | None = None
-        self._abelian: bool | None = None
         self._correctable_columns: QubitColumns | None = None
         self._cleanable_columns: QubitColumns | None = None
 
@@ -135,12 +142,8 @@ class SubsystemCode:
         return self._cleanable_columns
 
     def has_abelian_gauge(self) -> bool:
-        if self._abelian is None:
-            self._abelian = all(
-                symplectic_bits(a, b, self.n) == 0
-                for a, b in itertools.combinations(self.gauge_basis.rows, 2)
-            )
-        return self._abelian
+        """The gauge group is abelian iff its center is its whole span."""
+        return self.stabilizer_basis.rank() == self.gauge_basis.rank()
 
     def interaction_pairs(self) -> frozenset[tuple[int, int]]:
         """Unordered qubit pairs jointly covered by some gauge generator."""
@@ -184,28 +187,27 @@ class SubsystemCode:
 
 def derive_stabilizer(code: SubsystemCode) -> BitMatrix:
     """Basis of the center of the gauge span (the stabilizer group, mod phase)."""
-    basis = code.gauge_basis
-    r = len(basis.rows)
-    if r == 0:
-        return BitMatrix(2 * code.n)
-    # Coefficient-space constraints: an element sum_j a_j b_j is central iff
-    # sum_j a_j <b_j, b_i> = 0 for every basis row b_i.  The form is
-    # symmetric and alternating, so each pair i > j is computed once.
-    gram_rows = [0] * r
-    for i, b_i in enumerate(basis.rows):
-        for j in range(i):
-            if symplectic_bits(basis.rows[j], b_i, code.n):
-                gram_rows[i] |= 1 << j
-                gram_rows[j] |= 1 << i
-    coeff_kernel = BitMatrix(r, gram_rows).nullspace()
+    n = code.n
+    rows = code.gauge_basis.rows
+    # An element sum_j a_j b_j is central iff sum_j a_j <b_i, b_j> = 0 for
+    # every basis row b_i.  <b_i, b_j> is the parity of b_j's bits at the
+    # half-swapped positions of b_i's bits, so with colset[c] the set of rows
+    # holding bit c, Gram row i is the XOR of colset[swap(c)] over b_i's bits.
+    colset = transpose(rows, 2 * n)
+    swapped = colset[n:] + colset[:n]
+    gram_rows = []
+    for row in rows:
+        g = 0
+        for c in set_bits(row):
+            g ^= swapped[c]
+        gram_rows.append(g)
     stab_rows = []
-    for coeffs in coeff_kernel.rows:
+    for coeffs in BitMatrix(len(rows), gram_rows).nullspace().rows:
         v = 0
-        for j in range(r):
-            if coeffs >> j & 1:
-                v ^= basis.rows[j]
+        for j in set_bits(coeffs):
+            v ^= rows[j]
         stab_rows.append(v)
-    return BitMatrix(2 * code.n, stab_rows).row_basis()
+    return BitMatrix(2 * n, stab_rows).row_basis()
 
 
 def parameters(code: SubsystemCode) -> CodeParameters:

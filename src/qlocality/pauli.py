@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-MAX_QUBITS = 4096
+# A sanity bound, not an algorithmic one: each BitMatrix row is one int of 2n
+# bits, so a dense matrix of 2n rows holds n²/2 bytes (5 GB at this cap).
+MAX_QUBITS = 100_000
 
-_LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_BITS_LETTER = {bits: letter for letter, bits in _LETTER_BITS.items()}
+# str.translate tables: the X and Z bit of each letter as a binary digit, and
+# the letter of each hex digit x + 2z.
+_X_DIGITS = str.maketrans("IXYZ", "0110")
+_Z_DIGITS = str.maketrans("IXYZ", "0011")
+_NOT_LETTERS = str.maketrans("", "", "IXYZ")
+_HEX_LETTERS = str.maketrans("0123", "IXZY")
 
 
 @dataclass(frozen=True)
@@ -37,21 +43,20 @@ class PauliVector:
     @classmethod
     def from_string(cls, s: str) -> PauliVector:
         """Parse a string over {I, X, Y, Z}; index 0 is the leftmost letter."""
-        x = z = 0
-        for i, letter in enumerate(s):
-            try:
-                xb, zb = _LETTER_BITS[letter]
-            except KeyError:
-                raise ValueError(f"invalid Pauli letter {letter!r}") from None
-            x |= xb << i
-            z |= zb << i
-        return cls(len(s), x, z)
+        bad = s.translate(_NOT_LETTERS)
+        if bad:
+            raise ValueError(f"invalid Pauli letter {bad[0]!r}")
+        # int() reads the most significant digit first, so reverse the letters
+        rev = s[::-1]
+        x = int(rev.translate(_X_DIGITS) or "0", 2)
+        return cls(len(s), x, int(rev.translate(_Z_DIGITS) or "0", 2))
 
     def to_string(self) -> str:
-        return "".join(
-            _BITS_LETTER[(self.x_bits >> i & 1, self.z_bits >> i & 1)]
-            for i in range(self.n)
-        )
+        if self.n == 0:
+            return ""
+        # read each binary digit as a hex digit: hex digit i is then x_i + 2 z_i
+        digits = int(format(self.x_bits, "b"), 16) + 2 * int(format(self.z_bits, "b"), 16)
+        return format(digits, f"0{self.n}x").translate(_HEX_LETTERS)[::-1]
 
     @classmethod
     def from_bits(cls, n: int, bits: int) -> PauliVector:
@@ -63,13 +68,7 @@ class PauliVector:
         return self.x_bits | (self.z_bits << self.n)
 
     def support(self) -> frozenset[int]:
-        bits = self.x_bits | self.z_bits
-        out = []
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
-        return frozenset(out)
+        return frozenset(set_bits(self.x_bits | self.z_bits))
 
     def is_identity(self) -> bool:
         return self.x_bits == 0 and self.z_bits == 0
@@ -85,6 +84,26 @@ class PauliVector:
 
     def __str__(self) -> str:
         return self.to_string()
+
+
+def set_bits(v: int) -> Iterator[int]:
+    """Indices of the set bits of v, lowest first."""
+    while v:
+        low = v & -v
+        yield low.bit_length() - 1
+        v ^= low
+
+
+def transpose(rows: Sequence[int], width: int) -> list[int]:
+    """Column c of the rows as a bitmask over row indices."""
+    columns = [0] * width
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        while row:
+            low = row & -row
+            columns[low.bit_length() - 1] |= bit
+            row ^= low
+    return columns
 
 
 def symplectic_bits(a: int, b: int, n: int) -> int:
@@ -142,32 +161,42 @@ class BitMatrix:
         return f"BitMatrix(width={self.width}, rows={len(self.rows)})"
 
     def rref(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Return (reduced rows, pivot columns); zero rows are dropped."""
+        """Return (reduced rows, pivot columns); zero rows are dropped.
+
+        Each row enters an XOR basis keyed by its lowest set bit, which gives
+        an echelon form; back-substitution from the highest pivot down then
+        clears every other pivot column.  The RREF of a row space under a
+        fixed column order is unique, so the result does not depend on the
+        order of the rows.
+        """
         if self._rref is None:
-            work = list(self.rows)
-            pivots: list[int] = []
-            reduced: list[int] = []
-            for col in range(self.width):
-                bit = 1 << col
-                pivot_row = None
-                for idx, row in enumerate(work):
-                    if row & bit:
-                        pivot_row = work.pop(idx)
+            echelon: dict[int, int] = {}
+            for row in self.rows:
+                while row:
+                    low = (row & -row).bit_length() - 1
+                    pivot_row = echelon.get(low)
+                    if pivot_row is None:
+                        echelon[low] = row
                         break
-                if pivot_row is None:
-                    continue
-                reduced = [r ^ pivot_row if r & bit else r for r in reduced]
-                work = [r ^ pivot_row if r & bit else r for r in work]
-                reduced.append(pivot_row)
-                pivots.append(col)
-            self._rref = (tuple(reduced), tuple(pivots))
+                    row ^= pivot_row
+            pivots = sorted(echelon)
+            pivot_mask = sum(1 << col for col in pivots)
+            for col in reversed(pivots):
+                row = echelon[col]
+                for above in set_bits((row & pivot_mask) ^ (1 << col)):
+                    row ^= echelon[above]
+                echelon[col] = row
+            self._rref = (tuple(echelon[col] for col in pivots), tuple(pivots))
         return self._rref
 
     def rank(self) -> int:
         return len(self.rref()[0])
 
     def row_basis(self) -> BitMatrix:
-        return BitMatrix(self.width, self.rref()[0])
+        """The RREF rows as a matrix; an RREF is its own RREF, so it is handed over."""
+        basis = BitMatrix(self.width, self.rref()[0])
+        basis._rref = self._rref
+        return basis
 
     def reduce_vector(self, vec: int) -> int:
         """Reduce vec against the row space; 0 means vec is in the span."""
@@ -184,18 +213,17 @@ class BitMatrix:
         return BitMatrix(self.width, self.rows + tuple(extra_rows))
 
     def nullspace(self) -> BitMatrix:
-        """Basis of {v : row · v = 0 mod 2 for every row}."""
+        """Basis of {v : row · v = 0 mod 2 for every row}, one vector per free
+        column in ascending order: the free bit plus the pivots of the rows
+        that hold it."""
         rows, pivots = self.rref()
-        pivot_set = set(pivots)
-        free_cols = [c for c in range(self.width) if c not in pivot_set]
-        basis = []
-        for f in free_cols:
-            v = 1 << f
-            for row, col in zip(rows, pivots):
-                if row >> f & 1:
-                    v |= 1 << col
-            basis.append(v)
-        return BitMatrix(self.width, basis)
+        taken = set(pivots)
+        basis = {f: 1 << f for f in range(self.width) if f not in taken}
+        free = sum(basis.values())
+        for row, col in zip(rows, pivots):
+            for f in set_bits(row & free):
+                basis[f] |= 1 << col
+        return BitMatrix(self.width, basis.values())
 
 
 def in_span(v: PauliVector, m: BitMatrix) -> bool:
@@ -239,14 +267,8 @@ class QubitColumns:
         n = self.n = constraints.width // 2
         sup = centralizer(span).rows
         self.low = len(sup)
-        self.columns = [[0, 0] for _ in range(n)]
-        for i, row in enumerate(sup + constraints.rows):
-            bit = 1 << i
-            while row:
-                lsb = row & -row
-                col = lsb.bit_length() - 1
-                self.columns[col % n][col >= n] |= bit
-                row ^= lsb
+        columns = transpose(sup + constraints.rows, 2 * n)
+        self.columns = [[columns[q], columns[q + n]] for q in range(n)]
 
     def add(self, basis: dict[int, int], qubit: int) -> bool:
         """Add the qubit's two columns to ``basis``; False iff the region fails.

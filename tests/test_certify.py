@@ -223,6 +223,9 @@ def test_sweep_rejects_bad_parameters():
         expansion_sweep(emb, empty_interactions(3), ell=0.0, tau=1.0, d=2)
     with pytest.raises(ValueError):
         expansion_sweep(emb, empty_interactions(3), ell=1.0, tau=0.0, d=2)
+    for d in (0, -1):
+        with pytest.raises(ValueError, match="d must be positive"):
+            expansion_sweep(emb, empty_interactions(3), ell=1.0, tau=1.0, d=d)
     with pytest.raises(ValueError):
         expansion_sweep(emb, empty_interactions(3), ell=1.0, tau=1.0, d=2, mode="verified")
 

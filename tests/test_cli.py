@@ -149,6 +149,16 @@ def test_sweep_contradiction_exits_zero(bs3_files, capsys):
     assert "contradiction-reached" in out
 
 
+@pytest.mark.parametrize("d", ["0", "-1"])
+def test_sweep_non_positive_d_exits_two(bs3_files, capsys, d):
+    code_path, emb_path = bs3_files
+    argv = ["sweep", emb_path, "--code", code_path, "--ell", "2", "--tau", "9", "--d", d, "--strict"]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: d must be positive\n"
+
+
 def test_sweep_hypothesis_violation_exits_zero(capsys, tmp_path):
     # a dense minimum plane violates the sweep's base hypothesis; that is a
     # flagged outcome, not a failed invariant
@@ -296,6 +306,30 @@ def test_contours_cli_csv(capsys):
 def test_contours_rejects_bad_step(capsys):
     rc, _ = run(capsys, "contours", "--D", "2", "--class", "subsystem", "--grid-step", "0.7")
     assert rc == EXIT_INPUT
+
+
+@pytest.mark.parametrize("step", ["1e-9", "1e-7"])
+def test_contours_reject_step_below_csv_resolution(capsys, step):
+    with pytest.raises(ValueError, match="outside"):
+        emit_contours(2, "subsystem", float(step))
+    assert main(["contours", "--D", "2", "--class", "subsystem", "--grid-step", step]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: grid step {float(step)} outside [1e-06, 0.5]\n"
+
+
+def test_contours_accept_step_at_csv_resolution(monkeypatch):
+    # a 1e-6 step passes the check; stop at the first table entry instead of
+    # building all 10^12 of them
+    class Reached(Exception):
+        pass
+
+    def stop(*args):
+        raise Reached
+
+    monkeypatch.setattr("qlocality.bounds.ell_star_exponent", stop)
+    with pytest.raises(Reached):
+        emit_contours(2, "subsystem", 1e-6)
 
 
 @pytest.mark.parametrize("dim", ["1", "0", "-1"])

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlocality.codes import (
     SubsystemCode,
@@ -12,7 +14,8 @@ from qlocality.codes import (
     logical_representatives,
     parameters,
 )
-from qlocality.pauli import BitMatrix, PauliVector, in_span, symplectic_product
+from qlocality.pauli import BitMatrix, PauliVector, in_span, symplectic_bits, symplectic_product
+from tests.test_pauli import reference_nullspace, reference_rref
 
 P = PauliVector.from_string
 
@@ -100,6 +103,55 @@ def test_stabilizer_rows_commute_with_everything(code):
         for g in code.gauge_generators:
             assert symplectic_product(s, g) == 0
         assert in_span(s, code.gauge_basis)
+
+
+def reference_stabilizer(code):
+    """Center of the gauge span from the pairwise Gram matrix, with the
+    column-scan elimination throughout."""
+    n = code.n
+    rows = reference_rref(code.gauge_matrix.rows, 2 * n)[0]
+    r = len(rows)
+    gram_rows = [0] * r
+    for i, b_i in enumerate(rows):
+        for j in range(i):
+            if symplectic_bits(rows[j], b_i, n):
+                gram_rows[i] |= 1 << j
+                gram_rows[j] |= 1 << i
+    stab_rows = []
+    for coeffs in reference_nullspace(gram_rows, r):
+        v = 0
+        for j in range(r):
+            if coeffs >> j & 1:
+                v ^= rows[j]
+        stab_rows.append(v)
+    return reference_rref(stab_rows, 2 * n)[0]
+
+
+@st.composite
+def random_codes(draw):
+    """n <= 8 with any number of generators (k = 0 and non-commuting sets
+    included); a third of the draws keep only generators that commute with
+    every earlier one, which gives abelian gauge groups."""
+    n = draw(st.integers(0, 8))
+    pauli = st.builds(PauliVector, st.just(n), st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))
+    gens = draw(st.lists(pauli, max_size=2 * n + 3))
+    if draw(st.integers(0, 2)) == 0:
+        kept = []
+        for g in gens:
+            if all(symplectic_product(g, h) == 0 for h in kept):
+                kept.append(g)
+        gens = kept
+    return SubsystemCode(n, gens)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_codes())
+def test_stabilizer_and_abelian_test_match_pairwise_references(code):
+    assert code.stabilizer_basis.rows == reference_stabilizer(code)
+    pairwise = all(
+        symplectic_product(a, b) == 0 for a, b in itertools.combinations(code.gauge_generators, 2)
+    )
+    assert code.has_abelian_gauge() == pairwise
 
 
 # ── parameters ─────────────────────────────────────────────────────────

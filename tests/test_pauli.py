@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlocality.pauli import (
     MAX_QUBITS,
@@ -59,6 +61,36 @@ def test_string_round_trip():
 def test_string_rejects_bad_letters():
     with pytest.raises(ValueError):
         P("XQZ")
+
+
+def letter_by_letter(s):
+    """The per-letter parse that from_string replaced."""
+    x = z = 0
+    for i, letter in enumerate(s):
+        x |= (letter in "XY") << i
+        z |= (letter in "ZY") << i
+    return PauliVector(len(s), x, z)
+
+
+def test_string_parse_matches_letter_loop():
+    rng = random.Random(5)
+    for n in (0, 1, 2, 7, 64, 65, 10_000):
+        s = "".join(rng.choice("IXYZ") for _ in range(n))
+        p = P(s)
+        assert p == letter_by_letter(s)
+        assert p.to_string() == s
+    assert P("") == PauliVector(0, 0, 0)
+    assert PauliVector(0, 0, 0).to_string() == ""
+
+
+@pytest.mark.parametrize(
+    "text, first_bad",
+    # digits, '_', 'b' and spaces are what int(..., 2) itself would accept
+    [("XQZ", "Q"), ("XQbZ", "Q"), ("xX", "x"), ("I1", "1"), ("X_Z", "_"), (" X", " "), ("0b1", "0")],
+)
+def test_string_error_names_first_bad_letter(text, first_bad):
+    with pytest.raises(ValueError, match=f"^invalid Pauli letter {first_bad!r}$"):
+        P(text)
 
 
 def test_bits_round_trip():
@@ -276,6 +308,66 @@ def test_kernel_in_span_rejects_out_of_range():
 def test_max_qubits_rejected():
     with pytest.raises(ValueError):
         PauliVector(MAX_QUBITS + 1, 0, 0)
+
+
+# ── echelon form against the column scan it replaced ───────────────────
+
+
+def reference_rref(rows, width):
+    """Column-by-column Gauss-Jordan elimination, lowest pivot column first."""
+    work = list(rows)
+    pivots: list[int] = []
+    reduced: list[int] = []
+    for col in range(width):
+        bit = 1 << col
+        pivot_row = None
+        for idx, row in enumerate(work):
+            if row & bit:
+                pivot_row = work.pop(idx)
+                break
+        if pivot_row is None:
+            continue
+        reduced = [r ^ pivot_row if r & bit else r for r in reduced]
+        work = [r ^ pivot_row if r & bit else r for r in work]
+        reduced.append(pivot_row)
+        pivots.append(col)
+    return tuple(reduced), tuple(pivots)
+
+
+def reference_nullspace(rows, width):
+    """One kernel vector per free column (ascending), tested row by row."""
+    reduced, pivots = reference_rref(rows, width)
+    basis = []
+    for f in (c for c in range(width) if c not in pivots):
+        v = 1 << f
+        for row, col in zip(reduced, pivots):
+            if row >> f & 1:
+                v |= 1 << col
+        basis.append(v)
+    return tuple(basis)
+
+
+@st.composite
+def bit_matrices(draw):
+    """Width 0-48; rows may be zero, repeated, or sums of other rows, and
+    whole columns may be empty, so the rank is often below both sizes."""
+    width = draw(st.integers(0, 48))
+    columns = draw(st.integers(0, (1 << width) - 1))
+    rows = [v & columns for v in draw(st.lists(st.integers(0, (1 << width) - 1), max_size=14))]
+    for i, j in draw(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)), max_size=8)):
+        if rows:
+            rows.append(rows[i % len(rows)] ^ rows[j % len(rows)] if i % 3 else rows[j % len(rows)])
+    return width, draw(st.permutations(rows))
+
+
+@settings(max_examples=400, deadline=None)
+@given(bit_matrices())
+def test_rref_and_nullspace_match_column_scan(case):
+    width, rows = case
+    m = BitMatrix(width, rows)
+    assert m.rref() == reference_rref(rows, width)
+    assert m.nullspace().rows == reference_nullspace(rows, width)
+    assert m.row_basis().rref() == m.rref()
 
 
 def test_rref_deterministic_and_reduced():

@@ -149,19 +149,20 @@ def _cube_slab_counts(e: Embedding, outer: Box, thickness: float) -> int:
     """Qubits in the 2D face slabs of thickness ``thickness`` just inside outer.
 
     Overlapping corners are counted once per slab, matching the proof's
-    cover bound, so the total over-counts the true shell population.
+    cover bound, so the total over-counts the true shell population.  A
+    slab is outer with one axis cut to [min, min + thickness] or
+    [max - thickness, max], so each slab reuses outer's per-axis tests.
     """
+    c = e.coordinates
+    lo, hi = np.array(outer.mins), np.array(outer.maxs)
+    above, below = c >= lo, c <= hi
+    inside = above & below
     total = 0
-    dim = outer.dimension
-    for axis in range(dim):
-        for side in (0, 1):
-            mins = list(outer.mins)
-            maxs = list(outer.maxs)
-            if side == 0:
-                maxs[axis] = outer.mins[axis] + thickness
-            else:
-                mins[axis] = outer.maxs[axis] - thickness
-            total += len(points_in_box(e, Box(tuple(mins), tuple(maxs))))
+    for axis in range(outer.dimension):
+        rest = np.delete(inside, axis, axis=1).all(axis=1)
+        x = c[:, axis]
+        total += int(np.count_nonzero(rest & above[:, axis] & (x <= lo[axis] + thickness)))
+        total += int(np.count_nonzero(rest & (x >= hi[axis] - thickness) & below[:, axis]))
     return total
 
 
@@ -231,11 +232,9 @@ def holographic_certify(
         ladder = [w_final - 2.0 * ell * (n_steps - j) for j in range(n_steps + 1)]
 
     cert = Certificate(kind="holographic", mode=mode, outcome=OUTCOME_CERTIFIED, metadata=metadata)
-    long_neighbors: dict[int, set[int]] = {}
-    for i, j, length in interactions.pairs:
-        if length >= ell:
-            long_neighbors.setdefault(i, set()).add(j)
-            long_neighbors.setdefault(j, set()).add(i)
+    long_pairs = np.array(
+        [(i, j) for i, j, length in interactions.pairs if length >= ell], dtype=np.intp
+    ).reshape(-1, 2)
 
     def cube_at(side: float) -> Box:
         return Box.cube(center, max(side, 0.0))
@@ -265,20 +264,25 @@ def holographic_certify(
         cert.reason = "base cube not certified"
         return cert
 
+    grown_qubits = base_qubits
     for step_idx in range(1, len(ladder)):
         w_cur = ladder[step_idx]
-        inner = cube_at(ladder[step_idx - 1])
         grown = cube_at(w_cur)
         outer = cube_at(w_cur + 2.0 * ell)
-        u = set(points_in_box(e, inner))
+        # U is the previous step's cube
+        in_u = np.zeros(e.n, dtype=bool)
+        in_u[grown_qubits] = True
         # type (i): shell between the grown cube and the previous cube,
         # counted through the 2D thickness-ell slab cover
         type_i = _cube_slab_counts(e, grown, ell)
         # type (ii): shell just outside the grown cube
         type_ii = _cube_slab_counts(e, outer, ell)
-        # types (iii)/(iv): long-interaction partners across the U boundary
-        type_iii = len({q for p in u for q in long_neighbors.get(p, ()) if q not in u})
-        type_iv = len({p for p in u for q in long_neighbors.get(p, ()) if q not in u})
+        # types (iii)/(iv): the outside and inside ends of the long
+        # interactions across the U boundary
+        ends = in_u[long_pairs]
+        cross = ends[:, 0] != ends[:, 1]
+        type_iii = len(np.unique(long_pairs[cross][~ends[cross]]))
+        type_iv = len(np.unique(long_pairs[cross][ends[cross]]))
         total = type_i + type_ii + type_iii + type_iv
         grown_qubits = points_in_box(e, grown)
         if mode == "strict":
@@ -329,38 +333,25 @@ class SweepState:
 
 
 def _bad_intervals(values: np.ndarray, ell: float, tau: float) -> list[tuple[float, float]]:
-    """Maximal closed intervals of x where |{q : q_i in [x-ell, x+ell]}| > tau.
+    """Maximal closed intervals of x where |{q : q_i in [x-ell, x+ell]}| > tau >= 0.
 
     The count function jumps up at q_i - ell and down just after q_i + ell,
     so it is piecewise constant between those critical points; intervals
-    where it exceeds tau are closed on both sides.
+    where it exceeds tau are closed on both sides.  At each critical point
+    p the closed count includes the windows ending at p and the count just
+    after p does not: an interval starts where the closed count exceeds
+    tau and the count before p did not, and ends where the count after p
+    drops to tau or below.
     """
-    if len(values) == 0:
-        return []
-    events = sorted(
-        [(v - ell, 0, +1) for v in values] + [(v + ell, 1, -1) for v in values]
-    )
-    intervals: list[tuple[float, float]] = []
-    count = 0
-    start: float | None = None
-    idx = 0
-    while idx < len(events):
-        pos = events[idx][0]
-        # apply all +1 events at pos first (closed interval entry)
-        while idx < len(events) and events[idx][0] == pos and events[idx][1] == 0:
-            count += 1
-            idx += 1
-        if count > tau and start is None:
-            start = pos
-        while idx < len(events) and events[idx][0] == pos and events[idx][1] == 1:
-            count -= 1
-            idx += 1
-        if count <= tau and start is not None:
-            intervals.append((start, pos))
-            start = None
-    if start is not None:
-        intervals.append((start, events[-1][0]))
-    return intervals
+    lo = np.sort(values - ell)
+    hi = np.sort(values + ell)
+    points = np.unique(np.concatenate([lo, hi]))
+    entered = np.searchsorted(lo, points, "right")
+    closed = entered - np.searchsorted(hi, points, "left") > tau
+    after = entered - np.searchsorted(hi, points, "right") > tau
+    starts = closed & np.concatenate([[True], ~after[:-1]])
+    ends = closed & ~after
+    return list(zip(points[starts].tolist(), points[ends].tolist()))
 
 
 def _interval_containing(intervals: list[tuple[float, float]], x: float) -> tuple[float, float] | None:
@@ -505,26 +496,29 @@ def expansion_sweep(
             )
         )
 
-    def frontier_count(depth_for_final: bool) -> int:
+    # per open level: the size of B plus the lower levels' slabs, and the
+    # current-axis coordinates of the qubits outside them (at depth D, only
+    # those inside the final box's lower-axis ranges); built on first use
+    levels: list[tuple[int, np.ndarray] | None] = [None]
+
+    def frontier_count() -> int:
         """Size of the union of B with the frontier slabs of the current state."""
-        members = bad_mask.copy()
         i = state.depth
-        for j in range(i - 1):
-            members |= slab_mask(j, state.coords[j])
-            members |= slab_mask(j, state.nxts[j])
-        if depth_for_final:
-            final = slab_mask(dim - 1, state.coords[dim - 1])
-            for j in range(dim - 1):
-                final &= between(j, state.coords[j], state.nxts[j])
-            members |= final
-        else:
-            members |= slab_mask(i - 1, state.coords[i - 1])
-        return int(np.count_nonzero(members))
+        if levels[-1] is None:
+            outside = ~bad_mask
+            for j in range(i - 1):
+                outside &= ~slab_mask(j, state.coords[j]) & ~slab_mask(j, state.nxts[j])
+            fixed = n - int(np.count_nonzero(outside))
+            if i == dim:
+                for j in range(dim - 1):
+                    outside &= between(j, state.coords[j], state.nxts[j])
+            levels[-1] = (fixed, coords[outside, i - 1])
+        fixed, values = levels[-1]
+        return fixed + int(np.count_nonzero(np.abs(values - state.coords[-1]) <= ell))
 
     def expansion_step(rule: str) -> bool:
         """Run one item-1 / item-3 expansion; returns False when stuck."""
-        at_depth_d = state.depth == dim
-        count = frontier_count(depth_for_final=at_depth_d)
+        count = frontier_count()
         strict_ok = count < d
         details: dict = {"f_size": count, "strict_ok": strict_ok}
         if mode == "verified":
@@ -559,6 +553,7 @@ def expansion_sweep(
             # the stored nxt value is exactly nxt_{i-1}(a_{i-1} + ell)
             new_val = state.nxts.pop()
             state.coords.pop()
+            levels.pop()
             state.coords[-1] = new_val
             state.depth -= 1
             record(
@@ -595,6 +590,7 @@ def expansion_sweep(
                     return cert
                 state.nxts.append(nxt_val)
                 state.coords.append(0.0)
+                levels.append(None)
                 state.depth += 1
                 record(
                     "start-next-dimension",
@@ -619,33 +615,29 @@ def expansion_sweep(
 # Theorem partition builders
 
 
-def _face_distance(point: np.ndarray, box: Box, fixed: dict[int, float]) -> float:
-    """l_inf distance from point to the face of box with the given fixed axes."""
-    dist = 0.0
-    for axis in range(box.dimension):
-        if axis in fixed:
-            dist = max(dist, abs(point[axis] - fixed[axis]))
-        else:
-            dist = max(dist, box.mins[axis] - point[axis], point[axis] - box.maxs[axis], 0.0)
-    return dist
+def _near_faces(coords: np.ndarray, boxes: list[Box], margin: float, codim: int) -> np.ndarray:
+    """Mask of the points within l_inf distance margin of a codimension-codim
+    face of some box.
 
-
-def _near_codim1(point: np.ndarray, box: Box, margin: float) -> bool:
-    for axis in range(box.dimension):
-        for value in (box.mins[axis], box.maxs[axis]):
-            if _face_distance(point, box, {axis: value}) <= margin:
-                return True
-    return False
-
-
-def _near_codim2(point: np.ndarray, box: Box, margin: float) -> bool:
-    dim = box.dimension
-    for a1, a2 in itertools.combinations(range(dim), 2):
-        for v1 in (box.mins[a1], box.maxs[a1]):
-            for v2 in (box.mins[a2], box.maxs[a2]):
-                if _face_distance(point, box, {a1: v1, a2: v2}) <= margin:
-                    return True
-    return False
+    A face fixes codim axes at their min or max; the distance to it is the
+    largest of |x - v| over the fixed axes and of max(min - x, x - max, 0)
+    over the others.  A point farther than margin outside the box on some
+    axis is farther than margin from both its planes too, so a point is
+    near a face iff it is within margin of the box on every axis and within
+    margin of a plane on at least codim axes.  Boxes go in blocks of about
+    2^20 coordinates.
+    """
+    near = np.zeros(len(coords), dtype=bool)
+    shape = (len(boxes), 1, coords.shape[1])
+    mins = np.array([b.mins for b in boxes]).reshape(shape)
+    maxs = np.array([b.maxs for b in boxes]).reshape(shape)
+    rows = max(1, (1 << 20) // max(1, coords.size))
+    for start in range(0, len(boxes), rows):
+        lo, hi = mins[start : start + rows], maxs[start : start + rows]
+        free = np.maximum(np.maximum(lo - coords, coords - hi), 0.0) <= margin
+        fixed = np.minimum(np.abs(coords - lo), np.abs(coords - hi)) <= margin
+        near |= (free.all(axis=2) & (fixed.sum(axis=2) >= codim)).any(axis=0)
+    return near
 
 
 @dataclass
@@ -756,11 +748,8 @@ def theorem_partition_builder(
     coords = e.coordinates
     margin2 = 2.0 * ell
 
-    def near_any_codim1(q: int, boxes: list[Box], margin: float) -> bool:
-        return any(_near_codim1(coords[q], box, margin) for box in boxes)
-
-    def near_any_codim2(q: int, boxes: list[Box], margin: float) -> bool:
-        return any(_near_codim2(coords[q], box, margin) for box in boxes)
+    def members(mask: np.ndarray) -> set[int]:
+        return set(np.flatnonzero(mask).tolist())
 
     ledger: list[dict] = []
 
@@ -790,11 +779,7 @@ def theorem_partition_builder(
 
     if variant == "thm3_2":
         entry("bad boxes < k/(10d)", len(division.bad_boxes), p.k / (10.0 * d))
-        in_b_region = {
-            q
-            for q in range(code.n)
-            if near_any_codim1(q, all_boxes, margin2)
-        }
+        in_b_region = members(_near_faces(coords, all_boxes, margin2, 1))
         b_set = frozenset(in_b_region | bad_qubits)
         a_set = frozenset(range(code.n)) - b_set
         entry("|B| < k", len(b_set), p.k)
@@ -807,21 +792,10 @@ def theorem_partition_builder(
                 cert.outcome = OUTCOME_STUCK
                 cert.reason = "AB bound violated on the built partition"
     else:
-        in_c = {
-            q
-            for q in range(code.n)
-            if near_any_codim2(q, all_boxes, margin2)
-        }
-        in_b = {
-            q
-            for q in range(code.n)
-            if q not in in_c and near_any_codim1(q, all_boxes, ell)
-        }
-        in_b_prime = {
-            q
-            for q in range(code.n)
-            if q not in in_c and near_any_codim1(q, division.good_cubes, margin2)
-        }
+        c_mask = _near_faces(coords, all_boxes, margin2, 2)
+        in_c = members(c_mask)
+        in_b = members(_near_faces(coords, all_boxes, ell, 1) & ~c_mask)
+        in_b_prime = members(_near_faces(coords, division.good_cubes, margin2, 1) & ~c_mask)
         if variant == "thm5_1_case1":
             c_set = frozenset(in_c | bad_qubits)
             b_set = frozenset(in_b - c_set)

@@ -14,7 +14,8 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, KeysView, Mapping
 
 from .pauli import (
     BitMatrix,
@@ -94,7 +95,7 @@ class SubsystemCode:
         self._gauge_basis: BitMatrix | None = None
         self._stabilizer_basis: BitMatrix | None = None
         self._parameters: CodeParameters | None = None
-        self._interaction_pairs: frozenset[tuple[int, int]] | None = None
+        self._interaction_counts: Mapping[tuple[int, int], int] | None = None
         self._correctable_columns: QubitColumns | None = None
         self._cleanable_columns: QubitColumns | None = None
 
@@ -145,15 +146,21 @@ class SubsystemCode:
         """The gauge group is abelian iff its center is its whole span."""
         return self.stabilizer_basis.rank() == self.gauge_basis.rank()
 
-    def interaction_pairs(self) -> frozenset[tuple[int, int]]:
-        """Unordered qubit pairs jointly covered by some gauge generator."""
-        if self._interaction_pairs is None:
-            pairs = set()
+    def interaction_counts(self) -> Mapping[tuple[int, int], int]:
+        """Read-only map from each qubit pair (i, j), i < j, jointly covered by
+        some gauge generator to the number of generators covering it; keys
+        are in sorted order."""
+        if self._interaction_counts is None:
+            counts: dict[tuple[int, int], int] = {}
             for g in self.gauge_generators:
-                supp = sorted(g.support())
-                pairs.update(itertools.combinations(supp, 2))
-            self._interaction_pairs = frozenset(pairs)
-        return self._interaction_pairs
+                for pair in itertools.combinations(set_bits(g.x_bits | g.z_bits), 2):
+                    counts[pair] = counts.get(pair, 0) + 1
+            self._interaction_counts = MappingProxyType(dict(sorted(counts.items())))
+        return self._interaction_counts
+
+    def interaction_pairs(self) -> KeysView[tuple[int, int]]:
+        """Unordered qubit pairs jointly covered by some gauge generator."""
+        return self.interaction_counts().keys()
 
     def to_json(self) -> dict:
         return {
@@ -269,14 +276,26 @@ def logical_representatives(code: SubsystemCode) -> list[LogicalPair]:
     if p.k == 0:
         raise ValueError("no logical qubits (k = 0)")
     n = code.n
-    # Strip the stabilizer part: keep centralizer vectors independent mod S.
-    mod_out = BitMatrix(2 * n, code.stabilizer_basis.rows)
+    # Strip the stabilizer part: keep centralizer vectors independent mod S,
+    # each reduced against the RREF of S plus the vectors kept before it.
+    # That RREF grows in place: a kept vector has no pivot bit, so its lowest
+    # bit is a new pivot, cleared from the rows that hold it.
+    rows, pivots = code.stabilizer_basis.rref()
+    reduced = dict(zip(pivots, rows))
+    pivot_mask = sum(1 << col for col in pivots)
     complement: list[int] = []
     for v in centralizer(code.gauge_basis).row_basis().rows:
-        red = mod_out.reduce_vector(v)
+        red = v
+        for col in set_bits(v & pivot_mask):
+            red ^= reduced[col]
         if red != 0:
+            low = red & -red
+            for col, row in reduced.items():
+                if row & low:
+                    reduced[col] = row ^ red
+            reduced[low.bit_length() - 1] = red
+            pivot_mask |= low
             complement.append(red)
-            mod_out = mod_out.stack([red])
     assert len(complement) == 2 * p.k, "centralizer/stabilizer dimension mismatch"
 
     def sym(a: int, b: int) -> int:

@@ -127,7 +127,8 @@ class InteractionSet:
 
     ``pairs`` holds (i, j, length) with i < j, sorted; ``multiplicity``
     records in how many generators each pair co-occurs (metadata only --
-    the bounds count pairs, not generator incidences).
+    the bounds count pairs, not generator incidences).  It is the code's
+    read-only cached table, shared by every set extracted from that code.
     """
 
     n: int
@@ -157,19 +158,16 @@ class InteractionSet:
 
 
 def extract_interactions(code: SubsystemCode, e: Embedding) -> InteractionSet:
-    """Pairs from gauge-generator supports, with lengths from the embedding."""
+    """The code's cached pair table, with lengths from the embedding."""
     if e.n != code.n:
         raise ValueError(f"embedding has {e.n} points, code has {code.n} qubits")
-    mult: dict[tuple[int, int], int] = {}
-    for g in code.gauge_generators:
-        for pair in itertools.combinations(sorted(g.support()), 2):
-            mult[pair] = mult.get(pair, 0) + 1
-    keys = sorted(mult)
-    idx = np.array(keys, dtype=np.intp).reshape(-1, 2)
+    counts = code.interaction_counts()
+    flat = itertools.chain.from_iterable(counts)
+    idx = np.fromiter(flat, dtype=np.intp, count=2 * len(counts)).reshape(-1, 2)
     diff = e.coordinates[idx[:, 0]] - e.coordinates[idx[:, 1]]
     lengths = np.sqrt(np.vecdot(diff, diff)).tolist()
-    pairs = tuple((i, j, length) for (i, j), length in zip(keys, lengths))
-    return InteractionSet(n=code.n, pairs=pairs, multiplicity=dict(mult))
+    pairs = tuple((i, j, length) for (i, j), length in zip(counts, lengths))
+    return InteractionSet(n=code.n, pairs=pairs, multiplicity=counts)
 
 
 def count_long(s: InteractionSet, ell: float) -> tuple[int, dict[int, int]]:

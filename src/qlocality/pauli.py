@@ -209,9 +209,6 @@ class BitMatrix:
     def contains(self, vec: int) -> bool:
         return self.reduce_vector(vec) == 0
 
-    def stack(self, extra_rows: Iterable[int]) -> BitMatrix:
-        return BitMatrix(self.width, self.rows + tuple(extra_rows))
-
     def nullspace(self) -> BitMatrix:
         """Basis of {v : row · v = 0 mod 2 for every row}, one vector per free
         column in ascending order: the free bit plus the pivots of the rows

@@ -14,7 +14,14 @@ from qlocality.codes import (
     logical_representatives,
     parameters,
 )
-from qlocality.pauli import BitMatrix, PauliVector, in_span, symplectic_bits, symplectic_product
+from qlocality.pauli import (
+    BitMatrix,
+    PauliVector,
+    centralizer,
+    in_span,
+    symplectic_bits,
+    symplectic_product,
+)
 from tests.test_pauli import reference_nullspace, reference_rref
 
 P = PauliVector.from_string
@@ -293,6 +300,44 @@ def test_five_qubit_logicals_have_weight_three_or_more():
     (pair,) = logical_representatives(FIVE)
     assert len(pair.x_bar.support()) >= 3
     assert len(pair.z_bar.support()) >= 3
+
+
+def reference_logicals(code):
+    """Logical pairs as bit pairs, reducing each centralizer vector against a
+    fresh elimination of S plus the vectors kept before it."""
+    n = code.n
+    mod_out = BitMatrix(2 * n, code.stabilizer_basis.rows)
+    pool = []
+    for v in centralizer(code.gauge_basis).row_basis().rows:
+        red = mod_out.reduce_vector(v)
+        if red != 0:
+            pool.append(red)
+            mod_out = BitMatrix(2 * n, mod_out.rows + (red,))
+    pairs = []
+    while pool:
+        u = pool.pop(0)
+        v = pool.pop(next(i for i, w in enumerate(pool) if symplectic_bits(u, w, n)))
+        pool = [
+            w ^ (symplectic_bits(w, v, n) * u) ^ (symplectic_bits(w, u, n) * v) for w in pool
+        ]
+        pairs.append((u, v))
+    return pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_codes())
+def test_logicals_match_per_vector_elimination(code):
+    if parameters(code).k == 0:
+        return
+    got = [(p.x_bar.to_bits(), p.z_bar.to_bits()) for p in logical_representatives(code)]
+    assert got == reference_logicals(code)
+
+
+@pytest.mark.parametrize("n", [40, 200])
+def test_logicals_of_trivial_code_match_per_vector_elimination(n):
+    code = SubsystemCode(n, [])
+    got = [(p.x_bar.to_bits(), p.z_bar.to_bits()) for p in logical_representatives(code)]
+    assert got == reference_logicals(code)
 
 
 def test_logicals_rejects_k_zero():

@@ -134,6 +134,19 @@ def test_interaction_multiplicity_metadata():
     assert ints.multiplicity[(0, 1)] == 2
 
 
+def test_interaction_multiplicity_cannot_corrupt_the_code_table():
+    code = SubsystemCode.from_strings(["XXI", "ZZI", "IYY"])
+    emb = Embedding(2, [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
+    ints = extract_interactions(code, emb)
+    with pytest.raises(TypeError):
+        ints.multiplicity[(0, 1)] = 99
+    with pytest.raises(TypeError):
+        del code.interaction_counts()[(1, 2)]
+    again = extract_interactions(code, emb)
+    assert dict(again.multiplicity) == {(0, 1): 2, (1, 2): 1}
+    assert sorted(code.interaction_pairs()) == [(0, 1), (1, 2)]
+
+
 def test_count_long_examples():
     ints = extract_interactions(BS3, unit_grid(3))
     m, f = count_long(ints, 1.5)

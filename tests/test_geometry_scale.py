@@ -111,6 +111,47 @@ def test_interaction_lengths_match_per_pair_norm_exactly(code_and_embedding):
         assert length == float(np.linalg.norm(c[i] - c[j]))
 
 
+def reference_interaction_counts(code):
+    """The per-generator loop that extract_interactions ran before the table."""
+    mult = {}
+    for g in code.gauge_generators:
+        for pair in itertools.combinations(sorted(g.support()), 2):
+            mult[pair] = mult.get(pair, 0) + 1
+    return mult
+
+
+@st.composite
+def lettered_codes(draw):
+    """Generators over I/X/Y/Z of any weight, weight 0 and 1 included, some repeated."""
+    n = draw(st.integers(0, 12))
+    kinds = [st.text(alphabet="IXYZ", min_size=n, max_size=n), st.just("I" * n)]
+    if n:
+        single = st.tuples(st.integers(0, n - 1), st.sampled_from("XYZ"))
+        kinds.append(single.map(lambda t: "I" * t[0] + t[1] + "I" * (n - t[0] - 1)))
+    gens = draw(st.lists(st.one_of(kinds), max_size=10))
+    if gens:
+        gens += draw(st.lists(st.sampled_from(gens), max_size=4))
+    return SubsystemCode(n, [PauliVector.from_string(g) for g in gens])
+
+
+@settings(max_examples=200, deadline=None)
+@given(lettered_codes(), st.data())
+def test_interaction_table_matches_per_generator_loop(code, data):
+    expected = reference_interaction_counts(code)
+    counts = code.interaction_counts()
+    assert dict(counts) == expected
+    assert list(counts) == sorted(expected)
+    assert set(code.interaction_pairs()) == set(expected)
+    assert len(code.interaction_pairs()) == len(expected)
+    coords = data.draw(st.lists(st.lists(COORD, min_size=2, max_size=2), min_size=code.n, max_size=code.n))
+    e = Embedding(2, coords)
+    ints = extract_interactions(code, e)
+    assert [(i, j) for i, j, _ in ints.pairs] == sorted(expected)
+    assert dict(ints.multiplicity) == expected
+    for i, j, length in ints.pairs:
+        assert length == float(np.linalg.norm(e.coordinates[i] - e.coordinates[j]))
+
+
 def sweep_gamma_by_pairs(e, ell):
     """The pairwise set loop that computed the sweep's gamma before."""
     coords = e.coordinates - e.coordinates.min(axis=0) + ell
@@ -131,6 +172,88 @@ def test_sweep_gamma_matches_pairwise_loop(e, ell):
     ints = InteractionSet(n=e.n, pairs=(), multiplicity={})
     cert = certify.expansion_sweep(e, ints, ell, tau=e.n + 1, d=e.n + 1)
     assert cert.metadata["gamma"] == sweep_gamma_by_pairs(e, ell)
+
+
+def event_loop_bad_intervals(values, ell, tau):
+    """The sorted-event loop the vectorised census replaced."""
+    if len(values) == 0:
+        return []
+    events = sorted([(v - ell, 0, +1) for v in values] + [(v + ell, 1, -1) for v in values])
+    intervals = []
+    count = 0
+    start = None
+    idx = 0
+    while idx < len(events):
+        pos = events[idx][0]
+        while idx < len(events) and events[idx][0] == pos and events[idx][1] == 0:
+            count += 1
+            idx += 1
+        if count > tau and start is None:
+            start = pos
+        while idx < len(events) and events[idx][0] == pos and events[idx][1] == 1:
+            count -= 1
+            idx += 1
+        if count <= tau and start is not None:
+            intervals.append((start, pos))
+            start = None
+    if start is not None:
+        intervals.append((start, events[-1][0]))
+    return intervals
+
+
+# multiples of 1/4 make repeated values and windows that touch exactly
+# (v + ell == w - ell) for the grid ells
+CENSUS_VALUE = st.one_of(
+    st.integers(0, 24).map(lambda k: k / 4.0), st.floats(-3.0, 9.0, allow_nan=False)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(CENSUS_VALUE, max_size=40),
+    st.one_of(st.sampled_from([0.25, 0.5, 1.0, 1.5]), st.floats(0.01, 4.0)),
+    st.one_of(st.integers(0, 8), st.floats(0.0, 8.0)),
+)
+def test_bad_intervals_match_event_loop(values, ell, tau):
+    arr = np.array(values, dtype=float)
+    assert certify._bad_intervals(arr, ell, tau) == event_loop_bad_intervals(arr, ell, tau)
+
+
+def face_distance_loop(point, box, fixed):
+    """l_inf distance from point to the face of box with the given fixed axes."""
+    dist = 0.0
+    for axis in range(box.dimension):
+        if axis in fixed:
+            dist = max(dist, abs(point[axis] - fixed[axis]))
+        else:
+            dist = max(dist, box.mins[axis] - point[axis], point[axis] - box.maxs[axis], 0.0)
+    return dist
+
+
+def near_faces_loop(point, boxes, margin, codim):
+    """The per-qubit, per-face loop that the partition builders ran before."""
+    for box in boxes:
+        for axes in itertools.combinations(range(box.dimension), codim):
+            for values in itertools.product(*[(box.mins[a], box.maxs[a]) for a in axes]):
+                if face_distance_loop(point, box, dict(zip(axes, values))) <= margin:
+                    return True
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(clouds(max_n=30), st.data())
+def test_near_faces_match_per_face_loop(e, data):
+    dim = e.dimension
+    boxes = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        lo = data.draw(st.lists(GRID, min_size=dim, max_size=dim))
+        ext = data.draw(st.lists(GRID, min_size=dim, max_size=dim))
+        boxes.append(Box(tuple(lo), tuple(a + b for a, b in zip(lo, ext))))
+    margin = data.draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0]))
+    for codim in (1, 2):
+        got = certify._near_faces(e.coordinates, boxes, margin, codim)
+        expected = [near_faces_loop(p, boxes, margin, codim) for p in e.coordinates]
+        assert got.tolist() == expected
 
 
 # ── certificates on non-lattice inputs, pinned at the per-qubit-loop code ──
@@ -222,10 +345,83 @@ def test_certificates_match_pinned_digests(label):
     assert got == digests
 
 
+def dart_cloud(n, dim, side, seed):
+    """n uniform points in [0, side]^dim kept >= 1 apart: all coordinates distinct."""
+    rng = random.Random(seed)
+    pts = []
+    while len(pts) < n:
+        p = [rng.uniform(0.0, side) for _ in range(dim)]
+        if all(math.dist(p, q) >= 1.0 for q in pts):
+            pts.append(p)
+    return pts
+
+
+def near_pair_code(n, dim, side, seed):
+    """X_i X_j on the pairs of a dart cloud closer than 1.4, four random
+    (mostly long) pairs, and every Z_i: k = 0."""
+    pts = dart_cloud(n, dim, side, seed)
+    rng = random.Random(seed)
+    pairs = [(i, j) for i, j in itertools.combinations(range(n), 2) if math.dist(pts[i], pts[j]) < 1.4]
+    pairs += [tuple(rng.sample(range(n), 2)) for _ in range(4)]
+    gens = [PauliVector(n, (1 << i) | (1 << j), 0) for i, j in pairs]
+    gens += [PauliVector(n, 0, 1 << i) for i in range(n)]
+    return SubsystemCode(n, gens), Embedding(dim, pts)
+
+
+# (cloud args, ell, tau, d, mode) -> SHA-256 of to_json_lines(), computed with
+# the sweep that rebuilt every slab mask and ran the event-loop census at each
+# step.  The 2-D cloud opens the second dimension nine times; the 3-D cloud
+# reaches depth 3 four times, where the final box's lower-axis ranges drop
+# some of the qubits outside B and the lower slabs but keep others.
+SWEEP_PINNED = {
+    "cloud-200-2d": (
+        (200, 2, 22.0, 2), 1.5, 26, 200, "strict",
+        "58dff6c7d06ec5c7f14e90610d741f92c22beac41f699df1411f6b99719f6437",
+    ),
+    "cloud-160-3d": (
+        (160, 3, 9.0, 3), 1.5, 48, 300, "strict",
+        "731c3651089bf58fc400535c073e9c44972b7cd5709ee0850e32e9f932fa519d",
+    ),
+    "cloud-160-3d-verified": (
+        (160, 3, 9.0, 3), 1.5, 48, 300, "verified",
+        "52471377c9a4c78b35231f7ed366613f3ee25bb23dd4ce70430e66d912572f09",
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(SWEEP_PINNED))
+def test_sweep_on_clouds_matches_pinned_digests(label):
+    cloud, ell, tau, d, mode, digest = SWEEP_PINNED[label]
+    code, e = near_pair_code(*cloud)
+    ints = extract_interactions(code, e)
+    cert = certify.expansion_sweep(e, ints, ell, tau, d, mode=mode, code=code)
+    rules = [step.rule for step in cert.steps]
+    if e.dimension == 2:
+        assert rules.count("start-next-dimension") == 9
+    else:
+        assert "expand-dimension-2" in rules and "expand-last-dimension" in rules
+    assert sha256(cert.to_json_lines().encode()).hexdigest() == digest
+
+
 # ── scaling smoke test past 4,096 qubits ──
 
 
-@pytest.mark.parametrize("m", [64, 100])
+# m -> SHA-256 of the strict sweep and the strict holographic run on the
+# whole lattice, computed with the event-loop census, the per-step slab
+# masks and the per-qubit type (iii)/(iv) sets
+SCALE_PINNED = {
+    64: (
+        "d5c100ed9a73447dd951af39dbc6cec320efaad042bf8c23b2c6f1e13f4370d9",
+        "4273d39e55cde4040ad92641021ffe3cd807ab0e730f7847e1fb4a0fcc31c5cc",
+    ),
+    100: (
+        "6cb8f178eb55736a269f3aa64c271232d4f8019ac79ea3e9295c1c09367f3c75",
+        "aa9f519cbd4e583f6864508cba803e456687d6a3d6baf5f75179f9f5876c7fb5",
+    ),
+}
+
+
+@pytest.mark.parametrize("m", sorted(SCALE_PINNED))
 def test_bacon_shor_at_scale(m):
     ec = families.bacon_shor(m)
     assert ec.code.n == m * m
@@ -234,5 +430,12 @@ def test_bacon_shor_at_scale(m):
     ints = extract_interactions(ec.code, ec.embedding)
     assert len(ints.pairs) == 2 * m * (m - 1)
     assert all(length == 1.0 for _, _, length in ints.pairs)
-    cert = certify.expansion_sweep(ec.embedding, ints, 1.5, 3 * m + 1, 10 * m)
-    assert cert.outcome == certify.OUTCOME_CERTIFIED
+    sweep = certify.expansion_sweep(ec.embedding, ints, 1.5, 3 * m + 1, 10 * m)
+    assert sweep.outcome == certify.OUTCOME_CERTIFIED
+    box = Box((0.0, 0.0), (m - 1.0, m - 1.0))
+    holo = certify.holographic_certify(
+        ec.code, ec.embedding, box, 1.5, d=holographic_d(m - 1.0, 1.5, 2)
+    )
+    assert holo.outcome == certify.OUTCOME_CERTIFIED
+    digests = tuple(sha256(c.to_json_lines().encode()).hexdigest() for c in (sweep, holo))
+    assert digests == SCALE_PINNED[m]

@@ -376,6 +376,9 @@ def emit_contours(dim: int, code_class: str, grid_step: float) -> ContourTable:
     if not 1e-6 <= grid_step <= 0.5:
         raise ValueError(f"grid step {grid_step} outside [1e-06, 0.5]")
     steps = int(round(1.0 / grid_step))
+    # the table has (steps + 1)^2 entries
+    if steps > 1000:
+        raise ValueError(f"grid step {grid_step} makes {steps + 1} values per axis, more than 1001")
     values = [min(i * grid_step, 1.0) for i in range(steps)] + [1.0]
     entries = []
     for kappa in values:

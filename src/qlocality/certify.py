@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .geometry import (
     Embedding,
     GridTiling,
     InteractionSet,
+    _pair_lengths,
     count_long,
     extract_interactions,
     find_tiling,
@@ -37,7 +39,6 @@ from .regions import (
     Partition,
     ab_bound_check,
     abc_bound_check,
-    is_correctable,
 )
 
 OUTCOME_CERTIFIED = "certified-correctable"
@@ -46,7 +47,7 @@ OUTCOME_STUCK = "stuck-at"
 OUTCOME_VIOLATED = "hypothesis-violated"
 
 
-@dataclass(frozen=True)
+@dataclass
 class CertificateStep:
     index: int
     rule: str
@@ -141,6 +142,29 @@ class Certificate:
         return "\n".join(out)
 
 
+def _chain_oracle(code: SubsystemCode) -> Callable[[np.ndarray], bool]:
+    """Exact correctability of each region (a qubit mask) in a chain where
+    each region contains the one before.
+
+    One XOR basis of the code's correctable columns serves the whole chain,
+    and each call adds only the new qubits; the verdict equals a fresh
+    ``is_correctable`` because a basis's pivots do not depend on the order
+    its vectors came in.  After a False the chain must stop.
+    """
+    columns = code.correctable_columns
+    basis: dict[int, int] = {}
+    held = np.zeros(code.n, dtype=bool)
+
+    def correctable(region: np.ndarray) -> bool:
+        nonlocal held
+        assert not (held & ~region).any(), "a region does not contain the one before it"
+        new = np.flatnonzero(region & ~held).tolist()
+        held = region
+        return all(columns.add(basis, q) for q in new)
+
+    return correctable
+
+
 # ---------------------------------------------------------------------------
 # Holographic cube certification
 
@@ -188,10 +212,18 @@ def holographic_certify(
         d = distance(code).value
         if d is None:
             raise ValueError("distance search failed; pass d explicitly")
-    interactions = extract_interactions(code, e)
-    _, f = count_long(interactions, ell)
-    v_qubits = points_in_box(e, b)
-    f_v = sum(f[q] for q in v_qubits)
+    pairs, lengths = _pair_lengths(code, e)
+    if ell <= 0:
+        raise ValueError("ell must be positive")
+    long_pairs = pairs[lengths >= ell]
+
+    def mask(qubits: list[int]) -> np.ndarray:
+        out = np.zeros(e.n, dtype=bool)
+        out[qubits] = True
+        return out
+
+    # f(V): the long pairs' endpoints inside the box
+    f_v = int(np.count_nonzero(mask(points_in_box(e, b))[long_pairs]))
     w0 = holographic_box_width(d, ell, dim)
     w_base = holographic_base_width(d, dim)
     ell_cap = d ** (1.0 / dim) / (8.0 * math.sqrt(dim))
@@ -232,9 +264,8 @@ def holographic_certify(
         ladder = [w_final - 2.0 * ell * (n_steps - j) for j in range(n_steps + 1)]
 
     cert = Certificate(kind="holographic", mode=mode, outcome=OUTCOME_CERTIFIED, metadata=metadata)
-    long_pairs = np.array(
-        [(i, j) for i, j, length in interactions.pairs if length >= ell], dtype=np.intp
-    ).reshape(-1, 2)
+    # the cubes share a center and grow, so their qubit sets form a chain
+    correctable = _chain_oracle(code) if mode == "verified" else None
 
     def cube_at(side: float) -> Box:
         return Box.cube(center, max(side, 0.0))
@@ -242,10 +273,10 @@ def holographic_certify(
     base_cube = cube_at(ladder[0])
     base_qubits = points_in_box(e, base_cube)
     base_bound = packing_bound(base_cube)
-    if mode == "strict":
+    if correctable is None:
         verdict = base_bound < d
     else:
-        verdict = is_correctable(code, base_qubits)
+        verdict = correctable(mask(base_qubits))
     cert.steps.append(
         CertificateStep(
             index=0,
@@ -264,14 +295,12 @@ def holographic_certify(
         cert.reason = "base cube not certified"
         return cert
 
-    grown_qubits = base_qubits
+    in_u = mask(base_qubits)
     for step_idx in range(1, len(ladder)):
         w_cur = ladder[step_idx]
         grown = cube_at(w_cur)
         outer = cube_at(w_cur + 2.0 * ell)
-        # U is the previous step's cube
-        in_u = np.zeros(e.n, dtype=bool)
-        in_u[grown_qubits] = True
+        # U (in_u) is the previous step's cube
         # type (i): shell between the grown cube and the previous cube,
         # counted through the 2D thickness-ell slab cover
         type_i = _cube_slab_counts(e, grown, ell)
@@ -285,10 +314,11 @@ def holographic_certify(
         type_iv = len(np.unique(long_pairs[cross][ends[cross]]))
         total = type_i + type_ii + type_iii + type_iv
         grown_qubits = points_in_box(e, grown)
-        if mode == "strict":
+        in_u = mask(grown_qubits)
+        if correctable is None:
             verdict = total < d
         else:
-            verdict = is_correctable(code, grown_qubits)
+            verdict = correctable(in_u)
         cert.steps.append(
             CertificateStep(
                 index=step_idx,
@@ -392,6 +422,8 @@ def expansion_sweep(
         raise ValueError("verified mode needs the code for exact checks")
     dim = e.dimension
     n = e.n
+    if mode == "verified" and code.n != n:
+        raise ValueError(f"embedding has {n} points, code has {code.n} qubits")
     k = parameters(code).k if code is not None else None
 
     if n == 0:
@@ -444,13 +476,13 @@ def expansion_sweep(
     def between(axis: int, lo: float, hi: float) -> np.ndarray:
         return (lo <= coords[:, axis]) & (coords[:, axis] <= hi)
 
-    def region_qubits(a: list[float], nxts: list[float]) -> list[int]:
+    def region_mask(a: list[float], nxts: list[float]) -> np.ndarray:
         inside = coords[:, 0] <= a[0]
         prefix = np.ones(n, dtype=bool)  # a_j <= q_j <= nxt_j for all j < lvl
         for lvl in range(1, len(a)):
             prefix &= between(lvl - 1, a[lvl - 1], nxts[lvl - 1])
             inside |= prefix & (coords[:, lvl] <= a[lvl])
-        return np.flatnonzero(inside).tolist()
+        return inside
 
     state = SweepState(depth=1, coords=[0.0], nxts=[])
     cert = Certificate(
@@ -496,10 +528,11 @@ def expansion_sweep(
             )
         )
 
-    # per open level: the size of B plus the lower levels' slabs, and the
+    # per open level: the size of B plus the lower levels' slabs, the
     # current-axis coordinates of the qubits outside them (at depth D, only
-    # those inside the final box's lower-axis ranges); built on first use
-    levels: list[tuple[int, np.ndarray] | None] = [None]
+    # those inside the final box's lower-axis ranges), and the slab counts
+    # by centre; built on first use
+    levels: list[tuple[int, np.ndarray, dict[float, int]] | None] = [None]
 
     def frontier_count() -> int:
         """Size of the union of B with the frontier slabs of the current state."""
@@ -512,20 +545,37 @@ def expansion_sweep(
             if i == dim:
                 for j in range(dim - 1):
                     outside &= between(j, state.coords[j], state.nxts[j])
-            levels[-1] = (fixed, coords[outside, i - 1])
-        fixed, values = levels[-1]
-        return fixed + int(np.count_nonzero(np.abs(values - state.coords[-1]) <= ell))
+            levels[-1] = (fixed, coords[outside, i - 1], {})
+        fixed, values, counts = levels[-1]
+        a_i = state.coords[-1]
+        if a_i not in counts:
+            # count the whole run from a_i at once: the centres the loop's
+            # repeated += ell reaches below extent, in blocks of about 2^20
+            # entries
+            run = [a_i]
+            while run[-1] + ell < extent:
+                run.append(run[-1] + ell)
+            rows = max(1, (1 << 20) // max(1, len(values)))
+            for start in range(0, len(run), rows):
+                centres = run[start : start + rows]
+                near = np.abs(values - np.array(centres)[:, None]) <= ell
+                counts.update(zip(centres, np.count_nonzero(near, axis=1).tolist()))
+        return fixed + counts[a_i]
+
+    # each expansion grows the region and each relabel keeps it, so the
+    # verified regions form a chain
+    correctable = _chain_oracle(code) if mode == "verified" else None
 
     def expansion_step(rule: str) -> bool:
         """Run one item-1 / item-3 expansion; returns False when stuck."""
         count = frontier_count()
         strict_ok = count < d
         details: dict = {"f_size": count, "strict_ok": strict_ok}
-        if mode == "verified":
+        if correctable is not None:
             new_coords = state.coords[:-1] + [state.coords[-1] + ell]
-            grown = region_qubits(new_coords, state.nxts)
-            exact = is_correctable(code, grown)
-            details["region_qubits"] = grown
+            grown = region_mask(new_coords, state.nxts)
+            exact = correctable(grown)
+            details["region_qubits"] = np.flatnonzero(grown).tolist()
             details["exact_correctable"] = exact
             verdict = exact
         else:

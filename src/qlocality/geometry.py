@@ -94,31 +94,68 @@ class Embedding:
         return f"Embedding(D={self.dimension}, n={self.n})"
 
 
+# bound on the linear cell keys of validate_embedding, clear of int64 overflow
+_KEY_LIMIT = 1 << 62
+
+
 def validate_embedding(e: Embedding) -> list[tuple[int, int, float]]:
     """All pairs at distance < 1 (allowing 1e-12 slack); empty list means valid.
 
-    Sort and shift: with the points sorted by x_1, keep the pairs k places
-    apart whose x_1 gap is < 1, for k = 1, 2, ...; the gaps only grow with
-    k, so the first k that keeps none ends the search.  Only kept pairs
-    are measured.
+    Two points closer than 1 have cells floor(x) at most 1 apart per axis.
+    The cells are ranked per axis (neighbours 1 apart, others 2) and the
+    points sorted by a linear key of the ranks; searchsorted over half of
+    the 3^D neighbour offsets then finds the candidates, the only pairs
+    measured.  The key covers the longest axis prefix that keeps it within
+    _KEY_LIMIT and its 3^m offsets at most 3n: coarser buckets add
+    candidates but drop none.
     """
     coords = e.coordinates
-    order = np.argsort(coords[:, 0], kind="stable")
-    x = coords[order, 0]
-    firsts, seconds = [], []
-    for k in range(1, e.n):
-        near = np.flatnonzero(x[k:] - x[:-k] < 1.0)
-        if len(near) == 0:
-            break
-        firsts.append(order[near])
-        seconds.append(order[near + k])
-    if not firsts:
+    n = e.n
+    if n < 2:
         return []
+    cells = np.floor(coords)
+    by_axis = cells.argsort(axis=0)
+    axes = np.arange(e.dimension)
+    ordered = cells[by_axis, axes]
+    # rank steps: 0 between equal cells, 1 between neighbours, 2 otherwise
+    ranked = np.zeros(cells.shape, dtype=np.int64)
+    ranked[1:] = np.minimum(ordered[1:] - ordered[:-1], 2.0).cumsum(axis=0)
+    ranks = np.empty_like(ranked)
+    ranks[by_axis, axes] = ranked
+    # a radix one above the top rank keeps rank - 1 and rank + 1 from
+    # carrying into another axis
+    strides: list[int] = []
+    shifts = [0]  # the key differences of the offsets so far
+    size = 1
+    for axis, top in enumerate(ranked[-1].tolist()):
+        if size * (top + 2) > _KEY_LIMIT or 3**axis > n:
+            break
+        strides.append(size)
+        shifts = [s + step for step in (-size, 0, size) for s in shifts]
+        size *= top + 2
+    keys = ranks[:, : len(strides)].dot(np.array(strides, dtype=np.int64))
+    order = keys.argsort(kind="stable")
+    sorted_keys = keys[order]
+    # each pair is found once, from its point with the smaller key or, for
+    # equal keys, the earlier one (so start >= position + 1 throughout)
+    half = np.array(sorted({s for s in shifts if s >= 0}), dtype=np.int64)
+    after = np.arange(1, n + 1)[:, None]
+    firsts, seconds = [], []
+    cols = max(1, (1 << 20) // n)
+    for block in range(0, len(half), cols):
+        targets = sorted_keys[:, None] + half[block : block + cols]
+        start = np.maximum(sorted_keys.searchsorted(targets, "left"), after)
+        counts = sorted_keys.searchsorted(targets, "right") - start
+        firsts.append(order.repeat(counts.sum(axis=1)))
+        # start + 0, 1, ..., count - 1 for each point and shift
+        counts, start = counts.ravel(), start.ravel()
+        ends = counts.cumsum()
+        seconds.append(order[np.arange(ends[-1]) + (start - ends + counts).repeat(counts)])
     a, b = np.concatenate(firsts), np.concatenate(seconds)
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    dists = np.linalg.norm(coords[hi] - coords[lo], axis=1)
+    dists = np.linalg.norm(coords[a] - coords[b], axis=1)
     close = dists < 1.0 - DISTANCE_SLACK
-    return sorted(zip(lo[close].tolist(), hi[close].tolist(), dists[close].tolist()))
+    found = zip(a[close].tolist(), b[close].tolist(), dists[close].tolist())
+    return sorted((min(i, j), max(i, j), dist) for i, j, dist in found)
 
 
 @dataclass(frozen=True)
@@ -157,16 +194,23 @@ class InteractionSet:
         }
 
 
-def extract_interactions(code: SubsystemCode, e: Embedding) -> InteractionSet:
-    """The code's cached pair table, with lengths from the embedding."""
+def _pair_lengths(code: SubsystemCode, e: Embedding) -> tuple[np.ndarray, np.ndarray]:
+    """The code's cached pairs as an m x 2 index array, in table order, and
+    their lengths in the embedding."""
     if e.n != code.n:
         raise ValueError(f"embedding has {e.n} points, code has {code.n} qubits")
     counts = code.interaction_counts()
     flat = itertools.chain.from_iterable(counts)
     idx = np.fromiter(flat, dtype=np.intp, count=2 * len(counts)).reshape(-1, 2)
     diff = e.coordinates[idx[:, 0]] - e.coordinates[idx[:, 1]]
-    lengths = np.sqrt(np.vecdot(diff, diff)).tolist()
-    pairs = tuple((i, j, length) for (i, j), length in zip(counts, lengths))
+    return idx, np.sqrt(np.vecdot(diff, diff))
+
+
+def extract_interactions(code: SubsystemCode, e: Embedding) -> InteractionSet:
+    """The code's cached pair table, with lengths from the embedding."""
+    _, lengths = _pair_lengths(code, e)
+    counts = code.interaction_counts()
+    pairs = tuple((i, j, length) for (i, j), length in zip(counts, lengths.tolist()))
     return InteractionSet(n=code.n, pairs=pairs, multiplicity=counts)
 
 
@@ -238,15 +282,6 @@ class GridTiling:
         mins = tuple(o + i * self.width for o, i in zip(self.offset, index))
         return Box(mins, tuple(lo + self.width for lo in mins))
 
-    def near_face_coords(self, point: Sequence[float], margin: float) -> int:
-        """Number of coordinates whose residue mod w is within margin of a grid plane."""
-        count = 0
-        for x, o in zip(point, self.offset):
-            r = (x - o) % self.width
-            if r <= margin or r >= self.width - margin:
-                count += 1
-        return count
-
     def to_json(self) -> dict:
         return {"width": self.width, "offset": list(self.offset)}
 
@@ -263,24 +298,25 @@ def verify_tiling(
 ) -> dict:
     """Independent enumeration check of the tiling fractions.
 
-    Pure per-point loops, kept free of the sampler's vectorized code on
-    purpose: counts X points within ell_inf distance 2*ell of a
-    codimension-2 face and Y points within 2*ell of a codimension-1 face,
-    and compares against the allowed fractions (4*ell*D/w)^2 and 8*ell*D/w.
+    Kept free of the sampler's code on purpose: counts X points within
+    ell_inf distance 2*ell of a codimension-2 face and Y points within
+    2*ell of a codimension-1 face, and compares against the allowed
+    fractions (4*ell*D/w)^2 and 8*ell*D/w.  A coordinate is near a face
+    when its residue (x - offset) mod w is within 2*ell of 0 or of w.
     """
     w = tiling.width
     dim = tiling.dimension
     margin = 2.0 * ell
-    x_bad = 0
-    for p in x_points:
-        if tiling.near_face_coords(p, margin) >= 2:
-            x_bad += 1
-    y_bad = 0
-    for p in y_points:
-        if tiling.near_face_coords(p, margin) >= 1:
-            y_bad += 1
-    x_fraction = x_bad / len(x_points) if x_points else 0.0
-    y_fraction = y_bad / len(y_points) if y_points else 0.0
+
+    def near_counts(points: Sequence[Sequence[float]]) -> np.ndarray:
+        r = (np.asarray(points, dtype=float).reshape(-1, dim) - tiling.offset) % w
+        return np.count_nonzero((r <= margin) | (r >= w - margin), axis=1)
+
+    x_near, y_near = near_counts(x_points), near_counts(y_points)
+    x_bad = int(np.count_nonzero(x_near >= 2))
+    y_bad = int(np.count_nonzero(y_near >= 1))
+    x_fraction = x_bad / len(x_near) if len(x_near) else 0.0
+    y_fraction = y_bad / len(y_near) if len(y_near) else 0.0
     x_allowed = (4.0 * ell * dim / w) ** 2
     y_allowed = 8.0 * ell * dim / w
     return {

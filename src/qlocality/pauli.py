@@ -32,8 +32,8 @@ class PauliVector:
     def __post_init__(self) -> None:
         if not 0 <= self.n <= MAX_QUBITS:
             raise ValueError(f"qubit count {self.n} outside [0, {MAX_QUBITS}]")
-        mask = (1 << self.n) - 1
-        if self.x_bits & ~mask or self.z_bits & ~mask:
+        # nonzero for a bit at or above n, and for a negative int
+        if (self.x_bits | self.z_bits) >> self.n:
             raise ValueError("support bits outside qubit range")
 
     @classmethod

@@ -319,8 +319,8 @@ def test_contours_reject_step_below_csv_resolution(capsys, step):
 
 
 def test_contours_accept_step_at_csv_resolution(monkeypatch):
-    # a 1e-6 step passes the check; stop at the first table entry instead of
-    # building all 10^12 of them
+    # 1e-3 is the smallest admitted step (1,001 values per axis); stop at the
+    # first table entry instead of building all 10^6 of them
     class Reached(Exception):
         pass
 
@@ -329,7 +329,17 @@ def test_contours_accept_step_at_csv_resolution(monkeypatch):
 
     monkeypatch.setattr("qlocality.bounds.ell_star_exponent", stop)
     with pytest.raises(Reached):
-        emit_contours(2, "subsystem", 1e-6)
+        emit_contours(2, "subsystem", 1e-3)
+
+
+@pytest.mark.parametrize("step", ["1e-6", "0.000999"])
+def test_contours_reject_grid_above_1001_values(capsys, step):
+    with pytest.raises(ValueError, match="more than 1001"):
+        emit_contours(2, "subsystem", float(step))
+    assert main(["contours", "--D", "2", "--class", "subsystem", "--grid-step", step, "--csv"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "values per axis, more than 1001" in captured.err
 
 
 @pytest.mark.parametrize("dim", ["1", "0", "-1"])

@@ -11,18 +11,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlocality import certify, families
+from qlocality import certify, families, geometry
 from qlocality.codes import SubsystemCode, parameters
 from qlocality.geometry import (
     DISTANCE_SLACK,
     Box,
     Embedding,
+    GridTiling,
     InteractionSet,
+    count_long,
     extract_interactions,
     points_in_box,
     validate_embedding,
+    verify_tiling,
 )
 from qlocality.pauli import PauliVector
+from qlocality.regions import is_correctable
 
 
 def all_pairs_violations(e):
@@ -58,12 +62,135 @@ def test_validate_embedding_matches_all_pairs_loop(e):
     assert validate_embedding(e) == all_pairs_violations(e)
 
 
+# half-integers put exact distance-1 ties across cell borders (0.5 to 1.5)
+# and just under them; the scaled floats spread a cloud up to 1e12
+TIE = st.sampled_from([-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 1.5 - 1e-13, 2.0, 2.5])
+
+
+@st.composite
+def wide_clouds(draw, max_n=50):
+    dim = draw(st.integers(1, 5))
+    n = draw(st.integers(0, max_n))
+    scale = draw(st.sampled_from([1.0, 1e3, 1e12]))
+    coord = st.one_of(TIE, st.floats(-3.0, 3.0), st.floats(-1.0, 1.0).map(lambda x: x * scale))
+    coords = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=n, max_size=n))
+    if coords:
+        # duplicates and neighbours one unit away on a single axis
+        for _ in range(draw(st.integers(0, 3))):
+            p = list(draw(st.sampled_from(coords)))
+            axis = draw(st.integers(0, dim - 1))
+            p[axis] += draw(st.sampled_from([0.0, 1.0, -1.0, 0.999, 0.5]))
+            coords.append(p)
+    return Embedding(dim, coords)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_clouds(), st.sampled_from([geometry._KEY_LIMIT, 1, 1 << 4, 1 << 12]))
+def test_validate_embedding_matches_all_pairs_loop_wide(e, key_limit):
+    # the smaller limits make the key cover fewer axes, as int64 overflow
+    # would, or none
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_KEY_LIMIT", key_limit)
+        assert validate_embedding(e) == all_pairs_violations(e)
+
+
+def test_validate_embedding_keys_past_int64():
+    # 6,000 points spread over 1e12 in 5-D have about 6,000 non-neighbouring
+    # cells per axis, so a key over all five axes would need more than
+    # 6,001^5 > 2^62 values and covers four; planted companions at 0.3 to
+    # 1.2 make pairs just inside and just outside distance 1
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-1e12, 1e12, size=(6000, 5))
+    radices = [len(np.unique(np.floor(pts[:, a]))) + 1 for a in range(5)]
+    assert math.prod(radices) > geometry._KEY_LIMIT
+    direction = rng.normal(size=(60, 5))
+    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    companions = pts[:60] + direction * rng.uniform(0.3, 1.2, size=(60, 1))
+    e = Embedding(5, np.concatenate([pts, companions]))
+    violations = validate_embedding(e)
+    assert violations == all_pairs_violations(e)
+    assert 10 < len(violations) < 60
+
+
+@pytest.mark.parametrize("shape", [(300, 300), (30, 30, 30)])
+def test_validate_embedding_lattice_at_scale(shape):
+    # n = 9 * 10^4 and 2.7 * 10^4: every point ties with its neighbours at 1
+    grid = np.stack(np.meshgrid(*[np.arange(s, dtype=float) for s in shape], indexing="ij"), -1)
+    coords = grid.reshape(-1, len(shape))
+    assert validate_embedding(Embedding(len(shape), coords)) == []
+    moved = coords.copy()
+    q = len(coords) // 2 + 7
+    moved[q] += 0.3
+    dists = np.linalg.norm(moved - moved[q], axis=1)
+    near = [j for j in np.flatnonzero(dists < 1.0 - DISTANCE_SLACK).tolist() if j != q]
+    expected = sorted(
+        (min(q, j), max(q, j), float(np.linalg.norm(moved[max(q, j)] - moved[min(q, j)])))
+        for j in near
+    )
+    # 2-D: two axis neighbours at 0.76 and the diagonal one at 0.99;
+    # 3-D: the three axis neighbours at 0.82
+    assert len(expected) == 3
+    assert validate_embedding(Embedding(len(shape), moved)) == expected
+
+
 def test_validate_embedding_lattice_ties_and_duplicates():
     lattice = Embedding(3, [(x, y, z) for x in range(5) for y in range(5) for z in range(5)])
     assert validate_embedding(lattice) == []
     stacked = Embedding(2, [(0.0, 0.0)] * 4 + [(1.0, 0.0), (0.5, 0.5)])
     assert validate_embedding(stacked) == all_pairs_violations(stacked)
     assert len(validate_embedding(stacked)) == 6 + 4 + 1
+
+
+def near_face_coords(tiling, point, margin):
+    """Number of coordinates whose residue mod w is within margin of a grid
+    plane: the per-coordinate loop verify_tiling ran before."""
+    count = 0
+    for x, o in zip(point, tiling.offset):
+        r = (x - o) % tiling.width
+        if r <= margin or r >= tiling.width - margin:
+            count += 1
+    return count
+
+
+def verify_tiling_loop(tiling, x_points, y_points, ell):
+    """The per-point report verify_tiling built before."""
+    w, dim, margin = tiling.width, tiling.dimension, 2.0 * ell
+    x_bad = sum(near_face_coords(tiling, p, margin) >= 2 for p in x_points)
+    y_bad = sum(near_face_coords(tiling, p, margin) >= 1 for p in y_points)
+    x_fraction = x_bad / len(x_points) if x_points else 0.0
+    y_fraction = y_bad / len(y_points) if y_points else 0.0
+    x_allowed = (4.0 * ell * dim / w) ** 2
+    y_allowed = 8.0 * ell * dim / w
+    return {
+        "x_bad": x_bad,
+        "y_bad": y_bad,
+        "x_fraction": x_fraction,
+        "y_fraction": y_fraction,
+        "x_allowed": x_allowed,
+        "y_allowed": y_allowed,
+        "ok": x_fraction <= x_allowed and y_fraction <= y_allowed,
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_verify_tiling_matches_per_point_loop(dim, data):
+    ell = data.draw(st.sampled_from([0.1, 0.25, 0.5, 1.0]))
+    w = data.draw(st.sampled_from([4.0 * ell, 3.0, 5.5, 10.0]).filter(lambda v: v >= 4.0 * ell))
+    offset = tuple(data.draw(st.lists(st.floats(-20.0, 20.0), min_size=dim, max_size=dim)))
+    # points on the grid planes and exactly the margin away from them
+    plane = st.builds(
+        lambda o, k, dx: o + k * w + dx,
+        st.sampled_from(offset),
+        st.integers(-3, 3),
+        st.sampled_from([0.0, 2.0 * ell, -2.0 * ell, 1e-9]),
+    )
+    coord = st.one_of(plane, st.floats(-30.0, 30.0))
+    point = st.lists(coord, min_size=dim, max_size=dim).map(tuple)
+    xs = data.draw(st.lists(point, max_size=12))
+    ys = data.draw(st.lists(point, max_size=12))
+    tiling = GridTiling(w, offset)
+    assert verify_tiling(tiling, xs, ys, ell) == verify_tiling_loop(tiling, xs, ys, ell)
 
 
 @settings(max_examples=150, deadline=None)
@@ -109,6 +236,22 @@ def test_interaction_lengths_match_per_pair_norm_exactly(code_and_embedding):
     assert [(i, j) for i, j, _ in ints.pairs] == sorted(code.interaction_pairs())
     for i, j, length in ints.pairs:
         assert length == float(np.linalg.norm(c[i] - c[j]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    jittered_codes().filter(lambda ce: ce[1].dimension >= 2),
+    st.sampled_from([0.5, 2.0, 10.0, 40.0]),
+    st.data(),
+)
+def test_holographic_f_box_matches_count_long(code_and_embedding, ell, data):
+    code, e = code_and_embedding
+    lo = data.draw(st.lists(st.floats(-50.0, 50.0), min_size=e.dimension, max_size=e.dimension))
+    side = data.draw(st.floats(0.0, 60.0))
+    box = Box(tuple(lo), tuple(v + side for v in lo))
+    _, f = count_long(extract_interactions(code, e), ell)
+    cert = certify.holographic_certify(code, e, box, ell, d=1000)
+    assert cert.metadata["f_box"] == sum(f[q] for q in points_in_box(e, box))
 
 
 def reference_interaction_counts(code):
@@ -401,6 +544,85 @@ def test_sweep_on_clouds_matches_pinned_digests(label):
     else:
         assert "expand-dimension-2" in rules and "expand-last-dimension" in rules
     assert sha256(cert.to_json_lines().encode()).hexdigest() == digest
+
+
+def level_two_events(rules):
+    """(runs at depth 2 cut by a bad coordinate, returns to depth 2 after
+    a finish-dimension) in a 3-D sweep's step rules."""
+    cuts = reentries = 0
+    depth = 1
+    for prev, rule in zip([None] + rules, rules):
+        if rule == "start-next-dimension":
+            cuts += depth == 2 and prev == "expand-dimension-2"
+            depth += 1
+        elif rule == "finish-dimension":
+            depth -= 1
+        elif rule == "expand-dimension-2" and prev == "finish-dimension":
+            reentries += 1
+    return cuts, reentries
+
+
+# (cloud args, ell, tau, d, mode) -> SHA-256 of to_json_lines(), computed
+# before the sweep memoised each run's frontier counts and grew one basis
+# for the verified regions.  On the 120-point cloud, runs at depth 2 are cut
+# by a bad coordinate; on the 160-point cloud, depth 2 is also re-entered
+# at nxt after depth 3 finishes, where a new run starts.
+SWEEP_RUN_PINNED = {
+    "cloud-120-3d-cut": (
+        (120, 3, 8.0, 5), 1.0, 24, 300, "strict",
+        "998faa0ec189e3680abfedb6076ae49b8584a3560efae6bdf124745550694944",
+    ),
+    "cloud-160-3d-reentered": (
+        (160, 3, 9.0, 3), 1.0, 36, 300, "strict",
+        "462475f117aacb5e9185766f255d7a84ed673b054c8d4e12f4bc73ff3cceb829",
+    ),
+    "cloud-160-3d-reentered-verified": (
+        (160, 3, 9.0, 3), 1.0, 36, 300, "verified",
+        "119d24f58be663377129ba0a2a3b85121af17c9b5588d2eeffb60c3f62f99163",
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(SWEEP_RUN_PINNED))
+def test_sweep_runs_match_pinned_digests(label):
+    cloud, ell, tau, d, mode, digest = SWEEP_RUN_PINNED[label]
+    code, e = near_pair_code(*cloud)
+    ints = extract_interactions(code, e)
+    cert = certify.expansion_sweep(e, ints, ell, tau, d, mode=mode, code=code)
+    assert cert.outcome == certify.OUTCOME_CERTIFIED
+    cuts, reentries = level_two_events([step.rule for step in cert.steps])
+    assert cuts >= 2 and (reentries >= 2 or "reentered" not in label)
+    assert sha256(cert.to_json_lines().encode()).hexdigest() == digest
+
+
+def test_chain_oracle_matches_is_correctable_and_needs_a_chain():
+    ec = families.bacon_shor(4)
+    rng = random.Random(7)
+    qubits = list(range(ec.code.n))
+    rng.shuffle(qubits)
+    correctable = certify._chain_oracle(ec.code)
+    region = np.zeros(ec.code.n, dtype=bool)
+    for size in range(ec.code.n + 1):
+        region = region.copy()
+        region[qubits[:size]] = True
+        expected = is_correctable(ec.code, qubits[:size])
+        assert correctable(region) == expected
+        if not expected:
+            break
+    else:
+        raise AssertionError("the whole lattice must fail")
+    shrinking = certify._chain_oracle(ec.code)
+    assert shrinking(np.ones(ec.code.n, dtype=bool)) is False
+    with pytest.raises(AssertionError, match="does not contain"):
+        shrinking(np.zeros(ec.code.n, dtype=bool))
+
+
+def test_verified_sweep_rejects_qubit_count_mismatch():
+    code, e = near_pair_code(40, 2, 9.0, 1)
+    small = Embedding(2, e.coordinates[:-1])
+    ints = InteractionSet(n=small.n, pairs=(), multiplicity={})
+    with pytest.raises(ValueError, match="embedding has 39 points, code has 40 qubits"):
+        certify.expansion_sweep(small, ints, 1.5, 10, 100, mode="verified", code=code)
 
 
 # ── scaling smoke test past 4,096 qubits ──

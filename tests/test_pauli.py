@@ -63,6 +63,25 @@ def test_string_rejects_bad_letters():
         P("XQZ")
 
 
+@pytest.mark.parametrize(
+    "n, x, z",
+    [(3, -1, 0), (3, 0, -4), (3, 1 << 3, 0), (3, 0, 1 << 3), (0, 1, 0), (5, 1 << 70, 1), (4, -(1 << 4), 0)],
+)
+def test_support_bits_outside_qubit_range_raise(n, x, z):
+    with pytest.raises(ValueError, match="support bits outside qubit range"):
+        PauliVector(n, x, z)
+
+
+@given(st.integers(0, 40), st.integers(-(1 << 50), 1 << 50), st.integers(-(1 << 50), 1 << 50))
+def test_support_range_check_matches_mask(n, x, z):
+    mask = (1 << n) - 1
+    if x & ~mask or z & ~mask:
+        with pytest.raises(ValueError):
+            PauliVector(n, x, z)
+    else:
+        assert PauliVector(n, x, z).to_bits() == x | (z << n)
+
+
 def letter_by_letter(s):
     """The per-letter parse that from_string replaced."""
     x = z = 0

@@ -701,6 +701,19 @@ class _Division:
     flags: list[str]
 
 
+def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of an integer array in lexicographic (tuple) order,
+    each row's index among them, and the row indices grouped that way, each
+    group in ascending order (lexsort is stable)."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    group = np.empty(len(rows), dtype=np.int64)
+    group[order] = first.cumsum() - 1
+    return ordered[first], group, order
+
+
 def _divide_space(
     e: Embedding,
     f: dict[int, int],
@@ -708,27 +721,33 @@ def _divide_space(
     ell: float,
     d1: float,
 ) -> _Division:
+    """Classify every tiling cell that holds a point or borders one, in sorted
+    order: a good cube when its mass is below d1, else a bad cube, kept whole
+    or subdivided.  Cells are integer rows, grouped by one lexsort for the
+    points and one for the occupied cells and their 3^D - 1 neighbours."""
     coords = e.coordinates
-    cells = set()
-    cell_members: dict[tuple[int, ...], list[int]] = {}
-    for q in range(e.n):
-        idx = tiling.cell_index(coords[q])
-        cell_members.setdefault(idx, []).append(q)
-        for delta in itertools.product((-1, 0, 1), repeat=e.dimension):
-            cells.add(tuple(i + dlt for i, dlt in zip(idx, delta)))
+    w = tiling.width
+    own = np.floor((coords - np.asarray(tiling.offset)) / w).astype(np.int64)
+    occupied, home, by_cell = _group_rows(own)
+    deltas = np.array(list(itertools.product((-1, 0, 1), repeat=e.dimension)), dtype=np.int64)
+    around = (occupied + deltas[:, None, :]).reshape(-1, e.dimension)
+    cells, index, _ = _group_rows(np.concatenate([occupied, around]))
+    home = index[home]
+    masses = np.fromiter((f[q] for q in range(e.n)), dtype=np.int64, count=e.n)
+    cell_mass = np.bincount(home, weights=masses, minlength=len(cells))
+    bounds = [0] + np.bincount(home, minlength=len(cells)).cumsum().tolist()
+    by_cell = by_cell.tolist()
     good_cubes: list[Box] = []
     bad_boxes: list[Box] = []
     flags: list[str] = []
     bad_cube_count = 0
-    for cell in sorted(cells):
+    for c, (cell, light) in enumerate(zip(cells.tolist(), (cell_mass < d1).tolist())):
         cube = tiling.cell_box(cell)
-        members = cell_members.get(cell, [])
-        mass = sum(f[q] for q in members)
-        if mass < d1:
+        if light:
             good_cubes.append(cube)
             continue
         bad_cube_count += 1
-        w = tiling.width
+        members = by_cell[bounds[c] : bounds[c + 1]]
         cell_masses = [(tuple(coords[q]), f[q]) for q in members if f[q] > 0]
         if w <= 10.0 * ell:
             # the whole cube is already short enough to stand as a bad box

@@ -141,13 +141,15 @@ def _cmd_check_region(args: argparse.Namespace) -> int:
     emb = _load_embedding(args.embedding) if args.embedding else None
     try:
         reg = regions.region_from_json(_load_json(args.region), emb)
+        out: dict = {"qubits": sorted(reg)}
+        if args.correctable:
+            out["correctable"] = regions.is_correctable(code, reg)
+        if args.cleanable:
+            out["dressed_cleanable"] = regions.is_dressed_cleanable(code, reg)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    out: dict = {"qubits": sorted(reg)}
-    if args.correctable:
-        out["correctable"] = regions.is_correctable(code, reg)
-    if args.cleanable:
-        out["dressed_cleanable"] = regions.is_dressed_cleanable(code, reg)
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"malformed region file {args.region}: {exc!r}") from None
     if not (args.correctable or args.cleanable):
         raise InputError("pass --correctable and/or --cleanable")
     _dump(out, args.out)
@@ -173,9 +175,21 @@ def _cmd_subdivide(args: argparse.Namespace) -> int:
     obj = _load_json(args.spec)
     try:
         box = geometry.Box.from_json(obj["box"])
-        masses = [(tuple(m["point"]), json_int(m["mass"], "mass")) for m in obj["masses"]]
+        masses = [
+            (tuple(float(x) for x in m["point"]), json_int(m["mass"], "mass"))
+            for m in obj["masses"]
+        ]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed subdivide spec: {exc}") from None
+    for point, mass in masses:
+        if len(point) != box.dimension:
+            raise InputError(
+                f"mass point {list(point)} has {len(point)} coordinates, box has {box.dimension}"
+            )
+        if not all(map(math.isfinite, point)):
+            raise InputError(f"mass point {list(point)} is not finite")
+        if mass < 0:
+            raise InputError(f"mass at {list(point)} is negative: {mass}")
     try:
         boxes = geometry.subdivide(box, masses, args.ell, args.d1)
     except ValueError as exc:

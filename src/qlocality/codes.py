@@ -1,12 +1,15 @@
 """Subsystem codes defined by gauge generators.
 
 A subsystem code is given by a list of gauge generators (phase-free
-Paulis).  The stabilizer group is recovered as the center of the gauge
-span, parameters follow from GF(2) ranks, and canonical bare logical
-representatives come from a symplectic Gram-Schmidt on the gauge
-centralizer.  Both region oracles read two cached per-qubit column sets
-(``pauli.QubitColumns``), and distance is a depth-first search over
-regions in which each child extends its parent's XOR basis by one qubit.
+Paulis).  The gauge centralizer C(G) is computed once per code (cached on
+the gauge basis) and everything else reads it: the stabilizer group is
+the center G ∩ C(G), parameters follow from GF(2) ranks, canonical bare
+logical representatives come from a symplectic Gram-Schmidt on C(G) mod
+S, and the correctable columns stack C(G) over S.  Both region oracles
+read two cached per-qubit column sets (``pauli.QubitColumns``), and
+distance is a depth-first search over regions in which each child extends
+its parent's XOR basis by one qubit, and a region's last qubit is tested
+against its parent's basis without a copy.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .pauli import (
     centralizer,
     set_bits,
     symplectic_bits,
-    transpose,
 )
 
 
@@ -193,28 +195,35 @@ class SubsystemCode:
 
 
 def derive_stabilizer(code: SubsystemCode) -> BitMatrix:
-    """Basis of the center of the gauge span (the stabilizer group, mod phase)."""
-    n = code.n
-    rows = code.gauge_basis.rows
-    # An element sum_j a_j b_j is central iff sum_j a_j <b_i, b_j> = 0 for
-    # every basis row b_i.  <b_i, b_j> is the parity of b_j's bits at the
-    # half-swapped positions of b_i's bits, so with colset[c] the set of rows
-    # holding bit c, Gram row i is the XOR of colset[swap(c)] over b_i's bits.
-    colset = transpose(rows, 2 * n)
-    swapped = colset[n:] + colset[:n]
-    gram_rows = []
-    for row in rows:
-        g = 0
-        for c in set_bits(row):
-            g ^= swapped[c]
-        gram_rows.append(g)
+    """Basis of the center of the gauge span (the stabilizer group, mod phase).
+
+    The center is S = G ∩ C(G).  Each basis vector of the cached C(G) is
+    reduced mod G's RREF, and the reductions enter an XOR basis keyed by
+    lowest set bit that carries, beside each reduction, the sum of C(G)
+    vectors it reduces.  Reduction mod G is linear and the C(G) vectors are
+    independent, so the sums whose reduction cancels span S.
+    """
+    gauge = code.gauge_basis
+    rows, pivots = gauge.rref()
+    by_pivot = dict(zip(pivots, rows))
+    pivot_mask = sum(1 << col for col in pivots)
+    echelon: dict[int, tuple[int, int]] = {}
     stab_rows = []
-    for coeffs in BitMatrix(len(rows), gram_rows).nullspace().rows:
-        v = 0
-        for j in set_bits(coeffs):
-            v ^= rows[j]
-        stab_rows.append(v)
-    return BitMatrix(2 * n, stab_rows).row_basis()
+    for vec in centralizer(gauge).rows:
+        red = vec
+        for col in set_bits(vec & pivot_mask):
+            red ^= by_pivot[col]
+        while red:
+            low = (red & -red).bit_length() - 1
+            entry = echelon.get(low)
+            if entry is None:
+                echelon[low] = (red, vec)
+                break
+            red ^= entry[0]
+            vec ^= entry[1]
+        else:
+            stab_rows.append(vec)
+    return BitMatrix(gauge.width, stab_rows).row_basis()
 
 
 def parameters(code: SubsystemCode) -> CodeParameters:
@@ -241,8 +250,10 @@ def distance(code: SubsystemCode, weight_cap: int | None = None) -> DistanceResu
     stabilizer-commuting Pauli outside the gauge span, by iterative
     deepening: for w = 1, 2, ... a depth-first search over the w-subsets in
     lexicographic order, where a child copies its parent's XOR basis and
-    adds one qubit's two columns.  Returns a "greater than weight_cap"
-    result when no such region exists up to the cap (default cap: n).
+    adds one qubit's two columns, and the last qubit is tested against the
+    parent's basis in place (``QubitColumns.any_fails``).  Returns a
+    "greater than weight_cap" result when no such region exists up to the
+    cap (default cap: n).
     """
     p = parameters(code)
     if p.k == 0:
@@ -253,9 +264,11 @@ def distance(code: SubsystemCode, weight_cap: int | None = None) -> DistanceResu
 
     def fails(basis: dict[int, int], start: int, left: int) -> bool:
         """True iff some ``left`` qubits from ``start`` on make the region fail."""
+        if left == 1:
+            return cols.any_fails(basis, start)
         for q in range(start, n - left + 1):
             child = dict(basis)
-            if not cols.add(child, q) or (left > 1 and fails(child, q + 1, left - 1)):
+            if not cols.add(child, q) or fails(child, q + 1, left - 1):
                 return True
         return False
 

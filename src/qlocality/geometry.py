@@ -72,6 +72,7 @@ class Embedding:
             raise ValueError("coordinates must be finite")
         self.coordinates = arr
         self.coordinates.setflags(write=False)
+        self._close_pairs: tuple[tuple[int, int, float], ...] | None = None
 
     @property
     def n(self) -> int:
@@ -100,6 +101,17 @@ _KEY_LIMIT = 1 << 62
 
 def validate_embedding(e: Embedding) -> list[tuple[int, int, float]]:
     """All pairs at distance < 1 (allowing 1e-12 slack); empty list means valid.
+
+    The coordinates are read-only, so the pairs are found once per embedding
+    and cached on it.
+    """
+    if e._close_pairs is None:
+        e._close_pairs = tuple(_close_pairs(e))
+    return list(e._close_pairs)
+
+
+def _close_pairs(e: Embedding) -> list[tuple[int, int, float]]:
+    """The pairs of validate_embedding, sorted.
 
     Two points closer than 1 have cells floor(x) at most 1 apart per axis.
     The cells are ranked per axis (neighbours 1 apart, others 2) and the

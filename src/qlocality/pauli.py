@@ -126,9 +126,9 @@ def weight(p: PauliVector) -> int:
 class BitMatrix:
     """A GF(2) matrix with rows packed as ints and a fixed column width.
 
-    Rows are immutable after construction; the reduced row echelon form is
-    computed once (lowest pivot column first) and cached, so membership
-    checks and derived bases are deterministic.
+    Rows are immutable after construction; the reduced row echelon form
+    (lowest pivot column first) and the centralizer are computed once and
+    cached, so membership checks and derived bases are deterministic.
     """
 
     def __init__(self, width: int, rows: Iterable[int] = ()) -> None:
@@ -141,6 +141,7 @@ class BitMatrix:
             if r & ~mask:
                 raise ValueError("row has bits outside matrix width")
         self._rref: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+        self._centralizer: BitMatrix | None = None
 
     @classmethod
     def from_paulis(cls, paulis: Iterable[PauliVector], n: int) -> BitMatrix:
@@ -236,9 +237,12 @@ def _swap_halves(bits: int, n: int) -> int:
 
 
 def centralizer(m: BitMatrix) -> BitMatrix:
-    """Basis of the Paulis commuting with every row of m: m's nullspace, halves swapped."""
-    n = m.width // 2
-    return BitMatrix(m.width, (_swap_halves(v, n) for v in m.nullspace().rows))
+    """Basis of the Paulis commuting with every row of m: m's nullspace, halves
+    swapped; computed once per matrix and shared by every caller."""
+    if m._centralizer is None:
+        n = m.width // 2
+        m._centralizer = BitMatrix(m.width, (_swap_halves(v, n) for v in m.nullspace().rows))
+    return m._centralizer
 
 
 class QubitColumns:
@@ -284,6 +288,33 @@ class QubitColumns:
                     break
                 v ^= pivot
         return True
+
+    def any_fails(self, basis: dict[int, int], start: int) -> bool:
+        """True iff ``add`` would return False for some qubit from ``start`` to
+        n - 1, each added alone to ``basis``, which is left unchanged.
+
+        A qubit's X column reduces against ``basis``; its Z column reduces
+        against ``basis`` plus the reduced X column, whose leading bit no
+        pivot of ``basis`` holds.
+        """
+        low = self.low
+        for x, z in self.columns[start:]:
+            while x and (pivot := basis.get(x.bit_length() - 1)) is not None:
+                x ^= pivot
+            top_x = x.bit_length() - 1
+            if 0 <= top_x < low:
+                return True
+            while z:
+                top = z.bit_length() - 1
+                pivot = basis.get(top)
+                if pivot is None:
+                    if top != top_x:
+                        if top < low:
+                            return True
+                        break
+                    pivot = x
+                z ^= pivot
+        return False
 
     def passes(self, support: Iterable[int]) -> bool:
         """True iff every Pauli on ``support`` (a qubit set) commuting with

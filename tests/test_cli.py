@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from qlocality.bounds import ell_star_exponent, emit_contours, m_star_exponent
-from qlocality import cli
+from qlocality import cli, geometry
 from qlocality.cli import EXIT_FAILED, EXIT_INPUT, EXIT_OK, main
 from qlocality.families import bacon_shor, small_inner_codes
 
@@ -103,6 +103,33 @@ def test_check_region_boxes(bs3_files, capsys, tmp_path):
     assert json.loads(out)["correctable"] is True
 
 
+@pytest.mark.parametrize("flag", ["--correctable", "--cleanable"])
+@pytest.mark.parametrize("qubits", [[0, 99], [-1]])
+def test_check_region_out_of_range_exits_two(bs3_files, capsys, tmp_path, flag, qubits):
+    code_path, _ = bs3_files
+    region = tmp_path / "region.json"
+    region.write_text(json.dumps({"qubits": qubits}))
+    assert main(["check-region", code_path, str(region), flag]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: region {sorted(qubits)} outside qubit range [0, 9)\n"
+
+
+@pytest.mark.parametrize(
+    "region, detail",
+    [({"qubits": 5}, "TypeError"), ({"boxes": [{"min": [0, 0]}]}, "KeyError('max')")],
+)
+def test_check_region_malformed_file_exits_two(bs3_files, capsys, tmp_path, region, detail):
+    code_path, emb_path = bs3_files
+    path = tmp_path / "region.json"
+    path.write_text(json.dumps(region))
+    argv = ["check-region", code_path, str(path), "--embedding", emb_path, "--correctable"]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: malformed region file {path}: {detail}")
+
+
 def test_tile(bs3_files, capsys):
     _, emb_path = bs3_files
     rc, out = run(capsys, "tile", emb_path, "--w", "8", "--ell", "1", "--seed", "4")
@@ -125,6 +152,29 @@ def test_subdivide(capsys, tmp_path):
     assert rc == EXIT_OK
     boxes = json.loads(out)["boxes"]
     assert sum(b["max"][0] - b["min"][0] for b in boxes) == pytest.approx(20.0)
+
+
+@pytest.mark.parametrize(
+    "mass, message",
+    [
+        ({"point": [1], "mass": 1}, "mass point [1.0] has 1 coordinates, box has 2"),
+        ({"point": [1, 2, 3], "mass": 1}, "mass point [1.0, 2.0, 3.0] has 3 coordinates, box has 2"),
+        ({"point": [10, 1], "mass": -2}, "mass at [10.0, 1.0] is negative: -2"),
+        ({"point": [math.nan, 1], "mass": 1}, "mass point [nan, 1.0] is not finite"),
+        (
+            {"point": ["a", 1], "mass": 1},
+            "malformed subdivide spec: could not convert string to float: 'a'",
+        ),
+    ],
+)
+def test_subdivide_rejects_bad_mass_exits_two(capsys, tmp_path, mass, message):
+    spec = tmp_path / "spec.json"
+    masses = [{"point": [5, 1], "mass": 1}, mass]
+    spec.write_text(json.dumps({"box": {"min": [0, 0], "max": [20, 4]}, "masses": masses}))
+    assert main(["subdivide", str(spec), "--ell", "1", "--d1", "3"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_sweep_stuck_exits_one(bs3_files, capsys):
@@ -266,6 +316,45 @@ def test_concat_cli(capsys, tmp_path):
     )
     assert rc == EXIT_OK
     assert json.loads(out_code.read_text())["n"] == 20
+
+
+@pytest.fixture
+def close_pair_calls(monkeypatch):
+    """The embeddings whose close pairs are computed, one entry per computation."""
+    calls = []
+    close_pairs = geometry._close_pairs
+
+    def counted(e):
+        calls.append(e)
+        return close_pairs(e)
+
+    monkeypatch.setattr(geometry, "_close_pairs", counted)
+    return calls
+
+
+def test_saturation_validates_its_embedding_once(capsys, tmp_path, close_pair_calls):
+    ec = bacon_shor(3)
+    code_path, emb_path = tmp_path / "c.json", tmp_path / "e.json"
+    code_path.write_text(json.dumps(ec.code.to_json()))
+    emb_path.write_text(json.dumps(ec.embedding.to_json()))
+    del close_pair_calls[:]  # the construction above validated its own
+    assert main(["saturation", str(code_path), str(emb_path)]) == EXIT_OK
+    assert len(close_pair_calls) == 1
+
+
+def test_concat_validates_each_embedding_once(capsys, tmp_path, close_pair_calls):
+    paths = {}
+    for name, ec in [("inner", small_inner_codes("five_one_three")), ("outer", bacon_shor(2))]:
+        for part, obj in [("code", ec.code.to_json()), ("embedding", ec.embedding.to_json())]:
+            p = tmp_path / f"{name}-{part}.json"
+            p.write_text(json.dumps(obj))
+            paths[f"--{name}-{part}"] = str(p)
+    del close_pair_calls[:]  # the two constructions above validated theirs
+    argv = ["concat", "--ell-target", "30"] + [x for item in paths.items() for x in item]
+    assert main(argv) == EXIT_OK
+    # inner, outer and the concatenated embedding, each once
+    assert len(close_pair_calls) == 3
+    assert len({id(e) for e in close_pair_calls}) == 3
 
 
 # ── contours ───────────────────────────────────────────────────────────

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from hashlib import sha256
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from qlocality.pauli import (
     symplectic_bits,
     symplectic_product,
 )
+from qlocality.families import surface_code
 from tests.test_pauli import reference_nullspace, reference_rref
 
 P = PauliVector.from_string
@@ -159,6 +161,47 @@ def test_stabilizer_and_abelian_test_match_pairwise_references(code):
         symplectic_product(a, b) == 0 for a, b in itertools.combinations(code.gauge_generators, 2)
     )
     assert code.has_abelian_gauge() == pairwise
+
+
+@pytest.mark.parametrize(
+    "code",
+    [bacon_shor_generators(8), bacon_shor_generators(16), surface_code(6).code],
+    ids=["BS-8", "BS-16", "surface-6"],
+)
+def test_stabilizer_matches_pairwise_reference_on_lattice_codes(code):
+    assert code.stabilizer_basis.rows == reference_stabilizer(code)
+
+
+def test_bacon_shor_64_stabilizer_rows_are_pinned():
+    # SHA-256 of the rows as little-endian bytes, taken from the Gram
+    # construction before it was replaced by G ∩ C(G)
+    stab = bacon_shor_generators(64).stabilizer_basis
+    width = (stab.width + 7) // 8
+    digest = sha256(b"".join(row.to_bytes(width, "little") for row in stab.rows)).hexdigest()
+    assert len(stab.rows) == 126
+    assert digest == "8ab727c380013eb9aef25fe6f20d501a8cb648e782ea54fb71801dabd050b370"
+
+
+def test_gauge_centralizer_is_computed_once_per_code(monkeypatch):
+    calls = []
+    nullspace = BitMatrix.nullspace
+
+    def counted(self):
+        calls.append(self)
+        return nullspace(self)
+
+    monkeypatch.setattr(BitMatrix, "nullspace", counted)
+    code = bacon_shor_generators(4)
+    parameters(code)
+    code.correctable_columns
+    logical_representatives(code)
+    distance(code)
+    gauge = code.gauge_basis
+    assert sum(m is gauge for m in calls) == 1
+    # the one other nullspace is C(S), for the cleanable columns only
+    assert len(calls) == 1
+    code.cleanable_columns
+    assert len(calls) == 2 and calls[1] is code.stabilizer_basis
 
 
 # ── parameters ─────────────────────────────────────────────────────────

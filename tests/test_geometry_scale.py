@@ -193,6 +193,51 @@ def test_verify_tiling_matches_per_point_loop(dim, data):
     assert verify_tiling(tiling, xs, ys, ell) == verify_tiling_loop(tiling, xs, ys, ell)
 
 
+def divide_space_loop(e, f, tiling, ell, d1):
+    """The per-point, per-neighbour-cell loop _divide_space ran before."""
+    coords = e.coordinates
+    cells = set()
+    cell_members = {}
+    for q in range(e.n):
+        idx = tiling.cell_index(coords[q])
+        cell_members.setdefault(idx, []).append(q)
+        for delta in itertools.product((-1, 0, 1), repeat=e.dimension):
+            cells.add(tuple(i + dlt for i, dlt in zip(idx, delta)))
+    good_cubes, bad_boxes, flags = [], [], []
+    bad_cube_count = 0
+    for cell in sorted(cells):
+        cube = tiling.cell_box(cell)
+        members = cell_members.get(cell, [])
+        if sum(f[q] for q in members) < d1:
+            good_cubes.append(cube)
+            continue
+        bad_cube_count += 1
+        cell_masses = [(tuple(coords[q]), f[q]) for q in members if f[q] > 0]
+        if tiling.width <= 10.0 * ell:
+            if tiling.width < 5.0 * ell:
+                flags.append("cube side below 5*ell: subdivision lemma inapplicable")
+            bad_boxes.append(cube)
+        else:
+            bad_boxes.extend(geometry.subdivide(cube, cell_masses, ell, d1))
+    return certify._Division(tiling, good_cubes, bad_boxes, bad_cube_count, flags)
+
+
+@settings(max_examples=200, deadline=None)
+@given(clouds(max_n=40), st.data())
+def test_divide_space_matches_per_point_loop(e, data):
+    ell = data.draw(st.sampled_from([0.25, 0.5, 1.0]))
+    w = data.draw(st.sampled_from([0.5, 1.0, 2.0, 6.0, 12.0]))
+    # offsets on and off the grid values, so points sit on cell faces
+    axis = st.one_of(GRID, st.floats(-3.0, 3.0))
+    offset = tuple(data.draw(st.lists(axis, min_size=e.dimension, max_size=e.dimension)))
+    masses = data.draw(st.lists(st.sampled_from([0, 0, 1, 2, 5]), min_size=e.n, max_size=e.n))
+    # keys in shuffled order: the division must not depend on the dict's order
+    f = dict(data.draw(st.permutations(list(enumerate(masses)))))
+    d1 = data.draw(st.sampled_from([0.5, 1.0, 3.0, 7.0]))
+    tiling = GridTiling(w, offset)
+    assert certify._divide_space(e, f, tiling, ell, d1) == divide_space_loop(e, f, tiling, ell, d1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(clouds(max_n=40), st.data())
 def test_points_in_box_matches_contains(e, data):

@@ -249,6 +249,26 @@ def test_centralizer_matches_swapped_nullspace():
         assert all(symplectic_bits(v, g.to_bits(), n) == 0 for v in got.rows for g in gens)
 
 
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 6), st.data())
+def test_any_fails_matches_add_on_copied_basis(n, data):
+    # any rows, commuting or not: the scan must agree with add whatever the
+    # columns hold; up to 2n + 2 span rows often give C(span) rows with X bits
+    rows = st.lists(st.integers(0, (1 << 2 * n) - 1), max_size=2 * n + 2)
+    cols = QubitColumns(BitMatrix(2 * n, data.draw(rows)), BitMatrix(2 * n, data.draw(rows)))
+    # a basis from a region that passes: qubits that would fail are skipped
+    basis: dict[int, int] = {}
+    for q in data.draw(st.lists(st.integers(0, n - 1), max_size=4)) if n else []:
+        child = dict(basis)
+        if cols.add(child, q):
+            basis = child
+    kept = dict(basis)
+    for start in range(n + 1):
+        expect = any(not cols.add(dict(basis), q) for q in range(start, n))
+        assert cols.any_fails(basis, start) == expect
+        assert basis == kept
+
+
 def random_commuting_span(rng, gens, n):
     """Random rows from the commutant of gens (the span must commute with them)."""
     basis = commutant(gens, n)

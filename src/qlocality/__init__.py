@@ -4,6 +4,7 @@ from .bounds import (
     BoundReport,
     ProofConstants,
     ball_volume,
+    class_bounds,
     projector_bounds,
     proof_constants,
     regime_check,

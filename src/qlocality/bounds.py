@@ -125,75 +125,70 @@ def _distance_branch(n: float, d: float, dim: int, mode: str) -> BranchReport:
     )
 
 
-def subsystem_bounds(
-    n: float, k: float, d: float, dim: int, mode: str = "asymptotic"
+# code class -> exponent e of d in the dimension branch's count ratio
+# k d^(e/(D-1)) / n: 1 for subsystem codes, 2 for commuting projector codes
+CLASS_EXPONENTS = {"subsystem": 1, "projector": 2}
+
+
+def _class_exponent(code_class: str) -> int:
+    if code_class not in CLASS_EXPONENTS:
+        raise ValueError(f"unknown code class {code_class!r}")
+    return CLASS_EXPONENTS[code_class]
+
+
+def class_bounds(
+    code_class: str, n: float, k: float, d: float, dim: int, mode: str = "asymptotic"
 ) -> BoundReport:
-    """M* and ell* for subsystem codes.
+    """M* and ell* for a code class, keyed by its exponent e.
 
     Asymptotic mode evaluates the max-expressions with unit constants;
-    explicit mode substitutes the proofs' concrete constants so the
+    explicit mode substitutes the proofs' concrete constants (c0 scale
+    400 D for subsystem codes, 800 D^2 for projector codes) so the
     hypothesis flags are decidable on real inputs.
     """
+    e = _class_exponent(code_class)
     _check_domain(n, k, d, dim)
     if mode not in ("asymptotic", "explicit"):
         raise ValueError(f"unknown mode {mode!r}")
     dist = _distance_branch(n, d, dim, mode)
-    ratio = k * d ** (1.0 / (dim - 1)) / n
+    ratio = k * d ** (e / (dim - 1)) / n
+    power = (dim - 1) / (e * dim)
     if mode == "asymptotic":
         dim_branch = BranchReport(
             name="dimension",
-            ell_star=ratio ** ((dim - 1) / dim),
+            ell_star=ratio**power,
             m_star=k,
             c0=1.0,
             c1=1.0,
             hypothesis_met=ratio >= 1.0,
         )
-        return _assemble(dim, n, k, d, "subsystem", mode, dist, dim_branch, m_star=max(k, d))
+        return _assemble(dim, n, k, d, code_class, mode, dist, dim_branch, m_star=max(k, d))
     vol = ball_volume(dim)
-    c0 = vol ** (1.0 / dim) / (400.0 * dim)
-    c1 = (1.0 / c0) ** (dim / (dim - 1))
+    c0 = vol ** (1.0 / dim) / (400.0 * e * dim**e)
+    c1 = (1.0 / c0) ** (e * dim / (dim - 1))
     dim_branch = BranchReport(
         name="dimension",
-        ell_star=c0 * ratio ** ((dim - 1) / dim),
-        m_star=c0 * k,
+        ell_star=c0 * ratio**power,
+        m_star=c0 * (k if e == 1 else max(k, d)),
         c0=c0,
         c1=c1,
-        hypothesis_met=k * d ** (1.0 / (dim - 1)) >= c1 * n,
+        hypothesis_met=k * d ** (e / (dim - 1)) >= c1 * n,
     )
-    return _assemble(dim, n, k, d, "subsystem", mode, dist, dim_branch)
+    return _assemble(dim, n, k, d, code_class, mode, dist, dim_branch)
+
+
+def subsystem_bounds(
+    n: float, k: float, d: float, dim: int, mode: str = "asymptotic"
+) -> BoundReport:
+    """M* and ell* for subsystem codes (e = 1)."""
+    return class_bounds("subsystem", n, k, d, dim, mode)
 
 
 def projector_bounds(
     n: float, k: float, d: float, dim: int, mode: str = "asymptotic"
 ) -> BoundReport:
-    """M* and ell* for commuting projector codes (2/(D-1) exponent family)."""
-    _check_domain(n, k, d, dim)
-    if mode not in ("asymptotic", "explicit"):
-        raise ValueError(f"unknown mode {mode!r}")
-    dist = _distance_branch(n, d, dim, mode)
-    ratio = k * d ** (2.0 / (dim - 1)) / n
-    if mode == "asymptotic":
-        dim_branch = BranchReport(
-            name="dimension",
-            ell_star=ratio ** ((dim - 1) / (2.0 * dim)),
-            m_star=k,
-            c0=1.0,
-            c1=1.0,
-            hypothesis_met=ratio >= 1.0,
-        )
-        return _assemble(dim, n, k, d, "projector", mode, dist, dim_branch, m_star=max(k, d))
-    vol = ball_volume(dim)
-    c0 = vol ** (1.0 / dim) / (800.0 * dim**2)
-    c1 = (1.0 / c0) ** (2.0 * dim / (dim - 1))
-    dim_branch = BranchReport(
-        name="dimension",
-        ell_star=c0 * ratio ** ((dim - 1) / (2.0 * dim)),
-        m_star=c0 * max(k, d),
-        c0=c0,
-        c1=c1,
-        hypothesis_met=k * d ** (2.0 / (dim - 1)) >= c1 * n,
-    )
-    return _assemble(dim, n, k, d, "projector", mode, dist, dim_branch)
+    """M* and ell* for commuting projector codes (e = 2, the 2/(D-1) exponent family)."""
+    return class_bounds("projector", n, k, d, dim, mode)
 
 
 @dataclass(frozen=True)
@@ -346,25 +341,16 @@ class ContourTable:
 
 def ell_star_exponent(kappa: float, delta: float, dim: int, code_class: str) -> float:
     """log_n ell* in exponent space, clamped at 0 in the local regime."""
-    frac = (dim - 1) / dim
-    branch_d = delta - frac
-    if code_class == "subsystem":
-        branch_k = frac * (kappa + delta / (dim - 1) - 1.0)
-    elif code_class == "projector":
-        branch_k = (dim - 1) / (2.0 * dim) * (kappa + 2.0 * delta / (dim - 1) - 1.0)
-    else:
-        raise ValueError(f"unknown code class {code_class!r}")
+    e = _class_exponent(code_class)
+    branch_d = delta - (dim - 1) / dim
+    branch_k = (dim - 1) / (e * dim) * (kappa + e * delta / (dim - 1) - 1.0)
     return max(branch_d, branch_k, 0.0)
 
 
 def m_star_exponent(kappa: float, delta: float, dim: int, code_class: str) -> float | None:
     """log_n M* = max(kappa, delta), or None inside the local regime."""
-    frac = (dim - 1) / dim
-    if code_class == "subsystem":
-        local = kappa + delta / (dim - 1) <= 1.0 and delta <= frac
-    else:
-        local = kappa + 2.0 * delta / (dim - 1) <= 1.0 and delta <= frac
-    if local:
+    e = _class_exponent(code_class)
+    if kappa + e * delta / (dim - 1) <= 1.0 and delta <= (dim - 1) / dim:
         return None
     return max(kappa, delta)
 

@@ -2,7 +2,10 @@
 
 Exit codes: 0 = success (including unmet hypotheses, which are reported
 as flags); 1 = a failed invariant or certification (stuck sweep, violated
-lemma assertion); 2 = input or format errors.
+lemma assertion); 2 = input or format errors.  ``main`` is the one place
+that maps a rejected input to 2: a ``ValueError`` from a loader, a
+handler check or the library, or an ``OSError`` from reading or writing a
+file, becomes one ``error: <message>`` line on stderr.
 """
 
 from __future__ import annotations
@@ -22,36 +25,30 @@ EXIT_FAILED = 1
 EXIT_INPUT = 2
 
 
-class InputError(Exception):
-    """Malformed files, unknown names, bad flag values."""
-
-
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
+        raise ValueError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON in {path}: {exc}") from None
+        raise ValueError(f"malformed JSON in {path}: {exc}") from None
 
 
 def _load_code(path: str) -> SubsystemCode:
-    try:
-        return SubsystemCode.from_json(_load_json(path))
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    return SubsystemCode.from_json(_load_json(path))
 
 
 def _load_embedding(path: str) -> geometry.Embedding:
+    obj = _load_json(path)
     try:
-        emb = geometry.Embedding.from_json(_load_json(path))
+        emb = geometry.Embedding.from_json(obj)
     except (ValueError, KeyError, TypeError) as exc:
-        raise InputError(f"malformed embedding file {path}: {exc}") from None
+        raise ValueError(f"malformed embedding file {path}: {exc}") from None
     close = geometry.validate_embedding(emb)
     if close:
         i, j, dist = close[0]
-        raise InputError(f"embedding file {path} places qubits {i} and {j} at distance {dist:g} < 1")
+        raise ValueError(f"embedding file {path} places qubits {i} and {j} at distance {dist:g} < 1")
     return emb
 
 
@@ -75,13 +72,24 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _dump(obj: dict, path: str | None = None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2)
+def _write(text: str, path: str | None = None) -> None:
+    """Write text to the file at path, or to stdout when there is none."""
     if path:
         with open(path, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        print(text, end="")
+
+
+def _dump(obj: dict, path: str | None = None) -> None:
+    _write(json.dumps(obj, sort_keys=True, indent=2) + "\n", path)
+
+
+def _emit_certificate(cert: certify.Certificate, path: str | None) -> None:
+    """The certificate as JSON lines to path, if given; its trace to stdout."""
+    if path:
+        _write(cert.to_json_lines(), path)
+    print(cert.trace())
 
 
 # ---------------------------------------------------------------------------
@@ -89,19 +97,14 @@ def _dump(obj: dict, path: str | None = None) -> None:
 
 
 def _cmd_params(args: argparse.Namespace) -> int:
-    code = _load_code(args.code)
-    p = parameters(code)
+    p = parameters(_load_code(args.code))
     _dump({"n": p.n, "k": p.k, "g": p.g, "s": p.s})
     print(f"n={p.n} k={p.k} g={p.g} s={p.s}", file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_distance(args: argparse.Namespace) -> int:
-    code = _load_code(args.code)
-    try:
-        res = distance(code, weight_cap=args.weight_cap)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    res = distance(_load_code(args.code), weight_cap=args.weight_cap)
     _dump({"distance": res.value, "weight_cap": res.weight_cap, "is_lower_bound": res.is_lower_bound})
     return EXIT_OK
 
@@ -110,14 +113,11 @@ def _cmd_interactions(args: argparse.Namespace) -> int:
     code = _load_code(args.code)
     emb = _load_embedding(args.embedding)
     if emb.n != code.n:
-        raise InputError("embedding size does not match code size")
+        raise ValueError("embedding size does not match code size")
     ints = geometry.extract_interactions(code, emb)
     out = ints.to_json()
     if args.ell is not None:
-        try:
-            m, f = geometry.count_long(ints, args.ell)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+        m, f = geometry.count_long(ints, args.ell)
         out["ell"] = args.ell
         out["long_count"] = m
         out["f_per_qubit"] = {str(q): v for q, v in sorted(f.items()) if v}
@@ -127,11 +127,9 @@ def _cmd_interactions(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    fn = bounds_mod.subsystem_bounds if args.code_class == "subsystem" else bounds_mod.projector_bounds
-    try:
-        report = fn(args.n, args.k, args.d, args.dimension, mode=args.mode)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    report = bounds_mod.class_bounds(
+        args.code_class, args.n, args.k, args.d, args.dimension, mode=args.mode
+    )
     _dump(report.to_json(), args.out)
     return EXIT_OK
 
@@ -139,19 +137,18 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 def _cmd_check_region(args: argparse.Namespace) -> int:
     code = _load_code(args.code)
     emb = _load_embedding(args.embedding) if args.embedding else None
+    obj = _load_json(args.region)
     try:
-        reg = regions.region_from_json(_load_json(args.region), emb)
-        out: dict = {"qubits": sorted(reg)}
-        if args.correctable:
-            out["correctable"] = regions.is_correctable(code, reg)
-        if args.cleanable:
-            out["dressed_cleanable"] = regions.is_dressed_cleanable(code, reg)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+        reg = regions.region_from_json(obj, emb)
     except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed region file {args.region}: {exc!r}") from None
+        raise ValueError(f"malformed region file {args.region}: {exc!r}") from None
     if not (args.correctable or args.cleanable):
-        raise InputError("pass --correctable and/or --cleanable")
+        raise ValueError("pass --correctable and/or --cleanable")
+    out: dict = {"qubits": sorted(reg)}
+    if args.correctable:
+        out["correctable"] = regions.is_correctable(code, reg)
+    if args.cleanable:
+        out["dressed_cleanable"] = regions.is_dressed_cleanable(code, reg)
     _dump(out, args.out)
     return EXIT_OK
 
@@ -159,15 +156,9 @@ def _cmd_check_region(args: argparse.Namespace) -> int:
 def _cmd_tile(args: argparse.Namespace) -> int:
     emb = _load_embedding(args.embedding)
     points = [tuple(c) for c in emb.coordinates]
-    try:
-        tiling = geometry.find_tiling(
-            points, points, args.w, args.ell, emb.dimension, seed=args.seed
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    tiling = geometry.find_tiling(points, points, args.w, args.ell, emb.dimension, seed=args.seed)
     report = geometry.verify_tiling(tiling, points, points, args.ell)
-    out = {"tiling": tiling.to_json(), "report": report}
-    _dump(out, args.out)
+    _dump({"tiling": tiling.to_json(), "report": report}, args.out)
     return EXIT_OK if report["ok"] else EXIT_FAILED
 
 
@@ -180,20 +171,17 @@ def _cmd_subdivide(args: argparse.Namespace) -> int:
             for m in obj["masses"]
         ]
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed subdivide spec: {exc}") from None
+        raise ValueError(f"malformed subdivide spec: {exc}") from None
     for point, mass in masses:
         if len(point) != box.dimension:
-            raise InputError(
+            raise ValueError(
                 f"mass point {list(point)} has {len(point)} coordinates, box has {box.dimension}"
             )
         if not all(map(math.isfinite, point)):
-            raise InputError(f"mass point {list(point)} is not finite")
+            raise ValueError(f"mass point {list(point)} is not finite")
         if mass < 0:
-            raise InputError(f"mass at {list(point)} is negative: {mass}")
-    try:
-        boxes = geometry.subdivide(box, masses, args.ell, args.d1)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+            raise ValueError(f"mass at {list(point)} is negative: {mass}")
+    boxes = geometry.subdivide(box, masses, args.ell, args.d1)
     _dump({"boxes": [b.to_json() for b in boxes]}, args.out)
     return EXIT_OK
 
@@ -203,78 +191,56 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     emb = _load_embedding(args.embedding)
     mode = "verified" if args.verified else "strict"
     if code is not None and emb.n != code.n:
-        raise InputError("embedding size does not match code size")
+        raise ValueError("embedding size does not match code size")
     if code is None and mode == "verified":
-        raise InputError("verified mode needs a code file")
+        raise ValueError("verified mode needs a code file")
     ints = (
         geometry.extract_interactions(code, emb)
         if code is not None
         else geometry.InteractionSet(n=emb.n, pairs=(), multiplicity={})
     )
-    try:
-        cert = certify.expansion_sweep(
-            emb, ints, args.ell, args.tau, args.d, mode=mode, code=code
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(cert.to_json_lines())
-    print(cert.trace())
+    cert = certify.expansion_sweep(emb, ints, args.ell, args.tau, args.d, mode=mode, code=code)
+    _emit_certificate(cert, args.out)
     return EXIT_OK if cert.certified or cert.outcome == certify.OUTCOME_VIOLATED else EXIT_FAILED
 
 
 def _cmd_holographic(args: argparse.Namespace) -> int:
     code = _load_code(args.code)
     emb = _load_embedding(args.embedding)
+    obj = _load_json(args.box)
     try:
-        box = geometry.Box.from_json(_load_json(args.box))
+        box = geometry.Box.from_json(obj)
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed box file: {exc}") from None
+        raise ValueError(f"malformed box file {args.box}: {exc}") from None
     mode = "verified" if args.verified else "strict"
-    try:
-        cert = certify.holographic_certify(code, emb, box, args.ell, mode=mode, d=args.d)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(cert.to_json_lines())
-    print(cert.trace())
-    if cert.outcome == certify.OUTCOME_STUCK:
-        return EXIT_FAILED
-    return EXIT_OK
+    cert = certify.holographic_certify(code, emb, box, args.ell, mode=mode, d=args.d)
+    _emit_certificate(cert, args.out)
+    return EXIT_FAILED if cert.outcome == certify.OUTCOME_STUCK else EXIT_OK
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
     code = _load_code(args.code)
     emb = _load_embedding(args.embedding)
-    try:
-        partition, cert = certify.theorem_partition_builder(
-            code, emb, args.ell, args.variant, seed=args.seed, verify=not args.no_verify
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    partition, cert = certify.theorem_partition_builder(
+        code, emb, args.ell, args.variant, seed=args.seed, verify=not args.no_verify
+    )
     _dump({"partition": partition.to_json(), "certificate": cert.metadata}, args.out)
     return EXIT_OK if cert.outcome != certify.OUTCOME_STUCK else EXIT_FAILED
 
 
-_FAMILIES = ("bacon_shor", "surface", "steane", "five_one_three", "repetition")
+# family name -> builder of the embedded code from --size; each looks its
+# family function up at call time, so a patched one (a profiler's) is used
+_FAMILIES = {
+    "bacon_shor": lambda size: families.bacon_shor(size),
+    "surface": lambda size: families.surface_code(size),
+    "steane": lambda size: families.small_inner_codes("steane"),
+    "five_one_three": lambda size: families.small_inner_codes("five_one_three"),
+    "repetition": lambda size: families.small_inner_codes("repetition", r=size),
+}
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    try:
-        if args.family == "bacon_shor":
-            ec = families.bacon_shor(args.size)
-        elif args.family == "surface":
-            ec = families.surface_code(args.size)
-        elif args.family == "repetition":
-            ec = families.small_inner_codes("repetition", r=args.size)
-        elif args.family in ("steane", "five_one_three"):
-            ec = families.small_inner_codes(args.family)
-        else:
-            raise InputError(f"unknown family {args.family!r}")
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    ec = _FAMILIES[args.family](args.size)
     _dump(ec.code.to_json(), args.out_code)
     _dump(ec.embedding.to_json(), args.out_embedding)
     return EXIT_OK
@@ -285,15 +251,10 @@ def _cmd_concat(args: argparse.Namespace) -> int:
     inner_emb = _load_embedding(args.inner_embedding)
     outer_code = _load_code(args.outer_code)
     outer_emb = _load_embedding(args.outer_embedding)
-    try:
-        inner = families.EmbeddedCode(inner_code, inner_emb, "inner", {})
-        outer = families.EmbeddedCode(outer_code, outer_emb, "outer", {})
-        plan = families.ConcatPlan(
-            inner=inner, outer=outer, ell_target=args.ell_target, ell2=args.ell2
-        )
-        ec = families.build_concat_embedding(plan)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    inner = families.EmbeddedCode(inner_code, inner_emb, "inner", {})
+    outer = families.EmbeddedCode(outer_code, outer_emb, "outer", {})
+    plan = families.ConcatPlan(inner=inner, outer=outer, ell_target=args.ell_target, ell2=args.ell2)
+    ec = families.build_concat_embedding(plan)
     _dump(ec.code.to_json(), args.out_code)
     _dump(ec.embedding.to_json(), args.out_embedding)
     _dump(ec.params, args.out_report)
@@ -302,29 +263,16 @@ def _cmd_concat(args: argparse.Namespace) -> int:
 
 def _cmd_saturation(args: argparse.Namespace) -> int:
     code = _load_code(args.code)
-    emb = _load_embedding(args.embedding)
-    try:
-        ec = families.EmbeddedCode(code, emb, "file", {})
-        report = families.saturation_report(
-            ec, code_class=args.code_class, weight_cap=args.weight_cap
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    ec = families.EmbeddedCode(code, _load_embedding(args.embedding), "file", {})
+    report = families.saturation_report(ec, code_class=args.code_class, weight_cap=args.weight_cap)
     _dump(report.to_json(), args.out)
     return EXIT_OK
 
 
 def _cmd_contours(args: argparse.Namespace) -> int:
-    try:
-        table = bounds_mod.emit_contours(args.dimension, args.code_class, args.grid_step)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    table = bounds_mod.emit_contours(args.dimension, args.code_class, args.grid_step)
     if args.csv:
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(table.to_csv())
-        else:
-            print(table.to_csv(), end="")
+        _write(table.to_csv(), args.out)
     else:
         _dump(table.to_json(), args.out)
     return EXIT_OK
@@ -360,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_interactions)
 
     p = sub.add_parser("bounds", help="evaluate M* and ell*")
-    p.add_argument("--class", dest="code_class", choices=("subsystem", "projector"), required=True)
+    p.add_argument("--class", dest="code_class", choices=bounds_mod.CLASS_EXPONENTS, required=True)
     p.add_argument("--mode", choices=("asymptotic", "explicit"), default="asymptotic")
     p.add_argument("-n", type=_finite_float, required=True)
     p.add_argument("-k", type=_finite_float, required=True)
@@ -449,14 +397,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("saturation", help="measured locality vs the asymptotic ell*")
     p.add_argument("code")
     p.add_argument("embedding")
-    p.add_argument("--class", dest="code_class", choices=("subsystem", "projector"), default="subsystem")
+    p.add_argument("--class", dest="code_class", choices=bounds_mod.CLASS_EXPONENTS, default="subsystem")
     p.add_argument("--weight-cap", type=_non_negative_int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_saturation)
 
     p = sub.add_parser("contours", help="exponent-space contour table")
     p.add_argument("--D", dest="dimension", type=int, required=True)
-    p.add_argument("--class", dest="code_class", choices=("subsystem", "projector"), required=True)
+    p.add_argument("--class", dest="code_class", choices=bounds_mod.CLASS_EXPONENTS, required=True)
     p.add_argument("--grid-step", type=_finite_float, default=0.1)
     p.add_argument("--csv", action="store_true")
     p.add_argument("--out", default=None)
@@ -474,7 +422,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except InputError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except AssertionError as exc:

@@ -204,15 +204,10 @@ def derive_stabilizer(code: SubsystemCode) -> BitMatrix:
     independent, so the sums whose reduction cancels span S.
     """
     gauge = code.gauge_basis
-    rows, pivots = gauge.rref()
-    by_pivot = dict(zip(pivots, rows))
-    pivot_mask = sum(1 << col for col in pivots)
     echelon: dict[int, tuple[int, int]] = {}
     stab_rows = []
     for vec in centralizer(gauge).rows:
-        red = vec
-        for col in set_bits(vec & pivot_mask):
-            red ^= by_pivot[col]
+        red = gauge.reduce_vector(vec)
         while red:
             low = (red & -red).bit_length() - 1
             entry = echelon.get(low)
@@ -236,11 +231,6 @@ def parameters(code: SubsystemCode) -> CodeParameters:
         k = code.n - s - g
         code._parameters = CodeParameters(n=code.n, k=k, g=g, s=s)
     return code._parameters
-
-
-def region_is_correctable(code: SubsystemCode, qubits: Iterable[int]) -> bool:
-    """True iff every stabilizer-commuting Pauli on the region is pure gauge."""
-    return code.correctable_columns.passes(qubits)
 
 
 def distance(code: SubsystemCode, weight_cap: int | None = None) -> DistanceResult:
@@ -293,9 +283,8 @@ def logical_representatives(code: SubsystemCode) -> list[LogicalPair]:
     # each reduced against the RREF of S plus the vectors kept before it.
     # That RREF grows in place: a kept vector has no pivot bit, so its lowest
     # bit is a new pivot, cleared from the rows that hold it.
-    rows, pivots = code.stabilizer_basis.rref()
-    reduced = dict(zip(pivots, rows))
-    pivot_mask = sum(1 << col for col in pivots)
+    reduced, pivot_mask = code.stabilizer_basis.pivot_rows()
+    reduced = dict(reduced)
     complement: list[int] = []
     for v in centralizer(code.gauge_basis).row_basis().rows:
         red = v

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import projector_bounds, subsystem_bounds
+from .bounds import class_bounds
 from .codes import (
     DistanceResult,
     LogicalPair,
@@ -358,12 +358,7 @@ def saturation_report(
     dres: DistanceResult = distance(ec.code, weight_cap=weight_cap)
     d_eff = dres.value if dres.value is not None else dres.weight_cap + 1
     dim = ec.embedding.dimension
-    if code_class == "subsystem":
-        report = subsystem_bounds(ec.code.n, max(p.k, 1), d_eff, dim, mode="asymptotic")
-    elif code_class == "projector":
-        report = projector_bounds(ec.code.n, max(p.k, 1), d_eff, dim, mode="asymptotic")
-    else:
-        raise ValueError(f"unknown code class {code_class!r}")
+    report = class_bounds(code_class, ec.code.n, max(p.k, 1), d_eff, dim, mode="asymptotic")
     ints = extract_interactions(ec.code, ec.embedding)
     l_max = ints.max_length()
     ell_star = report.ell_star

@@ -26,7 +26,7 @@ class Box:
         if len(self.mins) != len(self.maxs):
             raise ValueError("min and max corners have different dimensions")
         for lo, hi in zip(self.mins, self.maxs):
-            if lo > hi:
+            if not lo <= hi:  # also rejects a NaN corner
                 raise ValueError(f"box has min {lo} > max {hi}")
 
     @property
@@ -53,7 +53,11 @@ class Box:
 
     @classmethod
     def from_json(cls, obj: dict) -> Box:
-        return cls(tuple(float(v) for v in obj["min"]), tuple(float(v) for v in obj["max"]))
+        mins = tuple(float(v) for v in obj["min"])
+        maxs = tuple(float(v) for v in obj["max"])
+        if not all(map(math.isfinite, mins + maxs)):
+            raise ValueError(f"box corners {list(mins)}, {list(maxs)} must be finite")
+        return cls(mins, maxs)
 
 
 class Embedding:

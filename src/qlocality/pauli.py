@@ -141,6 +141,7 @@ class BitMatrix:
             if r & ~mask:
                 raise ValueError("row has bits outside matrix width")
         self._rref: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+        self._pivot_rows: tuple[dict[int, int], int] = ({}, 0)
         self._centralizer: BitMatrix | None = None
 
     @classmethod
@@ -188,7 +189,14 @@ class BitMatrix:
                     row ^= echelon[above]
                 echelon[col] = row
             self._rref = (tuple(echelon[col] for col in pivots), tuple(pivots))
+            self._pivot_rows = (echelon, pivot_mask)
         return self._rref
+
+    def pivot_rows(self) -> tuple[dict[int, int], int]:
+        """The RREF as a map from pivot column to row, and the mask of the
+        pivot columns; cached with the RREF."""
+        self.rref()
+        return self._pivot_rows
 
     def rank(self) -> int:
         return len(self.rref()[0])
@@ -196,15 +204,18 @@ class BitMatrix:
     def row_basis(self) -> BitMatrix:
         """The RREF rows as a matrix; an RREF is its own RREF, so it is handed over."""
         basis = BitMatrix(self.width, self.rref()[0])
-        basis._rref = self._rref
+        basis._rref, basis._pivot_rows = self._rref, self._pivot_rows
         return basis
 
     def reduce_vector(self, vec: int) -> int:
-        """Reduce vec against the row space; 0 means vec is in the span."""
-        rows, pivots = self.rref()
-        for row, col in zip(rows, pivots):
-            if vec >> col & 1:
-                vec ^= row
+        """Reduce vec against the row space; 0 means vec is in the span.
+
+        An RREF row holds no pivot column but its own, so the rows to add
+        are those of vec's own pivot bits.
+        """
+        by_pivot, mask = self.pivot_rows()
+        for col in set_bits(vec & mask):
+            vec ^= by_pivot[col]
         return vec
 
     def contains(self, vec: int) -> bool:
@@ -215,9 +226,8 @@ class BitMatrix:
         column in ascending order: the free bit plus the pivots of the rows
         that hold it."""
         rows, pivots = self.rref()
-        taken = set(pivots)
-        basis = {f: 1 << f for f in range(self.width) if f not in taken}
-        free = sum(basis.values())
+        free = ((1 << self.width) - 1) ^ self._pivot_rows[1]
+        basis = {f: 1 << f for f in set_bits(free)}
         for row, col in zip(rows, pivots):
             for f in set_bits(row & free):
                 basis[f] |= 1 << col

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .codes import SubsystemCode, json_int, parameters, region_is_correctable
+from .codes import SubsystemCode, json_int, parameters
 
 
 def validate_region(code: SubsystemCode, u: frozenset[int]) -> None:
@@ -21,7 +21,7 @@ def is_correctable(code: SubsystemCode, u: Iterable[int]) -> bool:
     """True iff no non-trivial dressed logical operator is supported on u."""
     u = frozenset(u)
     validate_region(code, u)
-    return region_is_correctable(code, u)
+    return code.correctable_columns.passes(u)
 
 
 def is_dressed_cleanable(code: SubsystemCode, u: Iterable[int]) -> bool:
@@ -248,6 +248,6 @@ def region_from_json(obj: dict, embedding=None) -> frozenset[int]:
             raise ValueError("box-form region requires an embedding")
         from .geometry import Box, points_in_box
 
-        boxes = [Box(tuple(b["min"]), tuple(b["max"])) for b in obj["boxes"]]
+        boxes = [Box.from_json(b) for b in obj["boxes"]]
         return frozenset(q for box in boxes for q in points_in_box(embedding, box))
     raise ValueError("region object needs 'qubits' or 'boxes'")

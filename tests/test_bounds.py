@@ -1,14 +1,20 @@
 """Closed-form bound evaluation: branch values, explicit constants, regimes."""
 
+import hashlib
+import itertools
 import math
 import random
 
 import pytest
 
 from qlocality.bounds import (
+    CLASS_EXPONENTS,
     ball_volume,
+    class_bounds,
+    emit_contours,
     holographic_base_width,
     holographic_box_width,
+    m_star_exponent,
     projector_bounds,
     proof_constants,
     regime_check,
@@ -188,3 +194,32 @@ def test_proof_constants_domain():
 def test_holographic_widths():
     assert holographic_box_width(1000.0, 2.0, 2) == pytest.approx(500 * math.pi / 256)
     assert holographic_base_width(1000.0, 2) == pytest.approx(math.sqrt(math.pi / 32.0 * 1000.0))
+
+
+# ── one builder per code class ─────────────────────────────────────────
+
+
+def test_class_bounds_reports_match_pinned_digest():
+    # SHA-256 of these reports and contour tables, computed with the separate
+    # subsystem and projector formulas that the exponent-keyed builder replaced
+    h = hashlib.sha256()
+    vals = (1.0, 3.7, 123.0, 1e4, 1e9)
+    for n, k, d in itertools.product(vals, repeat=3):
+        for dim in (2, 3, 5):
+            for mode in ("asymptotic", "explicit"):
+                for fn in (subsystem_bounds, projector_bounds):
+                    try:
+                        h.update(repr(fn(n, k, d, dim, mode=mode).to_json()).encode())
+                    except ValueError as exc:
+                        h.update(str(exc).encode())
+    for dim in (2, 3):
+        for code_class in CLASS_EXPONENTS:
+            h.update(emit_contours(dim, code_class, 0.05).to_csv().encode())
+    assert h.hexdigest() == "095fd68adc8c8adde6dd56afe5d9336828449d85735e1f689f138858813226e1"
+
+
+def test_unknown_code_class_rejected():
+    with pytest.raises(ValueError, match="unknown code class 'stabilizer'"):
+        class_bounds("stabilizer", 1e6, 1e3, 1e2, 2)
+    with pytest.raises(ValueError, match="unknown code class"):
+        m_star_exponent(0.5, 0.5, 2, "stabilizer")

@@ -696,3 +696,142 @@ def test_parser_tree_built_once_per_process(bs3_files, capsys, monkeypatch):
         assert main(["frobnicate"]) == EXIT_INPUT
     assert progs.count("qlocality") == 1
     assert len(progs) == one_tree
+
+
+# ── one error boundary in main ─────────────────────────────────────────
+
+
+@pytest.fixture
+def input_files(bs3_files, tmp_path):
+    """Every kind of input file a command reads, keyed by its placeholder."""
+    code_path, emb_path = bs3_files
+    files = {"code": code_path, "emb": emb_path}
+    objs = {
+        "region": {"qubits": [0, 1, 2]},
+        "box": {"min": [0, 0], "max": [1, 0]},
+        "spec": {"box": {"min": [0, 0], "max": [20, 4]}, "masses": [{"point": [10, 1], "mass": 10}]},
+    }
+    for name, ec in [("i", small_inner_codes("five_one_three")), ("o", bacon_shor(2))]:
+        objs[name + "c"] = ec.code.to_json()
+        objs[name + "e"] = ec.embedding.to_json()
+    for name, obj in objs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        files[name] = str(path)
+    files["out"] = str(tmp_path / "written.json")
+    files["bad"] = str(tmp_path / "missing" / "out.json")
+    return files
+
+
+_CONCAT = "concat --inner-code {ic} --inner-embedding {ie} --outer-code {oc} --outer-embedding {oe} --ell-target 30"
+
+# one command per output flag, writing its {bad} output into a missing directory
+WRITING_COMMANDS = {
+    "interactions --out": "interactions {code} {emb} --out {bad}",
+    "bounds --out": "bounds --class subsystem -n 1e6 -k 1e4 -d 1e3 -D 2 --out {bad}",
+    "check-region --out": "check-region {code} {region} --correctable --out {bad}",
+    "tile --out": "tile {emb} --w 8 --ell 1 --seed 4 --out {bad}",
+    "subdivide --out": "subdivide {spec} --ell 1 --d1 3 --out {bad}",
+    "sweep --out": "sweep {emb} --code {code} --ell 2 --tau 9 --d 3 --strict --out {bad}",
+    "holographic --out": "holographic {code} {emb} --box {box} --ell 1 --verified --out {bad}",
+    "partition --out": "partition {code} {emb} --ell 1.5 --variant thm3_2 --out {bad}",
+    "construct --out-code": "construct --family bacon_shor --size 3 --out-code {bad}",
+    "construct --out-embedding": "construct --family surface --size 2 --out-code {out} --out-embedding {bad}",
+    "concat --out-code": _CONCAT + " --out-code {bad}",
+    "concat --out-embedding": _CONCAT + " --out-code {out} --out-embedding {bad}",
+    "concat --out-report": _CONCAT + " --out-code {out} --out-report {bad}",
+    "saturation --out": "saturation {code} {emb} --out {bad}",
+    "contours --out": "contours --D 2 --class subsystem --grid-step 0.5 --out {bad}",
+    "contours --csv --out": "contours --D 2 --class projector --grid-step 0.5 --csv --out {bad}",
+}
+
+
+def _argv(template, files):
+    return [token.format(**files) for token in template.split()]
+
+
+@pytest.mark.parametrize("command", WRITING_COMMANDS)
+def test_unwritable_output_path_exits_two(input_files, capsys, command):
+    assert main(_argv(WRITING_COMMANDS[command], input_files)) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "No such file or directory" in err and input_files["bad"] in err
+
+
+def _reject(*args, **kwargs):
+    raise ValueError("library rejected input")
+
+
+@pytest.mark.parametrize(
+    "target, template",
+    [
+        ("qlocality.cli.parameters", "params {code}"),
+        ("qlocality.geometry.find_tiling", "tile {emb} --w 8 --ell 1 --seed 4"),
+        ("qlocality.certify.expansion_sweep", "sweep {emb} --ell 2 --tau 9 --d 3"),
+        ("qlocality.regions.is_dressed_cleanable", "check-region {code} {region} --cleanable"),
+        ("qlocality.families.build_concat_embedding", _CONCAT),
+        ("qlocality.bounds.class_bounds", "bounds --class projector -n 1e6 -k 1e4 -d 1e3 -D 2"),
+    ],
+)
+def test_library_value_error_exits_two(input_files, capsys, monkeypatch, target, template):
+    monkeypatch.setattr(target, _reject)
+    assert main(_argv(template, input_files)) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: library rejected input\n"
+
+
+def test_check_region_oracle_error_is_not_a_malformed_region(input_files, monkeypatch):
+    def broken(code, u):
+        raise KeyError("oracle")
+
+    monkeypatch.setattr("qlocality.regions.is_correctable", broken)
+    with pytest.raises(KeyError, match="oracle"):
+        main(_argv("check-region {code} {region} --correctable", input_files))
+
+
+def test_console_unwritable_output_prints_no_traceback(input_files):
+    argv = _argv("interactions {code} {emb} --out {bad}", input_files)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qlocality.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+# ── NaN box corners ────────────────────────────────────────────────────
+
+
+def test_subdivide_nan_box_exits_two(capsys, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(
+        json.dumps({"box": {"min": [0, math.nan], "max": [20, 4]}, "masses": [{"point": [10, 1], "mass": 1}]})
+    )
+    assert main(["subdivide", str(spec), "--ell", "1", "--d1", "3"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: malformed subdivide spec: box corners [0.0, nan], [20.0, 4.0] must be finite\n"
+
+
+def test_holographic_nan_box_exits_two(bs3_files, capsys, tmp_path):
+    code_path, emb_path = bs3_files
+    box = tmp_path / "box.json"
+    box.write_text(json.dumps({"min": [0, 0], "max": [1, math.nan]}))
+    argv = ["holographic", code_path, emb_path, "--box", str(box), "--ell", "1", "--strict"]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: malformed box file {box}: box corners [0.0, 0.0], [1.0, nan] must be finite\n"
+
+
+def test_check_region_nan_box_exits_two(bs3_files, capsys, tmp_path):
+    code_path, emb_path = bs3_files
+    region = tmp_path / "region.json"
+    region.write_text(json.dumps({"boxes": [{"min": [math.nan, 0], "max": [1, 0]}]}))
+    argv = ["check-region", code_path, str(region), "--embedding", emb_path, "--correctable"]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: box corners [nan, 0.0], [1.0, 0.0] must be finite\n"

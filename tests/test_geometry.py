@@ -347,3 +347,15 @@ def test_subdivide_random_configurations():
         d1 = rng.uniform(1.0, 6.0)
         boxes = subdivide(box, masses, ell, d1)
         check_subdivision(box, masses, ell, d1, boxes)
+
+
+@pytest.mark.parametrize("mins, maxs", [((math.nan, 0.0), (1.0, 1.0)), ((0.0, 0.0), (1.0, math.nan))])
+def test_box_rejects_nan_corner(mins, maxs):
+    with pytest.raises(ValueError, match="box has min"):
+        Box(mins, maxs)
+
+
+@pytest.mark.parametrize("corner", [math.nan, math.inf, -math.inf])
+def test_box_from_json_rejects_non_finite_corner(corner):
+    with pytest.raises(ValueError, match="must be finite"):
+        Box.from_json({"min": [corner, 0], "max": [1, 1]})

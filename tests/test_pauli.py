@@ -420,3 +420,26 @@ def test_rref_deterministic_and_reduced():
         for i, col in enumerate(pivots):
             for j, row in enumerate(reduced):
                 assert (row >> col & 1) == (1 if i == j else 0)
+
+
+def reference_reduce(rows, pivots, vec):
+    """The row loop reduce_vector replaced: each RREF row in pivot order."""
+    for row, col in zip(rows, pivots):
+        if vec >> col & 1:
+            vec ^= row
+    return vec
+
+
+@settings(max_examples=400, deadline=None)
+@given(bit_matrices(), st.data())
+def test_reduce_vector_matches_row_loop(case, data):
+    width, rows = case
+    m = BitMatrix(width, rows)
+    reduced, pivots = m.rref()
+    by_pivot, mask = m.pivot_rows()
+    assert by_pivot == dict(zip(pivots, reduced))
+    assert mask == sum(1 << col for col in pivots)
+    for basis in (m, m.row_basis()):
+        for _ in range(4):
+            vec = data.draw(st.integers(0, (1 << width) - 1))
+            assert basis.reduce_vector(vec) == reference_reduce(reduced, pivots, vec)

@@ -57,7 +57,7 @@ class BoundReport:
 def _check_domain(n: float, k: float, d: float, dim: int) -> None:
     if dim < 2:
         raise ValueError("bounds require D >= 2")
-    if not (1 <= k <= n and 1 <= d <= n):
+    if not (1 <= k <= n and 1 <= d <= n) or math.isinf(n):
         raise ValueError(f"parameters out of domain: n={n}, k={k}, d={d}")
 
 
@@ -72,6 +72,14 @@ def _assemble(
     dim_branch: BranchReport,
     m_star: float | None = None,
 ) -> BoundReport:
+    for branch in (dist_branch, dim_branch):
+        for key in ("ell_star", "m_star", "c0", "c1"):
+            value = getattr(branch, key)
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"{branch.name}-branch {key} is not finite ({value}) "
+                    f"for n={n:g}, k={k:g}, d={d:g}, D={dim}"
+                )
     # tie broken deterministically toward the distance branch
     if dist_branch.ell_star >= dim_branch.ell_star:
         active = dist_branch
@@ -144,14 +152,28 @@ def class_bounds(
     Asymptotic mode evaluates the max-expressions with unit constants;
     explicit mode substitutes the proofs' concrete constants (c0 scale
     400 D for subsystem codes, 800 D^2 for projector codes) so the
-    hypothesis flags are decidable on real inputs.
+    hypothesis flags are decidable on real inputs.  A quantity that
+    overflows a float raises ValueError instead of reporting infinity.
     """
     e = _class_exponent(code_class)
     _check_domain(n, k, d, dim)
     if mode not in ("asymptotic", "explicit"):
         raise ValueError(f"unknown mode {mode!r}")
+    try:
+        return _class_bounds(code_class, e, n, k, d, dim, mode)
+    except OverflowError:
+        raise ValueError(f"the {mode} proof constants overflow a float at D={dim}") from None
+
+
+def _class_bounds(
+    code_class: str, e: int, n: float, k: float, d: float, dim: int, mode: str
+) -> BoundReport:
     dist = _distance_branch(n, d, dim, mode)
-    ratio = k * d ** (e / (dim - 1)) / n
+    try:
+        count = k * d ** (e / (dim - 1))
+    except OverflowError:
+        count = math.inf  # reported as a non-finite ell_star by _assemble
+    ratio = count / n
     power = (dim - 1) / (e * dim)
     if mode == "asymptotic":
         dim_branch = BranchReport(
@@ -172,7 +194,7 @@ def class_bounds(
         m_star=c0 * (k if e == 1 else max(k, d)),
         c0=c0,
         c1=c1,
-        hypothesis_met=k * d ** (e / (dim - 1)) >= c1 * n,
+        hypothesis_met=count >= c1 * n,
     )
     return _assemble(dim, n, k, d, code_class, mode, dist, dim_branch)
 

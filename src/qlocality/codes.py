@@ -1,26 +1,37 @@
 """Subsystem codes defined by gauge generators.
 
 A subsystem code is given by a list of gauge generators (phase-free
-Paulis).  The gauge centralizer C(G) is computed once per code (cached on
-the gauge basis) and everything else reads it: the stabilizer group is
-the center G ∩ C(G), parameters follow from GF(2) ranks, canonical bare
-logical representatives come from a symplectic Gram-Schmidt on C(G) mod
-S, and the correctable columns stack C(G) over S.  Both region oracles
-read two cached per-qubit column sets (``pauli.QubitColumns``), and
-distance is a depth-first search over regions in which each child extends
-its parent's XOR basis by one qubit, and a region's last qubit is tested
-against its parent's basis without a copy.
+Paulis).  Each code holds two cached views of that list: the dense
+``PauliVector`` generators, which the GF(2) layer reads, and the sparse
+per-generator supports (sorted X and Z qubit tuples), which the
+interaction table reads.  A code is built from either view and derives the
+other on first use, so lattice families built from supports never form an
+n-bit int on the geometric path.  The gauge centralizer C(G) is computed
+once per code (cached on the gauge basis) and everything else reads it:
+the stabilizer group is the center G ∩ C(G), parameters follow from GF(2)
+ranks, canonical bare logical representatives come from a symplectic
+Gram-Schmidt on C(G) mod S, and the correctable columns stack C(G) over
+S.  Both region oracles read two cached per-qubit column sets
+(``pauli.QubitColumns``), and distance is a depth-first search over
+regions in which each child extends its parent's XOR basis by one qubit,
+and a region's last qubit is tested against its parent's basis without a
+copy.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, KeysView, Mapping
 
+import numpy as np
+
 from .pauli import (
+    MAX_QUBITS,
     BitMatrix,
     PauliVector,
     QubitColumns,
@@ -71,6 +82,48 @@ def json_int(value: object, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
+# one generator's sparse form: its X qubits and its Z qubits, each sorted
+Support = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _checked_supports(n: int, supports: Iterable[Support]) -> tuple[Support, ...]:
+    """The supports as tuples, after checking that every qubit list is an
+    increasing run of integers in [0, n)."""
+    out = tuple((tuple(xs), tuple(zs)) for xs, zs in supports)
+    halves = list(itertools.chain.from_iterable(out))
+    flat = np.array(list(itertools.chain.from_iterable(halves)))
+    if not flat.size:
+        return out
+    if flat.dtype.kind != "i":
+        raise ValueError("support qubits must be integers")
+    # ends[h] is one past the last position of half h (a generator's X or Z
+    # tuple) in flat
+    ends = np.cumsum(np.fromiter(map(len, halves), dtype=np.intp, count=len(halves)))
+
+    def where(pos: int) -> str:
+        half = int(np.searchsorted(ends, pos, side="right"))
+        return f"generator {half // 2} {'XZ'[half % 2]} support {halves[half]}"
+
+    if flat.min() < 0:
+        raise ValueError(f"{where(int(np.argmax(flat < 0)))} has a negative qubit")
+    if flat.max() >= n:
+        raise ValueError(f"{where(int(np.argmax(flat >= n)))} has a qubit outside [0, {n})")
+    step = np.diff(flat)
+    step[ends[(0 < ends) & (ends < flat.size)] - 1] = 1  # no step across halves
+    if (step <= 0).any():
+        pos = int(np.argmax(step <= 0))
+        fault = "repeats a qubit" if step[pos] == 0 else "is not sorted"
+        raise ValueError(f"{where(pos)} {fault}")
+    return out
+
+
+def _bitset(qubits: tuple[int, ...]) -> int:
+    out = 0
+    for q in qubits:
+        out |= 1 << q
+    return out
+
+
 @dataclass(frozen=True)
 class LogicalPair:
     index: int
@@ -82,17 +135,36 @@ class SubsystemCode:
     """Gauge generators plus lazily derived GF(2) structure.
 
     Immutable after construction; duplicate or dependent generators are
-    allowed since all derived quantities use ranks.
+    allowed since all derived quantities use ranks.  ``gauge_generators``
+    and ``supports`` are the dense and sparse views of one generator list;
+    the constructor fills the first and ``from_supports`` the second.
     """
 
     def __init__(self, n: int, gauge_generators: Iterable[PauliVector]) -> None:
+        gens = tuple(gauge_generators)
+        for g in gens:
+            if g.n != n:
+                raise ValueError(f"generator length {g.n} != code length {n}")
+        self._setup(n, len(gens))
+        self.gauge_generators = gens
+
+    @classmethod
+    def from_supports(cls, n: int, supports: Iterable[Support]) -> SubsystemCode:
+        """A code from each generator's sorted X and Z qubit tuples; its
+        ``PauliVector`` generators are built only when first read."""
+        if not 0 <= n <= MAX_QUBITS:
+            raise ValueError(f"qubit count {n} outside [0, {MAX_QUBITS}]")
+        checked = _checked_supports(n, supports)
+        code = cls.__new__(cls)
+        code._setup(n, len(checked))
+        code.supports = checked
+        return code
+
+    def _setup(self, n: int, count: int) -> None:
         if n < 0:
             raise ValueError(f"qubit count {n} is negative")
         self.n = n
-        self.gauge_generators: tuple[PauliVector, ...] = tuple(gauge_generators)
-        for g in self.gauge_generators:
-            if g.n != n:
-                raise ValueError(f"generator length {g.n} != code length {n}")
+        self._count = count
         self._gauge_matrix: BitMatrix | None = None
         self._gauge_basis: BitMatrix | None = None
         self._stabilizer_basis: BitMatrix | None = None
@@ -109,6 +181,19 @@ class SubsystemCode:
                 raise ValueError("cannot infer n from an empty generator list")
             n = paulis[0].n
         return cls(n, paulis)
+
+    @cached_property
+    def gauge_generators(self) -> tuple[PauliVector, ...]:
+        """The generators as dense Paulis (the GF(2) layer's view)."""
+        return tuple(PauliVector(self.n, _bitset(xs), _bitset(zs)) for xs, zs in self.supports)
+
+    @cached_property
+    def supports(self) -> tuple[Support, ...]:
+        """Each generator's sorted X qubits and sorted Z qubits (the
+        interaction table's view)."""
+        return tuple(
+            (tuple(set_bits(g.x_bits)), tuple(set_bits(g.z_bits))) for g in self.gauge_generators
+        )
 
     @property
     def gauge_matrix(self) -> BitMatrix:
@@ -153,10 +238,13 @@ class SubsystemCode:
         some gauge generator to the number of generators covering it; keys
         are in sorted order."""
         if self._interaction_counts is None:
-            counts: dict[tuple[int, int], int] = {}
-            for g in self.gauge_generators:
-                for pair in itertools.combinations(set_bits(g.x_bits | g.z_bits), 2):
-                    counts[pair] = counts.get(pair, 0) + 1
+            # a generator's qubits: the sorted union of its X and Z tuples
+            counts = Counter(
+                itertools.chain.from_iterable(
+                    itertools.combinations(sorted({*xs, *zs}) if xs and zs else xs or zs, 2)
+                    for xs, zs in self.supports
+                )
+            )
             self._interaction_counts = MappingProxyType(dict(sorted(counts.items())))
         return self._interaction_counts
 
@@ -191,7 +279,7 @@ class SubsystemCode:
         return json.dumps(self.to_json(), sort_keys=True)
 
     def __repr__(self) -> str:
-        return f"SubsystemCode(n={self.n}, generators={len(self.gauge_generators)})"
+        return f"SubsystemCode(n={self.n}, generators={self._count})"
 
 
 def derive_stabilizer(code: SubsystemCode) -> BitMatrix:

@@ -36,20 +36,19 @@ class EmbeddedCode:
             raise ValueError(f"embedding violates pairwise distance >= 1: {violations[:3]}")
 
 
-def _grid_lattice_points(n: int, dim: int) -> list[tuple[float, ...]]:
+def _lattice_coords(side: int, n: int, dim: int) -> np.ndarray:
+    """First n points of the row-major cubic lattice of the given side: the
+    coordinate on axis a of point i is floor(i / side^a) mod side."""
+    idx = np.arange(n)
+    return np.stack([idx // side**a % side for a in range(dim)], axis=1).astype(float)
+
+
+def _grid_lattice_points(n: int, dim: int) -> np.ndarray:
     """First n points of a row-major cubic lattice of side ceil(n^(1/D))."""
     side = max(1, math.ceil(n ** (1.0 / dim)))
     while side**dim < n:
         side += 1
-    points = []
-    for idx in range(n):
-        rem = idx
-        coord = []
-        for _ in range(dim):
-            coord.append(float(rem % side))
-            rem //= side
-        points.append(tuple(coord))
-    return points
+    return _lattice_coords(side, n, dim)
 
 
 def bacon_shor(m: int) -> EmbeddedCode:
@@ -61,23 +60,13 @@ def bacon_shor(m: int) -> EmbeddedCode:
     if m < 2:
         raise ValueError("Bacon-Shor needs m >= 2")
     n = m * m
-
-    def idx(r: int, c: int) -> int:
-        return r * m + c
-
-    gens = []
-    for r in range(m - 1):
-        for c in range(m):
-            x = (1 << idx(r, c)) | (1 << idx(r + 1, c))
-            gens.append(PauliVector(n, x, 0))
-    for r in range(m):
-        for c in range(m - 1):
-            z = (1 << idx(r, c)) | (1 << idx(r, c + 1))
-            gens.append(PauliVector(n, 0, z))
-    coords = [(float(c), float(r)) for r in range(m) for c in range(m)]
+    grid = np.arange(n).reshape(m, m)  # grid[r, c] is qubit r * m + c
+    vertical = zip(grid[:-1].ravel().tolist(), grid[1:].ravel().tolist())
+    horizontal = zip(grid[:, :-1].ravel().tolist(), grid[:, 1:].ravel().tolist())
+    supports = [(pair, ()) for pair in vertical] + [((), pair) for pair in horizontal]
     return EmbeddedCode(
-        code=SubsystemCode(n, gens),
-        embedding=Embedding(2, coords),
+        code=SubsystemCode.from_supports(n, supports),
+        embedding=Embedding(2, _lattice_coords(m, n, 2)),
         family="bacon_shor",
         params={"m": m},
     )
@@ -100,28 +89,22 @@ def surface_code(m: int) -> EmbeddedCode:
                 data[(r, c)] = len(data)
     n = len(data)
 
-    def star(r: int, c: int) -> list[int]:
-        out = []
-        for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-            q = data.get((r + dr, c + dc))
-            if q is not None:
-                out.append(q)
-        return out
+    def star(r: int, c: int) -> tuple[int, ...]:
+        near = ((r + dr, c + dc) for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)))
+        return tuple(sorted(data[p] for p in near if p in data))
 
-    gens = []
+    supports = []
     for r in range(size):
         for c in range(size):
             if r % 2 == 1 and c % 2 == 0:
-                x = sum(1 << q for q in star(r, c))
-                gens.append(PauliVector(n, x, 0))
+                supports.append((star(r, c), ()))
             elif r % 2 == 0 and c % 2 == 1:
-                z = sum(1 << q for q in star(r, c))
-                gens.append(PauliVector(n, 0, z))
+                supports.append(((), star(r, c)))
     coords = [None] * n
     for (r, c), q in data.items():
         coords[q] = (float(c), float(r))
     return EmbeddedCode(
-        code=SubsystemCode(n, gens),
+        code=SubsystemCode.from_supports(n, supports),
         embedding=Embedding(2, coords),
         family="surface",
         params={"m": m},
@@ -144,26 +127,19 @@ def small_inner_codes(name: str, r: int | None = None, dim: int = 2) -> Embedded
     five_one_three ([[5,1,3]]), and repetition(r) ([[r,1,1]]).
     """
     if name == "five_one_three":
-        gens = [PauliVector.from_string(s) for s in _FIVE_QUBIT_STABILIZERS]
-        n = 5
+        code = SubsystemCode.from_strings(_FIVE_QUBIT_STABILIZERS)
     elif name == "steane":
-        n = 7
-        gens = []
-        for row in _STEANE_H:
-            bits = sum(1 << i for i, v in enumerate(row) if v)
-            gens.append(PauliVector(n, bits, 0))
-        for row in _STEANE_H:
-            bits = sum(1 << i for i, v in enumerate(row) if v)
-            gens.append(PauliVector(n, 0, bits))
+        rows = [tuple(i for i, v in enumerate(row) if v) for row in _STEANE_H]
+        code = SubsystemCode.from_supports(7, [(q, ()) for q in rows] + [((), q) for q in rows])
     elif name == "repetition":
         if r is None or r < 2:
             raise ValueError("repetition needs a length r >= 2")
-        n = r
-        gens = [PauliVector(n, 0, (1 << i) | (1 << (i + 1))) for i in range(n - 1)]
+        code = SubsystemCode.from_supports(r, [((), (i, i + 1)) for i in range(r - 1)])
     else:
         raise ValueError(f"unknown code name {name!r}")
+    n = code.n
     return EmbeddedCode(
-        code=SubsystemCode(n, gens),
+        code=code,
         embedding=Embedding(dim, _grid_lattice_points(n, dim)),
         family=name if name != "repetition" else f"repetition({r})",
         params={"n": n},

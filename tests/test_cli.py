@@ -81,6 +81,30 @@ def test_bounds_cli_example(capsys):
     assert json.loads(out)["ell_star"] == pytest.approx(math.sqrt(10.0))
 
 
+@pytest.mark.parametrize("code_class", ["subsystem", "projector"])
+@pytest.mark.parametrize("mode", ["asymptotic", "explicit"])
+def test_bounds_overflow_exits_two(capsys, code_class, mode):
+    # k * d^(e/(D-1)) is 1e600 (1e900 for projector codes): no float holds it
+    argv = ["bounds", "--class", code_class, "--mode", mode,
+            "-n", "1e300", "-k", "1e300", "-d", "1e300", "-D", "2"]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: dimension-branch ell_star is not finite (inf) "
+        "for n=1e+300, k=1e+300, d=1e+300, D=2\n"
+    )
+
+
+def test_bounds_constant_overflow_exits_two(capsys):
+    argv = ["bounds", "--class", "subsystem", "--mode", "explicit",
+            "-n", "1e6", "-k", "1", "-d", "10", "-D", "400"]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the explicit proof constants overflow a float at D=400\n"
+
+
 def test_check_region(bs3_files, capsys, tmp_path):
     code_path, _ = bs3_files
     region = tmp_path / "region.json"

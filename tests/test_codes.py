@@ -16,6 +16,7 @@ from qlocality.codes import (
     parameters,
 )
 from qlocality.pauli import (
+    MAX_QUBITS,
     BitMatrix,
     PauliVector,
     centralizer,
@@ -411,3 +412,62 @@ def test_code_json_rejects_non_integral_n(value):
 
 def test_code_json_accepts_integral_float_n():
     assert SubsystemCode.from_json({"n": 2.0, "gauge_generators": ["XX"]}).n == 2
+
+
+# ── sparse supports ────────────────────────────────────────────────────
+
+
+def reference_supports(code):
+    """Each generator's X and Z qubits, read bit by bit."""
+    return [
+        tuple(tuple(q for q in range(code.n) if bits >> q & 1) for bits in (g.x_bits, g.z_bits))
+        for g in code.gauge_generators
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_codes())
+def test_code_from_supports_matches_code_from_paulis(code):
+    sparse = SubsystemCode.from_supports(code.n, reference_supports(code))
+    assert list(code.supports) == reference_supports(code)
+    assert sparse.dumps() == code.dumps()
+    assert list(sparse.interaction_counts().items()) == list(code.interaction_counts().items())
+    assert parameters(sparse) == parameters(code)
+    assert sparse.gauge_matrix.rows == code.gauge_matrix.rows
+    assert repr(sparse) == repr(code)
+
+
+@pytest.mark.parametrize(
+    "n,supports,message",
+    [
+        (3, [((0, 1), ()), ((), (1, 3))], r"generator 1 Z support \(1, 3\) has a qubit outside \[0, 3\)"),
+        (3, [((-1, 0), ())], r"generator 0 X support \(-1, 0\) has a negative qubit"),
+        (3, [((), (0, 2)), ((2, 1), ())], r"generator 1 X support \(2, 1\) is not sorted"),
+        (3, [((1, 1), ())], r"generator 0 X support \(1, 1\) repeats a qubit"),
+        (3, [((0.5, 1), ())], "support qubits must be integers"),
+        (-1, [], r"qubit count -1 outside \[0, 100000\]"),
+        (MAX_QUBITS + 1, [], r"qubit count 100001 outside \[0, 100000\]"),
+    ],
+    ids=["out-of-range", "negative", "unsorted", "duplicated", "non-integer", "negative-n", "too-many-qubits"],
+)
+def test_from_supports_rejects_malformed_supports(n, supports, message):
+    with pytest.raises(ValueError, match=message):
+        SubsystemCode.from_supports(n, supports)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(*[st.lists(st.integers(-1, n), max_size=4).map(tuple)] * 2), max_size=5
+))))
+def test_from_supports_accepts_exactly_the_increasing_in_range_supports(case):
+    n, supports = case
+    valid = all(
+        all(0 <= q < n for q in half) and all(a < b for a, b in zip(half, half[1:]))
+        for pair in supports
+        for half in pair
+    )
+    if valid:
+        assert SubsystemCode.from_supports(n, supports).supports == tuple(supports)
+    else:
+        with pytest.raises(ValueError):
+            SubsystemCode.from_supports(n, supports)

@@ -1,6 +1,8 @@
 """Built-in families, concatenation, and the dilated embedding recipe."""
 
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -108,6 +110,51 @@ def test_unknown_name_rejected():
 def test_lattice_embeddings_validate():
     for ec in (small_inner_codes("steane"), small_inner_codes("five_one_three")):
         assert validate_embedding(ec.embedding) == []
+
+
+# ── byte pins ──────────────────────────────────────────────────────────
+
+# SHA-256 of ec.code.dumps() and of the sorted-key embedding JSON, recorded
+# when every family still built its generators as PauliVectors; certificates
+# and CLI digests depend on these bytes.
+FAMILY_DIGESTS = {
+    ("bacon_shor", 2): ("1bfb6ed6075bfbfd2265ec5bf954cb5142ed7a96a08385bf0fff58ee7a7baeb8", "05d4210dbeece6ace4ff7ff053d43da9bdc245d391e99a673b4db880c47cc5ac"),
+    ("bacon_shor", 3): ("0a74300817a964b62ba992e2d66a4834704fb40485808f04ef5e41272e36ceb6", "50ecb71dab86c8ac02fad5c9091031ef4a71cf8afc28bf2611c7b9bd907c5c3d"),
+    ("bacon_shor", 4): ("7fe703bd7627d38911b2856404eded811682db542a942f0f8736003a21468783", "245377cfb27789684faafc340cc3b3b455dac8670eee689a0148017fedde6362"),
+    ("bacon_shor", 5): ("b0215e2de55eefd77cea3551e5abcdc044bf19e796d16ddd75e5dca0ac97b896", "ca3e8f98431bb8ebad63b0e3473de74d1e9275562f58361897efa59c1c127ad8"),
+    ("bacon_shor", 6): ("79b65db08b4bf39ef6e5636a40a6a0ff0b82e361bc4e2941a3fb4035b33a954b", "8e2792a7a4ad6a4b3a77afdd8e3f8c2b7a56443e63d98835c157d1a0031940ca"),
+    ("bacon_shor", 16): ("422f6b99e7a4755af253dfb2b943da0393acd993bb68e75abf9783efe26fc54a", "66c4d483d23fee4236e5f2a0bb943645db63ee5d6ad9bbfcafeb0e9307677ebc"),
+    ("surface", 2): ("4ed0f9579c015f47db9752c6123fde27d360d98ea55a50ba08895f7d3bb61104", "272fbba218932179baf000c5ef61b35d9b185e74214f26a59d552dd1b4ecb34d"),
+    ("surface", 3): ("ca9eaba34c912911659edb30271e187729cf91d22fc5fd86651b98e3c937564a", "0ceda5302d83bc6a1bd834d53d3c1811306c80eea308f12794352069fdeb3bae"),
+    ("surface", 4): ("8f22d84036309f8fce40f10eb1eceb3f2ef528ff4731ed39f4fefab1bb634744", "434ba321dcd58d79c61cfcca2d6a3054d88ca8318d1af573a48c4068c03f0db4"),
+    ("surface", 5): ("700fc86a90122f81494c4fa2610e769ae87a228b41ddd488f4c6d4e4c1d3619e", "de0e6f2216289dea49a0b326334b24de16452a88761d15f19f1633ccce8d074d"),
+    ("repetition", 5): ("8b2217192b5f71a6ef98cfdffb8bc71ac2b417fa3daab02635d7745dcea897c5", "b21115440dfef7e6d84161a62936e79cf7e7cdec22392221305d39ce299923ee"),
+    ("repetition-3d", 27): ("a5739e01a171455e3835ce85bdb4147537d966c61605928d77a8704a21be578c", "7710359419bb745a441ec97aa07ab3a3636bbeaf6f3c3414769cb2abf20d53e4"),
+    ("repetition-3d", 343): ("74ba055041a2f4afeb583b8bea63e74d76218e7ffe56e66e7da0e59314ec2da0", "483f3eaadc4b84ae4da76c0a041f08f93953f1f692c6da3a6e90b93e5fd4bb6d"),
+    ("steane", None): ("a81abe1e8d4d3a4ff6b455db81e50145b55315b465b0910b5b1c58ac6143249b", "804f5d38cc32bf77178e90ca0db740f5d1f1454c9aac5bb6124b875ce765d7fa"),
+    ("five_one_three", None): ("ce86a35e16d0a877cd59c78f94a28a93bf38f3a6f13fa44d292f42d1f7545f9f", "b21115440dfef7e6d84161a62936e79cf7e7cdec22392221305d39ce299923ee"),
+}
+
+
+def build_family(family, size):
+    if family == "bacon_shor":
+        return bacon_shor(size)
+    if family == "surface":
+        return surface_code(size)
+    if family == "repetition":
+        return small_inner_codes("repetition", r=size)
+    if family == "repetition-3d":
+        return small_inner_codes("repetition", r=size, dim=3)
+    return small_inner_codes(family)
+
+
+@pytest.mark.parametrize("family,size", sorted(FAMILY_DIGESTS, key=str))
+def test_family_output_bytes_pinned(family, size):
+    ec = build_family(family, size)
+    code_sha = hashlib.sha256(ec.code.dumps().encode()).hexdigest()
+    emb_json = json.dumps(ec.embedding.to_json(), sort_keys=True)
+    emb_sha = hashlib.sha256(emb_json.encode()).hexdigest()
+    assert (code_sha, emb_sha) == FAMILY_DIGESTS[family, size]
 
 
 # ── concatenation ──────────────────────────────────────────────────────

@@ -1,10 +1,15 @@
 """Vectorised geometry layer against brute-force references, pinned
-certificate digests on non-lattice inputs, and a smoke run at n = 10^4."""
+certificate digests on non-lattice inputs, a smoke run at n = 10^4, and a
+strict sweep on Bacon-Shor at n = 9 * 10^4 under a 1 GiB memory cap."""
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from hashlib import sha256
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -706,3 +711,43 @@ def test_bacon_shor_at_scale(m):
     assert holo.outcome == certify.OUTCOME_CERTIFIED
     digests = tuple(sha256(c.to_json_lines().encode()).hexdigest() for c in (sweep, holo))
     assert digests == SCALE_PINNED[m]
+
+
+def test_lattice_path_never_builds_pauli_vectors():
+    # the geometric path reads only the sparse supports of a family code
+    ec = families.bacon_shor(16)
+    ints = extract_interactions(ec.code, ec.embedding)
+    sweep = certify.expansion_sweep(ec.embedding, ints, 1.5, 49, 160)
+    box = Box((0.0, 0.0), (15.0, 15.0))
+    holo = certify.holographic_certify(
+        ec.code, ec.embedding, box, 1.5, d=holographic_d(15.0, 1.5, 2)
+    )
+    assert sweep.outcome == holo.outcome == certify.OUTCOME_CERTIFIED
+    assert "gauge_generators" not in vars(ec.code)
+    assert len(ec.code.gauge_generators) == 480  # built on first read
+
+
+BS300_CHILD = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from qlocality import certify, families, geometry
+ec = families.bacon_shor(300)
+ints = geometry.extract_interactions(ec.code, ec.embedding)
+cert = certify.expansion_sweep(ec.embedding, ints, 1.5, 901, 3000)
+assert cert.outcome == certify.OUTCOME_CERTIFIED, cert.outcome
+print(len(cert.steps))
+"""
+
+
+def test_bacon_shor_300_strict_sweep_under_one_gib():
+    # 179,400 generators on 90,000 qubits: as dense Paulis they would need
+    # about 2 GB, so the 1 GiB address-space cap (set in the child only)
+    # holds only while the family and the sweep stay sparse
+    src = str(Path(families.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", BS300_CHILD], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert int(proc.stdout) == 30400  # sweep steps

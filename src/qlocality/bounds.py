@@ -230,13 +230,25 @@ def regime_check(n: float, k: float, d: float, dim: int, family: str) -> RegimeR
 
     Reports the ratios k*d^(1/(D-1))/n, k*d^(2/(D-1))/n and d/n^((D-1)/D);
     the local regime requires the family's count ratio and the distance
-    ratio to both be at most 1.
+    ratio to both be at most 1.  A ratio that overflows a float raises
+    ValueError naming it.
     """
     _check_domain(n, k, d, dim)
     if family not in ("bravyi", "bpt"):
         raise ValueError(f"unknown family {family!r}")
-    bravyi = k * d ** (1.0 / (dim - 1)) / n
-    bpt = k * d ** (2.0 / (dim - 1)) / n
+    # exponent e of d in each count ratio, as in CLASS_EXPONENTS; d_ratio is
+    # at most n^(1/D), so it cannot overflow
+    ratios = {}
+    for name, e in (("bravyi_ratio", 1), ("bpt_ratio", 2)):
+        try:
+            ratios[name] = k * d ** (e / (dim - 1)) / n
+        except OverflowError:
+            ratios[name] = math.inf
+        if not math.isfinite(ratios[name]):
+            raise ValueError(
+                f"{name} is not finite ({ratios[name]}) for n={n:g}, k={k:g}, d={d:g}, D={dim}"
+            )
+    bravyi, bpt = ratios.values()
     d_ratio = d / n ** ((dim - 1) / dim)
     count_ratio = bravyi if family == "bravyi" else bpt
     return RegimeReport(

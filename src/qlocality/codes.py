@@ -1,21 +1,26 @@
 """Subsystem codes defined by gauge generators.
 
 A subsystem code is given by a list of gauge generators (phase-free
-Paulis).  Each code holds two cached views of that list: the dense
-``PauliVector`` generators, which the GF(2) layer reads, and the sparse
-per-generator supports (sorted X and Z qubit tuples), which the
-interaction table reads.  A code is built from either view and derives the
-other on first use, so lattice families built from supports never form an
-n-bit int on the geometric path.  The gauge centralizer C(G) is computed
-once per code (cached on the gauge basis) and everything else reads it:
-the stabilizer group is the center G ∩ C(G), parameters follow from GF(2)
-ranks, canonical bare logical representatives come from a symplectic
-Gram-Schmidt on C(G) mod S, and the correctable columns stack C(G) over
-S.  Both region oracles read two cached per-qubit column sets
-(``pauli.QubitColumns``), and distance is a depth-first search over
-regions in which each child extends its parent's XOR basis by one qubit,
-and a region's last qubit is tested against its parent's basis without a
-copy.
+Paulis), held in two forms: packed GF(2) rows x | z << n
+(``gauge_matrix``), which the GF(2) layer reads, and per-generator supports
+(sorted X and Z qubit tuples), which the interaction table reads.  A code
+is built in either form and derives the other on first use: code files and
+Pauli strings are parsed straight into rows (``pauli.parse_rows``), and
+lattice families are built from supports, so they never form an n-bit int
+on the geometric path, and ``to_json`` writes the rows back as strings
+(``pauli.format_rows``).  ``PauliVector`` is used only at the API edge: the
+constructor takes them, and ``gauge_generators`` and the logical pairs
+read them off the rows.
+
+The gauge centralizer C(G) is computed once per code (cached on the gauge
+basis) and everything else reads it: the stabilizer group is the center
+G ∩ C(G), parameters follow from GF(2) ranks, canonical bare logical
+representatives come from a symplectic Gram-Schmidt on C(G) mod S, and the
+correctable columns stack C(G) over S.  Both region oracles read two cached
+per-qubit column sets (``pauli.QubitColumns``), and distance is a
+depth-first search over regions in which each child extends its parent's
+XOR basis by one qubit, and a region's last qubit is tested against its
+parent's basis without a copy.
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ from .pauli import (
     PauliVector,
     QubitColumns,
     centralizer,
+    format_rows,
+    parse_rows,
     set_bits,
     symplectic_bits,
 )
@@ -135,9 +142,11 @@ class SubsystemCode:
     """Gauge generators plus lazily derived GF(2) structure.
 
     Immutable after construction; duplicate or dependent generators are
-    allowed since all derived quantities use ranks.  ``gauge_generators``
-    and ``supports`` are the dense and sparse views of one generator list;
-    the constructor fills the first and ``from_supports`` the second.
+    allowed since all derived quantities use ranks.  ``gauge_matrix`` (the
+    packed rows x | z << n) and ``supports`` are the dense and sparse forms
+    of one generator list: ``from_supports`` fills the sparse one, every
+    other constructor the dense one, and each is derived from the other on
+    first read.  ``gauge_generators`` is read from the rows.
     """
 
     def __init__(self, n: int, gauge_generators: Iterable[PauliVector]) -> None:
@@ -145,27 +154,32 @@ class SubsystemCode:
         for g in gens:
             if g.n != n:
                 raise ValueError(f"generator length {g.n} != code length {n}")
-        self._setup(n, len(gens))
+        self._setup(n)
+        self.gauge_matrix = BitMatrix.from_paulis(gens, n)
         self.gauge_generators = gens
+
+    @classmethod
+    def from_rows(cls, n: int, rows: Iterable[int]) -> SubsystemCode:
+        """A code from packed generator rows x | z << n (the ``gauge_matrix``
+        form); its ``PauliVector`` generators are built only when first read."""
+        code = cls.__new__(cls)
+        code._setup(n)
+        code.gauge_matrix = BitMatrix(2 * n, rows)
+        return code
 
     @classmethod
     def from_supports(cls, n: int, supports: Iterable[Support]) -> SubsystemCode:
         """A code from each generator's sorted X and Z qubit tuples; its
-        ``PauliVector`` generators are built only when first read."""
-        if not 0 <= n <= MAX_QUBITS:
-            raise ValueError(f"qubit count {n} outside [0, {MAX_QUBITS}]")
-        checked = _checked_supports(n, supports)
+        rows and ``PauliVector`` generators are built only when first read."""
         code = cls.__new__(cls)
-        code._setup(n, len(checked))
-        code.supports = checked
+        code._setup(n)
+        code.supports = _checked_supports(n, supports)
         return code
 
-    def _setup(self, n: int, count: int) -> None:
-        if n < 0:
-            raise ValueError(f"qubit count {n} is negative")
+    def _setup(self, n: int) -> None:
+        if not 0 <= n <= MAX_QUBITS:
+            raise ValueError(f"qubit count {n} outside [0, {MAX_QUBITS}]")
         self.n = n
-        self._count = count
-        self._gauge_matrix: BitMatrix | None = None
         self._gauge_basis: BitMatrix | None = None
         self._stabilizer_basis: BitMatrix | None = None
         self._parameters: CodeParameters | None = None
@@ -175,32 +189,34 @@ class SubsystemCode:
 
     @classmethod
     def from_strings(cls, generators: Iterable[str], n: int | None = None) -> SubsystemCode:
-        paulis = [PauliVector.from_string(s) for s in generators]
+        gens = list(generators)
         if n is None:
-            if not paulis:
+            if not gens:
                 raise ValueError("cannot infer n from an empty generator list")
-            n = paulis[0].n
-        return cls(n, paulis)
+            n = len(gens[0])
+        wrong_length = "generator length {length} != code length {n}"
+        return cls.from_rows(n, parse_rows(gens, n, wrong_length, letters_first=True))
 
     @cached_property
-    def gauge_generators(self) -> tuple[PauliVector, ...]:
-        """The generators as dense Paulis (the GF(2) layer's view)."""
-        return tuple(PauliVector(self.n, _bitset(xs), _bitset(zs)) for xs, zs in self.supports)
+    def gauge_matrix(self) -> BitMatrix:
+        """Generator rows verbatim (interactions are defined against these)."""
+        n = self.n
+        return BitMatrix(2 * n, (_bitset(xs) | _bitset(zs) << n for xs, zs in self.supports))
 
     @cached_property
     def supports(self) -> tuple[Support, ...]:
         """Each generator's sorted X qubits and sorted Z qubits (the
         interaction table's view)."""
+        n = self.n
+        mask = (1 << n) - 1
         return tuple(
-            (tuple(set_bits(g.x_bits)), tuple(set_bits(g.z_bits))) for g in self.gauge_generators
+            (tuple(set_bits(row & mask)), tuple(set_bits(row >> n))) for row in self.gauge_matrix
         )
 
-    @property
-    def gauge_matrix(self) -> BitMatrix:
-        """Generator rows verbatim (interactions are defined against these)."""
-        if self._gauge_matrix is None:
-            self._gauge_matrix = BitMatrix.from_paulis(self.gauge_generators, self.n)
-        return self._gauge_matrix
+    @cached_property
+    def gauge_generators(self) -> tuple[PauliVector, ...]:
+        """The generators as ``PauliVector``s, read from the rows."""
+        return tuple(PauliVector.from_bits(self.n, row) for row in self.gauge_matrix)
 
     @property
     def gauge_basis(self) -> BitMatrix:
@@ -255,7 +271,7 @@ class SubsystemCode:
     def to_json(self) -> dict:
         return {
             "n": self.n,
-            "gauge_generators": [g.to_string() for g in self.gauge_generators],
+            "gauge_generators": format_rows(self.gauge_matrix.rows, self.n),
         }
 
     @classmethod
@@ -267,19 +283,16 @@ class SubsystemCode:
             raise ValueError(f"malformed code object: {exc}") from None
         if not isinstance(gens, list) or not all(isinstance(s, str) for s in gens):
             raise ValueError("gauge_generators must be a list of Pauli strings")
-        paulis = []
-        for s in gens:
-            p = PauliVector.from_string(s)
-            if p.n != n:
-                raise ValueError(f"generator {s!r} has length {p.n}, expected {n}")
-            paulis.append(p)
-        return cls(n, paulis)
+        return cls.from_rows(n, parse_rows(gens, n))
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
 
     def __repr__(self) -> str:
-        return f"SubsystemCode(n={self.n}, generators={self._count})"
+        # whichever form the code was built with, so no form is derived
+        built = vars(self)
+        count = len(built["supports"] if "supports" in built else built["gauge_matrix"])
+        return f"SubsystemCode(n={self.n}, generators={count})"
 
 
 def derive_stabilizer(code: SubsystemCode) -> BitMatrix:

@@ -11,14 +11,13 @@ import numpy as np
 from .bounds import class_bounds
 from .codes import (
     DistanceResult,
-    LogicalPair,
     SubsystemCode,
     distance,
     logical_representatives,
     parameters,
 )
 from .geometry import Embedding, extract_interactions, validate_embedding
-from .pauli import PauliVector
+from .pauli import set_bits
 
 
 @dataclass(frozen=True)
@@ -146,68 +145,43 @@ def small_inner_codes(name: str, r: int | None = None, dim: int = 2) -> Embedded
     )
 
 
-def _substitute(
-    outer_pauli: PauliVector, logicals: list[list[LogicalPair]], n_total: int, copy: int
-) -> PauliVector:
-    """Replace each outer single-qubit Pauli with the matching bare logical.
-
-    ``logicals[j]`` holds the inner logical pairs for block j; the outer
-    qubit j of copy i maps to that block's i-th logical qubit.  X -> x_bar,
-    Z -> z_bar, Y -> x_bar * z_bar (phase dropped).
-    """
-    out = PauliVector.identity(n_total)
-    for j in range(outer_pauli.n):
-        has_x = outer_pauli.x_bits >> j & 1
-        has_z = outer_pauli.z_bits >> j & 1
-        if not (has_x or has_z):
-            continue
-        pair = logicals[j][copy]
-        if has_x:
-            out = out * pair.x_bar
-        if has_z:
-            out = out * pair.z_bar
-    return out
-
-
 def concatenate(inner: SubsystemCode, outer: SubsystemCode) -> SubsystemCode:
     """Subsystem concatenation: n2 inner blocks carrying k1 outer copies.
 
     Gauge generators are (a) each inner gauge generator on each block, and
-    (b) each outer gauge generator with every single-qubit Pauli replaced
-    by the corresponding block's bare logical representative.  The result
-    has n = n1*n2, k = k1*k2, g = k1*g2 + n2*g1 and d >= d1*d2.
+    (b) for each copy i < k1, each outer gauge generator with the Pauli on
+    outer qubit j replaced by block j's i-th bare logical representative
+    (X -> x_bar, Z -> z_bar, Y -> x_bar * z_bar, phases dropped).  Both are
+    built on packed rows: an inner row moves to block j by shifting its X
+    and Z halves, and an outer generator's row is the XOR of the lifted
+    logical rows its X and Z bits select.  The result has n = n1*n2,
+    k = k1*k2, g = k1*g2 + n2*g1 and d >= d1*d2.
     """
     p1 = parameters(inner)
     if p1.k < 1:
         raise ValueError("inner code must have k >= 1")
-    n1, k1 = inner.n, p1.k
-    n2 = outer.n
-    n_total = n1 * n2
-    inner_logicals = logical_representatives(inner)
+    n1, n2 = inner.n, outer.n
+    n = n1 * n2
+    inner_x = (1 << n1) - 1
 
-    def lift(p: PauliVector, block: int) -> PauliVector:
+    def lift(row: int, block: int) -> int:
         shift = block * n1
-        return PauliVector(n_total, p.x_bits << shift, p.z_bits << shift)
+        return (row & inner_x) << shift | (row >> n1) << (n + shift)
 
-    gens: list[PauliVector] = []
-    for block in range(n2):
-        for g in inner.gauge_generators:
-            gens.append(lift(g, block))
-    block_logicals = [
-        [
-            LogicalPair(
-                index=pair.index,
-                x_bar=lift(pair.x_bar, block),
-                z_bar=lift(pair.z_bar, block),
-            )
-            for pair in inner_logicals
-        ]
-        for block in range(n2)
-    ]
-    for copy in range(k1):
-        for g in outer.gauge_generators:
-            gens.append(_substitute(g, block_logicals, n_total, copy))
-    return SubsystemCode(n_total, gens)
+    rows = [lift(row, block) for block in range(n2) for row in inner.gauge_matrix]
+    outer_x = (1 << n2) - 1
+    for pair in logical_representatives(inner):
+        x_bar, z_bar = pair.x_bar.to_bits(), pair.z_bar.to_bits()
+        x_lifted = [lift(x_bar, block) for block in range(n2)]
+        z_lifted = [lift(z_bar, block) for block in range(n2)]
+        for g in outer.gauge_matrix:
+            row = 0
+            for j in set_bits(g & outer_x):
+                row ^= x_lifted[j]
+            for j in set_bits(g >> n2):
+                row ^= z_lifted[j]
+            rows.append(row)
+    return SubsystemCode.from_rows(n, rows)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -152,6 +153,22 @@ def test_regime_good_code_is_nonlocal():
 def test_regime_trivial_parameters_local():
     assert regime_check(100, 1, 1, 2, family="bravyi").local_regime
     assert regime_check(100, 1, 1, 2, family="bpt").local_regime
+
+
+@pytest.mark.parametrize(
+    "n, k, d, dim, family, name",
+    [
+        (1e300, 1e300, 1e300, 2, "bravyi", "bravyi_ratio"),
+        (1e300, 1e300, 1e300, 2, "bpt", "bravyi_ratio"),
+        (1e300, 1, 1e200, 2, "bravyi", "bpt_ratio"),
+        (1e300, 1, 1e200, 2, "bpt", "bpt_ratio"),
+    ],
+)
+def test_regime_overflow_names_the_ratio(n, k, d, dim, family, name):
+    message = f"{name} is not finite (inf) for n={n:g}, k={k:g}, d={d:g}, D={dim}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        regime_check(n, k, d, dim, family)
+    assert math.isfinite(regime_check(1e300, 1, 1e100, 2, family).bpt_ratio)
 
 
 # ── proof constants (Lemma 4.3 quantities) ─────────────────────────────

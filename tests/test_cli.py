@@ -3,14 +3,17 @@
 import argparse
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from qlocality.bounds import ell_star_exponent, emit_contours, m_star_exponent
 from qlocality import cli, geometry
 from qlocality.cli import EXIT_FAILED, EXIT_INPUT, EXIT_OK, main
+from qlocality.codes import distance, parameters
 from qlocality.families import bacon_shor, small_inner_codes
 
 
@@ -823,6 +826,51 @@ def test_console_unwritable_output_prints_no_traceback(input_files):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+# ── code files through the batched parser ─────────────────────────────
+
+
+def test_bacon_shor_30_code_file_loads_across_many_parse_blocks(tmp_path, capsys):
+    code_path = tmp_path / "bs30.json"
+    rc, _ = run(capsys, "construct", "--family", "bacon_shor", "--size", "30", "--out-code", str(code_path))
+    assert rc == EXIT_OK
+    gens = json.loads(code_path.read_text())["gauge_generators"]
+    assert len(gens) == 1740 and {len(s) for s in gens} == {900}
+    code = bacon_shor(30).code
+    p = parameters(code)
+    rc, out = run(capsys, "params", str(code_path))
+    assert rc == EXIT_OK
+    assert json.loads(out) == {"n": p.n, "k": p.k, "g": p.g, "s": p.s}
+    rc, out = run(capsys, "distance", str(code_path), "--weight-cap", "1")
+    assert rc == EXIT_OK
+    res = distance(code, weight_cap=1)
+    assert json.loads(out) == {"distance": res.value, "weight_cap": 1, "is_lower_bound": True}
+
+
+OVER_CAP_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from qlocality.cli import main
+sys.exit(main(["params", sys.argv[1]]))
+"""
+
+
+def test_params_rejects_a_qubit_count_over_the_cap(tmp_path):
+    # a code that kept n = 10^12 would build a 2·10^12-bit mask in params, so
+    # the command runs in a child under a 1 GiB address-space cap
+    code_path = tmp_path / "huge.json"
+    code_path.write_text(json.dumps({"n": 10**12, "gauge_generators": []}))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", OVER_CAP_CHILD, str(code_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == EXIT_INPUT, proc.stderr[-2000:]
+    assert proc.stdout == ""
+    assert proc.stderr == "error: qubit count 1000000000000 outside [0, 100000]\n"
 
 
 # ── NaN box corners ────────────────────────────────────────────────────

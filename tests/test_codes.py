@@ -414,6 +414,125 @@ def test_code_json_accepts_integral_float_n():
     assert SubsystemCode.from_json({"n": 2.0, "gauge_generators": ["XX"]}).n == 2
 
 
+def test_code_json_rejects_a_qubit_count_over_the_cap():
+    for n in (MAX_QUBITS + 1, 10**12):
+        with pytest.raises(ValueError, match=rf"^qubit count {n} outside \[0, 100000\]$"):
+            SubsystemCode.from_json({"n": n, "gauge_generators": []})
+        with pytest.raises(ValueError, match=rf"^qubit count {n} outside \[0, 100000\]$"):
+            SubsystemCode.from_strings([], n=n)
+    with pytest.raises(ValueError, match=r"^qubit count -1 outside \[0, 100000\]$"):
+        SubsystemCode.from_json({"n": -1, "gauge_generators": []})
+    with pytest.raises(ValueError, match=r"^qubit count 100001 outside \[0, 100000\]$"):
+        SubsystemCode(MAX_QUBITS + 1, [])
+    assert SubsystemCode.from_json({"n": MAX_QUBITS, "gauge_generators": []}).n == MAX_QUBITS
+
+
+def test_code_json_names_a_generator_over_the_cap():
+    long = "I" * (MAX_QUBITS + 1)
+    with pytest.raises(ValueError, match=r"^qubit count 100001 outside \[0, 100000\]$"):
+        SubsystemCode.from_json({"n": 2, "gauge_generators": ["XX", long]})
+    with pytest.raises(ValueError, match=r"^qubit count 100001 outside \[0, 100000\]$"):
+        SubsystemCode.from_json({"n": MAX_QUBITS + 1, "gauge_generators": [long]})
+
+
+def test_code_from_rows_keeps_rows_and_reads_paulis_from_them():
+    code = SubsystemCode.from_rows(2, [0b0011, 0b1100])
+    assert code.gauge_matrix.rows == (0b0011, 0b1100)
+    assert "gauge_generators" not in vars(code)
+    assert [g.to_string() for g in code.gauge_generators] == ["XX", "ZZ"]
+    assert code.supports == (((0, 1), ()), ((), (0, 1)))
+    assert repr(code) == "SubsystemCode(n=2, generators=2)"
+    with pytest.raises(ValueError, match="row has bits outside matrix width"):
+        SubsystemCode.from_rows(2, [1 << 4])
+
+
+# ── batched parsing against the per-generator loops it replaced ────────
+
+_NOT_LETTERS = str.maketrans("", "", "IXYZ")
+
+
+def loop_from_string(s):
+    """PauliVector.from_string as one call per string."""
+    bad = s.translate(_NOT_LETTERS)
+    if bad:
+        raise ValueError(f"invalid Pauli letter {bad[0]!r}")
+    rev = s[::-1]
+    x = int(rev.translate(str.maketrans("IXYZ", "0110")) or "0", 2)
+    return PauliVector(len(s), x, int(rev.translate(str.maketrans("IXYZ", "0011")) or "0", 2))
+
+
+def loop_from_json(obj):
+    """SubsystemCode.from_json's per-generator loop."""
+    n = obj["n"]
+    paulis = []
+    for s in obj["gauge_generators"]:
+        p = loop_from_string(s)
+        if p.n != n:
+            raise ValueError(f"generator {s!r} has length {p.n}, expected {n}")
+        paulis.append(p)
+    return SubsystemCode(n, paulis)
+
+
+def loop_from_strings(generators, n=None):
+    """SubsystemCode.from_strings as one from_string call per generator."""
+    paulis = [loop_from_string(s) for s in generators]
+    if n is None:
+        if not paulis:
+            raise ValueError("cannot infer n from an empty generator list")
+        n = paulis[0].n
+    return SubsystemCode(n, paulis)
+
+
+def outcome(build, *args):
+    try:
+        return build(*args).gauge_matrix.rows
+    except ValueError as exc:
+        return str(exc)
+
+
+# one or two faults on generators at random positions: a bad letter, a
+# wrong length or both; n from 0 to 12, or near 5000 (several blocks)
+faulty_generator_lists = st.tuples(
+    st.one_of(st.integers(0, 12), st.integers(4990, 5010)),
+    st.integers(1, 30),
+    st.lists(
+        st.tuples(st.integers(0, 29), st.sampled_from(["letter", "length", "both"]), st.sampled_from("Qx1_ 0bé")),
+        min_size=1,
+        max_size=2,
+    ),
+    st.randoms(use_true_random=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(faulty_generator_lists)
+def test_parse_errors_match_the_per_generator_loops(case):
+    n, count, faults, rng = case
+    gens = ["".join(rng.choices("IXYZ", k=n)) for _ in range(count)]
+    for where, kind, letter in faults:
+        s = gens[where % count]
+        if kind in ("letter", "both"):
+            at = rng.randrange(len(s) + 1)
+            s = s[:at] + letter + s[at + 1 :]
+        if kind in ("length", "both"):
+            s = s[: rng.randrange(len(s))] if s and rng.random() < 0.5 else s + "Z" * rng.randint(1, 3)
+        gens[where % count] = s
+    obj = {"n": n, "gauge_generators": gens}
+    assert outcome(SubsystemCode.from_json, obj) == outcome(loop_from_json, obj)
+    assert outcome(SubsystemCode.from_strings, gens, n) == outcome(loop_from_strings, gens, n)
+    assert outcome(SubsystemCode.from_strings, gens) == outcome(loop_from_strings, gens)
+    for s in gens:
+        try:
+            expected = loop_from_string(s)
+        except ValueError as exc:
+            expected = str(exc)
+        try:
+            got = P(s)
+        except ValueError as exc:
+            got = str(exc)
+        assert got == expected
+
+
 # ── sparse supports ────────────────────────────────────────────────────
 
 

@@ -230,6 +230,42 @@ def test_concat_distance_lower_bound_small():
     assert res.is_lower_bound  # every singleton is correctable
 
 
+# (inner, outer) -> SHA-256 of concatenate(inner, outer).dumps() and its
+# (n, k, g, s), recorded while concatenation still substituted PauliVectors
+CONCAT_DIGESTS = {
+    ("five_one_three", "bacon_shor-2"): ("4d52d961879b6bc42f107bcd021ea5ed21c35828d64e80f055cb6a3768d3074d", (20, 1, 1, 18)),
+    ("five_one_three", "bacon_shor-3"): ("8736636ac84afb6a7194ba8ea15c77a66d8d0d3d2aa12e1dfe3beee5f708c22c", (45, 1, 4, 40)),
+    ("five_one_three", "surface-3"): ("c26bff94fbe015acabc3d2bf8c8ab7ccf87cc16660666f28242c2d6ac44348d3", (65, 1, 0, 64)),
+    ("steane", "bacon_shor-2"): ("780d9d7a0eb64cd79af18c7582aebd98e9a750d1344c6ac9959bbde75484a720", (28, 1, 1, 26)),
+    ("steane", "bacon_shor-3"): ("e0604a9d3f0a54293c7d9d68048424ad15d29f57bb3a402fe536b376ffc2ad0c", (63, 1, 4, 58)),
+    ("steane", "surface-3"): ("1729b7d7a83fc641001d9549ffdf30e63a9449d7e45a6287065669f3604be26d", (91, 1, 0, 90)),
+    ("repetition", "bacon_shor-2"): ("d5a6f6029cd28d4d5fc5589243f5850c2f0862425833f5ad362c3206a6d3d12d", (12, 1, 1, 10)),
+    ("repetition", "bacon_shor-3"): ("a93854d28560ecb982807c8a289f21d209669dca2c0b47e65c821f8dc083bb78", (27, 1, 4, 22)),
+    ("repetition", "surface-3"): ("dcaa712da5ecb9fb2c07ba2b91c76836fa15927d36af2756549d8c43fb5e2c13", (39, 1, 0, 38)),
+    ("bacon_shor-2", "bacon_shor-2"): ("21831661af9fe8c2bfb2bb1d6f094ea9b3e2d32a6ecca53c8d750ba48b4f1776", (16, 1, 5, 10)),
+    ("bacon_shor-2", "bacon_shor-3"): ("76e38e580a7446ff1beb62a1621e265734a670b8b28df10b3192396221c8517e", (36, 1, 13, 22)),
+    ("bacon_shor-2", "surface-3"): ("d9edb25d25414ad5c87be64fbbde507cf607af4c145e3b6239478efb02dc6020", (52, 1, 13, 38)),
+}
+
+CONCAT_CODES = {
+    "five_one_three": lambda: small_inner_codes("five_one_three").code,
+    "steane": lambda: small_inner_codes("steane").code,
+    "repetition": lambda: small_inner_codes("repetition", r=3).code,
+    "bacon_shor-2": lambda: bacon_shor(2).code,
+    "bacon_shor-3": lambda: bacon_shor(3).code,
+    "surface-3": lambda: surface_code(3).code,
+}
+
+
+@pytest.mark.parametrize("inner,outer", sorted(CONCAT_DIGESTS))
+def test_concat_output_bytes_pinned(inner, outer):
+    cat = concatenate(CONCAT_CODES[inner](), CONCAT_CODES[outer]())
+    p = parameters(cat)
+    digest, expected = CONCAT_DIGESTS[inner, outer]
+    assert hashlib.sha256(cat.dumps().encode()).hexdigest() == digest
+    assert (p.n, p.k, p.g, p.s) == expected
+
+
 # ── dilated embedding ──────────────────────────────────────────────────
 
 

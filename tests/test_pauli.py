@@ -13,7 +13,9 @@ from qlocality.pauli import (
     PauliVector,
     QubitColumns,
     centralizer,
+    format_rows,
     in_span,
+    parse_rows,
     symplectic_bits,
     symplectic_product,
     weight,
@@ -110,6 +112,19 @@ def test_string_parse_matches_letter_loop():
 def test_string_error_names_first_bad_letter(text, first_bad):
     with pytest.raises(ValueError, match=f"^invalid Pauli letter {first_bad!r}$"):
         P(text)
+
+
+# n from 0 to 12, and n near 5000, where 30 strings span several parsing blocks
+string_lengths = st.one_of(st.integers(0, 12), st.integers(4990, 5010))
+
+
+@settings(max_examples=200, deadline=None)
+@given(string_lengths, st.integers(0, 30), st.randoms(use_true_random=True))
+def test_parse_rows_match_from_string_bits_and_format_back(n, count, rng):
+    strings = ["".join(rng.choices("IXYZ", k=n)) for _ in range(count)]
+    rows = parse_rows(strings, n)
+    assert rows == [P(s).to_bits() for s in strings]
+    assert format_rows(rows, n) == strings
 
 
 def test_bits_round_trip():

@@ -225,6 +225,26 @@ class RegimeReport:
         return self.__dict__.copy()
 
 
+def _count_ratio(n: float, k: float, d: float, e: int, dim: int) -> float:
+    """The count ratio k d^(e/(D-1)) / n, or inf when the ratio itself
+    exceeds the float range.
+
+    The count k d^(e/(D-1)) is formed first and divided by n; when the
+    count alone overflows, the ratio is taken in logs.
+    """
+    power = e / (dim - 1)
+    try:
+        count = k * d**power
+    except OverflowError:
+        count = math.inf
+    if math.isfinite(count):
+        return count / n
+    try:
+        return math.exp(math.log(k) - math.log(n) + power * math.log(d))
+    except OverflowError:
+        return math.inf
+
+
 def regime_check(n: float, k: float, d: float, dim: int, family: str) -> RegimeReport:
     """Bravyi (subsystem) / BPT (projector) local-regime membership.
 
@@ -238,17 +258,13 @@ def regime_check(n: float, k: float, d: float, dim: int, family: str) -> RegimeR
         raise ValueError(f"unknown family {family!r}")
     # exponent e of d in each count ratio, as in CLASS_EXPONENTS; d_ratio is
     # at most n^(1/D), so it cannot overflow
-    ratios = {}
-    for name, e in (("bravyi_ratio", 1), ("bpt_ratio", 2)):
-        try:
-            ratios[name] = k * d ** (e / (dim - 1)) / n
-        except OverflowError:
-            ratios[name] = math.inf
-        if not math.isfinite(ratios[name]):
+    bravyi = _count_ratio(n, k, d, 1, dim)
+    bpt = _count_ratio(n, k, d, 2, dim)
+    for name, ratio in (("bravyi_ratio", bravyi), ("bpt_ratio", bpt)):
+        if not math.isfinite(ratio):
             raise ValueError(
-                f"{name} is not finite ({ratios[name]}) for n={n:g}, k={k:g}, d={d:g}, D={dim}"
+                f"{name} is not finite ({ratio}) for n={n:g}, k={k:g}, d={d:g}, D={dim}"
             )
-    bravyi, bpt = ratios.values()
     d_ratio = d / n ** ((dim - 1) / dim)
     count_ratio = bravyi if family == "bravyi" else bpt
     return RegimeReport(

@@ -194,8 +194,13 @@ class SubsystemCode:
             if not gens:
                 raise ValueError("cannot infer n from an empty generator list")
             n = len(gens[0])
-        wrong_length = "generator length {length} != code length {n}"
-        return cls.from_rows(n, parse_rows(gens, n, wrong_length, letters_first=True))
+        wrong = next((s for s in gens if len(s) != n), None)
+        if wrong is not None:
+            # every generator's letters are checked before any length
+            for s in gens:
+                PauliVector.from_string(s)
+            raise ValueError(f"generator length {len(wrong)} != code length {n}")
+        return cls.from_rows(n, parse_rows(gens, n))
 
     @cached_property
     def gauge_matrix(self) -> BitMatrix:

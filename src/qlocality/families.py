@@ -17,7 +17,7 @@ from .codes import (
     parameters,
 )
 from .geometry import Embedding, extract_interactions, validate_embedding
-from .pauli import set_bits
+from .pauli import MAX_QUBITS, set_bits
 
 
 @dataclass(frozen=True)
@@ -155,13 +155,17 @@ def concatenate(inner: SubsystemCode, outer: SubsystemCode) -> SubsystemCode:
     built on packed rows: an inner row moves to block j by shifting its X
     and Z halves, and an outer generator's row is the XOR of the lifted
     logical rows its X and Z bits select.  The result has n = n1*n2,
-    k = k1*k2, g = k1*g2 + n2*g1 and d >= d1*d2.
+    k = k1*k2, g = k1*g2 + n2*g1 and d >= d1*d2; an n over ``MAX_QUBITS``
+    raises ValueError before any row is built.
     """
     p1 = parameters(inner)
     if p1.k < 1:
         raise ValueError("inner code must have k >= 1")
     n1, n2 = inner.n, outer.n
     n = n1 * n2
+    # every row below is 2n bits wide, so an over-cap n is rejected first
+    if n > MAX_QUBITS:
+        raise ValueError(f"qubit count {n} outside [0, {MAX_QUBITS}]")
     inner_x = (1 << n1) - 1
 
     def lift(row: int, block: int) -> int:

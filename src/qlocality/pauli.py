@@ -24,7 +24,7 @@ _HEX_LETTERS = str.maketrans("0123", "IXZY")
 _BLOCK_LETTERS = 1 << 14
 
 
-def _first_fault(strings: Sequence[str], n: int, wrong_length: str, letters_first: bool) -> str:
+def _first_fault(strings: Sequence[str], n: int) -> str:
     """The message for the first faulty string (see ``parse_rows``)."""
     for s in strings:
         bad = s.translate(_NOT_LETTERS)
@@ -32,19 +32,12 @@ def _first_fault(strings: Sequence[str], n: int, wrong_length: str, letters_firs
             return f"invalid Pauli letter {bad[0]!r}"
         if len(s) > MAX_QUBITS:
             return f"qubit count {len(s)} outside [0, {MAX_QUBITS}]"
-        if len(s) != n and not letters_first:
-            break
-    else:
-        s = next(s for s in strings if len(s) != n)
-    return wrong_length.format(s=s, length=len(s), n=n)
+        if len(s) != n:
+            return f"generator {s!r} has length {len(s)}, expected {n}"
+    raise AssertionError("no faulty string")
 
 
-def parse_rows(
-    strings: Sequence[str],
-    n: int,
-    wrong_length: str = "generator {s!r} has length {length}, expected {n}",
-    letters_first: bool = False,
-) -> list[int]:
+def parse_rows(strings: Sequence[str], n: int) -> list[int]:
     """Pauli strings of n letters each as packed rows x | z << n, the
     ``BitMatrix`` form; letter i of a string is qubit i.
 
@@ -53,15 +46,12 @@ def parse_rows(
     ``int(·, 2)``, and the block is cut into rows by shift and mask.  On a
     fault the strings are rescanned in order and a ``ValueError`` names the
     first faulty one: a bad letter, then a length over ``MAX_QUBITS`` (the
-    messages of ``PauliVector.from_string``), then a length other than n
-    (``wrong_length``, formatted with s, length and n).  With
-    ``letters_first`` every string's letters and cap are checked before any
-    length.
+    messages of ``PauliVector.from_string``), then a length other than n.
     """
     if not strings:
         return []
     if n > MAX_QUBITS or any(len(s) != n for s in strings):
-        raise ValueError(_first_fault(strings, n, wrong_length, letters_first))
+        raise ValueError(_first_fault(strings, n))
     rows: list[int] = []
     mask = (1 << n) - 1
     per_block = max(1, _BLOCK_LETTERS // max(n, 1))
@@ -71,7 +61,7 @@ def parse_rows(
         # letters: string i of the block then sits at bits i*n and up
         rev = "".join(block)[::-1]
         if rev.translate(_NOT_LETTERS):
-            raise ValueError(_first_fault(strings, n, wrong_length, letters_first))
+            raise ValueError(_first_fault(strings, n))
         x = int(rev.translate(_X_DIGITS) or "0", 2)
         z = int(rev.translate(_Z_DIGITS) or "0", 2)
         rows.extend((x >> i * n & mask) | (z >> i * n & mask) << n for i in range(len(block)))

@@ -156,19 +156,33 @@ def test_regime_trivial_parameters_local():
 
 
 @pytest.mark.parametrize(
-    "n, k, d, dim, family, name",
+    "n, k, d, family",
     [
-        (1e300, 1e300, 1e300, 2, "bravyi", "bravyi_ratio"),
-        (1e300, 1e300, 1e300, 2, "bpt", "bravyi_ratio"),
-        (1e300, 1, 1e200, 2, "bravyi", "bpt_ratio"),
-        (1e300, 1, 1e200, 2, "bpt", "bpt_ratio"),
+        (1e300, 1e300, 1e300, "bravyi"),
+        (1e300, 1e300, 1e300, "bpt"),
+        (1e200, 1e200, 1e200, "bravyi"),
+        (1e200, 1e200, 1e200, "bpt"),
     ],
 )
-def test_regime_overflow_names_the_ratio(n, k, d, dim, family, name):
-    message = f"{name} is not finite (inf) for n={n:g}, k={k:g}, d={d:g}, D={dim}"
+def test_regime_overflow_names_the_ratio(n, k, d, family):
+    # k <= n keeps bravyi_ratio <= d, so only bpt_ratio (d^2 at D = 2) overflows
+    message = f"bpt_ratio is not finite (inf) for n={n:g}, k={k:g}, d={d:g}, D=2"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        regime_check(n, k, d, dim, family)
-    assert math.isfinite(regime_check(1e300, 1, 1e100, 2, family).bpt_ratio)
+        regime_check(n, k, d, 2, family)
+
+
+@pytest.mark.parametrize(
+    "n, k, d, bravyi, bpt",
+    [
+        (1e300, 1e300, 1e10, 1e10, 1e20),  # the count k d^(e/(D-1)) overflows
+        (1e300, 1, 1e200, 1e-100, 1e100),  # d^2 overflows
+        (1e6, 1e4, 1e3, 1e1, 1e4),
+    ],
+)
+def test_regime_ratios_finite_when_only_the_count_overflows(n, k, d, bravyi, bpt):
+    report = regime_check(n, k, d, 2, "bpt")
+    assert report.bravyi_ratio == pytest.approx(bravyi, rel=1e-12)
+    assert report.bpt_ratio == pytest.approx(bpt, rel=1e-12)
 
 
 # ── proof constants (Lemma 4.3 quantities) ─────────────────────────────

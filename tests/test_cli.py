@@ -852,25 +852,54 @@ OVER_CAP_CHILD = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from qlocality.cli import main
-sys.exit(main(["params", sys.argv[1]]))
+sys.exit(main(sys.argv[1:]))
 """
 
 
-def test_params_rejects_a_qubit_count_over_the_cap(tmp_path):
-    # a code that kept n = 10^12 would build a 2·10^12-bit mask in params, so
-    # the command runs in a child under a 1 GiB address-space cap
-    code_path = tmp_path / "huge.json"
-    code_path.write_text(json.dumps({"n": 10**12, "gauge_generators": []}))
+def run_over_cap_child(*argv):
+    """cli.main in a child under a 1 GiB address-space cap: a command that
+    built an over-cap code's rows or masks would exhaust memory instead."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", OVER_CAP_CHILD, str(code_path)],
+    return subprocess.run(
+        [sys.executable, "-c", OVER_CAP_CHILD, *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_params_rejects_a_qubit_count_over_the_cap(tmp_path):
+    # a code that kept n = 10^12 would build a 2·10^12-bit mask in params
+    code_path = tmp_path / "huge.json"
+    code_path.write_text(json.dumps({"n": 10**12, "gauge_generators": []}))
+    proc = run_over_cap_child("params", str(code_path))
     assert proc.returncode == EXIT_INPUT, proc.stderr[-2000:]
     assert proc.stdout == ""
     assert proc.stderr == "error: qubit count 1000000000000 outside [0, 100000]\n"
+
+
+def test_concat_rejects_a_qubit_count_over_the_cap(tmp_path):
+    # 5 * 20001 qubits: the 80,004 lifted inner rows alone would take over
+    # 1 GiB if they were built before the cap is checked
+    inner = small_inner_codes("five_one_three")
+    outer_n = 20_001
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("ic", "ie", "oc", "oe")}
+    files = {
+        "ic": inner.code.to_json(),
+        "ie": inner.embedding.to_json(),
+        "oc": {"n": outer_n, "gauge_generators": []},
+        "oe": {"dimension": 2, "coordinates": [[float(i), 0.0] for i in range(outer_n)]},
+    }
+    for name, obj in files.items():
+        Path(paths[name]).write_text(json.dumps(obj))
+    proc = run_over_cap_child(
+        "concat", "--inner-code", paths["ic"], "--inner-embedding", paths["ie"],
+        "--outer-code", paths["oc"], "--outer-embedding", paths["oe"],
+        "--ell-target", "10", "--ell2", "1",
+    )
+    assert proc.returncode == EXIT_INPUT, proc.stderr[-2000:]
+    assert proc.stdout == ""
+    assert proc.stderr == "error: qubit count 100005 outside [0, 100000]\n"
 
 
 # ── NaN box corners ────────────────────────────────────────────────────

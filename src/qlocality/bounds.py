@@ -169,11 +169,7 @@ def _class_bounds(
     code_class: str, e: int, n: float, k: float, d: float, dim: int, mode: str
 ) -> BoundReport:
     dist = _distance_branch(n, d, dim, mode)
-    try:
-        count = k * d ** (e / (dim - 1))
-    except OverflowError:
-        count = math.inf  # reported as a non-finite ell_star by _assemble
-    ratio = count / n
+    ratio = _count_ratio(n, k, d, e, dim)  # inf is reported by _assemble
     power = (dim - 1) / (e * dim)
     if mode == "asymptotic":
         dim_branch = BranchReport(
@@ -194,7 +190,7 @@ def _class_bounds(
         m_star=c0 * (k if e == 1 else max(k, d)),
         c0=c0,
         c1=c1,
-        hypothesis_met=count >= c1 * n,
+        hypothesis_met=ratio >= c1,
     )
     return _assemble(dim, n, k, d, code_class, mode, dist, dim_branch)
 

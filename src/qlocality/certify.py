@@ -26,20 +26,12 @@ from .geometry import (
     GridTiling,
     InteractionSet,
     _pair_lengths,
-    count_long,
-    extract_interactions,
     find_tiling,
     packing_bound,
     points_in_box,
     subdivide,
 )
-from .regions import (
-    AbcReport,
-    AbReport,
-    Partition,
-    ab_bound_check,
-    abc_bound_check,
-)
+from .regions import Partition, ab_bound_check, abc_bound_check
 
 OUTCOME_CERTIFIED = "certified-correctable"
 OUTCOME_CONTRADICTION = "contradiction-reached"
@@ -207,14 +199,14 @@ def holographic_certify(
     """
     if mode not in ("strict", "verified"):
         raise ValueError(f"unknown mode {mode!r}")
-    dim = e.dimension
+    if ell <= 0:
+        raise ValueError("ell must be positive")
+    pairs, lengths = _pair_lengths(code, e)
     if d is None:
         d = distance(code).value
         if d is None:
             raise ValueError("distance search failed; pass d explicitly")
-    pairs, lengths = _pair_lengths(code, e)
-    if ell <= 0:
-        raise ValueError("ell must be positive")
+    dim = e.dimension
     long_pairs = pairs[lengths >= ell]
 
     def mask(qubits: list[int]) -> np.ndarray:
@@ -253,113 +245,72 @@ def holographic_certify(
             metadata=metadata,
         )
 
+    # descend from the final cube in 2*ell steps until the base-case width;
+    # nominal sides may go nonpositive (empty cubes)
     center = tuple((lo + hi) / 2.0 for lo, hi in zip(b.mins, b.maxs))
     w_final = max(b.side_lengths)
-    if w_final <= w_base:
-        ladder = [w_final]
-    else:
-        # descend from the final cube in 2*ell steps until the base-case
-        # width; nominal sides may go nonpositive (empty cubes)
-        n_steps = math.ceil((w_final - w_base) / (2.0 * ell))
-        ladder = [w_final - 2.0 * ell * (n_steps - j) for j in range(n_steps + 1)]
-
-    cert = Certificate(kind="holographic", mode=mode, outcome=OUTCOME_CERTIFIED, metadata=metadata)
-    # the cubes share a center and grow, so their qubit sets form a chain
-    correctable = _chain_oracle(code) if mode == "verified" else None
+    n_steps = max(0, math.ceil((w_final - w_base) / (2.0 * ell)))
+    ladder = [w_final - 2.0 * ell * (n_steps - j) for j in range(n_steps + 1)]
 
     def cube_at(side: float) -> Box:
         return Box.cube(center, max(side, 0.0))
 
-    base_cube = cube_at(ladder[0])
-    base_qubits = points_in_box(e, base_cube)
-    base_bound = packing_bound(base_cube)
-    if correctable is None:
-        verdict = base_bound < d
-    else:
-        verdict = correctable(mask(base_qubits))
-    cert.steps.append(
-        CertificateStep(
-            index=0,
-            rule="base-cube",
-            region=f"cube side {ladder[0]:g}",
-            boundary="packing bound" if mode == "strict" else "exact check",
-            boundary_count=len(base_qubits),
-            threshold=float(d),
-            verdict=verdict,
-            details={"packing_bound": base_bound},
-        )
-    )
-    if not verdict:
-        cert.outcome = OUTCOME_STUCK
-        cert.stuck_step = 0
-        cert.reason = "base cube not certified"
-        return cert
-
-    in_u = mask(base_qubits)
-    for step_idx in range(1, len(ladder)):
-        w_cur = ladder[step_idx]
-        grown = cube_at(w_cur)
-        outer = cube_at(w_cur + 2.0 * ell)
-        # U (in_u) is the previous step's cube
-        # type (i): shell between the grown cube and the previous cube,
-        # counted through the 2D thickness-ell slab cover
-        type_i = _cube_slab_counts(e, grown, ell)
-        # type (ii): shell just outside the grown cube
-        type_ii = _cube_slab_counts(e, outer, ell)
-        # types (iii)/(iv): the outside and inside ends of the long
-        # interactions across the U boundary
-        ends = in_u[long_pairs]
-        cross = ends[:, 0] != ends[:, 1]
-        type_iii = len(np.unique(long_pairs[cross][~ends[cross]]))
-        type_iv = len(np.unique(long_pairs[cross][ends[cross]]))
-        total = type_i + type_ii + type_iii + type_iv
-        grown_qubits = points_in_box(e, grown)
-        in_u = mask(grown_qubits)
-        if correctable is None:
-            verdict = total < d
+    cert = Certificate(kind="holographic", mode=mode, outcome=OUTCOME_CERTIFIED, metadata=metadata)
+    # the cubes share a center and grow, so their qubit sets form a chain
+    correctable = _chain_oracle(code) if mode == "verified" else None
+    for index, side in enumerate(ladder):
+        cube = cube_at(side)
+        qubits = points_in_box(e, cube)
+        if index == 0:
+            # the base cube: packing alone bounds its qubits
+            rule, boundary = "base-cube", "packing bound" if mode == "strict" else "exact check"
+            details = {"packing_bound": packing_bound(cube)}
+            count, bound = len(qubits), details["packing_bound"]
         else:
-            verdict = correctable(in_u)
+            # type (i): shell between this cube and U, counted through the 2D
+            # thickness-ell slab cover; type (ii): shell just outside this
+            # cube; types (iii)/(iv): the outside and inside ends of the long
+            # interactions across the U boundary
+            rule, boundary = "grow-cube", "types (i)-(iv)"
+            ends = in_u[long_pairs]
+            cross = ends[:, 0] != ends[:, 1]
+            details = {
+                "type_i": _cube_slab_counts(e, cube, ell),
+                "type_ii": _cube_slab_counts(e, cube_at(side + 2.0 * ell), ell),
+                "type_iii": len(np.unique(long_pairs[cross][~ends[cross]])),
+                "type_iv": len(np.unique(long_pairs[cross][ends[cross]])),
+            }
+            count = bound = sum(details.values())
+            details["qubits_in_cube"] = len(qubits)
+        in_u = mask(qubits)  # U at the next step
+        verdict = bound < d if correctable is None else correctable(in_u)
         cert.steps.append(
             CertificateStep(
-                index=step_idx,
-                rule="grow-cube",
-                region=f"cube side {w_cur:g}",
-                boundary="types (i)-(iv)",
-                boundary_count=total,
+                index=index,
+                rule=rule,
+                region=f"cube side {side:g}",
+                boundary=boundary,
+                boundary_count=count,
                 threshold=float(d),
                 verdict=verdict,
-                details={
-                    "type_i": type_i,
-                    "type_ii": type_ii,
-                    "type_iii": type_iii,
-                    "type_iv": type_iv,
-                    "qubits_in_cube": len(grown_qubits),
-                },
+                details=details,
             )
         )
         if not verdict:
             cert.outcome = OUTCOME_STUCK
-            cert.stuck_step = step_idx
-            cert.reason = (
-                f"boundary count {total} >= d = {d}"
-                if mode == "strict"
-                else "grown cube region not correctable"
-            )
-            return cert
+            cert.stuck_step = index
+            if index == 0:
+                cert.reason = "base cube not certified"
+            elif mode == "strict":
+                cert.reason = f"boundary count {count} >= d = {d}"
+            else:
+                cert.reason = "grown cube region not correctable"
+            break
     return cert
 
 
 # ---------------------------------------------------------------------------
 # Expansion sweep (the four step rules)
-
-
-@dataclass
-class SweepState:
-    """Frontier of the legal staircase region V[a_1..a_i]."""
-
-    depth: int
-    coords: list[float]
-    nxts: list[float]
 
 
 def _bad_intervals(values: np.ndarray, ell: float, tau: float) -> list[tuple[float, float]]:
@@ -382,13 +333,6 @@ def _bad_intervals(values: np.ndarray, ell: float, tau: float) -> list[tuple[flo
     starts = closed & np.concatenate([[True], ~after[:-1]])
     ends = closed & ~after
     return list(zip(points[starts].tolist(), points[ends].tolist()))
-
-
-def _interval_containing(intervals: list[tuple[float, float]], x: float) -> tuple[float, float] | None:
-    for lo, hi in intervals:
-        if lo <= x <= hi:
-            return (lo, hi)
-    return None
 
 
 def expansion_sweep(
@@ -458,17 +402,20 @@ def expansion_sweep(
     bad_set = s.bad_qubits(ell)
     bad_mask = np.zeros(n, dtype=bool)
     bad_mask[list(bad_set)] = True
-    bad_intervals = [_bad_intervals(coords[:, axis], ell, tau) for axis in range(dim)]
+    # every coordinate of the last axis is good, so it needs no census
+    bad_intervals = [_bad_intervals(coords[:, axis], ell, tau) for axis in range(dim - 1)] + [[]]
 
-    def is_good(axis: int, x: float) -> bool:
-        if axis == dim - 1:
-            return True
-        return _interval_containing(bad_intervals[axis], x) is None
+    def bad_end(axis: int, x: float) -> float | None:
+        """End of the bad interval holding x on axis, or None when x is good."""
+        for lo, hi in bad_intervals[axis]:
+            if lo <= x <= hi:
+                return hi
+        return None
 
-    def nxt(axis: int, x: float) -> float:
-        interval = _interval_containing(bad_intervals[axis], x)
-        assert interval is not None, "nxt is only defined at bad coordinates"
-        return interval[1] + gamma
+    # the frontier of the legal staircase region V[a_1..a_i]: its depth i is
+    # len(a), and nxts holds nxt_j for each lower level j < i
+    a = [0.0]
+    nxts: list[float] = []
 
     def slab_mask(axis: int, center: float) -> np.ndarray:
         return np.abs(coords[:, axis] - center) <= ell
@@ -476,15 +423,14 @@ def expansion_sweep(
     def between(axis: int, lo: float, hi: float) -> np.ndarray:
         return (lo <= coords[:, axis]) & (coords[:, axis] <= hi)
 
-    def region_mask(a: list[float], nxts: list[float]) -> np.ndarray:
-        inside = coords[:, 0] <= a[0]
+    def region_mask(frontier: list[float]) -> np.ndarray:
+        inside = coords[:, 0] <= frontier[0]
         prefix = np.ones(n, dtype=bool)  # a_j <= q_j <= nxt_j for all j < lvl
-        for lvl in range(1, len(a)):
-            prefix &= between(lvl - 1, a[lvl - 1], nxts[lvl - 1])
-            inside |= prefix & (coords[:, lvl] <= a[lvl])
+        for lvl in range(1, len(frontier)):
+            prefix &= between(lvl - 1, frontier[lvl - 1], nxts[lvl - 1])
+            inside |= prefix & (coords[:, lvl] <= frontier[lvl])
         return inside
 
-    state = SweepState(depth=1, coords=[0.0], nxts=[])
     cert = Certificate(
         kind="sweep",
         mode=mode,
@@ -501,16 +447,22 @@ def expansion_sweep(
         },
     )
 
-    if not is_good(0, 0.0):
+    def zero_is_bad(axis: int) -> bool:
+        """Whether coordinate 0 of axis is bad, which violates the hypothesis."""
+        if bad_end(axis, 0.0) is None:
+            return False
         cert.outcome = OUTCOME_VIOLATED
         cert.reason = (
-            "coordinate 0 is 1-bad: more than tau qubits sit within ell of the minimum"
+            f"coordinate 0 is {axis + 1}-bad: more than tau qubits sit within ell of the minimum"
         )
+        return True
+
+    if zero_is_bad(0):
         return cert
 
     nxt_gap_cap = 2.0 * n * ell / tau + 3.0 * ell + 2.0 * gamma + 2.0 * ell + 1e-9
     step_idx = 0
-    prev_lex = tuple(state.coords)
+    prev_lex = tuple(a)
 
     def record(rule: str, count: int | None, verdict: bool, boundary: str, details: dict) -> None:
         nonlocal step_idx
@@ -519,7 +471,7 @@ def expansion_sweep(
             CertificateStep(
                 index=step_idx,
                 rule=rule,
-                region="V[" + ", ".join(f"{c:g}" for c in state.coords) + "]",
+                region="V[" + ", ".join(f"{c:g}" for c in a) + "]",
                 boundary=boundary,
                 boundary_count=count,
                 threshold=float(d) if count is not None else None,
@@ -536,18 +488,18 @@ def expansion_sweep(
 
     def frontier_count() -> int:
         """Size of the union of B with the frontier slabs of the current state."""
-        i = state.depth
+        i = len(a)
         if levels[-1] is None:
             outside = ~bad_mask
             for j in range(i - 1):
-                outside &= ~slab_mask(j, state.coords[j]) & ~slab_mask(j, state.nxts[j])
+                outside &= ~slab_mask(j, a[j]) & ~slab_mask(j, nxts[j])
             fixed = n - int(np.count_nonzero(outside))
             if i == dim:
                 for j in range(dim - 1):
-                    outside &= between(j, state.coords[j], state.nxts[j])
+                    outside &= between(j, a[j], nxts[j])
             levels[-1] = (fixed, coords[outside, i - 1], {})
         fixed, values, counts = levels[-1]
-        a_i = state.coords[-1]
+        a_i = a[-1]
         if a_i not in counts:
             # count the whole run from a_i at once: the centres the loop's
             # repeated += ell reaches below extent, in blocks of about 2^20
@@ -572,8 +524,7 @@ def expansion_sweep(
         strict_ok = count < d
         details: dict = {"f_size": count, "strict_ok": strict_ok}
         if correctable is not None:
-            new_coords = state.coords[:-1] + [state.coords[-1] + ell]
-            grown = region_mask(new_coords, state.nxts)
+            grown = region_mask(a[:-1] + [a[-1] + ell])
             exact = correctable(grown)
             details["region_qubits"] = np.flatnonzero(grown).tolist()
             details["exact_correctable"] = exact
@@ -589,47 +540,41 @@ def expansion_sweep(
             else:
                 cert.reason = f"step {step_idx}: grown region failed exact correctability"
             return False
-        state.coords[-1] += ell
+        a[-1] += ell
         return True
 
     max_iterations = int(10 * (extent / ell + 2) ** dim) + 1000
     for _ in range(max_iterations):
-        i = state.depth
-        a_i = state.coords[-1]
+        i = len(a)
+        a_i = a[-1]
         if a_i >= extent:
             if i == 1:
                 break  # full sweep completed
             # item 4: finish this dimension, get unstuck one level down;
             # the stored nxt value is exactly nxt_{i-1}(a_{i-1} + ell)
-            new_val = state.nxts.pop()
-            state.coords.pop()
+            a.pop()
             levels.pop()
-            state.coords[-1] = new_val
-            state.depth -= 1
+            a[-1] = nxts.pop()
             record(
                 "finish-dimension",
                 None,
                 True,
                 "relabel: V[.., nxt] equals the finished region",
-                {"new_coord": new_val},
+                {"new_coord": a[-1]},
             )
         elif i == dim:
             if not expansion_step("expand-last-dimension"):
                 return cert
         else:
-            if is_good(i - 1, a_i + ell):
+            end = bad_end(i - 1, a_i + ell)
+            if end is None:
                 if not expansion_step(f"expand-dimension-{i}"):
                     return cert
             else:
                 # item 2: stuck here, open the next dimension
-                if not is_good(state.depth, 0.0):
-                    cert.outcome = OUTCOME_VIOLATED
-                    cert.reason = (
-                        f"coordinate 0 is {state.depth + 1}-bad: more than tau qubits "
-                        "sit within ell of the minimum"
-                    )
+                if zero_is_bad(i):
                     return cert
-                nxt_val = nxt(i - 1, a_i + ell)
+                nxt_val = end + gamma
                 gap = nxt_val - a_i
                 if gap > nxt_gap_cap:
                     cert.outcome = OUTCOME_VIOLATED
@@ -638,10 +583,9 @@ def expansion_sweep(
                         f"nxt gap {gap:g} exceeds packed-slab bound {nxt_gap_cap:g}"
                     )
                     return cert
-                state.nxts.append(nxt_val)
-                state.coords.append(0.0)
+                nxts.append(nxt_val)
+                a.append(0.0)
                 levels.append(None)
-                state.depth += 1
                 record(
                     "start-next-dimension",
                     None,
@@ -649,7 +593,7 @@ def expansion_sweep(
                     "relabel: V[.., a_i, 0] equals V[.., a_i]",
                     {"nxt": nxt_val, "gap": gap},
                 )
-        lex = tuple(state.coords)
+        lex = tuple(a)
         assert lex > prev_lex, "sweep failed to increase the lexicographic index"
         prev_lex = lex
     else:
@@ -716,7 +660,7 @@ def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _divide_space(
     e: Embedding,
-    f: dict[int, int],
+    f: np.ndarray,
     tiling: GridTiling,
     ell: float,
     d1: float,
@@ -733,8 +677,7 @@ def _divide_space(
     around = (occupied + deltas[:, None, :]).reshape(-1, e.dimension)
     cells, index, _ = _group_rows(np.concatenate([occupied, around]))
     home = index[home]
-    masses = np.fromiter((f[q] for q in range(e.n)), dtype=np.int64, count=e.n)
-    cell_mass = np.bincount(home, weights=masses, minlength=len(cells))
+    cell_mass = np.bincount(home, weights=f, minlength=len(cells))
     bounds = [0] + np.bincount(home, minlength=len(cells)).cumsum().tolist()
     by_cell = by_cell.tolist()
     good_cubes: list[Box] = []
@@ -784,16 +727,18 @@ def theorem_partition_builder(
     """
     if variant not in ("thm3_2", "thm5_1_case1", "thm5_1_case2"):
         raise ValueError(f"unknown variant {variant!r}")
-    if e.n != code.n:
-        raise ValueError("embedding size mismatch")
+    if ell <= 0:
+        raise ValueError("ell must be positive")
+    pairs, lengths = _pair_lengths(code, e)
     dim = e.dimension
     p = parameters(code)
     if p.k < 1:
         raise ValueError("partition builders need k >= 1")
     d = distance(code).value
-    interactions = extract_interactions(code, e)
-    m_long, f = count_long(interactions, ell)
-    bad_qubits = interactions.bad_qubits(ell)
+    # f counts each qubit's long interactions; the bad qubits have one
+    long_pairs = pairs[lengths >= ell]
+    f = np.bincount(long_pairs.ravel(), minlength=code.n)
+    bad = f > 0
     d1 = d / 10.0
 
     w0 = holographic_box_width(d, ell, dim)
@@ -802,23 +747,15 @@ def theorem_partition_builder(
     if w > w0:
         flags.append(f"w0 = {w0:g} below the tiling precondition; using w = 4*ell")
 
-    points = [tuple(c) for c in e.coordinates]
+    coords = e.coordinates
     if variant == "thm3_2":
-        x_pts: list[tuple[float, ...]] = []
-        y_pts = list(points)
+        tiling = find_tiling(coords[:0], coords, w, ell, dim, seed=seed)
     else:
-        x_pts = list(points)
-        y_pts = [pt for q, pt in enumerate(points) for _ in range(f[q])]
-    tiling = find_tiling(x_pts, y_pts, w, ell, dim, seed=seed)
+        tiling = find_tiling(coords, np.repeat(coords, f, axis=0), w, ell, dim, seed=seed)
     division = _divide_space(e, f, tiling, ell, d1)
     flags.extend(division.flags)
     all_boxes = division.good_cubes + division.bad_boxes
-
-    coords = e.coordinates
     margin2 = 2.0 * ell
-
-    def members(mask: np.ndarray) -> set[int]:
-        return set(np.flatnonzero(mask).tolist())
 
     ledger: list[dict] = []
 
@@ -836,8 +773,8 @@ def theorem_partition_builder(
             "ell": ell,
             "w": w,
             "w0": w0,
-            "long_interactions": m_long,
-            "bad_qubits": len(bad_qubits),
+            "long_interactions": len(long_pairs),
+            "bad_qubits": int(np.count_nonzero(bad)),
             "good_cubes": len(division.good_cubes),
             "bad_cubes": division.bad_cube_count,
             "bad_boxes": len(division.bad_boxes),
@@ -848,52 +785,37 @@ def theorem_partition_builder(
 
     if variant == "thm3_2":
         entry("bad boxes < k/(10d)", len(division.bad_boxes), p.k / (10.0 * d))
-        in_b_region = members(_near_faces(coords, all_boxes, margin2, 1))
-        b_set = frozenset(in_b_region | bad_qubits)
-        a_set = frozenset(range(code.n)) - b_set
-        entry("|B| < k", len(b_set), p.k)
-        partition = Partition.of(code, [a_set, b_set])
-        check: AbReport | AbcReport | None = None
-        if verify:
-            check = ab_bound_check(code, a_set, b_set)
-            cert.metadata["ab_check"] = check.__dict__
-            if not check.holds:
-                cert.outcome = OUTCOME_STUCK
-                cert.reason = "AB bound violated on the built partition"
+        in_b = _near_faces(coords, all_boxes, margin2, 1) | bad
+        entry("|B| < k", int(np.count_nonzero(in_b)), p.k)
+        parts = [~in_b, in_b]
     else:
-        c_mask = _near_faces(coords, all_boxes, margin2, 2)
-        in_c = members(c_mask)
-        in_b = members(_near_faces(coords, all_boxes, ell, 1) & ~c_mask)
-        in_b_prime = members(_near_faces(coords, division.good_cubes, margin2, 1) & ~c_mask)
+        in_c = _near_faces(coords, all_boxes, margin2, 2)
+        in_b = _near_faces(coords, all_boxes, ell, 1)
         if variant == "thm5_1_case1":
-            c_set = frozenset(in_c | bad_qubits)
-            b_set = frozenset(in_b - c_set)
-            a_set = frozenset(range(code.n)) - c_set - b_set
             entry("bad boxes < k/(10d)", len(division.bad_boxes), p.k / (10.0 * d))
-            entry("|C| < k", len(c_set), p.k)
+            in_c |= bad
         else:
             if division.bad_boxes:
                 flags.append("bad boxes present despite the d >= k case hypothesis")
             entry("bad boxes (case 2 expects 0) <= 1/10", len(division.bad_boxes), 0.1)
-            # qubits with a long interaction touching B', including the bad
-            # qubits residing in B' themselves
-            partners = set()
-            for i, j, length in interactions.pairs:
-                if length >= ell and (i in in_b_prime or j in in_b_prime):
-                    partners.add(i)
-                    partners.add(j)
-            c_set = frozenset(in_c | partners)
-            b_set = frozenset((in_b - c_set) | (bad_qubits - c_set))
-            a_set = frozenset(range(code.n)) - c_set - b_set
-            entry("|C| < k", len(c_set), p.k)
-        partition = Partition.of(code, [a_set, b_set, c_set])
-        check = None
-        if verify:
-            check = abc_bound_check(code, a_set, b_set, c_set)
-            cert.metadata["abc_check"] = check.__dict__
-            if not check.holds:
-                cert.outcome = OUTCOME_STUCK
-                cert.reason = "ABC bound violated on the built partition"
+            # C takes both ends of each long interaction touching B',
+            # including the bad qubits residing in B' themselves
+            in_b_prime = _near_faces(coords, division.good_cubes, margin2, 1) & ~in_c
+            in_c[long_pairs[in_b_prime[long_pairs].any(axis=1)]] = True
+            in_b |= bad
+        in_b &= ~in_c
+        entry("|C| < k", int(np.count_nonzero(in_c)), p.k)
+        parts = [~(in_b | in_c), in_b, in_c]
+    parts = [np.flatnonzero(part).tolist() for part in parts]
+    partition = Partition.of(code, parts)
+    if verify:
+        if variant == "thm3_2":
+            check, key, name = ab_bound_check(code, *parts), "ab_check", "AB"
+        else:
+            check, key, name = abc_bound_check(code, *parts), "abc_check", "ABC"
+        cert.metadata[key] = check.__dict__
+        if not check.holds:
+            cert.outcome = OUTCOME_STUCK
+            cert.reason = f"{name} bound violated on the built partition"
     cert.metadata["ledger"] = ledger
-    cert.metadata["flags"] = flags
     return partition, cert

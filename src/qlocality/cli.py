@@ -112,8 +112,6 @@ def _cmd_distance(args: argparse.Namespace) -> int:
 def _cmd_interactions(args: argparse.Namespace) -> int:
     code = _load_code(args.code)
     emb = _load_embedding(args.embedding)
-    if emb.n != code.n:
-        raise ValueError("embedding size does not match code size")
     ints = geometry.extract_interactions(code, emb)
     out = ints.to_json()
     if args.ell is not None:
@@ -172,15 +170,6 @@ def _cmd_subdivide(args: argparse.Namespace) -> int:
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed subdivide spec: {exc}") from None
-    for point, mass in masses:
-        if len(point) != box.dimension:
-            raise ValueError(
-                f"mass point {list(point)} has {len(point)} coordinates, box has {box.dimension}"
-            )
-        if not all(map(math.isfinite, point)):
-            raise ValueError(f"mass point {list(point)} is not finite")
-        if mass < 0:
-            raise ValueError(f"mass at {list(point)} is negative: {mass}")
     boxes = geometry.subdivide(box, masses, args.ell, args.d1)
     _dump({"boxes": [b.to_json() for b in boxes]}, args.out)
     return EXIT_OK
@@ -190,8 +179,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     code = _load_code(args.code) if args.code else None
     emb = _load_embedding(args.embedding)
     mode = "verified" if args.verified else "strict"
-    if code is not None and emb.n != code.n:
-        raise ValueError("embedding size does not match code size")
     if code is None and mode == "verified":
         raise ValueError("verified mode needs a code file")
     ints = (

@@ -29,7 +29,9 @@ class EmbeddedCode:
 
     def __post_init__(self) -> None:
         if self.embedding.n != self.code.n:
-            raise ValueError("embedding size does not match code size")
+            raise ValueError(
+                f"embedding has {self.embedding.n} points, code has {self.code.n} qubits"
+            )
         violations = validate_embedding(self.embedding)
         if violations:
             raise ValueError(f"embedding violates pairwise distance >= 1: {violations[:3]}")

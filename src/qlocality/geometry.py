@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -81,12 +82,6 @@ class Embedding:
     @property
     def n(self) -> int:
         return len(self.coordinates)
-
-    def point(self, i: int) -> tuple[float, ...]:
-        return tuple(self.coordinates[i])
-
-    def distance(self, i: int, j: int) -> float:
-        return float(np.linalg.norm(self.coordinates[i] - self.coordinates[j]))
 
     def to_json(self) -> dict:
         return {"dimension": self.dimension, "coordinates": self.coordinates.tolist()}
@@ -187,9 +182,6 @@ class InteractionSet:
     n: int
     pairs: tuple[tuple[int, int, float], ...]
     multiplicity: Mapping[tuple[int, int], int]
-
-    def lengths(self) -> list[float]:
-        return [length for _, _, length in self.pairs]
 
     def max_length(self) -> float:
         return max((length for _, _, length in self.pairs), default=0.0)
@@ -300,10 +292,6 @@ class GridTiling:
 
     def to_json(self) -> dict:
         return {"width": self.width, "offset": list(self.offset)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> GridTiling:
-        return cls(float(obj["width"]), tuple(float(v) for v in obj["offset"]))
 
 
 def verify_tiling(
@@ -494,7 +482,8 @@ def subdivide(b: Box, f: MassMap, ell: float, d1: float) -> list[Box]:
     the topmost box, which is closed.  Greedy sweep: take the longest
     light prefix, or a short (<= 10*ell) slab swallowing the mass point
     that tips the prefix over d1; a final merge pass removes mergeable
-    neighbors to keep the count low.
+    neighbors to keep the count low.  A mass point of the wrong dimension
+    or with a non-finite coordinate, or a negative mass, raises ValueError.
     """
     if ell <= 0:
         raise ValueError("ell must be positive")
@@ -504,10 +493,20 @@ def subdivide(b: Box, f: MassMap, ell: float, d1: float) -> list[Box]:
     height = hi - lo
     if height < 5 * ell:
         raise ValueError(f"box height {height} < 5*ell = {5 * ell}")
-    masses = sorted(
-        ((float(point[0]), int(m)) for point, m in f if b.contains(point)),
-        key=lambda t: t[0],
-    )
+    # one pass checks each mass and keeps those in b (closed membership, as
+    # Box.contains, with the comparisons mapped in C)
+    dim, mins, maxs = b.dimension, b.mins, b.maxs
+    masses = []
+    for point, m in f:
+        if len(point) != dim:
+            raise ValueError(f"mass point {list(point)} has {len(point)} coordinates, box has {dim}")
+        if not all(map(math.isfinite, point)):
+            raise ValueError(f"mass point {list(point)} is not finite")
+        if m < 0:
+            raise ValueError(f"mass at {list(point)} is negative: {m}")
+        if all(map(operator.le, mins, point)) and all(map(operator.le, point, maxs)):
+            masses.append((float(point[0]), int(m)))
+    masses.sort(key=lambda t: t[0])
 
     cuts = [lo]
     cur = lo

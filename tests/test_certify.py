@@ -1,9 +1,12 @@
 """Proof engines: holographic certification, expansion sweep, partition builders."""
 
+import json
 import math
+from hashlib import sha256
 
 import pytest
 
+from qlocality import certify
 from qlocality.certify import (
     OUTCOME_CERTIFIED,
     OUTCOME_CONTRADICTION,
@@ -15,7 +18,7 @@ from qlocality.certify import (
     theorem_partition_builder,
 )
 from qlocality.codes import SubsystemCode, distance, parameters
-from qlocality.families import bacon_shor, small_inner_codes
+from qlocality.families import bacon_shor, small_inner_codes, surface_code
 from qlocality.geometry import Box, Embedding, InteractionSet, extract_interactions
 from qlocality.pauli import PauliVector
 from qlocality.regions import is_correctable
@@ -97,6 +100,20 @@ def test_holographic_strict_mode_growth_counts_below_d():
     assert grow_steps
     for step in grow_steps:
         assert step.boundary_count < d
+
+
+@pytest.mark.parametrize("engine", ["holographic", "partition"])
+def test_engines_check_the_embedding_size_before_any_search(monkeypatch, engine):
+    def no_search(code, *args, **kwargs):
+        raise AssertionError("the distance search ran")
+
+    monkeypatch.setattr(certify, "distance", no_search)
+    short = Embedding(2, BS3.embedding.coordinates[:-1])
+    with pytest.raises(ValueError, match=r"^embedding has 8 points, code has 9 qubits$"):
+        if engine == "holographic":
+            holographic_certify(BS3.code, short, Box((0.0, 0.0), (1.0, 1.0)), ell=0.1)
+        else:
+            theorem_partition_builder(BS3.code, short, 1.5, "thm3_2")
 
 
 # ── expansion sweep ────────────────────────────────────────────────────
@@ -310,3 +327,113 @@ def test_partition_deterministic_per_seed():
     p2, c2 = theorem_partition_builder(FIVE.code, FIVE.embedding, 1.2, "thm3_2", seed=5)
     assert p1.parts == p2.parts
     assert c1.metadata["tiling"] == c2.metadata["tiling"]
+
+
+# ── pinned outcomes of the engines' exit paths ─────────────────────────
+#
+# Each value was computed before the engines' step logic was folded into
+# one loop per engine; the certificates must not move by a byte.
+
+
+def dense_grid_code(side, spacing):
+    """Generator-free qubits on a (side x side) grid of the given spacing;
+    below spacing 1 it packs more qubits than a valid embedding may."""
+    points = [(spacing * i, spacing * j) for i in range(side) for j in range(side)]
+    return SubsystemCode(len(points), []), Embedding(2, points)
+
+
+# label -> (code, embedding, box, ell, mode, d, outcome, stuck step, reason,
+# SHA-256 of to_json_lines())
+HOLOGRAPHIC_STUCK = {
+    # an empty box at the base width: d = 3 is below its packing bound
+    "strict-base": (
+        BS3.code, BS3.embedding, Box((-0.6, -0.6), (-0.06, -0.06)), 0.05, "strict", None,
+        OUTCOME_STUCK, 0, "base cube not certified",
+        "36218f470ebae027843501b9291751015653bc97c9459117437211c5bc465b9b",
+    ),
+    # d = 100 makes the whole grid the base cube, and it holds a logical
+    "verified-base": (
+        BS3.code, BS3.embedding, Box((0.0, 0.0), (2.0, 2.0)), 0.5, "verified", 100,
+        OUTCOME_STUCK, 0, "base cube not certified",
+        "7326f87701d41ed3cef49a07a023ce0ff450aa3d311ad416eb0db89484410fa5",
+    ),
+    # the second growth step engulfs a logical line
+    "verified-grow": (
+        BS3.code, BS3.embedding, Box((0.0, 0.0), (2.0, 2.0)), 0.5, "verified", None,
+        OUTCOME_STUCK, 2, "grown cube region not correctable",
+        "94237ee250084c5ddf73697cfc275bce2d155bbe95391dfa5e39ccd846c1d77e",
+    ),
+    # qubits 0.1 apart overfill the first growth step's slabs
+    "strict-grow": (
+        *dense_grid_code(41, 0.1), Box((0.0, 0.0), (4.0, 4.0)), 0.25, "strict", 100,
+        OUTCOME_STUCK, 1, "boundary count 912 >= d = 100",
+        "2ef007d49799753a331a0313e2cf4a1feda74ab57ee43fe6c7fea08771590ef5",
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(HOLOGRAPHIC_STUCK))
+def test_holographic_stuck_runs_match_pins(label):
+    code, emb, box, ell, mode, d, outcome, stuck, reason, digest = HOLOGRAPHIC_STUCK[label]
+    cert = holographic_certify(code, emb, box, ell, mode=mode, d=d)
+    assert (cert.outcome, cert.stuck_step, cert.reason) == (outcome, stuck, reason)
+    assert len(cert.steps) == stuck + 1
+    assert sha256(cert.to_json_lines().encode()).hexdigest() == digest
+
+
+def test_sweep_coordinate_zero_two_bad_matches_pin():
+    # the sweep passes x = 0 and meets the dense slab at x = 2, but six of
+    # the seven qubits share the minimal y: the next dimension cannot open
+    emb = Embedding(3, [(0.0, 0.0, 0.0)] + [(2.0, 0.0, float(z)) for z in range(6)])
+    cert = expansion_sweep(emb, empty_interactions(7), ell=1.0, tau=2.0, d=100)
+    assert cert.outcome == OUTCOME_VIOLATED
+    assert cert.stuck_step is None
+    assert cert.reason == (
+        "coordinate 0 is 2-bad: more than tau qubits sit within ell of the minimum"
+    )
+    assert [step.rule for step in cert.steps] == ["expand-dimension-1"]
+    digest = sha256(cert.to_json_lines().encode()).hexdigest()
+    assert digest == "ebd09f8b19ffb4523e950e428023a1e180501eab934c3405482c0922d3a7c7be"
+
+
+def test_sweep_nxt_gap_violation_matches_pin(monkeypatch):
+    # counting bounds every bad interval by the packed-slab cap, so the
+    # census is replaced by one interval far longer than it
+    monkeypatch.setattr(certify, "_bad_intervals", lambda values, ell, tau: [(5.0, 1000.0)])
+    emb = line_embedding(10)
+    cert = expansion_sweep(emb, empty_interactions(10), ell=1.0, tau=2.0, d=100)
+    assert cert.outcome == OUTCOME_VIOLATED
+    assert cert.stuck_step == 4
+    assert cert.reason == "nxt gap 996.5 exceeds packed-slab bound 16"
+    digest = sha256(cert.to_json_lines().encode()).hexdigest()
+    assert digest == "4da9cfdbeb61c8a440beee87d772b38fd4e575bd2ef550112dbe08a0cc992e5c"
+
+
+def stretched_surface_code():
+    """Surface-3 with its upper rows stretched 1.5 times along x."""
+    ec = surface_code(3)
+    coords = ec.embedding.coordinates.copy()
+    coords[:, 0] *= 1.0 + 0.5 * (coords[:, 1] > coords[:, 1].mean())
+    return ec.code, Embedding(2, coords)
+
+
+# (ell, variant) -> SHA-256 of the partition, metadata and outcome.  At ell
+# 0.05 every pair is long and the width-0.74 bad cubes are subdivided; at
+# ell 1.5 some pairs are long and w = 4 ell keeps each bad cube whole.
+PARTITION_PINNED = {
+    (0.05, "thm3_2"): "b9edaf5ae381e528f1e7f0d086cb478fa5cbb10cb5c6ec23dcbfa181f094f09a",
+    (0.05, "thm5_1_case1"): "62e6c73c87a03e5bf0c78c3409d67108b56676d02e13fbedceaa3e4ccfdd8733",
+    (0.05, "thm5_1_case2"): "dfe39c207870853251af4380c2118fa01a6f6d65ff15bb86dc23762b4458a93a",
+    (1.5, "thm3_2"): "1631e19c2a85e7d3ffef45999b49eab8707e1a319bd3ae79272bef4f54427292",
+    (1.5, "thm5_1_case1"): "305b9d36a1219baa7db963707f2c4b057b64e889d0521dac0098a38ce35c2219",
+    (1.5, "thm5_1_case2"): "6fd320037644f41229f46e84dac2230ee7b1d3dac39734c48daa37e8fbd9c391",
+}
+
+
+@pytest.mark.parametrize("ell, variant", sorted(PARTITION_PINNED))
+def test_partition_builder_matches_pinned_digests(ell, variant):
+    code, emb = stretched_surface_code()
+    partition, cert = theorem_partition_builder(code, emb, ell, variant)
+    obj = {"partition": partition.to_json(), "metadata": cert.metadata, "outcome": cert.outcome}
+    digest = sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+    assert digest == PARTITION_PINNED[ell, variant]

@@ -84,14 +84,28 @@ def test_bounds_cli_example(capsys):
     assert json.loads(out)["ell_star"] == pytest.approx(math.sqrt(10.0))
 
 
+# mode -> ell* of the subsystem rows below, both from the distance branch
+SUBSYSTEM_OVERFLOW_ELL_STAR = {"asymptotic": 1e150, "explicit": 4.3633231299858236e148}
+
+
 @pytest.mark.parametrize("code_class", ["subsystem", "projector"])
 @pytest.mark.parametrize("mode", ["asymptotic", "explicit"])
 def test_bounds_overflow_exits_two(capsys, code_class, mode):
-    # k * d^(e/(D-1)) is 1e600 (1e900 for projector codes): no float holds it
+    # the count k * d^(e/(D-1)) is 1e600 (1e900 for projector codes) and no
+    # float holds it; the ratio to n is 1e300 for subsystem codes, which
+    # report a finite ell*, and 1e600 for projector codes, which exit 2
     argv = ["bounds", "--class", code_class, "--mode", mode,
             "-n", "1e300", "-k", "1e300", "-d", "1e300", "-D", "2"]
-    assert main(argv) == EXIT_INPUT
+    rc = main(argv)
     captured = capsys.readouterr()
+    if code_class == "subsystem":
+        assert (rc, captured.err) == (EXIT_OK, "")
+        report = json.loads(captured.out)
+        assert report["regime"] == "distance-branch"
+        assert report["ell_star"] == SUBSYSTEM_OVERFLOW_ELL_STAR[mode]
+        assert math.isfinite(report["branches"]["dimension"]["ell_star"])
+        return
+    assert rc == EXIT_INPUT
     assert captured.out == ""
     assert captured.err == (
         "error: dimension-branch ell_star is not finite (inf) "
@@ -511,6 +525,27 @@ def test_holographic_size_mismatch_exits_two(bs3_files, capsys, tmp_path):
     rc = main(["holographic", code_path, str(emb), "--box", str(box), "--ell", "1"])
     assert rc == EXIT_INPUT
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["interactions", "sweep", "holographic", "partition"])
+def test_embedding_one_point_short_exits_two(bs3_files, capsys, tmp_path, command):
+    code_path, _ = bs3_files
+    emb = tmp_path / "eight.json"
+    # Bacon-Shor 3's grid without its last point
+    coordinates = [[float(i % 3), float(i // 3)] for i in range(8)]
+    emb.write_text(json.dumps({"dimension": 2, "coordinates": coordinates}))
+    box = tmp_path / "box.json"
+    box.write_text(json.dumps({"min": [0, 0], "max": [1, 1]}))
+    argv = {
+        "interactions": ["interactions", code_path, str(emb)],
+        "sweep": ["sweep", str(emb), "--code", code_path, "--ell", "1", "--tau", "3", "--d", "3"],
+        "holographic": ["holographic", code_path, str(emb), "--box", str(box), "--ell", "0.1"],
+        "partition": ["partition", code_path, str(emb), "--ell", "1", "--variant", "thm3_2"],
+    }[command]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: embedding has 8 points, code has 9 qubits\n"
 
 
 @pytest.fixture

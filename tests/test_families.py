@@ -43,6 +43,13 @@ def test_bacon_shor_interactions_all_unit():
     assert len(ints.pairs) == 12
 
 
+def test_embedded_code_rejects_a_size_mismatch():
+    ec = bacon_shor(3)
+    short = Embedding(2, ec.embedding.coordinates[:-1])
+    with pytest.raises(ValueError, match=r"^embedding has 8 points, code has 9 qubits$"):
+        EmbeddedCode(ec.code, short, "short", {})
+
+
 def test_bacon_shor_rejects_small_m():
     with pytest.raises(ValueError):
         bacon_shor(1)

@@ -334,6 +334,24 @@ def test_subdivide_rejects_short_box():
         subdivide(Box((0.0,), (4.0,)), [], 1.0, 3.0)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        # a short point would be tested on its first axis only
+        (((50.0,), 5), r"mass point \[50.0\] has 1 coordinates, box has 2"),
+        # a negative mass would cancel the +5 and leave one box
+        (((50.0, 5.0), -5), r"mass at \[50.0, 5.0\] is negative: -5"),
+        # a NaN coordinate would drop the point from every slab
+        (((50.0, math.nan), 5), r"mass point \[50.0, nan\] is not finite"),
+    ],
+)
+def test_subdivide_rejects_malformed_masses(bad, message):
+    box = Box((0.0, 0.0), (100.0, 10.0))
+    masses = [((50.0, 5.0), 5), bad]
+    with pytest.raises(ValueError, match=message):
+        subdivide(box, masses, 1.0, 3.0)
+
+
 def test_subdivide_random_configurations():
     rng = random.Random(77)
     for _ in range(100):

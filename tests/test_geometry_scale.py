@@ -236,8 +236,8 @@ def test_divide_space_matches_per_point_loop(e, data):
     axis = st.one_of(GRID, st.floats(-3.0, 3.0))
     offset = tuple(data.draw(st.lists(axis, min_size=e.dimension, max_size=e.dimension)))
     masses = data.draw(st.lists(st.sampled_from([0, 0, 1, 2, 5]), min_size=e.n, max_size=e.n))
-    # keys in shuffled order: the division must not depend on the dict's order
-    f = dict(data.draw(st.permutations(list(enumerate(masses)))))
+    # each qubit's count of long interactions, an array as the builder's bincount
+    f = np.array(masses, dtype=np.int64)
     d1 = data.draw(st.sampled_from([0.5, 1.0, 3.0, 7.0]))
     tiling = GridTiling(w, offset)
     assert certify._divide_space(e, f, tiling, ell, d1) == divide_space_loop(e, f, tiling, ell, d1)
@@ -536,6 +536,35 @@ def test_certificates_match_pinned_digests(label):
     certs = pinned_certificates(build, ell, tau, d, holo_ell)
     got = tuple(sha256(c.to_json_lines().encode()).hexdigest() for c in certs)
     assert got == digests
+
+
+# label -> (outcome, steps, SHA-256 of to_json_lines()) of the verified
+# holographic run on PINNED's box and d, computed before the cube ladder
+# became one loop: the jittered lattice is stuck at its base cube, and the
+# walk's seven cubes are all correctable
+VERIFIED_HOLOGRAPHIC_PINNED = {
+    "bacon_shor-8-jittered": (
+        certify.OUTCOME_STUCK, 1,
+        "2d4affc68087e4324fe5b72516406e7c3bc4397334227373d03c3d2271c6c526",
+    ),
+    "walk-80-3d": (
+        certify.OUTCOME_CERTIFIED, 7,
+        "b0a42b52b2c52d36e13838906d1ec0f03dd36acda38bc19abd280a81eb5dd473",
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(VERIFIED_HOLOGRAPHIC_PINNED))
+def test_verified_holographic_matches_pinned_digest(label):
+    build, _, _, _, holo_ell, _ = PINNED[label]
+    code, e = build()
+    lo, hi = e.coordinates.min(axis=0), e.coordinates.max(axis=0)
+    box = Box(tuple(map(float, lo)), tuple(map(float, hi)))
+    hd = holographic_d(max(box.side_lengths), holo_ell, e.dimension)
+    cert = certify.holographic_certify(code, e, box, holo_ell, mode="verified", d=hd)
+    outcome, steps, digest = VERIFIED_HOLOGRAPHIC_PINNED[label]
+    assert (cert.outcome, len(cert.steps)) == (outcome, steps)
+    assert sha256(cert.to_json_lines().encode()).hexdigest() == digest
 
 
 def dart_cloud(n, dim, side, seed):

@@ -37,21 +37,7 @@ class BoundReport:
     branches: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "n": self.n,
-            "k": self.k,
-            "d": self.d,
-            "code_class": self.code_class,
-            "mode": self.mode,
-            "m_star": self.m_star,
-            "ell_star": self.ell_star,
-            "c0": self.c0,
-            "c1": self.c1,
-            "regime": self.regime,
-            "hypothesis_met": self.hypothesis_met,
-            "branches": self.branches,
-        }
+        return self.__dict__.copy()
 
 
 def _check_domain(n: float, k: float, d: float, dim: int) -> None:
@@ -298,7 +284,7 @@ class ProofConstants:
 
 def proof_constants(d: float, ell: float, dim: int, alpha: float = 1.0) -> ProofConstants:
     w0 = holographic_box_width(d, ell, dim)
-    if alpha < 1:
+    if not alpha >= 1:
         raise ValueError("alpha must be >= 1")
     vol = ball_volume(dim)
     c = vol ** (1.0 / dim) / (400.0 * alpha * dim)
@@ -326,7 +312,7 @@ def holographic_box_width(d: float, ell: float, dim: int) -> float:
     """Maximum box side w0 for the holographic correctability certificate."""
     if dim < 2:
         raise ValueError("constants require D >= 2")
-    if d <= 0 or ell <= 0:
+    if not (d > 0 and ell > 0):
         raise ValueError("d and ell must be positive")
     vol = ball_volume(dim)
     return (vol / (2.0 * 4.0 ** (dim + 1) * dim) * d / ell) ** (1.0 / (dim - 1))

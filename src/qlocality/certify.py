@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -51,16 +52,7 @@ class CertificateStep:
     details: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "index": self.index,
-            "rule": self.rule,
-            "region": self.region,
-            "boundary": self.boundary,
-            "boundary_count": self.boundary_count,
-            "threshold": self.threshold,
-            "verdict": self.verdict,
-            "details": self.details,
-        }
+        return self.__dict__.copy()
 
     @classmethod
     def from_json(cls, obj: dict) -> CertificateStep:
@@ -199,7 +191,7 @@ def holographic_certify(
     """
     if mode not in ("strict", "verified"):
         raise ValueError(f"unknown mode {mode!r}")
-    if ell <= 0:
+    if not ell > 0:
         raise ValueError("ell must be positive")
     pairs, lengths = _pair_lengths(code, e)
     if d is None:
@@ -354,11 +346,11 @@ def expansion_sweep(
     pass the exact correctability oracle (the code argument is then
     mandatory).
     """
-    if ell <= 0:
+    if not ell > 0:
         raise ValueError("ell must be positive")
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError("tau must be positive")
-    if d <= 0:
+    if not d > 0:
         raise ValueError("d must be positive")
     if mode not in ("strict", "verified"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -480,11 +472,11 @@ def expansion_sweep(
             )
         )
 
-    # per open level: the size of B plus the lower levels' slabs, the
-    # current-axis coordinates of the qubits outside them (at depth D, only
-    # those inside the final box's lower-axis ranges), and the slab counts
-    # by centre; built on first use
-    levels: list[tuple[int, np.ndarray, dict[float, int]] | None] = [None]
+    # per open level: the size of B plus the lower levels' slabs, and the
+    # sorted current-axis coordinates of the qubits outside them (at depth
+    # D, only those inside the final box's lower-axis ranges); built on
+    # first use
+    levels: list[tuple[int, list[float]] | None] = [None]
 
     def frontier_count() -> int:
         """Size of the union of B with the frontier slabs of the current state."""
@@ -497,22 +489,16 @@ def expansion_sweep(
             if i == dim:
                 for j in range(dim - 1):
                     outside &= between(j, a[j], nxts[j])
-            levels[-1] = (fixed, coords[outside, i - 1], {})
-        fixed, values, counts = levels[-1]
-        a_i = a[-1]
-        if a_i not in counts:
-            # count the whole run from a_i at once: the centres the loop's
-            # repeated += ell reaches below extent, in blocks of about 2^20
-            # entries
-            run = [a_i]
-            while run[-1] + ell < extent:
-                run.append(run[-1] + ell)
-            rows = max(1, (1 << 20) // max(1, len(values)))
-            for start in range(0, len(run), rows):
-                centres = run[start : start + rows]
-                near = np.abs(values - np.array(centres)[:, None]) <= ell
-                counts.update(zip(centres, np.count_nonzero(near, axis=1).tolist()))
-        return fixed + counts[a_i]
+            levels[-1] = (fixed, np.sort(coords[outside, i - 1]).tolist())
+        fixed, values = levels[-1]
+        # v - a_i rounds monotonically in v, so the values with
+        # |v - a_i| <= ell form one run of the sorted list
+        a_i = float(a[-1])
+
+        def gap(v: float) -> float:
+            return v - a_i
+
+        return fixed + bisect_right(values, ell, key=gap) - bisect_left(values, -ell, key=gap)
 
     # each expansion grows the region and each relabel keeps it, so the
     # verified regions form a chain
@@ -727,7 +713,7 @@ def theorem_partition_builder(
     """
     if variant not in ("thm3_2", "thm5_1_case1", "thm5_1_case2"):
         raise ValueError(f"unknown variant {variant!r}")
-    if ell <= 0:
+    if not ell > 0:
         raise ValueError("ell must be positive")
     pairs, lengths = _pair_lengths(code, e)
     dim = e.dimension

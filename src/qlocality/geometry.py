@@ -6,6 +6,7 @@ import itertools
 import math
 import operator
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -228,7 +229,7 @@ def count_long(s: InteractionSet, ell: float) -> tuple[int, dict[int, int]]:
     The per-qubit values sum to exactly 2M since each long pair has two
     endpoints.
     """
-    if ell <= 0:
+    if not ell > 0:
         raise ValueError("ell must be positive")
     m = 0
     f: dict[int, int] = {q: 0 for q in range(s.n)}
@@ -378,26 +379,26 @@ def _derandomized_offset(
     x_bad_counts = np.zeros(len(xs), dtype=int)
     y_bad_any = np.zeros(len(ys), dtype=bool)
     offset = np.zeros(dim)
+    all_points = np.concatenate([xs, ys])
+    if len(all_points) == 0:
+        return offset
 
     def estimator(xb: np.ndarray, yb: np.ndarray, remaining: int) -> float:
+        # an empty side has tx or ty zero and adds nothing
+        keep = (1.0 - q) ** remaining
         total = 0.0
-        if len(xs) and tx > 0:
-            keep = (1.0 - q) ** remaining
+        if tx > 0:
             one_more = remaining * q * (1.0 - q) ** (remaining - 1) if remaining else 0.0
             p2 = np.where(
                 xb >= 2, 1.0, np.where(xb == 1, 1.0 - keep, 1.0 - keep - one_more)
             )
             total += p2.sum() / tx
-        if len(ys) and ty > 0:
-            keep = (1.0 - q) ** remaining
+        if ty > 0:
             p1 = np.where(yb, 1.0, 1.0 - keep)
             total += p1.sum() / ty
         return total
 
-    all_points = np.concatenate([xs, ys]) if len(xs) or len(ys) else np.zeros((0, dim))
     for j in range(dim):
-        if len(all_points) == 0:
-            break
         coords = all_points[:, j]
         crit = np.concatenate([coords % w, (coords - margin) % w, (coords + margin) % w])
         crit = np.unique(np.concatenate([crit, np.array([0.0])]))
@@ -409,16 +410,10 @@ def _derandomized_offset(
         best_xb = best_yb = None
         remaining = dim - j - 1
         for o in candidates:
-            if len(xs):
-                r = (xs[:, j] - o) % w
-                xb = x_bad_counts + ((r <= margin) | (r >= w - margin))
-            else:
-                xb = x_bad_counts
-            if len(ys):
-                r = (ys[:, j] - o) % w
-                yb = y_bad_any | (r <= margin) | (r >= w - margin)
-            else:
-                yb = y_bad_any
+            r = (xs[:, j] - o) % w
+            xb = x_bad_counts + ((r <= margin) | (r >= w - margin))
+            r = (ys[:, j] - o) % w
+            yb = y_bad_any | (r <= margin) | (r >= w - margin)
             val = estimator(xb, yb, remaining)
             if best_val is None or val < best_val:
                 best_val, best_off, best_xb, best_yb = val, float(o), xb, yb
@@ -443,9 +438,9 @@ def find_tiling(
     success probability > 0), then falls back to a complete derandomized
     search, so the operation is total for any w >= 4*ell.
     """
-    if ell <= 0:
+    if not ell > 0:
         raise ValueError("ell must be positive")
-    if w < 4 * ell:
+    if not w >= 4 * ell:
         raise ValueError(f"w = {w} violates the precondition w >= 4*ell = {4 * ell}")
     xs = np.asarray(x_points, dtype=float).reshape(-1, dim) if len(x_points) else np.zeros((0, dim))
     ys = np.asarray(y_points, dtype=float).reshape(-1, dim) if len(y_points) else np.zeros((0, dim))
@@ -464,16 +459,6 @@ def find_tiling(
 MassMap = Sequence[tuple[Sequence[float], int]]
 
 
-def _mass_in_interval(
-    masses: list[tuple[float, int]], lo: float, hi: float, closed_hi: bool
-) -> int:
-    total = 0
-    for x, m in masses:
-        if lo <= x < hi or (closed_hi and x == hi):
-            total += m
-    return total
-
-
 def subdivide(b: Box, f: MassMap, ell: float, d1: float) -> list[Box]:
     """Split b by hyperplanes orthogonal to x_1 into boxes that are light or short.
 
@@ -485,9 +470,9 @@ def subdivide(b: Box, f: MassMap, ell: float, d1: float) -> list[Box]:
     neighbors to keep the count low.  A mass point of the wrong dimension
     or with a non-finite coordinate, or a negative mass, raises ValueError.
     """
-    if ell <= 0:
+    if not ell > 0:
         raise ValueError("ell must be positive")
-    if d1 <= 0:
+    if not d1 > 0:
         raise ValueError("d1 must be positive")
     lo, hi = b.mins[0], b.maxs[0]
     height = hi - lo
@@ -507,25 +492,25 @@ def subdivide(b: Box, f: MassMap, ell: float, d1: float) -> list[Box]:
         if all(map(operator.le, mins, point)) and all(map(operator.le, point, maxs)):
             masses.append((float(point[0]), int(m)))
     masses.sort(key=lambda t: t[0])
+    xs = [x for x, _ in masses]
+    cum = [0, *itertools.accumulate(m for _, m in masses)]
+
+    def mass(a: float, c: float) -> int:
+        """Mass in [a, c), or in [a, c] when c is the top of b."""
+        top = bisect_right(xs, c) if c == hi else bisect_left(xs, c)
+        return cum[top] - cum[bisect_left(xs, a)]
 
     cuts = [lo]
     cur = lo
     while True:
-        rem_mass = _mass_in_interval(masses, cur, hi, closed_hi=True)
         rem_height = hi - cur
-        if rem_mass <= d1 or rem_height <= 10 * ell:
+        if mass(cur, hi) <= d1 or rem_height <= 10 * ell:
             cuts.append(hi)
             break
         # longest light prefix: everything before the atom that tips over d1
-        acc = 0
-        tip = hi
-        for x, m in masses:
-            if x < cur:
-                continue
-            acc += m
-            if acc > d1:
-                tip = x
-                break
+        start = bisect_left(xs, cur)
+        past = bisect_right(cum, d1, lo=start + 1, key=lambda c: c - cum[start])
+        tip = xs[past - 1] if past < len(cum) else hi
         prefix = tip - cur
         cap = rem_height - 5 * ell
         if prefix < min(10 * ell, cap):
@@ -535,19 +520,16 @@ def subdivide(b: Box, f: MassMap, ell: float, d1: float) -> list[Box]:
         cur += step
         cuts.append(cur)
 
-    # merge pass: join neighbors whenever the union is still light or short
-    def segment_ok(a: float, c: float) -> bool:
-        mass = _mass_in_interval(masses, a, c, closed_hi=(c == hi))
-        return mass <= d1 or (c - a) <= 10 * ell
-
-    merged = True
-    while merged and len(cuts) > 2:
-        merged = False
-        for i in range(1, len(cuts) - 1):
-            if segment_ok(cuts[i - 1], cuts[i + 1]):
-                del cuts[i]
-                merged = True
-                break
+    # merge pass: join neighbours whenever the union is still light or
+    # short; a join changes only the pair ending at the new neighbour, so
+    # the pass steps back one cut and goes on
+    i = 1
+    while i < len(cuts) - 1:
+        if mass(cuts[i - 1], cuts[i + 1]) <= d1 or cuts[i + 1] - cuts[i - 1] <= 10 * ell:
+            del cuts[i]
+            i = max(1, i - 1)
+        else:
+            i += 1
 
     boxes = []
     for a, c in zip(cuts, cuts[1:]):

@@ -383,9 +383,10 @@ class QubitColumns:
 
     def passes(self, support: Iterable[int]) -> bool:
         """True iff every Pauli on ``support`` (a qubit set) commuting with
-        the constraints lies in the span."""
+        the constraints lies in the span; a qubit outside [0, n) raises
+        ValueError."""
         cols = set(support)
         if cols and (min(cols) < 0 or max(cols) >= self.n):
-            raise ValueError(f"support {sorted(cols)} outside qubit range [0, {self.n})")
+            raise ValueError(f"region {sorted(cols)} outside qubit range [0, {self.n})")
         basis: dict[int, int] = {}
         return all(self.add(basis, q) for q in cols)

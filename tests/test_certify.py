@@ -7,6 +7,7 @@ from hashlib import sha256
 import pytest
 
 from qlocality import certify
+from qlocality.bounds import holographic_box_width, proof_constants
 from qlocality.certify import (
     OUTCOME_CERTIFIED,
     OUTCOME_CONTRADICTION,
@@ -19,7 +20,15 @@ from qlocality.certify import (
 )
 from qlocality.codes import SubsystemCode, distance, parameters
 from qlocality.families import bacon_shor, small_inner_codes, surface_code
-from qlocality.geometry import Box, Embedding, InteractionSet, extract_interactions
+from qlocality.geometry import (
+    Box,
+    Embedding,
+    InteractionSet,
+    count_long,
+    extract_interactions,
+    find_tiling,
+    subdivide,
+)
 from qlocality.pauli import PauliVector
 from qlocality.regions import is_correctable
 
@@ -114,6 +123,43 @@ def test_engines_check_the_embedding_size_before_any_search(monkeypatch, engine)
             holographic_certify(BS3.code, short, Box((0.0, 0.0), (1.0, 1.0)), ell=0.1)
         else:
             theorem_partition_builder(BS3.code, short, 1.5, "thm3_2")
+
+
+NAN = math.nan
+BS3_INTS = extract_interactions(BS3.code, BS3.embedding)
+HEAVY_BOX = Box((0.0, 0.0), (20.0, 4.0))
+HEAVY_MASSES = [((10.0, 1.0), 5)]
+
+# entry point -> (call with one NaN parameter, message of the x <= 0 check):
+# each used to let NaN through, to hang, to return a result or to fail later
+NAN_PARAMETERS = {
+    "subdivide-ell": (lambda: subdivide(HEAVY_BOX, HEAVY_MASSES, NAN, 3.0), "ell must be positive"),
+    "subdivide-d1": (lambda: subdivide(HEAVY_BOX, HEAVY_MASSES, 1.0, NAN), "d1 must be positive"),
+    "sweep-ell": (lambda: expansion_sweep(BS3.embedding, BS3_INTS, NAN, 3, 3), "ell must be"),
+    "sweep-tau": (lambda: expansion_sweep(BS3.embedding, BS3_INTS, 1.0, NAN, 3), "tau must be"),
+    "sweep-d": (lambda: expansion_sweep(BS3.embedding, BS3_INTS, 1.0, 3, NAN), "d must be"),
+    "tiling-ell": (lambda: find_tiling([], [], 4.0, NAN, 2, 0), "ell must be positive"),
+    "tiling-w": (lambda: find_tiling([], [], NAN, 1.0, 2, 0), "violates the precondition"),
+    "count_long": (lambda: count_long(BS3_INTS, NAN), "ell must be positive"),
+    "holographic-ell": (
+        lambda: holographic_certify(BS3.code, BS3.embedding, Box((0.0, 0.0), (2.0, 2.0)), NAN, d=3),
+        "ell must be positive",
+    ),
+    "partition-ell": (
+        lambda: theorem_partition_builder(BS3.code, BS3.embedding, NAN, "thm3_2"),
+        "ell must be positive",
+    ),
+    "box-width-d": (lambda: holographic_box_width(NAN, 1.0, 2), "d and ell must be positive"),
+    "box-width-ell": (lambda: holographic_box_width(3.0, NAN, 2), "d and ell must be positive"),
+    "proof-constants-alpha": (lambda: proof_constants(3.0, 0.1, 2, alpha=NAN), "alpha must be"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NAN_PARAMETERS))
+def test_library_rejects_nan_parameters(entry):
+    call, message = NAN_PARAMETERS[entry]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # ── expansion sweep ────────────────────────────────────────────────────

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qlocality import certify, families, geometry
@@ -241,6 +241,80 @@ def test_divide_space_matches_per_point_loop(e, data):
     d1 = data.draw(st.sampled_from([0.5, 1.0, 3.0, 7.0]))
     tiling = GridTiling(w, offset)
     assert certify._divide_space(e, f, tiling, ell, d1) == divide_space_loop(e, f, tiling, ell, d1)
+
+
+def subdivide_loop(b, f, ell, d1):
+    """The greedy sweep subdivide ran before: a rescan of every mass for each
+    interval sum and each tip, and a merge pass that restarts from the first
+    cut after every join."""
+
+    def mass_in_interval(lo, hi, closed_hi):
+        return sum(m for x, m in masses if lo <= x < hi or (closed_hi and x == hi))
+
+    lo, hi = b.mins[0], b.maxs[0]
+    masses = sorted(((float(p[0]), int(m)) for p, m in f if b.contains(p)), key=lambda t: t[0])
+    cuts = [lo]
+    cur = lo
+    while True:
+        rem_height = hi - cur
+        if mass_in_interval(cur, hi, True) <= d1 or rem_height <= 10 * ell:
+            cuts.append(hi)
+            break
+        acc = 0
+        tip = hi
+        for x, m in masses:
+            if x < cur:
+                continue
+            acc += m
+            if acc > d1:
+                tip = x
+                break
+        prefix = tip - cur
+        cap = rem_height - 5 * ell
+        if prefix < min(10 * ell, cap):
+            step = min(10 * ell, cap)
+        else:
+            step = min(prefix, cap)
+        cur += step
+        cuts.append(cur)
+
+    def segment_ok(a, c):
+        return mass_in_interval(a, c, c == hi) <= d1 or (c - a) <= 10 * ell
+
+    merged = True
+    while merged and len(cuts) > 2:
+        merged = False
+        for i in range(1, len(cuts) - 1):
+            if segment_ok(cuts[i - 1], cuts[i + 1]):
+                del cuts[i]
+                merged = True
+                break
+    return [Box((a,) + b.mins[1:], (c,) + b.maxs[1:]) for a, c in zip(cuts, cuts[1:])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_subdivide_matches_rescanning_loop(data):
+    dim = data.draw(st.integers(1, 3))
+    ell = data.draw(st.sampled_from([0.25, 0.3, 0.5, 1.0]))
+    lo = data.draw(GRID)
+    multiple = st.one_of(st.sampled_from([5.0, 10.0, 15.0, 30.0]), st.floats(5.0, 100.0))
+    height = ell * data.draw(multiple)
+    box = Box((lo,) + (0.0,) * (dim - 1), (lo + height,) + (1.0,) * (dim - 1))
+    hi = box.maxs[0]
+    assume(hi - lo >= 5 * ell)
+    # first coordinates on the box ends, on multiples of ell (where cuts
+    # land), tied and just outside; other coordinates inside and outside
+    first = st.one_of(
+        st.sampled_from([lo, hi]),
+        st.integers(0, int(height / ell) + 1).map(lambda k: lo + k * ell),
+        st.floats(lo - 1.0, hi + 1.0),
+    )
+    rest = st.sampled_from([-0.5, 0.0, 0.5, 1.0, 1.5])
+    point = st.tuples(first, *[rest] * (dim - 1))
+    masses = data.draw(st.lists(st.tuples(point, st.sampled_from([0, 1, 1, 2, 5])), max_size=60))
+    d1 = data.draw(st.sampled_from([0.5, 1.0, 2.5, 3.0, 7.0]))
+    assert geometry.subdivide(box, masses, ell, d1) == subdivide_loop(box, masses, ell, d1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -672,6 +746,100 @@ def test_sweep_runs_match_pinned_digests(label):
     cuts, reentries = level_two_events([step.rule for step in cert.steps])
     assert cuts >= 2 and (reentries >= 2 or "reentered" not in label)
     assert sha256(cert.to_json_lines().encode()).hexdigest() == digest
+
+
+LATTICE_ELLS = (0.3, 0.45, 0.7, 1.1, 1.3, 2.1)
+
+
+def jittered_lattice_sweep(seed):
+    """Strict sweep number seed of 48: seeds 0-23 run on a 10 x 10 lattice,
+    24-47 on a 5 x 5 x 5 one, four seeds per ell.  The lattice has spacing
+    1.25 and each coordinate moves by up to 0.1; its nearest neighbours, a
+    few random long pairs and every Z_i make the code.  tau and d scale
+    with the qubits a slab of half-width ell holds."""
+    dim, side = (2, 10) if seed < 24 else (3, 5)
+    ell = LATTICE_ELLS[seed % 24 // 4]
+    rng = random.Random(seed)
+    sites = list(itertools.product(range(side), repeat=dim))
+    index = {s: q for q, s in enumerate(sites)}
+    n = len(sites)
+    coords = [[1.25 * c + rng.uniform(-0.1, 0.1) for c in s] for s in sites]
+    pairs = [
+        (q, index[t])
+        for s, q in index.items()
+        for ax in range(dim)
+        if (t := s[:ax] + (s[ax] + 1,) + s[ax + 1 :]) in index
+    ]
+    pairs += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 2 * side))]
+    gens = [PauliVector(n, (1 << i) | (1 << j), 0) for i, j in pairs]
+    gens += [PauliVector(n, 0, 1 << i) for i in range(n)]
+    e = Embedding(dim, coords)
+    ints = extract_interactions(SubsystemCode(n, gens), e)
+    slab = side ** (dim - 1) * (2 * ell / 1.25 + 1)
+    tau = round(rng.uniform(0.3, 1.0) * slab)
+    d = round(rng.uniform(0.6, 3.0) * slab * dim)
+    return certify.expansion_sweep(e, ints, ell, tau, d)
+
+
+# seed -> SHA-256 of to_json_lines(), computed while each open level kept a
+# memo of slab counts filled by one broadcast per run of centres; none of
+# the ell values is exact in binary, so slab edges fall between floats
+LATTICE_SWEEP_PINNED = [
+    "3e31bc2f7ab28d228c3f537f52bf6eaac96bc402941385d0457a54b746a95408",  # 0: stuck at step 2
+    "dda7895437359681d421593708e81d4175b71b117c143451003ee64af94651e4",  # 1: stuck at step 2
+    "d1beab7142e66b81134fbd243c2580e0d9aa07b61267bcc780940f67dbc2413a",  # 2: stuck at step 2
+    "1729b8c55fae95088fe5b3522579becd7425d9060a45746c6dd1504e271f8b5c",  # 3: stuck at step 2
+    "0eef879cf392d9d1451c7a4ee496e1d9ca2568b978fa58cae8fd461d5aa2ba50",  # 4: stuck at step 1
+    "a4803a850c9dbec32ff5ef9703d84c60038a23a57fab9c5a44d630fa1552eefd",  # 5: stuck at step 1
+    "58439bc54626cef236de483a911e3b4e007d6d8d5bb626e7b71f0c069d7b1698",  # 6: stuck at step 1
+    "4b1ca3908c52a8b98a6b15d70eef61622760f145e37142be66bb8104617af351",  # 7: stuck at step 1
+    "94c8c51d02734dc07c70199868181eaf0159fbeb499f0ec1a783e23f171934f8",  # 8: stuck at step 1
+    "93fef7af4066ace9805d7a0444bb667feb06c2176054ec52cafc55788d0a503a",  # 9: certified in 24 steps
+    "4cbeec0ae1417c44b6d24c70230214509870b1653828a3dc297bb99334b4f566",  # 10: stuck at step 1
+    "6d77c9e0e51983b1fe49328b4a54d319c21a32bff2f18740a6f75921105265bd",  # 11: stuck at step 1
+    "98877f0aa1cdda257751910498777272b8559a67a3879fad72f2ca2e45451bda",  # 12: certified in 14 steps
+    "9335242799696380d73727b1bf56128194f62d5fab81d594104727f52f68560d",  # 13: stuck at step 1
+    "73327835a595a5c0394ac7dea4f08f58b00717f76e1b44342c8d165442795e54",  # 14: certified in 148 steps
+    "8aeff75c7fd0ff34c2a571a5533fae256a0d7d433458113e81da32b7128d112b",  # 15: certified in 148 steps
+    "bcdc74b2c90db31ccd6a0912888d52fbb117e102e609637c00d7116972db5dda",  # 16: certified in 25 steps
+    "1918829f370b0081a07ae7cf3c3a9b9c244177015f39a38cccf7c272e8a9049e",  # 17: certified in 25 steps
+    "a31f894424a11f90778484cb32f8b5713ef4d79b1e9b99385c9e8783420cf908",  # 18: certified in 16 steps
+    "e238b3adba95d4d72beba1bde84e2c9e9dd032ba7e21108a6d2774a39da6ac5e",  # 19: certified in 25 steps
+    "f9231a8e4420c6c7ef2260f7ee3c40073094f59af058821fcffd9ada9cb5c641",  # 20: certified in 12 steps
+    "243e3c730d79c8ced295790a76dc0dff875bc914502a14d1eee0a93a9015a2e6",  # 21: certified in 44 steps
+    "783cc685d99ef3ba8e3a7ab5e2c2d61314d70844e27414cbcb924f6b561c6715",  # 22: certified in 13 steps
+    "fb8a9d9aa3f81deac2a13888b4c418b1eb02b1fc0daf70a4c90898c32804d29a",  # 23: certified in 12 steps
+    "7c1e664cf09c77eb08283ba0c76c865391b4a8d08db253875ca5c805b3be8c86",  # 24: certified in 707 steps
+    "fa98610d739d57a23954c39cca2199719996700314504333e3bf0fd55857dd56",  # 25: stuck at step 1
+    "46454533790f6eed4809fc8bafc396293ab168e60a77529174658d9a1fc5f463",  # 26: certified in 707 steps
+    "339ea81ef63fa24a3c37b5e9468162ff12a7b2bd3ce52200b47fb6f2525477d4",  # 27: certified in 23 steps
+    "4054a8ee6fe6a2bc62a89051517c460b3b1a7615ca8c67bd45bf4f62dba1c6e4",  # 28: certified in 502 steps
+    "1c3b82ee2933f78dfec06232c036839985f83f968251c404d420f59113c08d00",  # 29: certified in 16 steps
+    "75481b1f16b516a802c4d6218ae585f1f3e154c44b9a7a3276b87e5d57d634c1",  # 30: certified in 16 steps
+    "e7038a5da3933e7b5a48354829dafa25327073378a41fa326daee282c9a87468",  # 31: stuck at step 3
+    "eab5c1e9b4fd81280ce92afe870f54fb3f8faf57d6ffd054d8aacc60f187e68f",  # 32: certified in 35 steps
+    "597dfe7ee7ec6ff33352cf2891e4b29bbd24bf250182abdeebc0ebf76a7c26c2",  # 33: certified in 11 steps
+    "9e243b36ef640d2b896c0a8bfe7026f36cfed25bbf7a0ebe676d3a80591a0436",  # 34: certified in 11 steps
+    "84c3ae0b1bdd6073d5b8315e5279348f06513291bddc4f7826ac8381c075afbd",  # 35: certified in 35 steps
+    "c016b8597d16d7f73a5dcae193dc1ee64d7f953cd04edb23746ddba9b39c9344",  # 36: certified in 8 steps
+    "2547eec2009d3bd375d0b3c767bf6be16589536a43d14c4f8e2fe6d0fff330ca",  # 37: certified in 188 steps
+    "c564f14d44f481712c0c1aaa43789e5134d3a23ac450a253ca0d5051f13dd673",  # 38: certified in 8 steps
+    "19c4622d1001fe0db28e12422f664f4c74e456a21a56d7341a09997eaa6608be",  # 39: certified in 8 steps
+    "9774c6f5bcb56d73d23ea95ddb4d3eda4ab3f86e06c8c4a50e87f7c010dcde8f",  # 40: certified in 17 steps
+    "2009fe1dfa51a17ace0f1ab01094b49e352b106c4d3dfec38844bf892df26c1c",  # 41: certified in 16 steps
+    "4c092e1dda77ea17d7ba5094054c24f860f22a87c5aa5afe1826ba064a15f7a4",  # 42: certified in 7 steps
+    "1bfd92514d22ff784ab5aaedddbe3a2042dcb37cb6374ae76d08d9a4a9340713",  # 43: certified in 7 steps
+    "63ed9322630c53e7ca2e6bf2812882b486fa5fb07af77d49a8d0b1b10af0f450",  # 44: certified in 15 steps
+    "a5d3cb4cf7d47d2ec4bf0dac4f40a7f030f05d1f7f60e8dbe9bc03f5fabf3bd5",  # 45: certified in 5 steps
+    "dc9de12779b107661fa5af1f9a51377a892569b521975598c968b2a4d1fb7bb2",  # 46: certified in 15 steps
+    "9f144877b0de0c5304d4d97512aa09547bb28ece4694b5bed014ce8aa4e6be10",  # 47: certified in 13 steps
+]
+
+
+@pytest.mark.parametrize("seed", range(len(LATTICE_SWEEP_PINNED)))
+def test_strict_sweep_on_jittered_lattices_matches_pinned_digests(seed):
+    cert = jittered_lattice_sweep(seed)
+    assert sha256(cert.to_json_lines().encode()).hexdigest() == LATTICE_SWEEP_PINNED[seed]
 
 
 def test_chain_oracle_matches_is_correctable_and_needs_a_chain():

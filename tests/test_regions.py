@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -224,6 +225,14 @@ def test_lemma_sweeps_randomized_n9_to_n20():
 def test_region_out_of_range_rejected():
     with pytest.raises(ValueError):
         is_correctable(BS2, [7])
+
+
+@pytest.mark.parametrize("predicate", [is_correctable, is_dressed_cleanable])
+@pytest.mark.parametrize("region, shown", [([9, 2, 2], "[2, 9]"), ([-1], "[-1]")])
+def test_region_predicates_name_the_qubit_range(predicate, region, shown):
+    message = f"region {shown} outside qubit range [0, 9)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        predicate(BS3, region)
 
 
 # ── boundary ───────────────────────────────────────────────────────────

@@ -284,8 +284,8 @@ class ProofConstants:
 
 def proof_constants(d: float, ell: float, dim: int, alpha: float = 1.0) -> ProofConstants:
     w0 = holographic_box_width(d, ell, dim)
-    if not alpha >= 1:
-        raise ValueError("alpha must be >= 1")
+    if not 1 <= alpha < math.inf:
+        raise ValueError("alpha must be >= 1 and finite")
     vol = ball_volume(dim)
     c = vol ** (1.0 / dim) / (400.0 * alpha * dim)
     lhs = 2.0**dim / vol * (2.0 * w0) ** (dim - 1) * ell
@@ -312,8 +312,8 @@ def holographic_box_width(d: float, ell: float, dim: int) -> float:
     """Maximum box side w0 for the holographic correctability certificate."""
     if dim < 2:
         raise ValueError("constants require D >= 2")
-    if not (d > 0 and ell > 0):
-        raise ValueError("d and ell must be positive")
+    if not (0 < d < math.inf and 0 < ell < math.inf):
+        raise ValueError("d and ell must be positive and finite")
     vol = ball_volume(dim)
     return (vol / (2.0 * 4.0 ** (dim + 1) * dim) * d / ell) ** (1.0 / (dim - 1))
 

@@ -26,7 +26,8 @@ from .geometry import (
     Embedding,
     GridTiling,
     InteractionSet,
-    _pair_lengths,
+    check_positive,
+    extract_interactions,
     find_tiling,
     packing_bound,
     points_in_box,
@@ -191,15 +192,13 @@ def holographic_certify(
     """
     if mode not in ("strict", "verified"):
         raise ValueError(f"unknown mode {mode!r}")
-    if not ell > 0:
-        raise ValueError("ell must be positive")
-    pairs, lengths = _pair_lengths(code, e)
+    check_positive(ell, "ell")
+    long_pairs = extract_interactions(code, e).long_pairs(ell)
     if d is None:
         d = distance(code).value
         if d is None:
             raise ValueError("distance search failed; pass d explicitly")
     dim = e.dimension
-    long_pairs = pairs[lengths >= ell]
 
     def mask(qubits: list[int]) -> np.ndarray:
         out = np.zeros(e.n, dtype=bool)
@@ -346,12 +345,9 @@ def expansion_sweep(
     pass the exact correctability oracle (the code argument is then
     mandatory).
     """
-    if not ell > 0:
-        raise ValueError("ell must be positive")
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    if not d > 0:
-        raise ValueError("d must be positive")
+    check_positive(ell, "ell")
+    check_positive(tau, "tau")
+    check_positive(d, "d")
     if mode not in ("strict", "verified"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "verified" and code is None:
@@ -391,9 +387,8 @@ def expansion_sweep(
                 smallest.append(cand.min())
     gamma = min(smallest) / 2.0 if smallest else ell / 2.0
 
-    bad_set = s.bad_qubits(ell)
     bad_mask = np.zeros(n, dtype=bool)
-    bad_mask[list(bad_set)] = True
+    bad_mask[s.long_pairs(ell)] = True
     # every coordinate of the last axis is good, so it needs no census
     bad_intervals = [_bad_intervals(coords[:, axis], ell, tau) for axis in range(dim - 1)] + [[]]
 
@@ -435,7 +430,7 @@ def expansion_sweep(
             "d": d,
             "gamma": gamma,
             "extent": extent,
-            "bad_qubits": sorted(bad_set),
+            "bad_qubits": np.flatnonzero(bad_mask).tolist(),
         },
     )
 
@@ -713,16 +708,14 @@ def theorem_partition_builder(
     """
     if variant not in ("thm3_2", "thm5_1_case1", "thm5_1_case2"):
         raise ValueError(f"unknown variant {variant!r}")
-    if not ell > 0:
-        raise ValueError("ell must be positive")
-    pairs, lengths = _pair_lengths(code, e)
+    check_positive(ell, "ell")
+    long_pairs = extract_interactions(code, e).long_pairs(ell)
     dim = e.dimension
     p = parameters(code)
     if p.k < 1:
         raise ValueError("partition builders need k >= 1")
     d = distance(code).value
     # f counts each qubit's long interactions; the bad qubits have one
-    long_pairs = pairs[lengths >= ell]
     f = np.bincount(long_pairs.ravel(), minlength=code.n)
     bad = f > 0
     d1 = d / 10.0

@@ -16,6 +16,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import bounds as bounds_mod
 from . import certify, families, geometry, regions
 from .codes import SubsystemCode, distance, json_int, parameters
@@ -184,7 +186,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     ints = (
         geometry.extract_interactions(code, emb)
         if code is not None
-        else geometry.InteractionSet(n=emb.n, pairs=(), multiplicity={})
+        else geometry.InteractionSet(emb.n, np.empty((0, 2), dtype=np.intp), np.empty(0), {})
     )
     cert = certify.expansion_sweep(emb, ints, args.ell, args.tau, args.d, mode=mode, code=code)
     _emit_certificate(cert, args.out)

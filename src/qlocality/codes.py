@@ -31,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, KeysView, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -184,6 +184,7 @@ class SubsystemCode:
         self._stabilizer_basis: BitMatrix | None = None
         self._parameters: CodeParameters | None = None
         self._interaction_counts: Mapping[tuple[int, int], int] | None = None
+        self._interaction_index: np.ndarray | None = None
         self._correctable_columns: QubitColumns | None = None
         self._cleanable_columns: QubitColumns | None = None
 
@@ -269,9 +270,16 @@ class SubsystemCode:
             self._interaction_counts = MappingProxyType(dict(sorted(counts.items())))
         return self._interaction_counts
 
-    def interaction_pairs(self) -> KeysView[tuple[int, int]]:
-        """Unordered qubit pairs jointly covered by some gauge generator."""
-        return self.interaction_counts().keys()
+    def interaction_index(self) -> np.ndarray:
+        """The pairs of interaction_counts(), in its order, as a read-only
+        m x 2 index array."""
+        if self._interaction_index is None:
+            counts = self.interaction_counts()
+            flat = itertools.chain.from_iterable(counts)
+            index = np.fromiter(flat, dtype=np.intp, count=2 * len(counts)).reshape(-1, 2)
+            index.setflags(write=False)
+            self._interaction_index = index
+        return self._interaction_index
 
     def to_json(self) -> dict:
         return {

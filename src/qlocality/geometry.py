@@ -8,6 +8,7 @@ import operator
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -15,6 +16,12 @@ import numpy as np
 from .codes import SubsystemCode, json_int
 
 DISTANCE_SLACK = 1e-12
+
+
+def check_positive(value: float, name: str) -> None:
+    """Raise ValueError unless 0 < value < inf; NaN counts as not positive."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be {'finite' if value > 0 else 'positive'}")
 
 
 @dataclass(frozen=True)
@@ -27,8 +34,10 @@ class Box:
     def __post_init__(self) -> None:
         if len(self.mins) != len(self.maxs):
             raise ValueError("min and max corners have different dimensions")
+        if not all(map(math.isfinite, self.mins + self.maxs)):
+            raise ValueError(f"box corners {list(self.mins)}, {list(self.maxs)} must be finite")
         for lo, hi in zip(self.mins, self.maxs):
-            if not lo <= hi:  # also rejects a NaN corner
+            if not lo <= hi:
                 raise ValueError(f"box has min {lo} > max {hi}")
 
     @property
@@ -39,10 +48,7 @@ class Box:
     def side_lengths(self) -> tuple[float, ...]:
         return tuple(hi - lo for lo, hi in zip(self.mins, self.maxs))
 
-    def contains(self, point: Sequence[float], half_open: bool = False) -> bool:
-        """Closed membership by default; half_open uses [min, max) per axis."""
-        if half_open:
-            return all(lo <= x < hi for x, lo, hi in zip(point, self.mins, self.maxs))
+    def contains(self, point: Sequence[float]) -> bool:
         return all(lo <= x <= hi for x, lo, hi in zip(point, self.mins, self.maxs))
 
     @classmethod
@@ -55,11 +61,7 @@ class Box:
 
     @classmethod
     def from_json(cls, obj: dict) -> Box:
-        mins = tuple(float(v) for v in obj["min"])
-        maxs = tuple(float(v) for v in obj["max"])
-        if not all(map(math.isfinite, mins + maxs)):
-            raise ValueError(f"box corners {list(mins)}, {list(maxs)} must be finite")
-        return cls(mins, maxs)
+        return cls(tuple(float(v) for v in obj["min"]), tuple(float(v) for v in obj["max"]))
 
 
 class Embedding:
@@ -170,57 +172,52 @@ def _close_pairs(e: Embedding) -> list[tuple[int, int, float]]:
     return sorted((min(i, j), max(i, j), dist) for i, j, dist in found)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InteractionSet:
     """Deduplicated qubit pairs with Euclidean lengths.
 
-    ``pairs`` holds (i, j, length) with i < j, sorted; ``multiplicity``
-    records in how many generators each pair co-occurs (metadata only --
-    the bounds count pairs, not generator incidences).  It is the code's
-    read-only cached table, shared by every set extracted from that code.
+    ``index`` is the code's read-only m x 2 array of pairs (i, j), i < j,
+    sorted, and ``lengths`` holds their lengths in the embedding;
+    ``multiplicity`` records in how many generators each pair co-occurs
+    (metadata only -- the bounds count pairs, not generator incidences).
+    Both ``index`` and ``multiplicity`` are the code's cached tables,
+    shared by every set extracted from that code.
     """
 
     n: int
-    pairs: tuple[tuple[int, int, float], ...]
+    index: np.ndarray
+    lengths: np.ndarray
     multiplicity: Mapping[tuple[int, int], int]
 
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int, float], ...]:
+        """The pairs as (i, j, length) tuples, in index order."""
+        return tuple(zip(*self.index.T.tolist(), self.lengths.tolist()))
+
+    def long_pairs(self, ell: float) -> np.ndarray:
+        """The rows of index whose length is >= ell."""
+        return self.index[self.lengths >= ell]
+
     def max_length(self) -> float:
-        return max((length for _, _, length in self.pairs), default=0.0)
+        return float(self.lengths.max()) if len(self.lengths) else 0.0
 
     def bad_qubits(self, ell: float) -> frozenset[int]:
         """Qubits participating in an interaction of length >= ell."""
-        out = set()
-        for i, j, length in self.pairs:
-            if length >= ell:
-                out.add(i)
-                out.add(j)
-        return frozenset(out)
+        return frozenset(self.long_pairs(ell).ravel().tolist())
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "pairs": [[i, j, length] for i, j, length in self.pairs],
-        }
-
-
-def _pair_lengths(code: SubsystemCode, e: Embedding) -> tuple[np.ndarray, np.ndarray]:
-    """The code's cached pairs as an m x 2 index array, in table order, and
-    their lengths in the embedding."""
-    if e.n != code.n:
-        raise ValueError(f"embedding has {e.n} points, code has {code.n} qubits")
-    counts = code.interaction_counts()
-    flat = itertools.chain.from_iterable(counts)
-    idx = np.fromiter(flat, dtype=np.intp, count=2 * len(counts)).reshape(-1, 2)
-    diff = e.coordinates[idx[:, 0]] - e.coordinates[idx[:, 1]]
-    return idx, np.sqrt(np.vecdot(diff, diff))
+        return {"n": self.n, "pairs": list(map(list, self.pairs))}
 
 
 def extract_interactions(code: SubsystemCode, e: Embedding) -> InteractionSet:
     """The code's cached pair table, with lengths from the embedding."""
-    _, lengths = _pair_lengths(code, e)
-    counts = code.interaction_counts()
-    pairs = tuple((i, j, length) for (i, j), length in zip(counts, lengths.tolist()))
-    return InteractionSet(n=code.n, pairs=pairs, multiplicity=counts)
+    if e.n != code.n:
+        raise ValueError(f"embedding has {e.n} points, code has {code.n} qubits")
+    index = code.interaction_index()
+    diff = e.coordinates[index[:, 0]] - e.coordinates[index[:, 1]]
+    lengths = np.sqrt(np.vecdot(diff, diff))
+    lengths.setflags(write=False)
+    return InteractionSet(code.n, index, lengths, code.interaction_counts())
 
 
 def count_long(s: InteractionSet, ell: float) -> tuple[int, dict[int, int]]:
@@ -229,16 +226,9 @@ def count_long(s: InteractionSet, ell: float) -> tuple[int, dict[int, int]]:
     The per-qubit values sum to exactly 2M since each long pair has two
     endpoints.
     """
-    if not ell > 0:
-        raise ValueError("ell must be positive")
-    m = 0
-    f: dict[int, int] = {q: 0 for q in range(s.n)}
-    for i, j, length in s.pairs:
-        if length >= ell:
-            m += 1
-            f[i] += 1
-            f[j] += 1
-    return m, f
+    check_positive(ell, "ell")
+    long = s.long_pairs(ell)
+    return len(long), dict(enumerate(np.bincount(long.ravel(), minlength=s.n).tolist()))
 
 
 def ball_volume(dim: int) -> float:
@@ -257,13 +247,12 @@ def packing_bound(b: Box) -> float:
     return bound
 
 
-def points_in_box(e: Embedding, b: Box, half_open: bool = False) -> list[int]:
-    """Indices of the points in b, with Box.contains' closed or half-open rule."""
+def points_in_box(e: Embedding, b: Box) -> list[int]:
+    """Indices of the points in b, with Box.contains' closed rule."""
     if b.dimension != e.dimension:
         raise ValueError(f"box has dimension {b.dimension}, embedding has {e.dimension}")
     c = e.coordinates
-    upper = c < b.maxs if half_open else c <= b.maxs
-    return np.flatnonzero(((c >= b.mins) & upper).all(axis=1)).tolist()
+    return np.flatnonzero(((c >= b.mins) & (c <= b.maxs)).all(axis=1)).tolist()
 
 
 def check_density(b: Box, e: Embedding) -> bool:
@@ -438,10 +427,10 @@ def find_tiling(
     success probability > 0), then falls back to a complete derandomized
     search, so the operation is total for any w >= 4*ell.
     """
-    if not ell > 0:
-        raise ValueError("ell must be positive")
+    check_positive(ell, "ell")
     if not w >= 4 * ell:
         raise ValueError(f"w = {w} violates the precondition w >= 4*ell = {4 * ell}")
+    check_positive(w, "w")
     xs = np.asarray(x_points, dtype=float).reshape(-1, dim) if len(x_points) else np.zeros((0, dim))
     ys = np.asarray(y_points, dtype=float).reshape(-1, dim) if len(y_points) else np.zeros((0, dim))
     rng = random.Random(seed)
@@ -466,14 +455,13 @@ def subdivide(b: Box, f: MassMap, ell: float, d1: float) -> list[Box]:
     height <= 10*ell; mass membership uses [lo, hi) half-open slabs except
     the topmost box, which is closed.  Greedy sweep: take the longest
     light prefix, or a short (<= 10*ell) slab swallowing the mass point
-    that tips the prefix over d1; a final merge pass removes mergeable
-    neighbors to keep the count low.  A mass point of the wrong dimension
+    that tips the prefix over d1.  No two neighbours could be joined: the
+    union of a box and the next holds the first one's tipping point, so it
+    is heavy and longer than 10*ell.  A mass point of the wrong dimension
     or with a non-finite coordinate, or a negative mass, raises ValueError.
     """
-    if not ell > 0:
-        raise ValueError("ell must be positive")
-    if not d1 > 0:
-        raise ValueError("d1 must be positive")
+    check_positive(ell, "ell")
+    check_positive(d1, "d1")
     lo, hi = b.mins[0], b.maxs[0]
     height = hi - lo
     if height < 5 * ell:
@@ -520,18 +508,4 @@ def subdivide(b: Box, f: MassMap, ell: float, d1: float) -> list[Box]:
         cur += step
         cuts.append(cur)
 
-    # merge pass: join neighbours whenever the union is still light or
-    # short; a join changes only the pair ending at the new neighbour, so
-    # the pass steps back one cut and goes on
-    i = 1
-    while i < len(cuts) - 1:
-        if mass(cuts[i - 1], cuts[i + 1]) <= d1 or cuts[i + 1] - cuts[i - 1] <= 10 * ell:
-            del cuts[i]
-            i = max(1, i - 1)
-        else:
-            i += 1
-
-    boxes = []
-    for a, c in zip(cuts, cuts[1:]):
-        boxes.append(Box((a,) + b.mins[1:], (c,) + b.maxs[1:]))
-    return boxes
+    return [Box((a,) + b.mins[1:], (c,) + b.maxs[1:]) for a, c in zip(cuts, cuts[1:])]

@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .codes import SubsystemCode, json_int, parameters
 
 
@@ -28,19 +30,14 @@ def is_dressed_cleanable(code: SubsystemCode, u: Iterable[int]) -> bool:
 
 
 def boundary(code: SubsystemCode, u: Iterable[int]) -> frozenset[int]:
-    """Inner plus outer boundary of u under the code's interaction pairs."""
-    u = frozenset(u)
-    outer = set()
-    inner = set()
-    for i, j in code.interaction_pairs():
-        if (i in u) != (j in u):
-            if i in u:
-                inner.add(i)
-                outer.add(j)
-            else:
-                inner.add(j)
-                outer.add(i)
-    return frozenset(outer | inner)
+    """Inner plus outer boundary of u under the code's interaction pairs:
+    both ends of every pair with one end in u.  Qubits of u outside
+    [0, n) are in no pair."""
+    pairs = code.interaction_index()
+    inside = np.zeros(code.n, dtype=bool)
+    inside[[q for q in u if 0 <= q < code.n]] = True
+    ends = inside[pairs]
+    return frozenset(pairs[ends[:, 0] != ends[:, 1]].ravel().tolist())
 
 
 def check_subset_closure(code: SubsystemCode, u: Iterable[int], w: Iterable[int]) -> bool:
@@ -78,16 +75,12 @@ def check_union_lemma(
     if mode == "projector" and not code.has_abelian_gauge():
         raise ValueError("projector mode requires an abelian gauge group")
 
-    membership = {}
+    # decoupled: no pair joins two of the regions
+    label = np.full(code.n, -1)
     for idx, p in enumerate(parts):
-        for q in p:
-            membership[q] = idx
-    decoupled = True
-    for i, j in code.interaction_pairs():
-        a, b = membership.get(i), membership.get(j)
-        if a is not None and b is not None and a != b:
-            decoupled = False
-            break
+        label[list(p)] = idx
+    ends = label[code.interaction_index()]
+    decoupled = not ((ends >= 0).all(axis=1) & (ends[:, 0] != ends[:, 1])).any()
     each_correctable = all(is_correctable(code, p) for p in parts)
     hypotheses_met = decoupled and each_correctable
     union = frozenset().union(*parts) if parts else frozenset()

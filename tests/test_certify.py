@@ -4,6 +4,7 @@ import json
 import math
 from hashlib import sha256
 
+import numpy as np
 import pytest
 
 from qlocality import certify
@@ -162,11 +163,49 @@ def test_library_rejects_nan_parameters(entry):
         call()
 
 
+INF = math.inf
+
+# entry point -> (call with one infinite parameter, message of the check
+# that also stops NaN): each used to let the infinity through
+INF_PARAMETERS = {
+    "subdivide-ell": (lambda: subdivide(HEAVY_BOX, HEAVY_MASSES, INF, 3.0), "^ell must be finite$"),
+    "subdivide-d1": (lambda: subdivide(HEAVY_BOX, HEAVY_MASSES, 1.0, INF), "^d1 must be finite$"),
+    "subdivide-box": (
+        lambda: subdivide(Box((0.0, 0.0), (INF, 1.0)), HEAVY_MASSES, 1.0, 3.0),
+        r"^box corners \[0.0, 0.0\], \[inf, 1.0\] must be finite$",
+    ),
+    "sweep-ell": (lambda: expansion_sweep(BS3.embedding, BS3_INTS, INF, 3, 3), "^ell must be finite$"),
+    "sweep-tau": (lambda: expansion_sweep(BS3.embedding, BS3_INTS, 1.0, INF, 3), "^tau must be finite$"),
+    "sweep-d": (lambda: expansion_sweep(BS3.embedding, BS3_INTS, 1.0, 3, INF), "^d must be finite$"),
+    "tiling-ell": (lambda: find_tiling([], [], 4.0, INF, 2, 0), "^ell must be finite$"),
+    "tiling-w": (lambda: find_tiling([], [], INF, 1.0, 2, 0), "^w must be finite$"),
+    "count_long": (lambda: count_long(BS3_INTS, INF), "^ell must be finite$"),
+    "holographic-ell": (
+        lambda: holographic_certify(BS3.code, BS3.embedding, Box((0.0, 0.0), (2.0, 2.0)), INF, d=3),
+        "^ell must be finite$",
+    ),
+    "partition-ell": (
+        lambda: theorem_partition_builder(BS3.code, BS3.embedding, INF, "thm3_2"),
+        "^ell must be finite$",
+    ),
+    "box-width-d": (lambda: holographic_box_width(INF, 1.0, 2), "^d and ell must be positive and finite$"),
+    "box-width-ell": (lambda: holographic_box_width(3.0, INF, 2), "^d and ell must be positive and finite$"),
+    "proof-constants-alpha": (lambda: proof_constants(3.0, 0.1, 2, alpha=INF), "^alpha must be >= 1 and finite$"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INF_PARAMETERS))
+def test_library_rejects_infinite_parameters(entry):
+    call, message = INF_PARAMETERS[entry]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # ── expansion sweep ────────────────────────────────────────────────────
 
 
 def empty_interactions(n):
-    return InteractionSet(n=n, pairs=(), multiplicity={})
+    return InteractionSet(n, np.empty((0, 2), dtype=np.intp), np.empty(0), {})
 
 
 def test_sweep_no_qubits_certified():

@@ -144,7 +144,10 @@ def test_interaction_multiplicity_cannot_corrupt_the_code_table():
         del code.interaction_counts()[(1, 2)]
     again = extract_interactions(code, emb)
     assert dict(again.multiplicity) == {(0, 1): 2, (1, 2): 1}
-    assert sorted(code.interaction_pairs()) == [(0, 1), (1, 2)]
+    for table in (code.interaction_index(), again.index, again.lengths):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 99
+    assert code.interaction_index().tolist() == [[0, 1], [1, 2]]
 
 
 def test_count_long_examples():
@@ -369,7 +372,7 @@ def test_subdivide_random_configurations():
 
 @pytest.mark.parametrize("mins, maxs", [((math.nan, 0.0), (1.0, 1.0)), ((0.0, 0.0), (1.0, math.nan))])
 def test_box_rejects_nan_corner(mins, maxs):
-    with pytest.raises(ValueError, match="box has min"):
+    with pytest.raises(ValueError, match="must be finite"):
         Box(mins, maxs)
 
 

@@ -31,7 +31,7 @@ from qlocality.geometry import (
     verify_tiling,
 )
 from qlocality.pauli import PauliVector
-from qlocality.regions import is_correctable
+from qlocality.regions import boundary, check_union_lemma, is_correctable
 
 
 def all_pairs_violations(e):
@@ -324,9 +324,8 @@ def test_points_in_box_matches_contains(e, data):
     lo = data.draw(st.lists(GRID, min_size=dim, max_size=dim))
     ext = data.draw(st.lists(GRID, min_size=dim, max_size=dim))
     box = Box(tuple(lo), tuple(a + b for a, b in zip(lo, ext)))
-    for half_open in (False, True):
-        expected = [i for i in range(e.n) if box.contains(e.coordinates[i], half_open)]
-        assert points_in_box(e, box, half_open) == expected
+    expected = [i for i in range(e.n) if box.contains(e.coordinates[i])]
+    assert points_in_box(e, box) == expected
 
 
 def test_points_in_box_rejects_dimension_mismatch():
@@ -357,7 +356,7 @@ def test_interaction_lengths_match_per_pair_norm_exactly(code_and_embedding):
     code, e = code_and_embedding
     ints = extract_interactions(code, e)
     c = e.coordinates
-    assert [(i, j) for i, j, _ in ints.pairs] == sorted(code.interaction_pairs())
+    assert [(i, j) for i, j, _ in ints.pairs] == sorted(code.interaction_counts())
     for i, j, length in ints.pairs:
         assert length == float(np.linalg.norm(c[i] - c[j]))
 
@@ -408,8 +407,7 @@ def test_interaction_table_matches_per_generator_loop(code, data):
     counts = code.interaction_counts()
     assert dict(counts) == expected
     assert list(counts) == sorted(expected)
-    assert set(code.interaction_pairs()) == set(expected)
-    assert len(code.interaction_pairs()) == len(expected)
+    assert code.interaction_index().tolist() == [list(pair) for pair in sorted(expected)]
     coords = data.draw(st.lists(st.lists(COORD, min_size=2, max_size=2), min_size=code.n, max_size=code.n))
     e = Embedding(2, coords)
     ints = extract_interactions(code, e)
@@ -417,6 +415,77 @@ def test_interaction_table_matches_per_generator_loop(code, data):
     assert dict(ints.multiplicity) == expected
     for i, j, length in ints.pairs:
         assert length == float(np.linalg.norm(e.coordinates[i] - e.coordinates[j]))
+
+
+def census_by_pairs(pairs, n, ell):
+    """The per-pair loops of count_long, bad_qubits, max_length and the long
+    pairs before they read the index array."""
+    m = 0
+    f = {q: 0 for q in range(n)}
+    bad = set()
+    long = []
+    for i, j, length in pairs:
+        if length >= ell:
+            m += 1
+            f[i] += 1
+            f[j] += 1
+            bad |= {i, j}
+            long.append([i, j])
+    return m, f, frozenset(bad), long, max((length for _, _, length in pairs), default=0.0)
+
+
+def boundary_by_pairs(code, u):
+    """The per-pair loop of regions.boundary before the index array."""
+    u = frozenset(u)
+    outer, inner = set(), set()
+    for i, j in code.interaction_counts():
+        if (i in u) != (j in u):
+            if i in u:
+                inner.add(i)
+                outer.add(j)
+            else:
+                inner.add(j)
+                outer.add(i)
+    return frozenset(outer | inner)
+
+
+def decoupled_by_pairs(code, parts):
+    """The per-pair loop of the union lemma's decoupling test."""
+    membership = {}
+    for idx, p in enumerate(parts):
+        for q in p:
+            membership[q] = idx
+    for i, j in code.interaction_counts():
+        a, b = membership.get(i), membership.get(j)
+        if a is not None and b is not None and a != b:
+            return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(lettered_codes(), st.data())
+def test_census_matches_per_pair_loops(code, data):
+    n = code.n
+    dim = data.draw(st.integers(1, 3))
+    coords = data.draw(st.lists(st.lists(COORD, min_size=dim, max_size=dim), min_size=n, max_size=n))
+    ints = extract_interactions(code, Embedding(dim, coords))
+    # ell on a pair's length (a tie), between lengths, or past the longest
+    longest = ints.max_length()
+    choices = [st.sampled_from([0.25, 1.0, 2.5]), st.just(longest + 1.0)]
+    if longest > 0:
+        choices.append(st.sampled_from([x for x in ints.lengths.tolist() if x > 0]))
+    ell = data.draw(st.one_of(choices))
+    m, f, bad, long, top = census_by_pairs(ints.pairs, n, ell)
+    assert count_long(ints, ell) == (m, f)
+    assert ints.bad_qubits(ell) == bad
+    assert ints.long_pairs(ell).tolist() == long
+    assert ints.max_length() == top
+    # u may hold qubits outside [0, n), which are in no pair
+    u = data.draw(st.sets(st.integers(-3, n + 3)))
+    assert boundary(code, u) == boundary_by_pairs(code, u)
+    labels = data.draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
+    parts = [[q for q in range(n) if labels[q] == part] for part in range(3)]
+    assert check_union_lemma(code, parts).decoupled == decoupled_by_pairs(code, parts)
 
 
 def sweep_gamma_by_pairs(e, ell):
@@ -436,7 +505,7 @@ def sweep_gamma_by_pairs(e, ell):
 @settings(max_examples=100, deadline=None)
 @given(clouds(max_n=30).filter(lambda e: e.n > 0), st.sampled_from([0.25, 0.5, 1.0, 1.5]))
 def test_sweep_gamma_matches_pairwise_loop(e, ell):
-    ints = InteractionSet(n=e.n, pairs=(), multiplicity={})
+    ints = InteractionSet(e.n, np.empty((0, 2), dtype=np.intp), np.empty(0), {})
     cert = certify.expansion_sweep(e, ints, ell, tau=e.n + 1, d=e.n + 1)
     assert cert.metadata["gamma"] == sweep_gamma_by_pairs(e, ell)
 
@@ -867,7 +936,7 @@ def test_chain_oracle_matches_is_correctable_and_needs_a_chain():
 def test_verified_sweep_rejects_qubit_count_mismatch():
     code, e = near_pair_code(40, 2, 9.0, 1)
     small = Embedding(2, e.coordinates[:-1])
-    ints = InteractionSet(n=small.n, pairs=(), multiplicity={})
+    ints = InteractionSet(small.n, np.empty((0, 2), dtype=np.intp), np.empty(0), {})
     with pytest.raises(ValueError, match="embedding has 39 points, code has 40 qubits"):
         certify.expansion_sweep(small, ints, 1.5, 10, 100, mode="verified", code=code)
 

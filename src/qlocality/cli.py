@@ -14,6 +14,8 @@ import argparse
 import functools
 import json
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -75,10 +77,21 @@ def _non_negative_int(text: str) -> int:
 
 
 def _write(text: str, path: str | None = None) -> None:
-    """Write text to the file at path, or to stdout when there is none."""
+    """Write text to the file at path, or to stdout when there is none.
+
+    An existing regular file is written over in place and then cut to the
+    text's length, so it keeps its inode, mode and hard links, as with
+    ``open(path, "w")``.  It is not truncated on open: ext4 starts writeback
+    of a file truncated on open when it is closed (``auto_da_alloc``), and
+    for a small command that costs more than the command's own work.  Other
+    targets, such as ``/dev/null`` or a FIFO, cannot be truncated and are
+    written as streams.
+    """
     if path:
-        with open(path, "w") as fh:
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
             fh.write(text)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
     else:
         print(text, end="")
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -93,16 +94,31 @@ def json_int(value: object, what: str) -> int:
 Support = tuple[tuple[int, ...], tuple[int, ...]]
 
 
+def _python_ints(qubits: tuple) -> tuple[int, ...]:
+    """The qubits as Python ints; a bool or a non-integer is rejected."""
+    if not any(isinstance(q, bool) for q in qubits):
+        try:
+            return tuple(map(operator.index, qubits))
+        except TypeError:
+            pass
+    raise ValueError("support qubits must be integers")
+
+
 def _checked_supports(n: int, supports: Iterable[Support]) -> tuple[Support, ...]:
-    """The supports as tuples, after checking that every qubit list is an
-    increasing run of integers in [0, n)."""
+    """The supports as tuples of Python ints, after checking that every
+    qubit list is an increasing run of integers in [0, n)."""
     out = tuple((tuple(xs), tuple(zs)) for xs, zs in supports)
     halves = list(itertools.chain.from_iterable(out))
-    flat = np.array(list(itertools.chain.from_iterable(halves)))
-    if not flat.size:
+    qubits = list(itertools.chain.from_iterable(halves))
+    if set(map(type, qubits)) - {int}:
+        # numpy integers become Python ints here: the rows and bit sets
+        # built from them need unbounded shifts and int.bit_length
+        out = tuple((_python_ints(xs), _python_ints(zs)) for xs, zs in out)
+        halves = list(itertools.chain.from_iterable(out))
+        qubits = list(itertools.chain.from_iterable(halves))
+    if not qubits:
         return out
-    if flat.dtype.kind != "i":
-        raise ValueError("support qubits must be integers")
+    flat = np.array(qubits)
     # ends[h] is one past the last position of half h (a generator's X or Z
     # tuple) in flat
     ends = np.cumsum(np.fromiter(map(len, halves), dtype=np.intp, count=len(halves)))

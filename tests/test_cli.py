@@ -4,8 +4,10 @@ import argparse
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -357,6 +359,84 @@ def test_concat_cli(capsys, tmp_path):
     )
     assert rc == EXIT_OK
     assert json.loads(out_code.read_text())["n"] == 20
+
+
+# ── output files ───────────────────────────────────────────────────────
+
+
+def interactions_out(capsys, bs3_files, out):
+    """Exit code and stderr of `interactions` on BS-3, written to out."""
+    code_path, emb_path = bs3_files
+    rc = main(["interactions", code_path, emb_path, "--out", str(out)])
+    return rc, capsys.readouterr().err
+
+
+def test_out_to_dev_null_exits_zero(bs3_files, capsys):
+    assert interactions_out(capsys, bs3_files, os.devnull) == (EXIT_OK, "")
+
+
+def test_out_to_fifo_streams_the_stdout_bytes(bs3_files, capsys, tmp_path):
+    code_path, emb_path = bs3_files
+    _, expected = run(capsys, "interactions", code_path, emb_path)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    rc, err = interactions_out(capsys, bs3_files, fifo)
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert (rc, err) == (EXIT_OK, "")
+    assert received == [expected.encode()]
+
+
+def test_out_to_directory_exits_two(bs3_files, capsys, tmp_path):
+    rc, err = interactions_out(capsys, bs3_files, tmp_path)
+    assert rc == EXIT_INPUT
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_shorter_output_over_a_longer_file_leaves_no_stale_tail(capsys, tmp_path):
+    def construct(size, prefix):
+        paths = [tmp_path / f"{prefix}_code.json", tmp_path / f"{prefix}_emb.json"]
+        rc, _ = run(
+            capsys, "construct", "--family", "bacon_shor", "--size", str(size),
+            "--out-code", str(paths[0]), "--out-embedding", str(paths[1]),
+        )
+        assert rc == EXIT_OK
+        return [p.read_bytes() for p in paths]
+
+    longer = construct(5, "reused")
+    rewritten = construct(3, "reused")
+    assert rewritten == construct(3, "fresh")
+    assert all(len(old) > len(new) for old, new in zip(longer, rewritten))
+
+
+def test_rewrite_keeps_inode_mode_and_hard_links(bs3_files, capsys, tmp_path):
+    code_path, emb_path = bs3_files
+    _, expected = run(capsys, "interactions", code_path, emb_path)
+    target = tmp_path / "out.json"
+    target.write_text("stale\n" * 1000)
+    target.chmod(0o640)
+    link = tmp_path / "link.json"
+    os.link(target, link)
+    before = target.stat()
+    assert interactions_out(capsys, bs3_files, target) == (EXIT_OK, "")
+    after = target.stat()
+    assert (after.st_ino, stat.S_IMODE(after.st_mode), after.st_nlink) == (before.st_ino, 0o640, 2)
+    assert link.read_text() == expected
+
+
+def test_new_output_file_gets_mode_0o666_less_the_umask(bs3_files, capsys, tmp_path):
+    target = tmp_path / "out.json"
+    old_umask = os.umask(0o027)
+    try:
+        rc, _ = interactions_out(capsys, bs3_files, target)
+    finally:
+        os.umask(old_umask)
+    assert rc == EXIT_OK
+    assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~0o027
 
 
 @pytest.fixture

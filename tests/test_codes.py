@@ -4,6 +4,7 @@ import itertools
 import random
 from hashlib import sha256
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -564,14 +565,34 @@ def test_code_from_supports_matches_code_from_paulis(code):
         (3, [((), (0, 2)), ((2, 1), ())], r"generator 1 X support \(2, 1\) is not sorted"),
         (3, [((1, 1), ())], r"generator 0 X support \(1, 1\) repeats a qubit"),
         (3, [((0.5, 1), ())], "support qubits must be integers"),
+        (3, [((np.float64(1.0),), ())], "support qubits must be integers"),
+        (3, [((True, 2), ())], "support qubits must be integers"),
+        (3, [((np.True_,), ())], "support qubits must be integers"),
         (-1, [], r"qubit count -1 outside \[0, 100000\]"),
         (MAX_QUBITS + 1, [], r"qubit count 100001 outside \[0, 100000\]"),
     ],
-    ids=["out-of-range", "negative", "unsorted", "duplicated", "non-integer", "negative-n", "too-many-qubits"],
+    ids=[
+        "out-of-range", "negative", "unsorted", "duplicated", "non-integer", "numpy-float",
+        "bool-among-ints", "numpy-bool", "negative-n", "too-many-qubits",
+    ],
 )
 def test_from_supports_rejects_malformed_supports(n, supports, message):
     with pytest.raises(ValueError, match=message):
         SubsystemCode.from_supports(n, supports)
+
+
+@pytest.mark.parametrize("n", [3, 100])
+def test_from_supports_stores_numpy_integer_qubits_as_python_ints(n):
+    supports = [((0, 1), ()), ((), (1, n - 1)), ((0, n - 1), (0, n - 1))]
+    numpy_supports = [
+        (np.array(xs, dtype=np.int64), tuple(np.int32(q) for q in zs)) for xs, zs in supports
+    ]
+    code = SubsystemCode.from_supports(n, numpy_supports)
+    assert code.supports == tuple(supports)
+    assert {type(q) for pair in code.supports for half in pair for q in half} == {int}
+    plain = SubsystemCode.from_supports(n, supports)
+    assert parameters(code) == parameters(plain)
+    assert code.dumps() == plain.dumps()
 
 
 @settings(max_examples=300, deadline=None)

@@ -168,7 +168,7 @@ def _cmd_check_region(args: argparse.Namespace) -> int:
 
 def _cmd_tile(args: argparse.Namespace) -> int:
     emb = _load_embedding(args.embedding)
-    points = [tuple(c) for c in emb.coordinates]
+    points = emb.coordinates
     tiling = geometry.find_tiling(points, points, args.w, args.ell, emb.dimension, seed=args.seed)
     report = geometry.verify_tiling(tiling, points, points, args.ell)
     _dump({"tiling": tiling.to_json(), "report": report}, args.out)

@@ -284,6 +284,20 @@ class GridTiling:
         return {"width": self.width, "offset": list(self.offset)}
 
 
+def _point_array(points: Sequence[Sequence[float]], dim: int, name: str) -> np.ndarray:
+    """points as one float m x dim array, from a single np.asarray.
+
+    [] is the empty set; any other shape but m x dim raises ValueError
+    rather than being regrouped into points of the wrong width.
+    """
+    arr = np.asarray(points, dtype=float)
+    if arr.shape == (0,):
+        return arr.reshape(0, dim)
+    if arr.ndim != 2 or arr.shape[1] != dim:
+        raise ValueError(f"{name} must be m x {dim}, got shape {arr.shape}")
+    return arr
+
+
 def verify_tiling(
     tiling: GridTiling,
     x_points: Sequence[Sequence[float]],
@@ -292,21 +306,28 @@ def verify_tiling(
 ) -> dict:
     """Independent enumeration check of the tiling fractions.
 
-    Kept free of the sampler's code on purpose: counts X points within
-    ell_inf distance 2*ell of a codimension-2 face and Y points within
-    2*ell of a codimension-1 face, and compares against the allowed
+    Shares only input conversion with the sampler (one array per distinct
+    point set) and keeps its own fraction arithmetic: counts X points
+    within ell_inf distance 2*ell of a codimension-2 face and Y points
+    within 2*ell of a codimension-1 face, and compares against the allowed
     fractions (4*ell*D/w)^2 and 8*ell*D/w.  A coordinate is near a face
     when its residue (x - offset) mod w is within 2*ell of 0 or of w.
     """
     w = tiling.width
     dim = tiling.dimension
+    check_positive(ell, "ell")
+    check_positive(w, "w")
     margin = 2.0 * ell
 
-    def near_counts(points: Sequence[Sequence[float]]) -> np.ndarray:
-        r = (np.asarray(points, dtype=float).reshape(-1, dim) - tiling.offset) % w
+    def near_counts(points: np.ndarray) -> np.ndarray:
+        r = (points - tiling.offset) % w
         return np.count_nonzero((r <= margin) | (r >= w - margin), axis=1)
 
-    x_near, y_near = near_counts(x_points), near_counts(y_points)
+    x_near = near_counts(_point_array(x_points, dim, "x_points"))
+    if y_points is x_points:
+        y_near = x_near
+    else:
+        y_near = near_counts(_point_array(y_points, dim, "y_points"))
     x_bad = int(np.count_nonzero(x_near >= 2))
     y_bad = int(np.count_nonzero(y_near >= 1))
     x_fraction = x_bad / len(x_near) if len(x_near) else 0.0
@@ -324,6 +345,14 @@ def verify_tiling(
     }
 
 
+def _near_face(
+    coords: np.ndarray, offset: np.ndarray | float, w: float, margin: float
+) -> np.ndarray:
+    """Mask of the coordinates within margin of a face of the width-w grid at offset."""
+    r = (coords - offset) % w
+    return (r <= margin) | (r >= w - margin)
+
+
 def _fractions_ok(
     offset: np.ndarray,
     xs: np.ndarray,
@@ -332,20 +361,15 @@ def _fractions_ok(
     ell: float,
     dim: int,
 ) -> bool:
+    """Whether offset keeps both fractions; when ys is xs one residue mask serves both."""
     margin = 2.0 * ell
     x_allowed = (4.0 * ell * dim / w) ** 2
     y_allowed = 8.0 * ell * dim / w
-    if len(xs):
-        r = (xs - offset) % w
-        bad = (r <= margin) | (r >= w - margin)
-        if np.count_nonzero(bad.sum(axis=1) >= 2) > x_allowed * len(xs):
-            return False
-    if len(ys):
-        r = (ys - offset) % w
-        bad = (r <= margin) | (r >= w - margin)
-        if np.count_nonzero(bad.any(axis=1)) > y_allowed * len(ys):
-            return False
-    return True
+    x_near = _near_face(xs, offset, w, margin)
+    if np.count_nonzero(np.count_nonzero(x_near, axis=1) >= 2) > x_allowed * len(xs):
+        return False
+    y_near = x_near if ys is xs else _near_face(ys, offset, w, margin)
+    return bool(np.count_nonzero(y_near.any(axis=1)) <= y_allowed * len(ys))
 
 
 def _derandomized_offset(
@@ -368,7 +392,7 @@ def _derandomized_offset(
     x_bad_counts = np.zeros(len(xs), dtype=int)
     y_bad_any = np.zeros(len(ys), dtype=bool)
     offset = np.zeros(dim)
-    all_points = np.concatenate([xs, ys])
+    all_points = xs if ys is xs else np.concatenate([xs, ys])
     if len(all_points) == 0:
         return offset
 
@@ -399,10 +423,10 @@ def _derandomized_offset(
         best_xb = best_yb = None
         remaining = dim - j - 1
         for o in candidates:
-            r = (xs[:, j] - o) % w
-            xb = x_bad_counts + ((r <= margin) | (r >= w - margin))
-            r = (ys[:, j] - o) % w
-            yb = y_bad_any | (r <= margin) | (r >= w - margin)
+            x_near = _near_face(xs[:, j], o, w, margin)
+            y_near = x_near if ys is xs else _near_face(ys[:, j], o, w, margin)
+            xb = x_bad_counts + x_near
+            yb = y_bad_any | y_near
             val = estimator(xb, yb, remaining)
             if best_val is None or val < best_val:
                 best_val, best_off, best_xb, best_yb = val, float(o), xb, yb
@@ -431,8 +455,8 @@ def find_tiling(
     if not w >= 4 * ell:
         raise ValueError(f"w = {w} violates the precondition w >= 4*ell = {4 * ell}")
     check_positive(w, "w")
-    xs = np.asarray(x_points, dtype=float).reshape(-1, dim) if len(x_points) else np.zeros((0, dim))
-    ys = np.asarray(y_points, dtype=float).reshape(-1, dim) if len(y_points) else np.zeros((0, dim))
+    xs = _point_array(x_points, dim, "x_points")
+    ys = xs if y_points is x_points else _point_array(y_points, dim, "y_points")
     rng = random.Random(seed)
     for _ in range(max_tries):
         offset = np.array([rng.uniform(0.0, w) for _ in range(dim)])

@@ -24,11 +24,13 @@ from qlocality.families import bacon_shor, small_inner_codes, surface_code
 from qlocality.geometry import (
     Box,
     Embedding,
+    GridTiling,
     InteractionSet,
     count_long,
     extract_interactions,
     find_tiling,
     subdivide,
+    verify_tiling,
 )
 from qlocality.pauli import PauliVector
 from qlocality.regions import is_correctable
@@ -141,6 +143,8 @@ NAN_PARAMETERS = {
     "sweep-d": (lambda: expansion_sweep(BS3.embedding, BS3_INTS, 1.0, 3, NAN), "d must be"),
     "tiling-ell": (lambda: find_tiling([], [], 4.0, NAN, 2, 0), "ell must be positive"),
     "tiling-w": (lambda: find_tiling([], [], NAN, 1.0, 2, 0), "violates the precondition"),
+    "verify-ell": (lambda: verify_tiling(GridTiling(8.0, (0.0, 0.0)), [], [], NAN), "ell must be positive"),
+    "verify-w": (lambda: verify_tiling(GridTiling(NAN, (0.0, 0.0)), [], [], 1.0), "w must be positive"),
     "count_long": (lambda: count_long(BS3_INTS, NAN), "ell must be positive"),
     "holographic-ell": (
         lambda: holographic_certify(BS3.code, BS3.embedding, Box((0.0, 0.0), (2.0, 2.0)), NAN, d=3),
@@ -179,6 +183,8 @@ INF_PARAMETERS = {
     "sweep-d": (lambda: expansion_sweep(BS3.embedding, BS3_INTS, 1.0, 3, INF), "^d must be finite$"),
     "tiling-ell": (lambda: find_tiling([], [], 4.0, INF, 2, 0), "^ell must be finite$"),
     "tiling-w": (lambda: find_tiling([], [], INF, 1.0, 2, 0), "^w must be finite$"),
+    "verify-ell": (lambda: verify_tiling(GridTiling(8.0, (0.0, 0.0)), [], [], INF), "^ell must be finite$"),
+    "verify-w": (lambda: verify_tiling(GridTiling(INF, (0.0, 0.0)), [], [], 1.0), "^w must be finite$"),
     "count_long": (lambda: count_long(BS3_INTS, INF), "^ell must be finite$"),
     "holographic-ell": (
         lambda: holographic_certify(BS3.code, BS3.embedding, Box((0.0, 0.0), (2.0, 2.0)), INF, d=3),

@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import threading
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
@@ -179,6 +180,32 @@ def test_tile(bs3_files, capsys):
     assert rc == EXIT_OK
     obj = json.loads(out)
     assert obj["report"]["ok"]
+
+
+# stdout SHA-256 of `tile`, pinned while the CLI still passed a tuple list:
+# reading the coordinate array must change no byte
+TILE_DIGESTS = {
+    "bs3": (
+        lambda: bacon_shor(3),
+        ["--w", "8", "--ell", "1", "--seed", "4"],
+        "8aea31d1e78bffb6f4eb5646e612b0643b60c18df3efd9e0dae724665e6dbbe6",
+    ),
+    "repetition-64-3d": (
+        lambda: small_inner_codes("repetition", r=64, dim=3),
+        ["--w", "8", "--ell", "0.25", "--seed", "3"],
+        "5b42750b49a5878b911f55afbcf5bf04b88b8986bc1c1395072faae3a55d5882",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TILE_DIGESTS))
+def test_tile_output_digest(name, capsys, tmp_path):
+    build, args, digest = TILE_DIGESTS[name]
+    emb_path = tmp_path / "embedding.json"
+    emb_path.write_text(json.dumps(build().embedding.to_json()))
+    rc, out = run(capsys, "tile", str(emb_path), *args)
+    assert rc == EXIT_OK
+    assert sha256(out.encode()).hexdigest() == digest
 
 
 def test_subdivide(capsys, tmp_path):

@@ -3,7 +3,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlocality.codes import SubsystemCode
 from qlocality.geometry import (
@@ -261,6 +264,18 @@ def test_tiling_deterministic_per_seed():
     assert a == b
 
 
+def tiling_in_every_form(pts, w, ell, dim, seed, max_tries):
+    """find_tiling's tiling and verify_tiling's report, asserted equal whether
+    X and Y are one list, two equal lists or the read-only coordinate array."""
+    arr = Embedding(dim, pts).coordinates
+    results = []
+    for xs, ys in ((pts, pts), (pts, list(pts)), (arr, arr)):
+        tiling = find_tiling(xs, ys, w, ell, dim, seed=seed, max_tries=max_tries)
+        results.append((tiling, verify_tiling(tiling, xs, ys, ell)))
+    assert results[1] == results[0] and results[2] == results[0]
+    return results[0]
+
+
 def test_tiling_derandomized_fallback():
     rng = random.Random(8)
     for trial in range(10):
@@ -269,8 +284,56 @@ def test_tiling_derandomized_fallback():
         ell = rng.uniform(0.5, 2.0)
         w = rng.uniform(4.0, 10.0) * ell
         # max_tries=0 forces the conditional-expectation search
-        tiling = find_tiling(pts, pts, w, ell, dim, seed=0, max_tries=0)
-        assert verify_tiling(tiling, pts, pts, ell)["ok"]
+        _, report = tiling_in_every_form(pts, w, ell, dim, seed=0, max_tries=0)
+        assert report["ok"]
+
+
+@st.composite
+def tiling_cases(draw):
+    """Point sets in D = 1..3, scattered or on a line through the origin,
+    with some points repeated, plus ell, w, a seed and a try budget."""
+    dim = draw(st.integers(1, 3))
+    coord = st.floats(0.0, 50.0)
+    if draw(st.booleans()):
+        pts = draw(st.lists(st.tuples(*[coord] * dim), max_size=25))
+    else:
+        step = draw(st.tuples(*[st.integers(0, 3)] * dim))
+        pts = [tuple(t * a for a in step) for t in draw(st.lists(coord, max_size=25))]
+    if pts:
+        pts += draw(st.lists(st.sampled_from(pts), max_size=5))
+    ell = draw(st.floats(0.25, 2.0))
+    w = draw(st.floats(4.0, 12.0)) * ell
+    seed = draw(st.integers(0, 2**32))
+    max_tries = draw(st.sampled_from((0, 3, 10_000)))
+    return pts, w, ell, dim, seed, max_tries
+
+
+@settings(max_examples=200, deadline=None)
+@given(tiling_cases())
+def test_tiling_shared_point_set_matches_separate_lists(case):
+    _, report = tiling_in_every_form(*case)
+    assert report["ok"]
+
+
+def test_find_tiling_rejects_points_of_the_wrong_width():
+    # eight 3-D points used to be regrouped into twelve 2-D points
+    pts = [(float(i), 0.0, 1.0) for i in range(8)]
+    with pytest.raises(ValueError, match=r"^x_points must be m x 2, got shape \(8, 3\)$"):
+        find_tiling(pts, pts, 16.0, 1.0, 2, seed=0)
+    with pytest.raises(ValueError, match=r"^y_points must be m x 2, got shape \(8, 3\)$"):
+        find_tiling(np.zeros((0, 2)), pts, 16.0, 1.0, 2, seed=0)
+    with pytest.raises(ValueError, match=r"^x_points must be m x 2, got shape \(4,\)$"):
+        find_tiling([1.0, 2.0, 3.0, 4.0], [], 16.0, 1.0, 2, seed=0)
+
+
+def test_verify_tiling_rejects_points_of_the_wrong_width():
+    # three 2-D points used to be read as six 1-D points and reported ok
+    tiling = GridTiling(width=16.0, offset=(0.0,))
+    pts = [(1.0, 2.0), (3.0, 4.0), (5.0, 6.0)]
+    with pytest.raises(ValueError, match=r"^x_points must be m x 1, got shape \(3, 2\)$"):
+        verify_tiling(tiling, pts, pts, 1.0)
+    with pytest.raises(ValueError, match=r"^y_points must be m x 1, got shape \(3, 2\)$"):
+        verify_tiling(tiling, np.zeros((0, 1)), pts, 1.0)
 
 
 def test_grid_tiling_cells():

@@ -199,7 +199,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     ints = (
         geometry.extract_interactions(code, emb)
         if code is not None
-        else geometry.InteractionSet(emb.n, np.empty((0, 2), dtype=np.intp), np.empty(0), {})
+        else geometry.InteractionSet(
+            emb.n, np.empty((0, 2), dtype=np.intp), np.empty(0), np.empty(0, dtype=np.intp)
+        )
     )
     cert = certify.expansion_sweep(emb, ints, args.ell, args.tau, args.d, mode=mode, code=code)
     _emit_certificate(cert, args.out)

@@ -28,7 +28,6 @@ from __future__ import annotations
 import itertools
 import json
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -140,6 +139,11 @@ def _checked_supports(n: int, supports: Iterable[Support]) -> tuple[Support, ...
     return out
 
 
+def pair_map(index: np.ndarray, counts: np.ndarray) -> Mapping[tuple[int, int], int]:
+    """Read-only map from each row (i, j) of an m x 2 pair index to its count."""
+    return MappingProxyType(dict(zip(zip(*index.T.tolist()), counts.tolist())))
+
+
 def _bitset(qubits: tuple[int, ...]) -> int:
     out = 0
     for q in qubits:
@@ -200,7 +204,7 @@ class SubsystemCode:
         self._stabilizer_basis: BitMatrix | None = None
         self._parameters: CodeParameters | None = None
         self._interaction_counts: Mapping[tuple[int, int], int] | None = None
-        self._interaction_index: np.ndarray | None = None
+        self._interaction_table: tuple[np.ndarray, np.ndarray] | None = None
         self._correctable_columns: QubitColumns | None = None
         self._cleanable_columns: QubitColumns | None = None
 
@@ -271,31 +275,51 @@ class SubsystemCode:
         """The gauge group is abelian iff its center is its whole span."""
         return self.stabilizer_basis.rank() == self.gauge_basis.rank()
 
-    def interaction_counts(self) -> Mapping[tuple[int, int], int]:
-        """Read-only map from each qubit pair (i, j), i < j, jointly covered by
-        some gauge generator to the number of generators covering it; keys
-        are in sorted order."""
-        if self._interaction_counts is None:
-            # a generator's qubits: the sorted union of its X and Z tuples
-            counts = Counter(
-                itertools.chain.from_iterable(
-                    itertools.combinations(sorted({*xs, *zs}) if xs and zs else xs or zs, 2)
-                    for xs, zs in self.supports
-                )
-            )
-            self._interaction_counts = MappingProxyType(dict(sorted(counts.items())))
-        return self._interaction_counts
+    def interaction_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only pair table (index, counts): index is the m x 2 array
+        of qubit pairs (i, j), i < j, jointly covered by some gauge generator,
+        in sorted order, and counts[r] the number of generators covering pair r.
+
+        Built once from one list of integer keys i * n + j: a generator's
+        qubits (the sorted union of its X and Z tuples) give the keys of
+        their pairs, one sort groups equal keys, and the first of each group
+        is a pair, its group length the pair's count.
+        """
+        if self._interaction_table is None:
+            n = self.n
+            keys: list[int] = []
+            for xs, zs in self.supports:
+                qs = sorted({*xs, *zs}) if xs and zs else xs or zs
+                if len(qs) == 2:  # every lattice family's generators: no combinations
+                    keys.append(qs[0] * n + qs[1])
+                else:
+                    keys.extend(i * n + j for i, j in itertools.combinations(qs, 2))
+            flat = np.array(keys, dtype=np.intp)
+            flat.sort()
+            m = len(flat)
+            # edge[p]: a run of equal keys starts at p, or p = m
+            edge = np.empty(m + 1, dtype=bool)
+            edge[0] = edge[m] = True
+            np.not_equal(flat[1:], flat[:-1], out=edge[1:m])
+            bounds = edge.nonzero()[0]
+            counts = bounds[1:] - bounds[:-1]
+            index = np.empty((len(counts), 2), dtype=np.intp)
+            np.divmod(flat[bounds[:-1]], n, out=(index[:, 0], index[:, 1]))
+            index.setflags(write=False)
+            counts.setflags(write=False)
+            self._interaction_table = (index, counts)
+        return self._interaction_table
 
     def interaction_index(self) -> np.ndarray:
-        """The pairs of interaction_counts(), in its order, as a read-only
-        m x 2 index array."""
-        if self._interaction_index is None:
-            counts = self.interaction_counts()
-            flat = itertools.chain.from_iterable(counts)
-            index = np.fromiter(flat, dtype=np.intp, count=2 * len(counts)).reshape(-1, 2)
-            index.setflags(write=False)
-            self._interaction_index = index
-        return self._interaction_index
+        """The index array of interaction_table()."""
+        return self.interaction_table()[0]
+
+    def interaction_counts(self) -> Mapping[tuple[int, int], int]:
+        """Read-only map from each pair of interaction_table() to its count,
+        in the table's sorted order; built on first read."""
+        if self._interaction_counts is None:
+            self._interaction_counts = pair_map(*self.interaction_table())
+        return self._interaction_counts
 
     def to_json(self) -> dict:
         return {

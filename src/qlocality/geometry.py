@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .codes import SubsystemCode, json_int
+from .codes import SubsystemCode, json_int, pair_map
 
 DISTANCE_SLACK = 1e-12
 
@@ -177,17 +177,23 @@ class InteractionSet:
     """Deduplicated qubit pairs with Euclidean lengths.
 
     ``index`` is the code's read-only m x 2 array of pairs (i, j), i < j,
-    sorted, and ``lengths`` holds their lengths in the embedding;
-    ``multiplicity`` records in how many generators each pair co-occurs
-    (metadata only -- the bounds count pairs, not generator incidences).
-    Both ``index`` and ``multiplicity`` are the code's cached tables,
-    shared by every set extracted from that code.
+    sorted, ``lengths`` holds their lengths in the embedding, and
+    ``counts`` the number of generators each pair co-occurs in (metadata
+    only -- the bounds count pairs, not generator incidences).  ``index``
+    and ``counts`` are the code's cached table, shared by every set
+    extracted from that code; ``multiplicity``, the read-only pair -> count
+    map, is built from them on first read.
     """
 
     n: int
     index: np.ndarray
     lengths: np.ndarray
-    multiplicity: Mapping[tuple[int, int], int]
+    counts: np.ndarray
+
+    @cached_property
+    def multiplicity(self) -> Mapping[tuple[int, int], int]:
+        """Read-only map from each pair (i, j) to its count, in index order."""
+        return pair_map(self.index, self.counts)
 
     @cached_property
     def pairs(self) -> tuple[tuple[int, int, float], ...]:
@@ -196,6 +202,7 @@ class InteractionSet:
 
     def long_pairs(self, ell: float) -> np.ndarray:
         """The rows of index whose length is >= ell."""
+        check_positive(ell, "ell")
         return self.index[self.lengths >= ell]
 
     def max_length(self) -> float:
@@ -213,11 +220,11 @@ def extract_interactions(code: SubsystemCode, e: Embedding) -> InteractionSet:
     """The code's cached pair table, with lengths from the embedding."""
     if e.n != code.n:
         raise ValueError(f"embedding has {e.n} points, code has {code.n} qubits")
-    index = code.interaction_index()
+    index, counts = code.interaction_table()
     diff = e.coordinates[index[:, 0]] - e.coordinates[index[:, 1]]
     lengths = np.sqrt(np.vecdot(diff, diff))
     lengths.setflags(write=False)
-    return InteractionSet(code.n, index, lengths, code.interaction_counts())
+    return InteractionSet(code.n, index, lengths, counts)
 
 
 def count_long(s: InteractionSet, ell: float) -> tuple[int, dict[int, int]]:
@@ -226,7 +233,6 @@ def count_long(s: InteractionSet, ell: float) -> tuple[int, dict[int, int]]:
     The per-qubit values sum to exactly 2M since each long pair has two
     endpoints.
     """
-    check_positive(ell, "ell")
     long = s.long_pairs(ell)
     return len(long), dict(enumerate(np.bincount(long.ravel(), minlength=s.n).tolist()))
 
@@ -288,13 +294,16 @@ def _point_array(points: Sequence[Sequence[float]], dim: int, name: str) -> np.n
     """points as one float m x dim array, from a single np.asarray.
 
     [] is the empty set; any other shape but m x dim raises ValueError
-    rather than being regrouped into points of the wrong width.
+    rather than being regrouped into points of the wrong width, and so
+    does a NaN or infinite coordinate.
     """
     arr = np.asarray(points, dtype=float)
     if arr.shape == (0,):
         return arr.reshape(0, dim)
     if arr.ndim != 2 or arr.shape[1] != dim:
         raise ValueError(f"{name} must be m x {dim}, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
     return arr
 
 

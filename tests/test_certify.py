@@ -211,7 +211,9 @@ def test_library_rejects_infinite_parameters(entry):
 
 
 def empty_interactions(n):
-    return InteractionSet(n, np.empty((0, 2), dtype=np.intp), np.empty(0), {})
+    return InteractionSet(
+        n, np.empty((0, 2), dtype=np.intp), np.empty(0), np.empty(0, dtype=np.intp)
+    )
 
 
 def test_sweep_no_qubits_certified():

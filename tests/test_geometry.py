@@ -153,6 +153,23 @@ def test_interaction_multiplicity_cannot_corrupt_the_code_table():
     assert code.interaction_index().tolist() == [[0, 1], [1, 2]]
 
 
+@pytest.mark.parametrize(
+    ("ell", "message"),
+    [
+        (math.nan, "ell must be positive"),
+        (0.0, "ell must be positive"),
+        (-1.0, "ell must be positive"),
+        (math.inf, "ell must be finite"),
+    ],
+)
+def test_long_pairs_and_bad_qubits_check_ell(ell, message):
+    # bad_qubits(nan) used to be empty and long_pairs(-1.0) every pair
+    ints = extract_interactions(BS3, unit_grid(3))
+    for census in (ints.long_pairs, ints.bad_qubits, lambda v: count_long(ints, v)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            census(ell)
+
+
 def test_count_long_examples():
     ints = extract_interactions(BS3, unit_grid(3))
     m, f = count_long(ints, 1.5)
@@ -334,6 +351,34 @@ def test_verify_tiling_rejects_points_of_the_wrong_width():
         verify_tiling(tiling, pts, pts, 1.0)
     with pytest.raises(ValueError, match=r"^y_points must be m x 1, got shape \(3, 2\)$"):
         verify_tiling(tiling, np.zeros((0, 1)), pts, 1.0)
+
+
+NON_FINITE = [(math.nan, 0.0), (1.0, math.inf)]
+FINITE = [(0.0, 0.0), (1.0, 1.0)]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_find_tiling_rejects_non_finite_points(bad):
+    # a NaN residue compares false, so the point used to count as far from every face
+    pts = [bad, (3.0, 4.0)]
+    with pytest.raises(ValueError, match=r"^x_points must be finite$"):
+        find_tiling(pts, pts, 8.0, 1.0, 2, seed=0)
+    with pytest.raises(ValueError, match=r"^x_points must be finite$"):
+        find_tiling(pts, FINITE, 8.0, 1.0, 2, seed=0)
+    with pytest.raises(ValueError, match=r"^y_points must be finite$"):
+        find_tiling(FINITE, np.array(pts), 8.0, 1.0, 2, seed=0)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_verify_tiling_rejects_non_finite_points(bad):
+    tiling = GridTiling(width=8.0, offset=(0.5, 0.5))
+    pts = [bad, (3.0, 4.0)]
+    with pytest.raises(ValueError, match=r"^x_points must be finite$"):
+        verify_tiling(tiling, pts, pts, 1.0)
+    with pytest.raises(ValueError, match=r"^x_points must be finite$"):
+        verify_tiling(tiling, np.array(pts), FINITE, 1.0)
+    with pytest.raises(ValueError, match=r"^y_points must be finite$"):
+        verify_tiling(tiling, FINITE, pts, 1.0)
 
 
 def test_grid_tiling_cells():

@@ -407,7 +407,10 @@ def test_interaction_table_matches_per_generator_loop(code, data):
     counts = code.interaction_counts()
     assert dict(counts) == expected
     assert list(counts) == sorted(expected)
-    assert code.interaction_index().tolist() == [list(pair) for pair in sorted(expected)]
+    index, per_pair = code.interaction_table()
+    assert index.tolist() == [list(pair) for pair in sorted(expected)]
+    assert per_pair.tolist() == [expected[pair] for pair in sorted(expected)]
+    assert code.interaction_index() is index
     coords = data.draw(st.lists(st.lists(COORD, min_size=2, max_size=2), min_size=code.n, max_size=code.n))
     e = Embedding(2, coords)
     ints = extract_interactions(code, e)
@@ -415,6 +418,78 @@ def test_interaction_table_matches_per_generator_loop(code, data):
     assert dict(ints.multiplicity) == expected
     for i, j, length in ints.pairs:
         assert length == float(np.linalg.norm(e.coordinates[i] - e.coordinates[j]))
+
+
+def assert_table_matches_loop(code):
+    """The code's (index, counts) table and its map against the reference loop."""
+    expected = reference_interaction_counts(code)
+    index, counts = code.interaction_table()
+    assert index.dtype == np.intp and index.shape == (len(expected), 2)
+    assert index.tolist() == [list(pair) for pair in sorted(expected)]
+    assert counts.tolist() == [expected[pair] for pair in sorted(expected)]
+    assert list(code.interaction_counts().items()) == sorted(expected.items())
+    return expected
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        SubsystemCode(0, []),
+        SubsystemCode(3, []),
+        SubsystemCode.from_strings(["IXI", "ZII", "III", "IIY", "IXI"]),
+        SubsystemCode.from_supports(4, [((0,), ()), ((), (3,)), ((), ()), ((2,), (2,))]),
+    ],
+    ids=["n0", "no-generators", "weight-le-1-strings", "weight-le-1-supports"],
+)
+def test_interaction_table_without_pairs(code):
+    assert assert_table_matches_loop(code) == {}
+    assert code.interaction_table()[1].shape == (0,)
+
+
+MIXED = ["XXII", "XXII", "ZZII", "YIYI", "IZXY", "XZII", "IIII", "IYIZ", "YYYY", "IIZZ"]
+
+
+@pytest.mark.parametrize("form", ["strings", "supports"])
+def test_interaction_table_counts_repeated_and_mixed_generators(form):
+    code = SubsystemCode.from_strings(MIXED)
+    if form == "supports":
+        code = SubsystemCode.from_supports(code.n, code.supports)
+    expected = assert_table_matches_loop(code)
+    assert expected[(0, 1)] == 5 and expected[(2, 3)] == 3
+
+
+@pytest.mark.parametrize(
+    ("build", "pairs"),
+    [
+        (lambda: families.bacon_shor(64), 2 * 64 * 63),
+        (lambda: families.small_inner_codes("repetition", r=15**3, dim=3), 15**3 - 1),
+    ],
+    ids=["bacon-shor-64", "repetition-3375-3d"],
+)
+def test_interaction_table_at_full_size(build, pairs):
+    expected = assert_table_matches_loop(build().code)
+    assert len(expected) == pairs
+    assert set(expected.values()) == {1}
+
+
+def test_extract_interactions_builds_no_pair_map():
+    ec = families.bacon_shor(5)
+    code = ec.code
+    ints = extract_interactions(code, ec.embedding)
+    assert "multiplicity" not in vars(ints)
+    assert code._interaction_counts is None
+    index, counts = code.interaction_table()
+    assert ints.index is index and ints.counts is counts
+    for table in (counts, ints.counts):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 99
+    # the set's map is built from the shared arrays, not read from the code
+    assert dict(ints.multiplicity) == reference_interaction_counts(code)
+    assert code._interaction_counts is None
+    assert list(code.interaction_counts().items()) == list(ints.multiplicity.items())
+    assert code._interaction_counts is not None
+    with pytest.raises(TypeError):
+        ints.multiplicity[(0, 1)] = 99
 
 
 def census_by_pairs(pairs, n, ell):
@@ -505,7 +580,9 @@ def sweep_gamma_by_pairs(e, ell):
 @settings(max_examples=100, deadline=None)
 @given(clouds(max_n=30).filter(lambda e: e.n > 0), st.sampled_from([0.25, 0.5, 1.0, 1.5]))
 def test_sweep_gamma_matches_pairwise_loop(e, ell):
-    ints = InteractionSet(e.n, np.empty((0, 2), dtype=np.intp), np.empty(0), {})
+    ints = InteractionSet(
+        e.n, np.empty((0, 2), dtype=np.intp), np.empty(0), np.empty(0, dtype=np.intp)
+    )
     cert = certify.expansion_sweep(e, ints, ell, tau=e.n + 1, d=e.n + 1)
     assert cert.metadata["gamma"] == sweep_gamma_by_pairs(e, ell)
 
@@ -936,7 +1013,9 @@ def test_chain_oracle_matches_is_correctable_and_needs_a_chain():
 def test_verified_sweep_rejects_qubit_count_mismatch():
     code, e = near_pair_code(40, 2, 9.0, 1)
     small = Embedding(2, e.coordinates[:-1])
-    ints = InteractionSet(small.n, np.empty((0, 2), dtype=np.intp), np.empty(0), {})
+    ints = InteractionSet(
+        small.n, np.empty((0, 2), dtype=np.intp), np.empty(0), np.empty(0, dtype=np.intp)
+    )
     with pytest.raises(ValueError, match="embedding has 39 points, code has 40 qubits"):
         certify.expansion_sweep(small, ints, 1.5, 10, 100, mode="verified", code=code)
 

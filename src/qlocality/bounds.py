@@ -47,51 +47,9 @@ def _check_domain(n: float, k: float, d: float, dim: int) -> None:
         raise ValueError(f"parameters out of domain: n={n}, k={k}, d={d}")
 
 
-def _assemble(
-    dim: int,
-    n: float,
-    k: float,
-    d: float,
-    code_class: str,
-    mode: str,
-    dist_branch: BranchReport,
-    dim_branch: BranchReport,
-    m_star: float | None = None,
-) -> BoundReport:
-    for branch in (dist_branch, dim_branch):
-        for key in ("ell_star", "m_star", "c0", "c1"):
-            value = getattr(branch, key)
-            if not math.isfinite(value):
-                raise ValueError(
-                    f"{branch.name}-branch {key} is not finite ({value}) "
-                    f"for n={n:g}, k={k:g}, d={d:g}, D={dim}"
-                )
-    # tie broken deterministically toward the distance branch
-    if dist_branch.ell_star >= dim_branch.ell_star:
-        active = dist_branch
-    else:
-        active = dim_branch
-    return BoundReport(
-        dimension=dim,
-        n=n,
-        k=k,
-        d=d,
-        code_class=code_class,
-        mode=mode,
-        m_star=active.m_star if m_star is None else m_star,
-        ell_star=active.ell_star,
-        c0=active.c0,
-        c1=active.c1,
-        regime=f"{active.name}-branch",
-        hypothesis_met={
-            "d_regime": dist_branch.hypothesis_met,
-            "kd_regime": dim_branch.hypothesis_met,
-        },
-        branches={
-            "distance": dist_branch.__dict__,
-            "dimension": dim_branch.__dict__,
-        },
-    )
+def _check_finite(name: str, value: float, n: float, k: float, d: float, dim: int) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} is not finite ({value}) for n={n:g}, k={k:g}, d={d:g}, D={dim}")
 
 
 def _distance_branch(n: float, d: float, dim: int, mode: str) -> BranchReport:
@@ -155,30 +113,44 @@ def _class_bounds(
     code_class: str, e: int, n: float, k: float, d: float, dim: int, mode: str
 ) -> BoundReport:
     dist = _distance_branch(n, d, dim, mode)
-    ratio = _count_ratio(n, k, d, e, dim)  # inf is reported by _assemble
+    ratio = _count_ratio(n, k, d, e, dim)  # inf is reported below
     power = (dim - 1) / (e * dim)
     if mode == "asymptotic":
-        dim_branch = BranchReport(
-            name="dimension",
-            ell_star=ratio**power,
-            m_star=k,
-            c0=1.0,
-            c1=1.0,
-            hypothesis_met=ratio >= 1.0,
-        )
-        return _assemble(dim, n, k, d, code_class, mode, dist, dim_branch, m_star=max(k, d))
-    vol = ball_volume(dim)
-    c0 = vol ** (1.0 / dim) / (400.0 * e * dim**e)
-    c1 = (1.0 / c0) ** (e * dim / (dim - 1))
+        ell_star, count, c0, c1 = ratio**power, k, 1.0, 1.0
+    else:
+        vol = ball_volume(dim)
+        c0 = vol ** (1.0 / dim) / (400.0 * e * dim**e)
+        c1 = (1.0 / c0) ** (e * dim / (dim - 1))
+        ell_star, count = c0 * ratio**power, c0 * (k if e == 1 else max(k, d))
     dim_branch = BranchReport(
         name="dimension",
-        ell_star=c0 * ratio**power,
-        m_star=c0 * (k if e == 1 else max(k, d)),
+        ell_star=ell_star,
+        m_star=count,
         c0=c0,
         c1=c1,
         hypothesis_met=ratio >= c1,
     )
-    return _assemble(dim, n, k, d, code_class, mode, dist, dim_branch)
+    for branch in (dist, dim_branch):
+        for key in ("ell_star", "m_star", "c0", "c1"):
+            _check_finite(f"{branch.name}-branch {key}", getattr(branch, key), n, k, d, dim)
+    # tie broken deterministically toward the distance branch
+    active = dist if dist.ell_star >= dim_branch.ell_star else dim_branch
+    return BoundReport(
+        dimension=dim,
+        n=n,
+        k=k,
+        d=d,
+        code_class=code_class,
+        mode=mode,
+        # asymptotic M* is max(k, d) whichever branch is active
+        m_star=max(k, d) if mode == "asymptotic" else active.m_star,
+        ell_star=active.ell_star,
+        c0=active.c0,
+        c1=active.c1,
+        regime=f"{active.name}-branch",
+        hypothesis_met={"d_regime": dist.hypothesis_met, "kd_regime": dim_branch.hypothesis_met},
+        branches={"distance": dist.__dict__, "dimension": dim_branch.__dict__},
+    )
 
 
 def subsystem_bounds(
@@ -243,10 +215,7 @@ def regime_check(n: float, k: float, d: float, dim: int, family: str) -> RegimeR
     bravyi = _count_ratio(n, k, d, 1, dim)
     bpt = _count_ratio(n, k, d, 2, dim)
     for name, ratio in (("bravyi_ratio", bravyi), ("bpt_ratio", bpt)):
-        if not math.isfinite(ratio):
-            raise ValueError(
-                f"{name} is not finite ({ratio}) for n={n:g}, k={k:g}, d={d:g}, D={dim}"
-            )
+        _check_finite(name, ratio, n, k, d, dim)
     d_ratio = d / n ** ((dim - 1) / dim)
     count_ratio = bravyi if family == "bravyi" else bpt
     return RegimeReport(

@@ -26,6 +26,7 @@ from .geometry import (
     Embedding,
     GridTiling,
     InteractionSet,
+    check_code_size,
     check_positive,
     extract_interactions,
     find_tiling,
@@ -57,16 +58,7 @@ class CertificateStep:
 
     @classmethod
     def from_json(cls, obj: dict) -> CertificateStep:
-        return cls(
-            index=obj["index"],
-            rule=obj["rule"],
-            region=obj["region"],
-            boundary=obj["boundary"],
-            boundary_count=obj["boundary_count"],
-            threshold=obj["threshold"],
-            verdict=obj["verdict"],
-            details=obj.get("details", {}),
-        )
+        return cls(**obj)
 
 
 @dataclass
@@ -86,14 +78,7 @@ class Certificate:
         return self.outcome in (OUTCOME_CERTIFIED, OUTCOME_CONTRADICTION)
 
     def to_json_lines(self) -> str:
-        header = {
-            "kind": self.kind,
-            "mode": self.mode,
-            "outcome": self.outcome,
-            "stuck_step": self.stuck_step,
-            "reason": self.reason,
-            "metadata": self.metadata,
-        }
+        header = {key: value for key, value in self.__dict__.items() if key != "steps"}
         lines = [json.dumps({"header": header}, sort_keys=True)]
         lines.extend(json.dumps(step.to_json(), sort_keys=True) for step in self.steps)
         return "\n".join(lines) + "\n"
@@ -105,15 +90,7 @@ class Certificate:
             raise ValueError("empty certificate")
         header = json.loads(lines[0])["header"]
         steps = [CertificateStep.from_json(json.loads(ln)) for ln in lines[1:]]
-        return cls(
-            kind=header["kind"],
-            mode=header["mode"],
-            outcome=header["outcome"],
-            steps=steps,
-            stuck_step=header.get("stuck_step"),
-            reason=header.get("reason"),
-            metadata=header.get("metadata", {}),
-        )
+        return cls(steps=steps, **header)
 
     def trace(self) -> str:
         out = [f"{self.kind} certificate ({self.mode} mode): {self.outcome}"]
@@ -352,10 +329,11 @@ def expansion_sweep(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "verified" and code is None:
         raise ValueError("verified mode needs the code for exact checks")
+    check_code_size(e, s.n)
+    if code is not None:
+        check_code_size(e, code.n)
     dim = e.dimension
     n = e.n
-    if mode == "verified" and code.n != n:
-        raise ValueError(f"embedding has {n} points, code has {code.n} qubits")
     k = parameters(code).k if code is not None else None
 
     if n == 0:
@@ -448,15 +426,12 @@ def expansion_sweep(
         return cert
 
     nxt_gap_cap = 2.0 * n * ell / tau + 3.0 * ell + 2.0 * gamma + 2.0 * ell + 1e-9
-    step_idx = 0
     prev_lex = tuple(a)
 
     def record(rule: str, count: int | None, verdict: bool, boundary: str, details: dict) -> None:
-        nonlocal step_idx
-        step_idx += 1
         cert.steps.append(
             CertificateStep(
-                index=step_idx,
+                index=len(cert.steps) + 1,
                 rule=rule,
                 region="V[" + ", ".join(f"{c:g}" for c in a) + "]",
                 boundary=boundary,
@@ -515,11 +490,11 @@ def expansion_sweep(
         record(rule, count, verdict, "B + frontier slabs", details)
         if not verdict:
             cert.outcome = OUTCOME_STUCK
-            cert.stuck_step = step_idx
+            cert.stuck_step = len(cert.steps)
             if mode == "strict":
                 cert.reason = f"boundary count {count} >= d = {d}"
             else:
-                cert.reason = f"step {step_idx}: grown region failed exact correctability"
+                cert.reason = f"step {len(cert.steps)}: grown region failed exact correctability"
             return False
         a[-1] += ell
         return True
@@ -559,7 +534,7 @@ def expansion_sweep(
                 gap = nxt_val - a_i
                 if gap > nxt_gap_cap:
                     cert.outcome = OUTCOME_VIOLATED
-                    cert.stuck_step = step_idx
+                    cert.stuck_step = len(cert.steps)
                     cert.reason = (
                         f"nxt gap {gap:g} exceeds packed-slab bound {nxt_gap_cap:g}"
                     )

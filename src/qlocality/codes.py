@@ -36,11 +36,11 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .pauli import (
-    MAX_QUBITS,
     BitMatrix,
     PauliVector,
     QubitColumns,
     centralizer,
+    check_qubit_count,
     format_rows,
     parse_rows,
     set_bits,
@@ -81,9 +81,10 @@ class DistanceResult:
 
 
 def json_int(value: object, what: str) -> int:
-    """An integer read from JSON: an int, or a float with no fractional part."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
+    """An integer read from JSON: an int (a numpy integer too), or a float
+    with no fractional part."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f"{what} must be an integer, got {value!r}")
@@ -197,8 +198,7 @@ class SubsystemCode:
         return code
 
     def _setup(self, n: int) -> None:
-        if not 0 <= n <= MAX_QUBITS:
-            raise ValueError(f"qubit count {n} outside [0, {MAX_QUBITS}]")
+        check_qubit_count(n)
         self.n = n
         self._gauge_basis: BitMatrix | None = None
         self._stabilizer_basis: BitMatrix | None = None

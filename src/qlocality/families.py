@@ -16,8 +16,8 @@ from .codes import (
     logical_representatives,
     parameters,
 )
-from .geometry import Embedding, extract_interactions, validate_embedding
-from .pauli import MAX_QUBITS, set_bits
+from .geometry import Embedding, check_code_size, extract_interactions, validate_embedding
+from .pauli import check_qubit_count, set_bits
 
 
 @dataclass(frozen=True)
@@ -28,10 +28,7 @@ class EmbeddedCode:
     params: dict
 
     def __post_init__(self) -> None:
-        if self.embedding.n != self.code.n:
-            raise ValueError(
-                f"embedding has {self.embedding.n} points, code has {self.code.n} qubits"
-            )
+        check_code_size(self.embedding, self.code.n)
         violations = validate_embedding(self.embedding)
         if violations:
             raise ValueError(f"embedding violates pairwise distance >= 1: {violations[:3]}")
@@ -61,6 +58,7 @@ def bacon_shor(m: int) -> EmbeddedCode:
     if m < 2:
         raise ValueError("Bacon-Shor needs m >= 2")
     n = m * m
+    check_qubit_count(n)
     grid = np.arange(n).reshape(m, m)  # grid[r, c] is qubit r * m + c
     vertical = zip(grid[:-1].ravel().tolist(), grid[1:].ravel().tolist())
     horizontal = zip(grid[:, :-1].ravel().tolist(), grid[:, 1:].ravel().tolist())
@@ -83,12 +81,13 @@ def surface_code(m: int) -> EmbeddedCode:
     if m < 2:
         raise ValueError("surface code needs m >= 2")
     size = 2 * m - 1
+    n = (size * size + 1) // 2  # the grid points with r + c even
+    check_qubit_count(n)
     data = {}
     for r in range(size):
         for c in range(size):
             if (r + c) % 2 == 0:
                 data[(r, c)] = len(data)
-    n = len(data)
 
     def star(r: int, c: int) -> tuple[int, ...]:
         near = ((r + dr, c + dc) for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)))
@@ -135,6 +134,7 @@ def small_inner_codes(name: str, r: int | None = None, dim: int = 2) -> Embedded
     elif name == "repetition":
         if r is None or r < 2:
             raise ValueError("repetition needs a length r >= 2")
+        check_qubit_count(r)
         code = SubsystemCode.from_supports(r, [((), (i, i + 1)) for i in range(r - 1)])
     else:
         raise ValueError(f"unknown code name {name!r}")
@@ -166,8 +166,7 @@ def concatenate(inner: SubsystemCode, outer: SubsystemCode) -> SubsystemCode:
     n1, n2 = inner.n, outer.n
     n = n1 * n2
     # every row below is 2n bits wide, so an over-cap n is rejected first
-    if n > MAX_QUBITS:
-        raise ValueError(f"qubit count {n} outside [0, {MAX_QUBITS}]")
+    check_qubit_count(n)
     inner_x = (1 << n1) - 1
 
     def lift(row: int, block: int) -> int:

@@ -216,10 +216,15 @@ class InteractionSet:
         return {"n": self.n, "pairs": list(map(list, self.pairs))}
 
 
+def check_code_size(e: Embedding, n: int) -> None:
+    """Raise ValueError unless e has one point per qubit of an n-qubit code."""
+    if e.n != n:
+        raise ValueError(f"embedding has {e.n} points, code has {n} qubits")
+
+
 def extract_interactions(code: SubsystemCode, e: Embedding) -> InteractionSet:
     """The code's cached pair table, with lengths from the embedding."""
-    if e.n != code.n:
-        raise ValueError(f"embedding has {e.n} points, code has {code.n} qubits")
+    check_code_size(e, code.n)
     index, counts = code.interaction_table()
     diff = e.coordinates[index[:, 0]] - e.coordinates[index[:, 1]]
     lengths = np.sqrt(np.vecdot(diff, diff))
@@ -491,7 +496,8 @@ def subdivide(b: Box, f: MassMap, ell: float, d1: float) -> list[Box]:
     that tips the prefix over d1.  No two neighbours could be joined: the
     union of a box and the next holds the first one's tipping point, so it
     is heavy and longer than 10*ell.  A mass point of the wrong dimension
-    or with a non-finite coordinate, or a negative mass, raises ValueError.
+    or with a non-finite coordinate, or a mass that is negative or not an
+    integer (``json_int``), raises ValueError.
     """
     check_positive(ell, "ell")
     check_positive(d1, "d1")
@@ -508,10 +514,11 @@ def subdivide(b: Box, f: MassMap, ell: float, d1: float) -> list[Box]:
             raise ValueError(f"mass point {list(point)} has {len(point)} coordinates, box has {dim}")
         if not all(map(math.isfinite, point)):
             raise ValueError(f"mass point {list(point)} is not finite")
+        m = json_int(m, "mass")
         if m < 0:
             raise ValueError(f"mass at {list(point)} is negative: {m}")
         if all(map(operator.le, mins, point)) and all(map(operator.le, point, maxs)):
-            masses.append((float(point[0]), int(m)))
+            masses.append((float(point[0]), m))
     masses.sort(key=lambda t: t[0])
     xs = [x for x, _ in masses]
     cum = [0, *itertools.accumulate(m for _, m in masses)]

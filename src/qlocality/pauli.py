@@ -24,6 +24,12 @@ _HEX_LETTERS = str.maketrans("0123", "IXZY")
 _BLOCK_LETTERS = 1 << 14
 
 
+def check_qubit_count(n: int) -> None:
+    """Raise ValueError unless 0 <= n <= ``MAX_QUBITS``."""
+    if not 0 <= n <= MAX_QUBITS:
+        raise ValueError(f"qubit count {n} outside [0, {MAX_QUBITS}]")
+
+
 def _first_fault(strings: Sequence[str], n: int) -> str:
     """The message for the first faulty string (see ``parse_rows``)."""
     for s in strings:
@@ -95,8 +101,7 @@ class PauliVector:
     z_bits: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_QUBITS:
-            raise ValueError(f"qubit count {self.n} outside [0, {MAX_QUBITS}]")
+        check_qubit_count(self.n)
         # nonzero for a bit at or above n, and for a negative int
         if (self.x_bits | self.z_bits) >> self.n:
             raise ValueError("support bits outside qubit range")

@@ -340,6 +340,32 @@ def test_sweep_rejects_bad_parameters():
         expansion_sweep(emb, empty_interactions(3), ell=1.0, tau=1.0, d=2, mode="verified")
 
 
+def no_parameters(code):
+    raise AssertionError("the code's parameters were computed")
+
+
+# case -> (embedded code whose interaction set is passed, code, mode, the
+# mismatched size), each run on BS-3's 9-point embedding; the code is
+# checked before its k is computed
+SWEEP_SIZE_MISMATCHES = {
+    "larger-set-strict": (lambda: bacon_shor(4), None, "strict", 16),
+    "smaller-set-strict": (lambda: bacon_shor(2), None, "strict", 4),
+    "larger-set-verified": (lambda: bacon_shor(4), BS3.code, "verified", 16),
+    "smaller-set-verified": (lambda: bacon_shor(2), BS3.code, "verified", 4),
+    "larger-code-strict": (lambda: BS3, bacon_shor(4).code, "strict", 16),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_SIZE_MISMATCHES))
+def test_sweep_checks_both_input_sizes(monkeypatch, case):
+    source, code, mode, size = SWEEP_SIZE_MISMATCHES[case]
+    ec = source()
+    ints = extract_interactions(ec.code, ec.embedding)
+    monkeypatch.setattr(certify, "parameters", no_parameters)
+    with pytest.raises(ValueError, match=rf"^embedding has 9 points, code has {size} qubits$"):
+        expansion_sweep(BS3.embedding, ints, ell=1.0, tau=9.0, d=3, mode=mode, code=code)
+
+
 # ── certificates ───────────────────────────────────────────────────────
 
 
@@ -351,6 +377,79 @@ def test_certificate_json_lines_round_trip():
     assert again.outcome == cert.outcome
     assert again.steps == cert.steps
     assert again.to_json_lines() == text
+
+
+def dense_column_embedding(n):
+    """n qubits stacked on x = 0: tau = 2 makes coordinate 0 1-bad."""
+    return Embedding(2, [(0.0, float(i)) for i in range(n)])
+
+
+def verified_sweep(code, emb, ell, tau, d):
+    return expansion_sweep(emb, extract_interactions(code, emb), ell, tau, d, "verified", code)
+
+
+# (engine, mode, outcome) -> a run with that outcome; a verified run never
+# reaches a contradiction (the full qubit set holds a logical when k >= 1)
+# and a verified holographic run never reports a violated hypothesis
+CERTIFICATE_RUNS = {
+    ("holographic", "strict", OUTCOME_CERTIFIED): lambda: holographic_certify(
+        BS3.code, BS3.embedding, Box((-0.4, -0.4), (-0.1, -0.1)), ell=0.1
+    ),
+    ("holographic", "strict", OUTCOME_STUCK): lambda: holographic_certify(
+        BS3.code, BS3.embedding, Box((-0.6, -0.6), (-0.06, -0.06)), ell=0.05
+    ),
+    ("holographic", "strict", OUTCOME_VIOLATED): lambda: holographic_certify(
+        BS3.code, BS3.embedding, Box((0.0, 0.0), (1.0, 1.0)), ell=1.0
+    ),
+    ("holographic", "verified", OUTCOME_CERTIFIED): lambda: holographic_certify(
+        BS3.code, BS3.embedding, Box((0.0, 0.0), (1.0, 0.0)), ell=1.0, mode="verified"
+    ),
+    ("holographic", "verified", OUTCOME_STUCK): lambda: holographic_certify(
+        BS3.code, BS3.embedding, Box((0.0, 0.0), (2.0, 2.0)), ell=0.5, mode="verified"
+    ),
+    ("sweep", "strict", OUTCOME_CERTIFIED): lambda: expansion_sweep(
+        BS3.embedding, BS3_INTS, ell=2.0, tau=6.0, d=100
+    ),
+    ("sweep", "strict", OUTCOME_CONTRADICTION): lambda: expansion_sweep(
+        BS3.embedding, BS3_INTS, ell=2.0, tau=6.0, d=100, code=BS3.code
+    ),
+    ("sweep", "strict", OUTCOME_STUCK): lambda: expansion_sweep(
+        BS3.embedding, BS3_INTS, ell=2.0, tau=9.0, d=3
+    ),
+    ("sweep", "strict", OUTCOME_VIOLATED): lambda: expansion_sweep(
+        dense_column_embedding(10), empty_interactions(10), ell=1.0, tau=2.0, d=50
+    ),
+    ("sweep", "verified", OUTCOME_CERTIFIED): lambda: verified_sweep(
+        fully_gauged_code(4), line_embedding(4), ell=1.0, tau=4.0, d=3
+    ),
+    ("sweep", "verified", OUTCOME_STUCK): lambda: verified_sweep(
+        FIVE.code, line_embedding(5), ell=1.0, tau=5.0, d=2
+    ),
+    ("sweep", "verified", OUTCOME_VIOLATED): lambda: verified_sweep(
+        SubsystemCode(10, []), dense_column_embedding(10), ell=1.0, tau=2.0, d=50
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(CERTIFICATE_RUNS), ids="-".join)
+def test_certificates_round_trip(run):
+    cert = CERTIFICATE_RUNS[run]()
+    assert (cert.kind, cert.mode, cert.outcome) == run
+    text = cert.to_json_lines()
+    again = Certificate.from_json_lines(text)
+    assert again == cert
+    assert again.to_json_lines() == text
+
+
+@pytest.mark.parametrize("line", [0, 1], ids=["header", "step"])
+def test_certificate_lines_with_unknown_keys_are_rejected(line):
+    cert = expansion_sweep(BS3.embedding, BS3_INTS, ell=2.0, tau=9.0, d=3)
+    lines = cert.to_json_lines().splitlines()
+    obj = json.loads(lines[line])
+    (obj["header"] if line == 0 else obj)["extra"] = 1
+    lines[line] = json.dumps(obj)
+    with pytest.raises(TypeError, match="'extra'"):
+        Certificate.from_json_lines("\n".join(lines))
 
 
 def test_certificate_trace_readable():

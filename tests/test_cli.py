@@ -735,6 +735,16 @@ def test_construct_size_out_of_range_exits_two(capsys, tmp_path, family, size):
     assert "needs" in captured.err
 
 
+def test_construct_size_over_the_qubit_cap_exits_two(capsys, tmp_path):
+    # n = 10^18 is rejected before any array is allocated
+    out_code = tmp_path / "c.json"
+    argv = ["construct", "--family", "bacon_shor", "--size", "1000000000", "--out-code", str(out_code)]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out_code.exists()
+    assert captured.err == "error: qubit count 1000000000000000000 outside [0, 100000]\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
     "command",

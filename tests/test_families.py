@@ -50,6 +50,24 @@ def test_embedded_code_rejects_a_size_mismatch():
         EmbeddedCode(ec.code, short, "short", {})
 
 
+@pytest.mark.parametrize(
+    "build, n",
+    [
+        (lambda: bacon_shor(317), 317 * 317),
+        (lambda: surface_code(225), (449 * 449 + 1) // 2),
+        (lambda: small_inner_codes("repetition", r=100_001), 100_001),
+    ],
+    ids=["bacon_shor", "surface", "repetition"],
+)
+def test_families_check_the_qubit_count_before_building(monkeypatch, build, n):
+    def no_code(*args, **kwargs):
+        raise AssertionError("the generators were built")
+
+    monkeypatch.setattr(SubsystemCode, "from_supports", no_code)
+    with pytest.raises(ValueError, match=rf"^qubit count {n} outside \[0, 100000\]$"):
+        build()
+
+
 def test_bacon_shor_rejects_small_m():
     with pytest.raises(ValueError):
         bacon_shor(1)

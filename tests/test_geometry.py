@@ -454,6 +454,10 @@ def test_subdivide_rejects_short_box():
         (((50.0, 5.0), -5), r"mass at \[50.0, 5.0\] is negative: -5"),
         # a NaN coordinate would drop the point from every slab
         (((50.0, math.nan), 5), r"mass point \[50.0, nan\] is not finite"),
+        # a fractional mass was truncated: masses 0.7 and 0.7 made one box
+        # of mass 1.4 > d1 = 1
+        (((50.0, 5.0), 0.7), r"mass must be an integer, got 0.7"),
+        (((50.0, 5.0), True), r"mass must be an integer, got True"),
     ],
 )
 def test_subdivide_rejects_malformed_masses(bad, message):

@@ -2,12 +2,16 @@
 
 A subsystem code is given by a list of gauge generators (phase-free
 Paulis), held in two forms: packed GF(2) rows x | z << n
-(``gauge_matrix``), which the GF(2) layer reads, and per-generator supports
-(sorted X and Z qubit tuples), which the interaction table reads.  A code
+(``gauge_matrix``), which the GF(2) layer reads, and a sparse form of two
+read-only intp arrays (``support_arrays``): the flat qubit list, each
+generator's X qubits then its Z qubits, and the cumulative end of each
+half.  The interaction table is built from the arrays with numpy.  A code
 is built in either form and derives the other on first use: code files and
 Pauli strings are parsed straight into rows (``pauli.parse_rows``), and
-lattice families are built from supports, so they never form an n-bit int
-on the geometric path, and ``to_json`` writes the rows back as strings
+lattice families build the arrays from their numpy index grids, so they
+never form an n-bit int or a per-generator tuple on the geometric path.
+``supports`` (tuples of Python ints per generator) is a view of the arrays
+built on first read, and ``to_json`` writes the rows back as strings
 (``pauli.format_rows``).  ``PauliVector`` is used only at the API edge: the
 constructor takes them, and ``gauge_generators`` and the logical pairs
 read them off the rows.
@@ -94,50 +98,77 @@ def json_int(value: object, what: str) -> int:
 Support = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _python_ints(qubits: tuple) -> tuple[int, ...]:
+def _python_ints(qubits: list) -> list[int]:
     """The qubits as Python ints; a bool or a non-integer is rejected."""
     if not any(isinstance(q, bool) for q in qubits):
         try:
-            return tuple(map(operator.index, qubits))
+            return list(map(operator.index, qubits))
         except TypeError:
             pass
     raise ValueError("support qubits must be integers")
 
 
-def _checked_supports(n: int, supports: Iterable[Support]) -> tuple[Support, ...]:
-    """The supports as tuples of Python ints, after checking that every
-    qubit list is an increasing run of integers in [0, n)."""
-    out = tuple((tuple(xs), tuple(zs)) for xs, zs in supports)
-    halves = list(itertools.chain.from_iterable(out))
-    qubits = list(itertools.chain.from_iterable(halves))
-    if set(map(type, qubits)) - {int}:
-        # numpy integers become Python ints here: the rows and bit sets
-        # built from them need unbounded shifts and int.bit_length
-        out = tuple((_python_ints(xs), _python_ints(zs)) for xs, zs in out)
-        halves = list(itertools.chain.from_iterable(out))
-        qubits = list(itertools.chain.from_iterable(halves))
-    if not qubits:
-        return out
-    flat = np.array(qubits)
-    # ends[h] is one past the last position of half h (a generator's X or Z
-    # tuple) in flat
-    ends = np.cumsum(np.fromiter(map(len, halves), dtype=np.intp, count=len(halves)))
+def _checked_arrays(n: int, qubits: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sparse form as two read-only intp arrays, after checking that
+    the ends cut ``qubits`` into pairs of halves and that every half is an
+    increasing run of integers in [0, n)."""
+    flat, ends = np.asarray(qubits), np.asarray(ends)
+    if flat.dtype.kind not in "iu":
+        raise ValueError("support qubits must be integers")
+    if ends.dtype.kind in "iu":
+        ends = ends.astype(np.intp)  # a value past intp wraps negative and fails the rise
+    if (
+        flat.ndim != 1
+        or ends.dtype.kind not in "iu"
+        or ends.ndim != 1
+        or ends.size % 2
+        or (np.diff(ends, prepend=0) < 0).any()
+        or (ends[-1] if ends.size else 0) != flat.size
+    ):
+        raise ValueError(
+            "support arrays must be a flat qubit list and integer ends rising "
+            "from 0 to its length, two per generator"
+        )
 
     def where(pos: int) -> str:
         half = int(np.searchsorted(ends, pos, side="right"))
-        return f"generator {half // 2} {'XZ'[half % 2]} support {halves[half]}"
+        qubits = tuple(flat[ends[half - 1] if half else 0 : ends[half]].tolist())
+        return f"generator {half // 2} {'XZ'[half % 2]} support {qubits}"
 
-    if flat.min() < 0:
+    # the range is checked in the given dtype, so no value wraps on the cast
+    if (flat < 0).any():
         raise ValueError(f"{where(int(np.argmax(flat < 0)))} has a negative qubit")
-    if flat.max() >= n:
+    if (flat >= n).any():
         raise ValueError(f"{where(int(np.argmax(flat >= n)))} has a qubit outside [0, {n})")
+    flat = flat.astype(np.intp)
     step = np.diff(flat)
     step[ends[(0 < ends) & (ends < flat.size)] - 1] = 1  # no step across halves
     if (step <= 0).any():
         pos = int(np.argmax(step <= 0))
         fault = "repeats a qubit" if step[pos] == 0 else "is not sorted"
         raise ValueError(f"{where(pos)} {fault}")
-    return out
+    flat.setflags(write=False)
+    ends.setflags(write=False)
+    return flat, ends
+
+
+def _support_arrays(n: int, supports: Iterable[Support]) -> tuple[np.ndarray, np.ndarray]:
+    """The supports as the two read-only arrays of
+    ``SubsystemCode.from_support_arrays``, unchecked but for the qubits'
+    type: a bool or a non-integer qubit is rejected."""
+    halves = [tuple(half) for xs, zs in supports for half in (xs, zs)]
+    qubits = list(itertools.chain.from_iterable(halves))
+    if set(map(type, qubits)) - {int}:
+        qubits = _python_ints(qubits)
+    try:
+        flat = np.array(qubits, dtype=np.intp)
+    except OverflowError:
+        # out of intp range is out of [0, n) too: -1 and n fail the same checks
+        flat = np.array([min(max(q, -1), n) for q in qubits], dtype=np.intp)
+    ends = np.fromiter(map(len, halves), dtype=np.intp, count=len(halves)).cumsum()
+    flat.setflags(write=False)
+    ends.setflags(write=False)
+    return flat, ends
 
 
 def pair_map(index: np.ndarray, counts: np.ndarray) -> Mapping[tuple[int, int], int]:
@@ -164,10 +195,12 @@ class SubsystemCode:
 
     Immutable after construction; duplicate or dependent generators are
     allowed since all derived quantities use ranks.  ``gauge_matrix`` (the
-    packed rows x | z << n) and ``supports`` are the dense and sparse forms
-    of one generator list: ``from_supports`` fills the sparse one, every
-    other constructor the dense one, and each is derived from the other on
-    first read.  ``gauge_generators`` is read from the rows.
+    packed rows x | z << n) and ``support_arrays`` are the dense and sparse
+    forms of one generator list: ``from_support_arrays`` and
+    ``from_supports`` fill the sparse one, every other constructor the
+    dense one, and each is derived from the other on first read.
+    ``gauge_generators`` is read from the rows, ``supports`` from the
+    arrays.
     """
 
     def __init__(self, n: int, gauge_generators: Iterable[PauliVector]) -> None:
@@ -189,13 +222,24 @@ class SubsystemCode:
         return code
 
     @classmethod
-    def from_supports(cls, n: int, supports: Iterable[Support]) -> SubsystemCode:
-        """A code from each generator's sorted X and Z qubit tuples; its
-        rows and ``PauliVector`` generators are built only when first read."""
+    def from_support_arrays(cls, n: int, qubits: np.ndarray, ends: np.ndarray) -> SubsystemCode:
+        """A code from its sparse form as two integer arrays: ``qubits`` holds
+        each generator's X qubits, then its Z qubits, generator by generator,
+        and ``ends[h]`` is the end of half h (generator h // 2, X for even h)
+        in ``qubits``.  Every half must increase strictly within [0, n).  The
+        arrays are copied; rows, ``supports`` and ``PauliVector`` generators
+        are built only when first read."""
         code = cls.__new__(cls)
         code._setup(n)
-        code.supports = _checked_supports(n, supports)
+        code.support_arrays = _checked_arrays(n, qubits, ends)
         return code
+
+    @classmethod
+    def from_supports(cls, n: int, supports: Iterable[Support]) -> SubsystemCode:
+        """A code from each generator's sorted X and Z qubit tuples, through
+        ``from_support_arrays``."""
+        check_qubit_count(n)
+        return cls.from_support_arrays(n, *_support_arrays(n, supports))
 
     def _setup(self, n: int) -> None:
         check_qubit_count(n)
@@ -230,14 +274,22 @@ class SubsystemCode:
         return BitMatrix(2 * n, (_bitset(xs) | _bitset(zs) << n for xs, zs in self.supports))
 
     @cached_property
-    def supports(self) -> tuple[Support, ...]:
-        """Each generator's sorted X qubits and sorted Z qubits (the
-        interaction table's view)."""
+    def support_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sparse form (qubits, ends) of ``from_support_arrays``, as
+        read-only intp arrays; read off the rows for a code built from them."""
         n = self.n
         mask = (1 << n) - 1
-        return tuple(
-            (tuple(set_bits(row & mask)), tuple(set_bits(row >> n))) for row in self.gauge_matrix
-        )
+        halves = ((set_bits(row & mask), set_bits(row >> n)) for row in self.gauge_matrix)
+        return _support_arrays(n, halves)
+
+    @cached_property
+    def supports(self) -> tuple[Support, ...]:
+        """Each generator's sorted X qubits and sorted Z qubits, as tuples
+        of Python ints read from ``support_arrays``."""
+        qubits, ends = self.support_arrays
+        flat = qubits.tolist()
+        halves = [tuple(flat[a:b]) for a, b in itertools.pairwise([0, *ends.tolist()])]
+        return tuple(zip(halves[::2], halves[1::2]))
 
     @cached_property
     def gauge_generators(self) -> tuple[PauliVector, ...]:
@@ -280,21 +332,29 @@ class SubsystemCode:
         of qubit pairs (i, j), i < j, jointly covered by some gauge generator,
         in sorted order, and counts[r] the number of generators covering pair r.
 
-        Built once from one list of integer keys i * n + j: a generator's
-        qubits (the sorted union of its X and Z tuples) give the keys of
-        their pairs, one sort groups equal keys, and the first of each group
-        is a pair, its group length the pair's count.
+        Built once from one array of integer keys i * n + j, read off
+        ``support_arrays`` with numpy: each generator's qubits (the sorted
+        union of its X and Z halves) give the keys of their pairs, one sort
+        groups equal keys, and the first of each group is a pair, its group
+        length the pair's count.
         """
         if self._interaction_table is None:
             n = self.n
-            keys: list[int] = []
-            for xs, zs in self.supports:
-                qs = sorted({*xs, *zs}) if xs and zs else xs or zs
-                if len(qs) == 2:  # every lattice family's generators: no combinations
-                    keys.append(qs[0] * n + qs[1])
-                else:
-                    keys.extend(i * n + j for i, j in itertools.combinations(qs, 2))
-            flat = np.array(keys, dtype=np.intp)
+            qubits, ends = self.support_arrays
+            gen_ends = ends[1::2]  # one past each generator's last position
+            gen = np.bincount(gen_ends, minlength=qubits.size + 1)[: qubits.size].cumsum()
+            # g * n + q per listed qubit q of generator g: increasing unless
+            # some generator has both halves, which a sort and dedup merge
+            keyed = gen * n + qubits
+            if (keyed[1:] <= keyed[:-1]).any():
+                gen, qubits = np.divmod(np.unique(keyed), n)
+                gen_ends = np.bincount(gen, minlength=gen_ends.size).cumsum()
+            # the qubit at position p pairs with those at p + 1 to end[p] - 1
+            end = gen_ends[gen]
+            later = end - 1 - np.arange(qubits.size)
+            runs = later.cumsum()
+            partner = np.arange(runs[-1] if runs.size else 0) + (end - runs).repeat(later)
+            flat = qubits.repeat(later) * n + qubits[partner]
             flat.sort()
             m = len(flat)
             # edge[p]: a run of equal keys starts at p, or p = m
@@ -344,7 +404,8 @@ class SubsystemCode:
     def __repr__(self) -> str:
         # whichever form the code was built with, so no form is derived
         built = vars(self)
-        count = len(built["supports"] if "supports" in built else built["gauge_matrix"])
+        arrays = built.get("support_arrays")
+        count = len(built["gauge_matrix"]) if arrays is None else arrays[1].size // 2
         return f"SubsystemCode(n={self.n}, generators={count})"
 
 

@@ -49,6 +49,13 @@ def _grid_lattice_points(n: int, dim: int) -> np.ndarray:
     return _lattice_coords(side, n, dim)
 
 
+def _pair_code(n: int, xx: np.ndarray, zz: np.ndarray) -> SubsystemCode:
+    """The code with an XX generator on each row of the k x 2 array xx,
+    then a ZZ generator on each row of zz; every row increases."""
+    halves = np.concatenate([np.tile([2, 0], len(xx)), np.tile([0, 2], len(zz))])
+    return SubsystemCode.from_support_arrays(n, np.concatenate([xx, zz]).ravel(), halves.cumsum())
+
+
 def bacon_shor(m: int) -> EmbeddedCode:
     """m x m Bacon-Shor code on the unit grid.
 
@@ -60,11 +67,10 @@ def bacon_shor(m: int) -> EmbeddedCode:
     n = m * m
     check_qubit_count(n)
     grid = np.arange(n).reshape(m, m)  # grid[r, c] is qubit r * m + c
-    vertical = zip(grid[:-1].ravel().tolist(), grid[1:].ravel().tolist())
-    horizontal = zip(grid[:, :-1].ravel().tolist(), grid[:, 1:].ravel().tolist())
-    supports = [(pair, ()) for pair in vertical] + [((), pair) for pair in horizontal]
+    vertical = np.stack([grid[:-1].ravel(), grid[1:].ravel()], axis=1)
+    horizontal = np.stack([grid[:, :-1].ravel(), grid[:, 1:].ravel()], axis=1)
     return EmbeddedCode(
-        code=SubsystemCode.from_supports(n, supports),
+        code=_pair_code(n, vertical, horizontal),
         embedding=Embedding(2, _lattice_coords(m, n, 2)),
         family="bacon_shor",
         params={"m": m},
@@ -77,35 +83,26 @@ def surface_code(m: int) -> EmbeddedCode:
     Data qubits sit on grid points (r, c) with r + c even inside a
     (2m-1) x (2m-1) patch; X checks live at odd rows, Z checks at odd
     columns.  The gauge group is abelian, so this is a stabilizer code.
+    The patch is an odd side, so point (r, c) has the parity of r + c in
+    its row-major number r * size + c, and data qubit q is point 2q.
     """
     if m < 2:
         raise ValueError("surface code needs m >= 2")
     size = 2 * m - 1
     n = (size * size + 1) // 2  # the grid points with r + c even
     check_qubit_count(n)
-    data = {}
-    for r in range(size):
-        for c in range(size):
-            if (r + c) % 2 == 0:
-                data[(r, c)] = len(data)
-
-    def star(r: int, c: int) -> tuple[int, ...]:
-        near = ((r + dr, c + dc) for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)))
-        return tuple(sorted(data[p] for p in near if p in data))
-
-    supports = []
-    for r in range(size):
-        for c in range(size):
-            if r % 2 == 1 and c % 2 == 0:
-                supports.append((star(r, c), ()))
-            elif r % 2 == 0 and c % 2 == 1:
-                supports.append(((), star(r, c)))
-    coords = [None] * n
-    for (r, c), q in data.items():
-        coords[q] = (float(c), float(r))
+    checks = np.arange(1, size * size, 2)  # row-major, X and Z checks mixed
+    r, c = np.divmod(checks, size)
+    # up, left, right, down: ascending qubit order, kept inside the patch
+    near = np.stack([checks - size, checks - 1, checks + 1, checks + size], axis=1) // 2
+    inside = np.stack([r > 0, c > 0, c < size - 1, r < size - 1], axis=1)
+    weight = inside.sum(axis=1)
+    x_check = r % 2 == 1
+    halves = np.stack([np.where(x_check, weight, 0), np.where(x_check, 0, weight)], axis=1)
+    points = np.arange(0, 2 * n, 2)
     return EmbeddedCode(
-        code=SubsystemCode.from_supports(n, supports),
-        embedding=Embedding(2, coords),
+        code=SubsystemCode.from_support_arrays(n, near[inside], halves.ravel().cumsum()),
+        embedding=Embedding(2, np.stack([points % size, points // size], axis=1).astype(float)),
         family="surface",
         params={"m": m},
     )
@@ -135,7 +132,9 @@ def small_inner_codes(name: str, r: int | None = None, dim: int = 2) -> Embedded
         if r is None or r < 2:
             raise ValueError("repetition needs a length r >= 2")
         check_qubit_count(r)
-        code = SubsystemCode.from_supports(r, [((), (i, i + 1)) for i in range(r - 1)])
+        chain = np.arange(r)
+        links = np.stack([chain[:-1], chain[1:]], axis=1)
+        code = _pair_code(r, np.empty((0, 2), dtype=np.intp), links)
     else:
         raise ValueError(f"unknown code name {name!r}")
     n = code.n

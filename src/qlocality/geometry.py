@@ -115,6 +115,22 @@ def validate_embedding(e: Embedding) -> list[tuple[int, int, float]]:
 def _close_pairs(e: Embedding) -> list[tuple[int, int, float]]:
     """The pairs of validate_embedding, sorted.
 
+    Distinct points of Z^D are at least 1 apart, so when every coordinate
+    is integral one lexicographic sort shows whether any two coincide, and
+    if none do there is no pair.  Otherwise ``_cell_pairs`` searches.
+    """
+    coords = e.coordinates
+    if (np.floor(coords) == coords).all():
+        rows = coords[np.lexsort(coords.T)]
+        if not (rows[1:] == rows[:-1]).all(axis=1).any():
+            return []
+    return _cell_pairs(coords)
+
+
+def _cell_pairs(coords: np.ndarray) -> list[tuple[int, int, float]]:
+    """The pairs of points in the n x D array coords at distance below 1,
+    sorted, found by a cell-bucket search.
+
     Two points closer than 1 have cells floor(x) at most 1 apart per axis.
     The cells are ranked per axis (neighbours 1 apart, others 2) and the
     points sorted by a linear key of the ranks; searchsorted over half of
@@ -123,13 +139,12 @@ def _close_pairs(e: Embedding) -> list[tuple[int, int, float]]:
     _KEY_LIMIT and its 3^m offsets at most 3n: coarser buckets add
     candidates but drop none.
     """
-    coords = e.coordinates
-    n = e.n
+    n = len(coords)
     if n < 2:
         return []
     cells = np.floor(coords)
     by_axis = cells.argsort(axis=0)
-    axes = np.arange(e.dimension)
+    axes = np.arange(coords.shape[1])
     ordered = cells[by_axis, axes]
     # rank steps: 0 between equal cells, 1 between neighbours, 2 otherwise
     ranked = np.zeros(cells.shape, dtype=np.int64)

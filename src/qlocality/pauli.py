@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 # A sanity bound, not an algorithmic one: each BitMatrix row is one int of 2n
 # bits, so a dense matrix of 2n rows holds n²/2 bytes (5 GB at this cap).
@@ -30,16 +30,15 @@ def check_qubit_count(n: int) -> None:
         raise ValueError(f"qubit count {n} outside [0, {MAX_QUBITS}]")
 
 
-def _first_fault(strings: Sequence[str], n: int) -> str:
-    """The message for the first faulty string (see ``parse_rows``)."""
+def _raise_first_fault(strings: Sequence[str], n: int) -> NoReturn:
+    """Raise the ValueError for the first faulty string (see ``parse_rows``)."""
     for s in strings:
         bad = s.translate(_NOT_LETTERS)
         if bad:
-            return f"invalid Pauli letter {bad[0]!r}"
-        if len(s) > MAX_QUBITS:
-            return f"qubit count {len(s)} outside [0, {MAX_QUBITS}]"
+            raise ValueError(f"invalid Pauli letter {bad[0]!r}")
+        check_qubit_count(len(s))
         if len(s) != n:
-            return f"generator {s!r} has length {len(s)}, expected {n}"
+            raise ValueError(f"generator {s!r} has length {len(s)}, expected {n}")
     raise AssertionError("no faulty string")
 
 
@@ -57,7 +56,7 @@ def parse_rows(strings: Sequence[str], n: int) -> list[int]:
     if not strings:
         return []
     if n > MAX_QUBITS or any(len(s) != n for s in strings):
-        raise ValueError(_first_fault(strings, n))
+        _raise_first_fault(strings, n)
     rows: list[int] = []
     mask = (1 << n) - 1
     per_block = max(1, _BLOCK_LETTERS // max(n, 1))
@@ -67,7 +66,7 @@ def parse_rows(strings: Sequence[str], n: int) -> list[int]:
         # letters: string i of the block then sits at bits i*n and up
         rev = "".join(block)[::-1]
         if rev.translate(_NOT_LETTERS):
-            raise ValueError(_first_fault(strings, n))
+            _raise_first_fault(strings, n)
         x = int(rev.translate(_X_DIGITS) or "0", 2)
         z = int(rev.translate(_Z_DIGITS) or "0", 2)
         rows.extend((x >> i * n & mask) | (z >> i * n & mask) << n for i in range(len(block)))

@@ -557,28 +557,124 @@ def test_code_from_supports_matches_code_from_paulis(code):
     assert repr(sparse) == repr(code)
 
 
-@pytest.mark.parametrize(
-    "n,supports,message",
-    [
-        (3, [((0, 1), ()), ((), (1, 3))], r"generator 1 Z support \(1, 3\) has a qubit outside \[0, 3\)"),
-        (3, [((-1, 0), ())], r"generator 0 X support \(-1, 0\) has a negative qubit"),
-        (3, [((), (0, 2)), ((2, 1), ())], r"generator 1 X support \(2, 1\) is not sorted"),
-        (3, [((1, 1), ())], r"generator 0 X support \(1, 1\) repeats a qubit"),
-        (3, [((0.5, 1), ())], "support qubits must be integers"),
-        (3, [((np.float64(1.0),), ())], "support qubits must be integers"),
-        (3, [((True, 2), ())], "support qubits must be integers"),
-        (3, [((np.True_,), ())], "support qubits must be integers"),
-        (-1, [], r"qubit count -1 outside \[0, 100000\]"),
-        (MAX_QUBITS + 1, [], r"qubit count 100001 outside \[0, 100000\]"),
-    ],
-    ids=[
-        "out-of-range", "negative", "unsorted", "duplicated", "non-integer", "numpy-float",
-        "bool-among-ints", "numpy-bool", "negative-n", "too-many-qubits",
-    ],
-)
+MALFORMED_SUPPORTS = [
+    (3, [((0, 1), ()), ((), (1, 3))], r"generator 1 Z support \(1, 3\) has a qubit outside \[0, 3\)"),
+    (3, [((-1, 0), ())], r"generator 0 X support \(-1, 0\) has a negative qubit"),
+    (3, [((), (0, 2)), ((2, 1), ())], r"generator 1 X support \(2, 1\) is not sorted"),
+    (3, [((1, 1), ())], r"generator 0 X support \(1, 1\) repeats a qubit"),
+    (3, [((0.5, 1), ())], "support qubits must be integers"),
+    (3, [((np.float64(1.0),), ())], "support qubits must be integers"),
+    (3, [((True, 2), ())], "support qubits must be integers"),
+    (3, [((np.True_,), ())], "support qubits must be integers"),
+    (-1, [], r"qubit count -1 outside \[0, 100000\]"),
+    (MAX_QUBITS + 1, [], r"qubit count 100001 outside \[0, 100000\]"),
+]
+MALFORMED_IDS = [
+    "out-of-range", "negative", "unsorted", "duplicated", "non-integer", "numpy-float",
+    "bool-among-ints", "numpy-bool", "negative-n", "too-many-qubits",
+]
+
+
+@pytest.mark.parametrize("n,supports,message", MALFORMED_SUPPORTS, ids=MALFORMED_IDS)
 def test_from_supports_rejects_malformed_supports(n, supports, message):
     with pytest.raises(ValueError, match=message):
         SubsystemCode.from_supports(n, supports)
+
+
+def as_arrays(supports, dtype=None):
+    """The supports as (qubits, ends) arrays: the qubits in the one dtype
+    numpy gives them, or object dtype when their types differ (an array
+    cannot hold a bool among ints)."""
+    halves = [half for pair in supports for half in pair]
+    qubits = [q for half in halves for q in half]
+    if dtype is None and len(set(map(type, qubits))) > 1:
+        dtype = object
+    flat = np.array(qubits, dtype=dtype) if qubits else np.zeros(0, dtype=dtype or np.intp)
+    return flat, np.cumsum([len(half) for half in halves], dtype=np.intp)
+
+
+def raised(build, *args):
+    with pytest.raises(ValueError) as info:
+        build(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("n,supports,message", MALFORMED_SUPPORTS, ids=MALFORMED_IDS)
+def test_support_arrays_reject_malformed_supports_as_from_supports(n, supports, message):
+    expected = raised(SubsystemCode.from_supports, n, supports)
+    assert raised(SubsystemCode.from_support_arrays, n, *as_arrays(supports)) == expected
+
+
+@pytest.mark.parametrize(
+    "qubits,ends,message",
+    [
+        ([0, 1], [2], "support arrays must be"),
+        ([0, 1], [1, 1], "support arrays must be"),
+        ([0, 1], [2, 1], "support arrays must be"),
+        ([[0, 1]], [0, 2], "support arrays must be"),
+        ([0, 1], [0.0, 2.0], "support arrays must be"),
+        ([0, 1], np.array([2**64 - 1, 2], dtype=np.uint64), "support arrays must be"),
+        (np.array([1, 2], dtype=np.uint64), [2, 2], r"support \(1, 2\) has a qubit outside \[0, 2\)"),
+    ],
+    ids=["odd-count", "short", "falling", "2-d", "float-ends", "unsigned-ends-past-intp", "unsigned-out-of-range"],
+)
+def test_support_arrays_reject_malformed_arrays(qubits, ends, message):
+    with pytest.raises(ValueError, match=message):
+        SubsystemCode.from_support_arrays(2, np.asarray(qubits), np.asarray(ends))
+
+
+def test_from_supports_rejects_a_qubit_past_intp_as_out_of_range():
+    with pytest.raises(ValueError, match=r"^generator 1 Z support \(3,\) has a qubit outside \[0, 3\)$"):
+        SubsystemCode.from_supports(3, [((0,), ()), ((), (2**70,))])
+    with pytest.raises(ValueError, match=r"^generator 0 X support \(-1,\) has a negative qubit$"):
+        SubsystemCode.from_supports(3, [((-(2**70),), ())])
+
+
+def reference_key_table(n, supports):
+    """The per-generator key loop the interaction table ran on supports,
+    grouped by np.unique."""
+    keys = []
+    for xs, zs in supports:
+        qs = sorted({*xs, *zs}) if xs and zs else xs or zs
+        if len(qs) == 2:
+            keys.append(qs[0] * n + qs[1])
+        else:
+            keys.extend(i * n + j for i, j in itertools.combinations(qs, 2))
+    flat, counts = np.unique(np.array(keys, dtype=np.intp), return_counts=True)
+    return np.stack(np.divmod(flat, max(n, 1)), axis=1).reshape(-1, 2), counts
+
+
+@st.composite
+def random_supports(draw):
+    """Supports with empty halves, X/Z overlap and halves of weight 0 to 5,
+    as Python or numpy integers."""
+    n = draw(st.integers(0, 9))
+    half = st.lists(st.integers(0, n - 1), max_size=5, unique=True).map(sorted) if n else st.just([])
+    pairs = draw(st.lists(st.tuples(half, half), max_size=8))
+    kind = draw(st.sampled_from([int, np.int64, np.int32, np.uint8]))
+    return n, [tuple(tuple(map(kind, h)) for h in pair) for pair in pairs], kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_supports())
+def test_support_arrays_match_from_supports_and_the_key_loop(case):
+    n, supports, kind = case
+    plain = tuple(tuple(tuple(map(int, h)) for h in pair) for pair in supports)
+    rows = tuple(sum(1 << q for q in xs) | sum(1 << q for q in zs) << n for xs, zs in plain)
+    index, counts = reference_key_table(n, plain)
+    codes = [
+        SubsystemCode.from_support_arrays(n, *as_arrays(supports, None if kind is int else kind)),
+        SubsystemCode.from_supports(n, supports),
+        SubsystemCode.from_rows(n, rows),
+    ]
+    for code in codes:
+        assert code.supports == plain
+        assert code.gauge_matrix.rows == rows
+        got_index, got_counts = code.interaction_table()
+        assert got_index.dtype == got_counts.dtype == np.intp
+        assert got_index.tolist() == index.tolist()
+        assert got_counts.tolist() == counts.tolist()
+        assert repr(code) == f"SubsystemCode(n={n}, generators={len(plain)})"
 
 
 @pytest.mark.parametrize("n", [3, 100])

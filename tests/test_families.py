@@ -64,6 +64,7 @@ def test_families_check_the_qubit_count_before_building(monkeypatch, build, n):
         raise AssertionError("the generators were built")
 
     monkeypatch.setattr(SubsystemCode, "from_supports", no_code)
+    monkeypatch.setattr(SubsystemCode, "from_support_arrays", no_code)
     with pytest.raises(ValueError, match=rf"^qubit count {n} outside \[0, 100000\]$"):
         build()
 
@@ -74,6 +75,44 @@ def test_bacon_shor_rejects_small_m():
 
 
 # ── surface code ───────────────────────────────────────────────────────
+
+
+def reference_surface_code(m):
+    """The surface code's supports and coordinates by a walk over the patch:
+    data qubits numbered row by row, each check's neighbours looked up."""
+    size = 2 * m - 1
+    data = {}
+    for r in range(size):
+        for c in range(size):
+            if (r + c) % 2 == 0:
+                data[(r, c)] = len(data)
+
+    def star(r, c):
+        near = ((r + dr, c + dc) for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)))
+        return tuple(sorted(data[p] for p in near if p in data))
+
+    supports = []
+    for r in range(size):
+        for c in range(size):
+            if r % 2 == 1 and c % 2 == 0:
+                supports.append((star(r, c), ()))
+            elif r % 2 == 0 and c % 2 == 1:
+                supports.append(((), star(r, c)))
+    coords = [None] * len(data)
+    for (r, c), q in data.items():
+        coords[q] = [float(c), float(r)]
+    return tuple(supports), coords
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_surface_code_matches_the_patch_walk(m):
+    supports, coords = reference_surface_code(m)
+    ec = surface_code(m)
+    n = ec.code.n
+    assert ec.code.supports == supports
+    rows = [sum(1 << q for q in xs) | sum(1 << q for q in zs) << n for xs, zs in supports]
+    assert ec.code.gauge_matrix.rows == tuple(rows)
+    assert ec.embedding.coordinates.tolist() == coords
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

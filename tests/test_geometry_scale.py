@@ -99,6 +99,35 @@ def test_validate_embedding_matches_all_pairs_loop_wide(e, key_limit):
         assert validate_embedding(e) == all_pairs_violations(e)
 
 
+@st.composite
+def integral_clouds(draw, max_n=40):
+    """Points of Z^D, D = 1 to 3, near 0 or near 2^53 (where the sum with a
+    small offset rounds to an even integer), with copies of some points and
+    -0.0 in place of some zeros."""
+    dim = draw(st.integers(1, 3))
+    base = draw(st.sampled_from([0.0, 2.0**53 - 4, -(2.0**53) + 4, 2.0**53]))
+    offsets = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+    points = draw(st.lists(offsets, max_size=max_n))
+    if points:
+        points += draw(st.lists(st.sampled_from(points), max_size=3))
+    coords = np.array(points, dtype=float).reshape(-1, dim) + base
+    zeros = int((coords == 0.0).sum())
+    signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=zeros, max_size=zeros))
+    coords[coords == 0.0] *= signs
+    return Embedding(dim, coords[draw(st.permutations(range(len(coords))))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(integral_clouds())
+def test_validate_embedding_on_integral_points_matches_the_cell_search(e):
+    assert validate_embedding(e) == geometry._cell_pairs(e.coordinates)
+
+
+def test_validate_embedding_finds_signed_zeros_coincident():
+    e = Embedding(2, [[0.0, 1.0], [3.0, 0.0], [-0.0, 1.0]])
+    assert validate_embedding(e) == [(0, 2, 0.0)]
+
+
 def test_validate_embedding_keys_past_int64():
     # 6,000 points spread over 1e12 in 5-D have about 6,000 non-neighbouring
     # cells per axis, so a key over all five axes would need more than
@@ -1059,7 +1088,7 @@ def test_bacon_shor_at_scale(m):
 
 
 def test_lattice_path_never_builds_pauli_vectors():
-    # the geometric path reads only the sparse supports of a family code
+    # the geometric path reads only the support arrays of a family code
     ec = families.bacon_shor(16)
     ints = extract_interactions(ec.code, ec.embedding)
     sweep = certify.expansion_sweep(ec.embedding, ints, 1.5, 49, 160)
@@ -1068,7 +1097,7 @@ def test_lattice_path_never_builds_pauli_vectors():
         ec.code, ec.embedding, box, 1.5, d=holographic_d(15.0, 1.5, 2)
     )
     assert sweep.outcome == holo.outcome == certify.OUTCOME_CERTIFIED
-    assert "gauge_generators" not in vars(ec.code)
+    assert not {"gauge_generators", "gauge_matrix", "supports"} & set(vars(ec.code))
     assert len(ec.code.gauge_generators) == 480  # built on first read
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qlocality.codes import SubsystemCode
 from qlocality.pauli import (
     MAX_QUBITS,
     BitMatrix,
@@ -362,6 +363,14 @@ def test_kernel_in_span_rejects_out_of_range():
 def test_max_qubits_rejected():
     with pytest.raises(ValueError):
         PauliVector(MAX_QUBITS + 1, 0, 0)
+
+
+def test_over_cap_string_message_is_the_qubit_count_message():
+    with pytest.raises(ValueError) as parsed:
+        parse_rows(["XZ", "I" * (MAX_QUBITS + 1)], 2)
+    with pytest.raises(ValueError) as built:
+        SubsystemCode(MAX_QUBITS + 1, [])
+    assert str(parsed.value) == str(built.value) == "qubit count 100001 outside [0, 100000]"
 
 
 # ── echelon form against the column scan it replaced ───────────────────

@@ -85,12 +85,27 @@ class Certificate:
 
     @classmethod
     def from_json_lines(cls, text: str) -> Certificate:
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
+        """The certificate that ``to_json_lines`` wrote; blank lines are
+        skipped.  Every malformed text raises ``ValueError``, naming the
+        line for a line that is not JSON, has no ``header`` or has an
+        unknown or missing field."""
+        numbered = [(no, line) for no, line in enumerate(text.splitlines(), 1) if line.strip()]
+        if not numbered:
             raise ValueError("empty certificate")
-        header = json.loads(lines[0])["header"]
-        steps = [CertificateStep.from_json(json.loads(ln)) for ln in lines[1:]]
-        return cls(steps=steps, **header)
+
+        def read(no: int, line: str, build: Callable[[dict], object]):
+            try:
+                return build(json.loads(line))
+            except KeyError as exc:
+                fault = f"no {exc} key"
+            except (ValueError, TypeError) as exc:
+                fault = str(exc)
+            raise ValueError(f"certificate line {no}: {fault}")
+
+        (head_no, head), *rest = numbered
+        cert = read(head_no, head, lambda obj: cls(steps=[], **obj["header"]))
+        cert.steps = [read(no, line, CertificateStep.from_json) for no, line in rest]
+        return cert
 
     def trace(self) -> str:
         out = [f"{self.kind} certificate ({self.mode} mode): {self.outcome}"]
@@ -198,7 +213,10 @@ def holographic_certify(
         "box": b.to_json(),
     }
     violations = []
-    if ell > ell_cap:
+    # ell > d^(1/D) / (8 sqrt(D)) iff (8 ell)^(2D) D^D > d^2, decided exactly
+    # in integers from the ratios p/q of ell and dp/dq of d
+    (p, q), (dp, dq) = float(ell).as_integer_ratio(), float(d).as_integer_ratio()
+    if (8 * p) ** (2 * dim) * dim**dim * dq**2 > dp**2 * q ** (2 * dim):
         violations.append(f"ell = {ell:g} exceeds d^(1/D)/(8*sqrt(D)) = {ell_cap:g}")
     if max(b.side_lengths) > w0:
         violations.append(f"box side {max(b.side_lengths):g} exceeds w0 = {w0:g}")

@@ -6,6 +6,13 @@ lemma assertion); 2 = input or format errors.  ``main`` is the one place
 that maps a rejected input to 2: a ``ValueError`` from a loader, a
 handler check or the library, or an ``OSError`` from reading or writing a
 file, becomes one ``error: <message>`` line on stderr.
+
+Each argv is parsed once: the subparser its first word names reads the
+rest (``parse_args``), and the full parser runs only when that word names
+no command.  JSON output is written by ``_json_text``, whose text equals
+``json.dumps(obj, sort_keys=True, indent=2)`` byte for byte without the
+pure-Python encoder that ``indent`` selects; certificates keep their
+compact ``json.dumps`` lines.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ import math
 import os
 import stat
 import sys
+from typing import Callable
 
 import numpy as np
 
@@ -96,8 +104,85 @@ def _write(text: str, path: str | None = None) -> None:
         print(text, end="")
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _float_text(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _key_text(key: object) -> str:
+    """A dict key as the string ``json.dumps`` writes for it, found by
+    json's order of checks."""
+    for kind in (str, float, bool, type(None), int):
+        if isinstance(key, kind):
+            return key if kind is str else _LEAF_TEXT[kind](key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+# exact leaf type -> its text; a subclass (a numpy float64) is found by isinstance
+_LEAF_TEXT = {
+    str: _encode_str,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(obj: object) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
+
+    CPython's C encoder ignores ``indent``, so ``json.dumps`` would run its
+    pure-Python generator encoder.  Here one recursive walk puts the text's
+    pieces in a list that is joined once: leaves go through
+    ``int.__repr__``, ``float.__repr__`` (``NaN``, ``Infinity`` and
+    ``-Infinity`` as json writes them) and ``encode_basestring_ascii``,
+    tuples are written as lists, dict items are sorted as json sorts them,
+    and a value json rejects raises the same ``TypeError``.
+    """
+    parts: list[str] = []
+    _json_parts(obj, "\n", parts.append)
+    return "".join(parts)
+
+
+def _json_parts(obj: object, indent: str, put: Callable[[str], None]) -> None:
+    """Put obj's pieces; ``indent`` is a newline and the current level's
+    spaces.  Each item's value follows its separator: the opening bracket
+    or a comma, then the next level's newline and spaces (and a dict's
+    key)."""
+    leaf = _LEAF_TEXT.get(type(obj))
+    if leaf is not None:
+        return put(leaf(obj))
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return put("[]")
+        sep = "[" + inner
+        for value in obj:
+            put(sep)
+            sep = "," + inner
+            _json_parts(value, inner, put)
+        return put(indent + "]")
+    if isinstance(obj, dict):
+        if not obj:
+            return put("{}")
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            put(sep + _encode_str(key if type(key) is str else _key_text(key)) + ": ")
+            sep = "," + inner
+            _json_parts(value, inner, put)
+        return put(indent + "}")
+    for kind in (str, int, float):  # subclasses of the leaf types, in json's order
+        if isinstance(obj, kind):
+            return put(_LEAF_TEXT[kind](obj))
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
 def _dump(obj: dict, path: str | None = None) -> None:
-    _write(json.dumps(obj, sort_keys=True, indent=2) + "\n", path)
+    _write(_json_text(obj) + "\n", path)
 
 
 def _emit_certificate(cert: certify.Certificate, path: str | None) -> None:
@@ -287,13 +372,15 @@ def build_parser() -> argparse.ArgumentParser:
     """The one parser tree, built on first use and shared by every ``main`` call.
 
     Reuse is safe because argparse keeps no per-parse state on the parser:
-    each ``parse_args`` fills a fresh ``Namespace``.
+    each ``parse_args`` fills a fresh ``Namespace``.  ``parser.commands``
+    maps each command name to its subparser.
     """
     parser = argparse.ArgumentParser(
         prog="qlocality",
         description="Locality analysis of subsystem and stabilizer codes embedded in R^D",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("params", help="code parameters (n, k, g, s) from a code file")
     p.add_argument("code")
@@ -417,10 +504,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv parsed in one pass: the subparser that argv[0] names reads
+    argv[1:], as the full parser would hand them on, and the namespace gets
+    the same ``command``.  Only an argv whose first word names no command
+    (none, ``-h`` or a typo) goes through the full parser."""
     parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         # argparse exits 2 on bad usage, which matches the input-error code
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK

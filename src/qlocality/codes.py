@@ -10,11 +10,13 @@ is built in either form and derives the other on first use: code files and
 Pauli strings are parsed straight into rows (``pauli.parse_rows``), and
 lattice families build the arrays from their numpy index grids, so they
 never form an n-bit int or a per-generator tuple on the geometric path.
-``supports`` (tuples of Python ints per generator) is a view of the arrays
-built on first read, and ``to_json`` writes the rows back as strings
-(``pauli.format_rows``).  ``PauliVector`` is used only at the API edge: the
-constructor takes them, and ``gauge_generators`` and the logical pairs
-read them off the rows.
+A row-built code reads its arrays off the rows by one flat walk over each
+half's set bits into two lists.  ``supports`` (tuples of Python ints per
+generator) is a view of the arrays built on first read, and ``to_json``
+writes each generator's string from the arrays, setting its X, Z and Y
+letters in an I-filled buffer, whichever form the code was built in.
+``PauliVector`` is used only at the API edge: the constructor takes them,
+and ``gauge_generators`` and the logical pairs read them off the rows.
 
 The gauge centralizer C(G) is computed once per code (cached on the gauge
 basis) and everything else reads it: the stabilizer group is the center
@@ -45,7 +47,6 @@ from .pauli import (
     QubitColumns,
     centralizer,
     check_qubit_count,
-    format_rows,
     parse_rows,
     set_bits,
     symplectic_bits,
@@ -276,11 +277,23 @@ class SubsystemCode:
     @cached_property
     def support_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The sparse form (qubits, ends) of ``from_support_arrays``, as
-        read-only intp arrays; read off the rows for a code built from them."""
+        read-only intp arrays; read off the rows for a code built from them,
+        by one flat walk over each half's set bits, lowest first."""
         n = self.n
         mask = (1 << n) - 1
-        halves = ((set_bits(row & mask), set_bits(row >> n)) for row in self.gauge_matrix)
-        return _support_arrays(n, halves)
+        qubits: list[int] = []
+        ends: list[int] = []
+        for row in self.gauge_matrix:
+            for half in row & mask, row >> n:
+                while half:
+                    low = half & -half
+                    qubits.append(low.bit_length() - 1)
+                    half ^= low
+                ends.append(len(qubits))
+        flat, cuts = np.array(qubits, dtype=np.intp), np.array(ends, dtype=np.intp)
+        flat.setflags(write=False)
+        cuts.setflags(write=False)
+        return flat, cuts
 
     @cached_property
     def supports(self) -> tuple[Support, ...]:
@@ -382,10 +395,22 @@ class SubsystemCode:
         return self._interaction_counts
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "gauge_generators": format_rows(self.gauge_matrix.rows, self.n),
-        }
+        """``n`` and each generator as a Pauli string, written from
+        ``support_arrays``: X, then Z (Y where X was set), into letters
+        filled with I."""
+        n = self.n
+        qubits, ends = self.support_arrays
+        flat, cuts = qubits.tolist(), ends.tolist()
+        blank = b"I" * n
+        gens = []
+        for start, x_end, z_end in zip([0, *cuts[1::2]], cuts[::2], cuts[1::2]):
+            letters = bytearray(blank)
+            for q in flat[start:x_end]:
+                letters[q] = 88  # X
+            for q in flat[x_end:z_end]:
+                letters[q] = 89 if letters[q] == 88 else 90  # Y, Z
+            gens.append(letters.decode("ascii"))
+        return {"n": n, "gauge_generators": gens}
 
     @classmethod
     def from_json(cls, obj: dict) -> SubsystemCode:

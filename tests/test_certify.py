@@ -114,6 +114,25 @@ def test_holographic_strict_mode_growth_counts_below_d():
         assert step.boundary_count < d
 
 
+# ell = d^(1/D) / (8 sqrt(D)) exactly: 18^(1/2) / (8 sqrt(2)) = 3/8, which
+# the float quotient puts just below 0.375
+HOLOGRAPHIC_CAP_EDGE = (bacon_shor(6), Box((-0.4, -0.4), (-0.1, -0.1)), 0.375, 18)
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["at-cap", "just-above"])
+def test_holographic_ell_cap_is_decided_exactly(above):
+    ec, box, ell, d = HOLOGRAPHIC_CAP_EDGE
+    if above:
+        ell = math.nextafter(ell, 1.0)
+    cert = holographic_certify(ec.code, ec.embedding, box, ell=ell, d=d)
+    assert cert.metadata["ell_cap"] == 18 ** 0.5 / (8.0 * math.sqrt(2))
+    if above:
+        assert cert.outcome == OUTCOME_VIOLATED
+        assert cert.reason == "ell = 0.375 exceeds d^(1/D)/(8*sqrt(D)) = 0.375"
+    else:
+        assert cert.outcome == OUTCOME_CERTIFIED
+
+
 @pytest.mark.parametrize("engine", ["holographic", "partition"])
 def test_engines_check_the_embedding_size_before_any_search(monkeypatch, engine):
     def no_search(code, *args, **kwargs):
@@ -448,8 +467,48 @@ def test_certificate_lines_with_unknown_keys_are_rejected(line):
     obj = json.loads(lines[line])
     (obj["header"] if line == 0 else obj)["extra"] = 1
     lines[line] = json.dumps(obj)
-    with pytest.raises(TypeError, match="'extra'"):
+    with pytest.raises(ValueError, match=rf"^certificate line {line + 1}: .*'extra'"):
         Certificate.from_json_lines("\n".join(lines))
+
+
+def malformed_certificate(fault):
+    """A stuck sweep's JSON lines, with one fault put in."""
+    cert = expansion_sweep(BS3.embedding, BS3_INTS, ell=2.0, tau=9.0, d=3)
+    lines = cert.to_json_lines().splitlines()
+    if fault == "non-json":
+        lines[1] = lines[1][:-1]
+    elif fault == "no-header":
+        lines[0] = json.dumps(json.loads(lines[0])["header"])
+    elif fault == "missing-header-field":
+        obj = json.loads(lines[0])
+        del obj["header"]["outcome"]
+        lines[0] = json.dumps(obj)
+    elif fault == "missing-step-field":
+        obj = json.loads(lines[1])
+        del obj["verdict"]
+        lines[1] = json.dumps(obj)
+    elif fault == "not-an-object":
+        lines[1] = "[1, 2]"
+    elif fault == "empty":
+        return "\n  \n"
+    return "\n".join(["", *lines])  # a leading blank line still counts
+
+
+# fault -> its message; a fault's line number counts the leading blank line
+CERTIFICATE_FAULTS = {
+    "non-json": r"^certificate line 3: Expecting",
+    "no-header": r"^certificate line 2: no 'header' key$",
+    "missing-header-field": r"^certificate line 2: .*missing 1 required positional argument: 'outcome'$",
+    "missing-step-field": r"^certificate line 3: .*missing 1 required positional argument: 'verdict'$",
+    "not-an-object": r"^certificate line 3: .*argument after \*\* must be a mapping",
+    "empty": r"^empty certificate$",
+}
+
+
+@pytest.mark.parametrize("fault", CERTIFICATE_FAULTS)
+def test_malformed_certificate_raises_value_error_naming_the_line(fault):
+    with pytest.raises(ValueError, match=CERTIFICATE_FAULTS[fault]):
+        Certificate.from_json_lines(malformed_certificate(fault))
 
 
 def test_certificate_trace_readable():

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, round trips, determinism."""
 
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -11,7 +12,10 @@ import threading
 from hashlib import sha256
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlocality.bounds import ell_star_exponent, emit_contours, m_star_exponent
 from qlocality import cli, geometry
@@ -1088,3 +1092,129 @@ def test_check_region_nan_box_exits_two(bs3_files, capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: box corners [nan, 0.0], [1.0, 0.0] must be finite\n"
+
+
+# ── one parse per argv ────────────────────────────────────────────────
+
+
+def perfbench_argvs():
+    """The argvs of the benchmark's cli-pipeline workload."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up there
+    spec.loader.exec_module(workloads)
+    return [argv for _, argv in workloads.cli_commands("full", 1)]
+
+
+PLACEHOLDER_FILES = {name: f"{name}.json" for name in
+                     ("code", "emb", "region", "box", "spec", "ic", "ie", "oc", "oe", "out", "bad")}
+DISPATCH_ARGVS = [
+    *(_argv(template, PLACEHOLDER_FILES) for template in WRITING_COMMANDS.values()),
+    ["params", "code.json"],
+    ["distance", "code.json", "--weight-cap", "2"],
+    ["check-region", "code.json", "region.json", "--embedding", "emb.json", "--cleanable", "--correctable"],
+    ["sweep", "emb.json", "--ell", "2", "--tau", "9", "--d", "3"],
+    ["holographic", "code.json", "emb.json", "--box", "box.json", "--ell", "1", "--strict", "--d", "3"],
+    ["partition", "code.json", "emb.json", "--ell", "1", "--variant", "thm5_1_case2", "--seed", "4", "--no-verify"],
+    ["saturation", "code.json", "emb.json", "--class", "projector", "--weight-cap", "2"],
+    *perfbench_argvs(),
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=lambda argv: " ".join(argv[:2]))
+def test_dispatched_namespace_equals_the_full_parsers(argv):
+    assert cli.parse_args(argv) == cli.build_parser().parse_args(argv)
+
+
+def test_dispatch_covers_every_command():
+    assert {argv[0] for argv in DISPATCH_ARGVS} >= set(cli.build_parser().commands)
+
+
+def run_console(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "qlocality.cli", *argv], capture_output=True, text=True, timeout=120
+    )
+
+
+@pytest.mark.parametrize("command", list(cli.build_parser().commands))
+def test_console_command_help_exits_zero(command):
+    proc = run_console(command, "-h")
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout.startswith(f"usage: qlocality {command} ")
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["params", "code.json", "--bogus"], "qlocality params: error: unrecognized arguments: --bogus"),
+        ([], "qlocality: error: the following arguments are required: command"),
+        (["frobnicate"], "qlocality: error: argument command: invalid choice: 'frobnicate'"),
+    ],
+    ids=["unknown-option", "no-arguments", "unknown-command"],
+)
+def test_console_usage_errors_exit_two(argv, message):
+    proc = run_console(*argv)
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("usage: qlocality") and message in proc.stderr
+
+
+# ── the JSON writer ────────────────────────────────────────────────────
+
+
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**60), 10**60),
+    st.floats(),
+    st.sampled_from([-0.0, 1e300, -1e300, 5e-324, math.nan, math.inf, -math.inf]),
+    st.text(),
+    st.sampled_from(['"', "\\", "\n\t\x00\x1f", " ", "é", "\U0001f600", "\ud800"]),
+)
+json_keys = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+json_values = st.recursive(
+    json_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=3), children, max_size=4),
+        st.dictionaries(json_keys, children, max_size=3),
+    ),
+    max_leaves=20,
+)
+
+
+def text_or_type_error(write, obj):
+    try:
+        return write(obj)
+    except TypeError:
+        return TypeError
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_json_writer_equals_indented_json_dumps(obj):
+    # a dict whose keys do not sort raises TypeError in both
+    expected = text_or_type_error(lambda o: json.dumps(o, sort_keys=True, indent=2), obj)
+    assert text_or_type_error(cli._json_text, obj) == expected
+
+
+@pytest.mark.parametrize(
+    "obj", [np.int64(3), {1, 2}, [{"a": np.int64(3)}], {"a": (1, b"x")}, {(1, 2): 3}],
+    ids=["numpy-int", "set", "nested-numpy-int", "bytes", "tuple-key"],
+)
+def test_json_writer_rejects_what_json_rejects(obj):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(obj, sort_keys=True, indent=2)
+    with pytest.raises(TypeError) as got:
+        cli._json_text(obj)
+    assert str(got.value) == str(expected.value)
+
+
+def test_json_writer_writes_float_subclasses_as_floats():
+    obj = {"x": [np.float64(0.1), np.float64("nan")], "n": True}
+    assert cli._json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)

@@ -21,6 +21,7 @@ from qlocality.pauli import (
     BitMatrix,
     PauliVector,
     centralizer,
+    format_rows,
     in_span,
     symplectic_bits,
     symplectic_product,
@@ -675,6 +676,29 @@ def test_support_arrays_match_from_supports_and_the_key_loop(case):
         assert got_index.tolist() == index.tolist()
         assert got_counts.tolist() == counts.tolist()
         assert repr(code) == f"SubsystemCode(n={n}, generators={len(plain)})"
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_supports())
+def test_support_arrays_read_off_rows_equal_from_supports(case):
+    n, supports, _ = case
+    sparse = SubsystemCode.from_supports(n, supports)
+    loaded = [SubsystemCode.from_rows(n, sparse.gauge_matrix.rows), SubsystemCode.from_json(sparse.to_json())]
+    for dense in loaded:
+        for got, want in zip(dense.support_arrays, sparse.support_arrays):
+            assert got.dtype == np.intp and not got.flags.writeable
+            assert got.tolist() == want.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_supports())
+def test_to_json_matches_format_rows(case):
+    n, supports, _ = case
+    sparse = SubsystemCode.from_supports(n, supports)
+    rows = sparse.gauge_matrix.rows
+    strings = format_rows(rows, n)
+    for code in (sparse, SubsystemCode.from_rows(n, rows)):
+        assert code.to_json() == {"n": n, "gauge_generators": strings}
 
 
 @pytest.mark.parametrize("n", [3, 100])

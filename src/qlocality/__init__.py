@@ -45,7 +45,7 @@ from .geometry import (
     validate_embedding,
     verify_tiling,
 )
-from .pauli import BitMatrix, PauliVector, in_span, symplectic_product, weight
+from .pauli import BitMatrix, PauliVector
 from .regions import (
     Partition,
     ab_bound_check,

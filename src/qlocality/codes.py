@@ -5,18 +5,14 @@ Paulis), held in two forms: packed GF(2) rows x | z << n
 (``gauge_matrix``), which the GF(2) layer reads, and a sparse form of two
 read-only intp arrays (``support_arrays``): the flat qubit list, each
 generator's X qubits then its Z qubits, and the cumulative end of each
-half.  The interaction table is built from the arrays with numpy.  A code
-is built in either form and derives the other on first use: code files and
-Pauli strings are parsed straight into rows (``pauli.parse_rows``), and
-lattice families build the arrays from their numpy index grids, so they
-never form an n-bit int or a per-generator tuple on the geometric path.
-A row-built code reads its arrays off the rows by one flat walk over each
-half's set bits into two lists.  ``supports`` (tuples of Python ints per
-generator) is a view of the arrays built on first read, and ``to_json``
-writes each generator's string from the arrays, setting its X, Z and Y
-letters in an I-filled buffer, whichever form the code was built in.
-``PauliVector`` is used only at the API edge: the constructor takes them,
-and ``gauge_generators`` and the logical pairs read them off the rows.
+half.  The interaction table is built from the arrays with numpy, and
+``to_json`` writes each generator's string from them, setting its X, Z and
+Y letters in an I-filled buffer.  A code is built in either form and
+derives the other on first use, by one flat walk over each half: code
+files and Pauli strings are parsed straight into rows
+(``pauli.parse_rows``), and lattice families build the arrays from their
+numpy index grids, so they never form an n-bit int on the geometric path.
+``PauliVector`` is only the type of the logical pairs.
 
 The gauge centralizer C(G) is computed once per code (cached on the gauge
 basis) and everything else reads it: the stabilizer group is the center
@@ -36,8 +32,7 @@ import json
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -114,9 +109,12 @@ def _checked_arrays(n: int, qubits: np.ndarray, ends: np.ndarray) -> tuple[np.nd
     the ends cut ``qubits`` into pairs of halves and that every half is an
     increasing run of integers in [0, n)."""
     flat, ends = np.asarray(qubits), np.asarray(ends)
+    # a size-0 input holds no qubit to check: np.asarray([]) is float64
+    if not flat.size:
+        flat = flat.astype(np.intp)
     if flat.dtype.kind not in "iu":
         raise ValueError("support qubits must be integers")
-    if ends.dtype.kind in "iu":
+    if ends.dtype.kind in "iu" or not ends.size:
         ends = ends.astype(np.intp)  # a value past intp wraps negative and fails the rise
     if (
         flat.ndim != 1
@@ -172,18 +170,6 @@ def _support_arrays(n: int, supports: Iterable[Support]) -> tuple[np.ndarray, np
     return flat, ends
 
 
-def pair_map(index: np.ndarray, counts: np.ndarray) -> Mapping[tuple[int, int], int]:
-    """Read-only map from each row (i, j) of an m x 2 pair index to its count."""
-    return MappingProxyType(dict(zip(zip(*index.T.tolist()), counts.tolist())))
-
-
-def _bitset(qubits: tuple[int, ...]) -> int:
-    out = 0
-    for q in qubits:
-        out |= 1 << q
-    return out
-
-
 @dataclass(frozen=True)
 class LogicalPair:
     index: int
@@ -197,30 +183,16 @@ class SubsystemCode:
     Immutable after construction; duplicate or dependent generators are
     allowed since all derived quantities use ranks.  ``gauge_matrix`` (the
     packed rows x | z << n) and ``support_arrays`` are the dense and sparse
-    forms of one generator list: ``from_support_arrays`` and
-    ``from_supports`` fill the sparse one, every other constructor the
-    dense one, and each is derived from the other on first read.
-    ``gauge_generators`` is read from the rows, ``supports`` from the
-    arrays.
+    forms of one generator list: the constructor takes the rows,
+    ``from_support_arrays`` and ``from_supports`` the sparse form, and each
+    form is derived from the other on first read.
     """
 
-    def __init__(self, n: int, gauge_generators: Iterable[PauliVector]) -> None:
-        gens = tuple(gauge_generators)
-        for g in gens:
-            if g.n != n:
-                raise ValueError(f"generator length {g.n} != code length {n}")
-        self._setup(n)
-        self.gauge_matrix = BitMatrix.from_paulis(gens, n)
-        self.gauge_generators = gens
-
-    @classmethod
-    def from_rows(cls, n: int, rows: Iterable[int]) -> SubsystemCode:
+    def __init__(self, n: int, rows: Iterable[int] = ()) -> None:
         """A code from packed generator rows x | z << n (the ``gauge_matrix``
-        form); its ``PauliVector`` generators are built only when first read."""
-        code = cls.__new__(cls)
-        code._setup(n)
-        code.gauge_matrix = BitMatrix(2 * n, rows)
-        return code
+        form)."""
+        self._setup(n)
+        self.gauge_matrix = BitMatrix(2 * n, rows)
 
     @classmethod
     def from_support_arrays(cls, n: int, qubits: np.ndarray, ends: np.ndarray) -> SubsystemCode:
@@ -228,8 +200,7 @@ class SubsystemCode:
         each generator's X qubits, then its Z qubits, generator by generator,
         and ``ends[h]`` is the end of half h (generator h // 2, X for even h)
         in ``qubits``.  Every half must increase strictly within [0, n).  The
-        arrays are copied; rows, ``supports`` and ``PauliVector`` generators
-        are built only when first read."""
+        arrays are copied; rows are built only when first read."""
         code = cls.__new__(cls)
         code._setup(n)
         code.support_arrays = _checked_arrays(n, qubits, ends)
@@ -248,7 +219,6 @@ class SubsystemCode:
         self._gauge_basis: BitMatrix | None = None
         self._stabilizer_basis: BitMatrix | None = None
         self._parameters: CodeParameters | None = None
-        self._interaction_counts: Mapping[tuple[int, int], int] | None = None
         self._interaction_table: tuple[np.ndarray, np.ndarray] | None = None
         self._correctable_columns: QubitColumns | None = None
         self._cleanable_columns: QubitColumns | None = None
@@ -260,19 +230,25 @@ class SubsystemCode:
             if not gens:
                 raise ValueError("cannot infer n from an empty generator list")
             n = len(gens[0])
-        wrong = next((s for s in gens if len(s) != n), None)
-        if wrong is not None:
-            # every generator's letters are checked before any length
-            for s in gens:
-                PauliVector.from_string(s)
-            raise ValueError(f"generator length {len(wrong)} != code length {n}")
-        return cls.from_rows(n, parse_rows(gens, n))
+        return cls(n, parse_rows(gens, n))
 
     @cached_property
     def gauge_matrix(self) -> BitMatrix:
-        """Generator rows verbatim (interactions are defined against these)."""
+        """Generator rows verbatim (interactions are defined against these);
+        built from ``support_arrays`` for a code built from them, one bit
+        set per listed qubit."""
         n = self.n
-        return BitMatrix(2 * n, (_bitset(xs) | _bitset(zs) << n for xs, zs in self.supports))
+        qubits, ends = self.support_arrays
+        flat, cuts = qubits.tolist(), ends.tolist()
+        rows = []
+        for start, x_end, z_end in zip([0, *cuts[1::2]], cuts[::2], cuts[1::2]):
+            x = z = 0
+            for q in flat[start:x_end]:
+                x |= 1 << q
+            for q in flat[x_end:z_end]:
+                z |= 1 << q
+            rows.append(x | z << n)
+        return BitMatrix(2 * n, rows)
 
     @cached_property
     def support_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -294,20 +270,6 @@ class SubsystemCode:
         flat.setflags(write=False)
         cuts.setflags(write=False)
         return flat, cuts
-
-    @cached_property
-    def supports(self) -> tuple[Support, ...]:
-        """Each generator's sorted X qubits and sorted Z qubits, as tuples
-        of Python ints read from ``support_arrays``."""
-        qubits, ends = self.support_arrays
-        flat = qubits.tolist()
-        halves = [tuple(flat[a:b]) for a, b in itertools.pairwise([0, *ends.tolist()])]
-        return tuple(zip(halves[::2], halves[1::2]))
-
-    @cached_property
-    def gauge_generators(self) -> tuple[PauliVector, ...]:
-        """The generators as ``PauliVector``s, read from the rows."""
-        return tuple(PauliVector.from_bits(self.n, row) for row in self.gauge_matrix)
 
     @property
     def gauge_basis(self) -> BitMatrix:
@@ -387,13 +349,6 @@ class SubsystemCode:
         """The index array of interaction_table()."""
         return self.interaction_table()[0]
 
-    def interaction_counts(self) -> Mapping[tuple[int, int], int]:
-        """Read-only map from each pair of interaction_table() to its count,
-        in the table's sorted order; built on first read."""
-        if self._interaction_counts is None:
-            self._interaction_counts = pair_map(*self.interaction_table())
-        return self._interaction_counts
-
     def to_json(self) -> dict:
         """``n`` and each generator as a Pauli string, written from
         ``support_arrays``: X, then Z (Y where X was set), into letters
@@ -421,7 +376,7 @@ class SubsystemCode:
             raise ValueError(f"malformed code object: {exc}") from None
         if not isinstance(gens, list) or not all(isinstance(s, str) for s in gens):
             raise ValueError("gauge_generators must be a list of Pauli strings")
-        return cls.from_rows(n, parse_rows(gens, n))
+        return cls(n, parse_rows(gens, n))
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
@@ -483,8 +438,10 @@ def distance(code: SubsystemCode, weight_cap: int | None = None) -> DistanceResu
     adds one qubit's two columns, and the last qubit is tested against the
     parent's basis in place (``QubitColumns.any_fails``).  Returns a
     "greater than weight_cap" result when no such region exists up to the
-    cap (default cap: n).
+    cap (default cap: n); a negative cap raises ValueError.
     """
+    if weight_cap is not None and weight_cap < 0:
+        raise ValueError(f"weight_cap must be non-negative, got {weight_cap}")
     p = parameters(code)
     if p.k == 0:
         raise ValueError("distance undefined for k = 0")

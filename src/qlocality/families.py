@@ -185,7 +185,7 @@ def concatenate(inner: SubsystemCode, outer: SubsystemCode) -> SubsystemCode:
             for j in set_bits(g >> n2):
                 row ^= z_lifted[j]
             rows.append(row)
-    return SubsystemCode.from_rows(n, rows)
+    return SubsystemCode(n, rows)
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,11 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .codes import SubsystemCode, json_int, pair_map
+from .codes import SubsystemCode, json_int
 
 DISTANCE_SLACK = 1e-12
 
@@ -196,19 +196,13 @@ class InteractionSet:
     ``counts`` the number of generators each pair co-occurs in (metadata
     only -- the bounds count pairs, not generator incidences).  ``index``
     and ``counts`` are the code's cached table, shared by every set
-    extracted from that code; ``multiplicity``, the read-only pair -> count
-    map, is built from them on first read.
+    extracted from that code.
     """
 
     n: int
     index: np.ndarray
     lengths: np.ndarray
     counts: np.ndarray
-
-    @cached_property
-    def multiplicity(self) -> Mapping[tuple[int, int], int]:
-        """Read-only map from each pair (i, j) to its count, in index order."""
-        return pair_map(self.index, self.counts)
 
     @cached_property
     def pairs(self) -> tuple[tuple[int, int, float], ...]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NoReturn, Sequence
+from typing import Collection, Iterable, Iterator, NoReturn, Sequence
 
 # A sanity bound, not an algorithmic one: each BitMatrix row is one int of 2n
 # bits, so a dense matrix of 2n rows holds n²/2 bytes (5 GB at this cap).
@@ -30,6 +30,12 @@ def check_qubit_count(n: int) -> None:
         raise ValueError(f"qubit count {n} outside [0, {MAX_QUBITS}]")
 
 
+def check_region(qubits: Collection[int], n: int) -> None:
+    """Raise ValueError unless every qubit of the set lies in [0, n)."""
+    if qubits and (min(qubits) < 0 or max(qubits) >= n):
+        raise ValueError(f"region {sorted(qubits)} outside qubit range [0, {n})")
+
+
 def _raise_first_fault(strings: Sequence[str], n: int) -> NoReturn:
     """Raise the ValueError for the first faulty string (see ``parse_rows``)."""
     for s in strings:
@@ -50,8 +56,8 @@ def parse_rows(strings: Sequence[str], n: int) -> list[int]:
     letters are checked with one translate, each half is read with one
     ``int(·, 2)``, and the block is cut into rows by shift and mask.  On a
     fault the strings are rescanned in order and a ``ValueError`` names the
-    first faulty one: a bad letter, then a length over ``MAX_QUBITS`` (the
-    messages of ``PauliVector.from_string``), then a length other than n.
+    first faulty one: a bad letter, then a length over ``MAX_QUBITS``, then
+    a length other than n.
     """
     if not strings:
         return []
@@ -89,7 +95,8 @@ def format_rows(rows: Sequence[int], n: int) -> list[str]:
 
 @dataclass(frozen=True)
 class PauliVector:
-    """An n-qubit Pauli operator modulo phase, stored as X/Z support bitsets.
+    """An n-qubit Pauli operator modulo phase, stored as X/Z support bitsets:
+    the type of a code's logical representatives.
 
     Bit i of ``x_bits`` (``z_bits``) is set iff the operator acts as X (Z)
     on qubit i; a Y sets both.
@@ -104,10 +111,6 @@ class PauliVector:
         # nonzero for a bit at or above n, and for a negative int
         if (self.x_bits | self.z_bits) >> self.n:
             raise ValueError("support bits outside qubit range")
-
-    @classmethod
-    def identity(cls, n: int) -> PauliVector:
-        return cls(n, 0, 0)
 
     @classmethod
     def from_string(cls, s: str) -> PauliVector:
@@ -125,21 +128,6 @@ class PauliVector:
 
     def to_bits(self) -> int:
         return self.x_bits | (self.z_bits << self.n)
-
-    def support(self) -> frozenset[int]:
-        return frozenset(set_bits(self.x_bits | self.z_bits))
-
-    def is_identity(self) -> bool:
-        return self.x_bits == 0 and self.z_bits == 0
-
-    def compose(self, other: PauliVector) -> PauliVector:
-        """Phase-free product: supports combine by XOR."""
-        if self.n != other.n:
-            raise ValueError(f"length mismatch: {self.n} != {other.n}")
-        return PauliVector(self.n, self.x_bits ^ other.x_bits, self.z_bits ^ other.z_bits)
-
-    def __mul__(self, other: PauliVector) -> PauliVector:
-        return self.compose(other)
 
     def __str__(self) -> str:
         return self.to_string()
@@ -170,18 +158,6 @@ def symplectic_bits(a: int, b: int, n: int) -> int:
     return ((a & (b >> n)) ^ ((a >> n) & b)).bit_count() & 1
 
 
-def symplectic_product(p: PauliVector, q: PauliVector) -> int:
-    """0 iff p and q commute (phases ignored), else 1."""
-    if p.n != q.n:
-        raise ValueError(f"length mismatch: {p.n} != {q.n}")
-    return symplectic_bits(p.to_bits(), q.to_bits(), p.n)
-
-
-def weight(p: PauliVector) -> int:
-    """Number of qubits on which p acts non-trivially."""
-    return (p.x_bits | p.z_bits).bit_count()
-
-
 class BitMatrix:
     """A GF(2) matrix with rows packed as ints and a fixed column width.
 
@@ -202,10 +178,6 @@ class BitMatrix:
         self._rref: tuple[tuple[int, ...], tuple[int, ...]] | None = None
         self._pivot_rows: tuple[dict[int, int], int] = ({}, 0)
         self._centralizer: BitMatrix | None = None
-
-    @classmethod
-    def from_paulis(cls, paulis: Iterable[PauliVector], n: int) -> BitMatrix:
-        return cls(2 * n, (p.to_bits() for p in paulis))
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -291,13 +263,6 @@ class BitMatrix:
             for f in set_bits(row & free):
                 basis[f] |= 1 << col
         return BitMatrix(self.width, basis.values())
-
-
-def in_span(v: PauliVector, m: BitMatrix) -> bool:
-    """True iff v is a GF(2) combination of the rows of m (phase-free)."""
-    if 2 * v.n != m.width:
-        raise ValueError(f"length mismatch: vector 2n={2 * v.n}, matrix width={m.width}")
-    return m.contains(v.to_bits())
 
 
 def _swap_halves(bits: int, n: int) -> int:
@@ -390,7 +355,6 @@ class QubitColumns:
         the constraints lies in the span; a qubit outside [0, n) raises
         ValueError."""
         cols = set(support)
-        if cols and (min(cols) < 0 or max(cols) >= self.n):
-            raise ValueError(f"region {sorted(cols)} outside qubit range [0, {self.n})")
+        check_region(cols, self.n)
         basis: dict[int, int] = {}
         return all(self.add(basis, q) for q in cols)

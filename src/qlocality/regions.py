@@ -12,11 +12,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .codes import SubsystemCode, json_int, parameters
-
-
-def validate_region(code: SubsystemCode, u: frozenset[int]) -> None:
-    if u and (min(u) < 0 or max(u) >= code.n):
-        raise ValueError(f"region {sorted(u)} outside qubit range [0, {code.n})")
+from .pauli import check_region
 
 
 def is_correctable(code: SubsystemCode, u: Iterable[int]) -> bool:
@@ -67,7 +63,7 @@ def check_union_lemma(
         raise ValueError(f"unknown mode {mode!r}")
     parts = [frozenset(r) for r in regions]
     for p in parts:
-        validate_region(code, p)
+        check_region(p, code.n)
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
             if parts[i] & parts[j]:
@@ -114,8 +110,6 @@ def check_expansion_lemma(
     """If u and t are correctable and t covers the boundary of u, then
     u union t is correctable."""
     u, t = frozenset(u), frozenset(t)
-    validate_region(code, u)
-    validate_region(code, t)
     u_ok = is_correctable(code, u)
     t_ok = is_correctable(code, t)
     covers = boundary(code, u) <= t
@@ -135,7 +129,7 @@ def _require_partition(code: SubsystemCode, parts: Sequence[frozenset[int]]) -> 
     seen: set[int] = set()
     total = 0
     for p in parts:
-        validate_region(code, p)
+        check_region(p, code.n)
         total += len(p)
         seen |= p
     if total != code.n or seen != set(range(code.n)):

@@ -325,13 +325,7 @@ def test_criterion_11_sweep_soundness():
     )
     ok &= full.outcome == OUTCOME_CONTRADICTION
     # also with a fully gauged k = 0 code the same run is plain certification
-    from qlocality.pauli import PauliVector
-
-    gauged = SubsystemCode(
-        4,
-        [PauliVector(4, 1 << i, 0) for i in range(4)]
-        + [PauliVector(4, 0, 1 << i) for i in range(4)],
-    )
+    gauged = SubsystemCode(4, [1 << i for i in range(8)])
     line = Embedding(2, [(float(i), 0.0) for i in range(4)])
     free = expansion_sweep(
         line,

@@ -32,7 +32,6 @@ from qlocality.geometry import (
     subdivide,
     verify_tiling,
 )
-from qlocality.pauli import PauliVector
 from qlocality.regions import is_correctable
 
 BS3 = bacon_shor(3)
@@ -41,10 +40,7 @@ FIVE = small_inner_codes("five_one_three")
 
 def fully_gauged_code(n):
     """k = 0: every single-qubit X and Z is a gauge generator."""
-    gens = [PauliVector(n, 1 << i, 0) for i in range(n)] + [
-        PauliVector(n, 0, 1 << i) for i in range(n)
-    ]
-    return SubsystemCode(n, gens)
+    return SubsystemCode(n, [1 << i for i in range(2 * n)])
 
 
 def line_embedding(n, spacing=1.0):

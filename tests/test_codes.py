@@ -6,7 +6,7 @@ from hashlib import sha256
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qlocality.codes import (
@@ -22,9 +22,7 @@ from qlocality.pauli import (
     PauliVector,
     centralizer,
     format_rows,
-    in_span,
     symplectic_bits,
-    symplectic_product,
 )
 from qlocality.families import surface_code
 from tests.test_pauli import reference_nullspace, reference_rref
@@ -34,38 +32,41 @@ P = PauliVector.from_string
 
 def bacon_shor_generators(m):
     n = m * m
-    gens = []
+    rows = []
     for r in range(m - 1):
         for c in range(m):
-            gens.append(PauliVector(n, (1 << (r * m + c)) | (1 << ((r + 1) * m + c)), 0))
+            rows.append((1 << (r * m + c)) | (1 << ((r + 1) * m + c)))
     for r in range(m):
         for c in range(m - 1):
-            gens.append(PauliVector(n, 0, (1 << (r * m + c)) | (1 << (r * m + c + 1))))
-    return SubsystemCode(n, gens)
+            rows.append(((1 << (r * m + c)) | (1 << (r * m + c + 1))) << n)
+    return SubsystemCode(n, rows)
 
 
 FIVE = SubsystemCode.from_strings(["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"])
 BITFLIP = SubsystemCode.from_strings(["ZZI", "IZZ"])
 
 
-def all_paulis(n):
-    for x in range(1 << n):
-        for z in range(1 << n):
-            yield PauliVector(n, x, z)
+def random_rows(rng, n, count):
+    """count random n-qubit Paulis as rows, each drawn X half first."""
+    return [rng.getrandbits(n) | rng.getrandbits(n) << n for _ in range(count)]
+
+
+def weight(bits, n):
+    """Number of qubits on which the Pauli with these bits acts."""
+    return ((bits | bits >> n) & ((1 << n) - 1)).bit_count()
 
 
 def brute_distance(code):
     """Min weight over all Paulis commuting with the stabilizer, outside the gauge span."""
-    stab = [PauliVector.from_bits(code.n, b) for b in code.stabilizer_basis.rows]
+    n = code.n
+    stab = code.stabilizer_basis.rows
     best = None
-    for p in all_paulis(code.n):
-        if p.is_identity():
+    for p in range(1, 1 << 2 * n):
+        if any(symplectic_bits(p, s, n) for s in stab):
             continue
-        if any(symplectic_product(p, s) for s in stab):
+        if code.gauge_basis.contains(p):
             continue
-        if in_span(p, code.gauge_basis):
-            continue
-        w = len(p.support())
+        w = weight(p, n)
         if best is None or w < best:
             best = w
     return best
@@ -108,13 +109,14 @@ def test_stabilizer_bacon_shor_2x2():
 
 @pytest.mark.parametrize("code", [bacon_shor_generators(2), bacon_shor_generators(3), FIVE])
 def test_stabilizer_rows_commute_with_everything(code):
-    stab = [PauliVector.from_bits(code.n, b) for b in code.stabilizer_basis.rows]
+    n = code.n
+    stab = code.stabilizer_basis.rows
     for a, b in itertools.combinations(stab, 2):
-        assert symplectic_product(a, b) == 0
+        assert symplectic_bits(a, b, n) == 0
     for s in stab:
-        for g in code.gauge_generators:
-            assert symplectic_product(s, g) == 0
-        assert in_span(s, code.gauge_basis)
+        for g in code.gauge_matrix.rows:
+            assert symplectic_bits(s, g, n) == 0
+        assert code.gauge_basis.contains(s)
 
 
 def reference_stabilizer(code):
@@ -145,12 +147,11 @@ def random_codes(draw):
     included); a third of the draws keep only generators that commute with
     every earlier one, which gives abelian gauge groups."""
     n = draw(st.integers(0, 8))
-    pauli = st.builds(PauliVector, st.just(n), st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))
-    gens = draw(st.lists(pauli, max_size=2 * n + 3))
+    gens = draw(st.lists(st.integers(0, (1 << 2 * n) - 1), max_size=2 * n + 3))
     if draw(st.integers(0, 2)) == 0:
         kept = []
         for g in gens:
-            if all(symplectic_product(g, h) == 0 for h in kept):
+            if all(symplectic_bits(g, h, n) == 0 for h in kept):
                 kept.append(g)
         gens = kept
     return SubsystemCode(n, gens)
@@ -161,7 +162,8 @@ def random_codes(draw):
 def test_stabilizer_and_abelian_test_match_pairwise_references(code):
     assert code.stabilizer_basis.rows == reference_stabilizer(code)
     pairwise = all(
-        symplectic_product(a, b) == 0 for a, b in itertools.combinations(code.gauge_generators, 2)
+        symplectic_bits(a, b, code.n) == 0
+        for a, b in itertools.combinations(code.gauge_matrix.rows, 2)
     )
     assert code.has_abelian_gauge() == pairwise
 
@@ -229,11 +231,7 @@ def test_parameters_random_codes_satisfy_identities():
     rng = random.Random(5)
     for _ in range(40):
         n = rng.randrange(2, 7)
-        gens = [
-            PauliVector(n, rng.getrandbits(n), rng.getrandbits(n))
-            for _ in range(rng.randrange(0, 2 * n))
-        ]
-        code = SubsystemCode(n, gens)
+        code = SubsystemCode(n, random_rows(rng, n, rng.randrange(0, 2 * n)))
         p = parameters(code)
         r = code.gauge_basis.rank()
         assert p.k + p.g + p.s == n
@@ -243,7 +241,7 @@ def test_parameters_random_codes_satisfy_identities():
 
 def test_duplicate_generators_do_not_change_parameters():
     code = bacon_shor_generators(2)
-    doubled = SubsystemCode(4, code.gauge_generators + code.gauge_generators)
+    doubled = SubsystemCode(4, code.gauge_matrix.rows * 2)
     assert parameters(doubled) == parameters(code)
 
 
@@ -270,11 +268,7 @@ def test_distance_matches_brute_force_on_random_small_codes():
     checked = 0
     while checked < 12:
         n = rng.randrange(2, 5)
-        gens = [
-            PauliVector(n, rng.getrandbits(n), rng.getrandbits(n))
-            for _ in range(rng.randrange(1, n + 2))
-        ]
-        code = SubsystemCode(n, gens)
+        code = SubsystemCode(n, random_rows(rng, n, rng.randrange(1, n + 2)))
         if parameters(code).k == 0:
             continue
         assert distance(code).value == brute_distance(code)
@@ -286,6 +280,9 @@ def test_distance_weight_cap():
     assert res.value is None
     assert res.is_lower_bound
     assert res.describe() == "> 2"
+    assert distance(FIVE, weight_cap=0).describe() == "> 0"
+    with pytest.raises(ValueError, match=r"^weight_cap must be non-negative, got -5$"):
+        distance(FIVE, weight_cap=-5)
 
 
 def test_distance_rejects_k_zero():
@@ -318,22 +315,24 @@ def test_logicals_trivial_single_qubit():
     [bacon_shor_generators(2), bacon_shor_generators(3), FIVE, BITFLIP, SubsystemCode(3, [])],
 )
 def test_logical_pairs_satisfy_invariants(code):
+    n = code.n
     pairs = logical_representatives(code)
     assert len(pairs) == parameters(code).k
     reps = []
     for pair in pairs:
-        for rep in (pair.x_bar, pair.z_bar):
-            for g in code.gauge_generators:
-                assert symplectic_product(rep, g) == 0
-            assert not in_span(rep, code.gauge_basis)
-        assert symplectic_product(pair.x_bar, pair.z_bar) == 1
-        reps.append((pair.x_bar, pair.z_bar))
+        x_bar, z_bar = pair.x_bar.to_bits(), pair.z_bar.to_bits()
+        for rep in (x_bar, z_bar):
+            for g in code.gauge_matrix.rows:
+                assert symplectic_bits(rep, g, n) == 0
+            assert not code.gauge_basis.contains(rep)
+        assert symplectic_bits(x_bar, z_bar, n) == 1
+        reps.append((x_bar, z_bar))
     for i, (xi, zi) in enumerate(reps):
         for j, (xj, zj) in enumerate(reps):
             if i != j:
-                assert symplectic_product(xi, xj) == 0
-                assert symplectic_product(xi, zj) == 0
-                assert symplectic_product(zi, zj) == 0
+                assert symplectic_bits(xi, xj, n) == 0
+                assert symplectic_bits(xi, zj, n) == 0
+                assert symplectic_bits(zi, zj, n) == 0
 
 
 def test_logicals_deterministic():
@@ -344,8 +343,8 @@ def test_logicals_deterministic():
 
 def test_five_qubit_logicals_have_weight_three_or_more():
     (pair,) = logical_representatives(FIVE)
-    assert len(pair.x_bar.support()) >= 3
-    assert len(pair.z_bar.support()) >= 3
+    assert weight(pair.x_bar.to_bits(), 5) >= 3
+    assert weight(pair.z_bar.to_bits(), 5) >= 3
 
 
 def reference_logicals(code):
@@ -398,12 +397,18 @@ def test_code_json_round_trip():
     code = bacon_shor_generators(3)
     again = SubsystemCode.from_json(code.to_json())
     assert again.n == code.n
-    assert again.gauge_generators == code.gauge_generators
+    assert again.gauge_matrix == code.gauge_matrix
 
 
 def test_code_json_rejects_bad_lengths():
     with pytest.raises(ValueError):
         SubsystemCode.from_json({"n": 3, "gauge_generators": ["XX"]})
+    # a file and a string list name a wrong length in one text
+    message = r"^generator 'Z' has length 1, expected 2$"
+    with pytest.raises(ValueError, match=message):
+        SubsystemCode.from_json({"n": 2, "gauge_generators": ["XX", "Z"]})
+    with pytest.raises(ValueError, match=message):
+        SubsystemCode.from_strings(["XX", "Z"])
 
 
 @pytest.mark.parametrize("value", [2.7, "2", True, None, float("nan"), float("inf")])
@@ -438,14 +443,14 @@ def test_code_json_names_a_generator_over_the_cap():
 
 
 def test_code_from_rows_keeps_rows_and_reads_paulis_from_them():
-    code = SubsystemCode.from_rows(2, [0b0011, 0b1100])
+    code = SubsystemCode(2, [0b0011, 0b1100])
     assert code.gauge_matrix.rows == (0b0011, 0b1100)
-    assert "gauge_generators" not in vars(code)
-    assert [g.to_string() for g in code.gauge_generators] == ["XX", "ZZ"]
-    assert code.supports == (((0, 1), ()), ((), (0, 1)))
     assert repr(code) == "SubsystemCode(n=2, generators=2)"
+    assert "support_arrays" not in vars(code)
+    assert code.to_json()["gauge_generators"] == ["XX", "ZZ"]
+    assert supports_of(code) == (((0, 1), ()), ((), (0, 1)))
     with pytest.raises(ValueError, match="row has bits outside matrix width"):
-        SubsystemCode.from_rows(2, [1 << 4])
+        SubsystemCode(2, [1 << 4])
 
 
 # ── batched parsing against the per-generator loops it replaced ────────
@@ -466,23 +471,23 @@ def loop_from_string(s):
 def loop_from_json(obj):
     """SubsystemCode.from_json's per-generator loop."""
     n = obj["n"]
-    paulis = []
+    rows = []
     for s in obj["gauge_generators"]:
         p = loop_from_string(s)
         if p.n != n:
             raise ValueError(f"generator {s!r} has length {p.n}, expected {n}")
-        paulis.append(p)
-    return SubsystemCode(n, paulis)
+        rows.append(p.to_bits())
+    return SubsystemCode(n, rows)
 
 
 def loop_from_strings(generators, n=None):
-    """SubsystemCode.from_strings as one from_string call per generator."""
-    paulis = [loop_from_string(s) for s in generators]
+    """SubsystemCode.from_strings: n is the first generator's length unless
+    given, and the generators are read as from_json reads them."""
     if n is None:
-        if not paulis:
+        if not generators:
             raise ValueError("cannot infer n from an empty generator list")
-        n = paulis[0].n
-    return SubsystemCode(n, paulis)
+        n = len(generators[0])
+    return loop_from_json({"n": n, "gauge_generators": generators})
 
 
 def outcome(build, *args):
@@ -539,20 +544,30 @@ def test_parse_errors_match_the_per_generator_loops(case):
 
 
 def reference_supports(code):
-    """Each generator's X and Z qubits, read bit by bit."""
+    """Each generator's X and Z qubits, read bit by bit off its row."""
+    n = code.n
     return [
-        tuple(tuple(q for q in range(code.n) if bits >> q & 1) for bits in (g.x_bits, g.z_bits))
-        for g in code.gauge_generators
+        tuple(tuple(q for q in range(n) if bits >> q & 1) for bits in (row, row >> n))
+        for row in code.gauge_matrix.rows
     ]
+
+
+def supports_of(code):
+    """Each generator's X and Z qubit tuples, cut from support_arrays."""
+    qubits, ends = code.support_arrays
+    flat = qubits.tolist()
+    halves = [tuple(flat[a:b]) for a, b in itertools.pairwise([0, *ends.tolist()])]
+    return tuple(zip(halves[::2], halves[1::2]))
 
 
 @settings(max_examples=200, deadline=None)
 @given(random_codes())
 def test_code_from_supports_matches_code_from_paulis(code):
     sparse = SubsystemCode.from_supports(code.n, reference_supports(code))
-    assert list(code.supports) == reference_supports(code)
+    assert list(supports_of(code)) == reference_supports(code)
     assert sparse.dumps() == code.dumps()
-    assert list(sparse.interaction_counts().items()) == list(code.interaction_counts().items())
+    for got, want in zip(sparse.interaction_table(), code.interaction_table()):
+        assert got.tolist() == want.tolist()
     assert parameters(sparse) == parameters(code)
     assert sparse.gauge_matrix.rows == code.gauge_matrix.rows
     assert repr(sparse) == repr(code)
@@ -584,14 +599,13 @@ def test_from_supports_rejects_malformed_supports(n, supports, message):
 
 def as_arrays(supports, dtype=None):
     """The supports as (qubits, ends) arrays: the qubits in the one dtype
-    numpy gives them, or object dtype when their types differ (an array
-    cannot hold a bool among ints)."""
+    numpy gives them (float64 for none), or object dtype when their types
+    differ (an array cannot hold a bool among ints)."""
     halves = [half for pair in supports for half in pair]
     qubits = [q for half in halves for q in half]
     if dtype is None and len(set(map(type, qubits))) > 1:
         dtype = object
-    flat = np.array(qubits, dtype=dtype) if qubits else np.zeros(0, dtype=dtype or np.intp)
-    return flat, np.cumsum([len(half) for half in halves], dtype=np.intp)
+    return np.array(qubits, dtype=dtype), np.cumsum([len(half) for half in halves], dtype=np.intp)
 
 
 def raised(build, *args):
@@ -658,18 +672,23 @@ def random_supports(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(random_supports())
+@example((3, [], int))
+@example((3, [((), ()), ((), ())], int))
 def test_support_arrays_match_from_supports_and_the_key_loop(case):
     n, supports, kind = case
     plain = tuple(tuple(tuple(map(int, h)) for h in pair) for pair in supports)
     rows = tuple(sum(1 << q for q in xs) | sum(1 << q for q in zs) << n for xs, zs in plain)
     index, counts = reference_key_table(n, plain)
+    arrays = as_arrays(supports, None if kind is int else kind)
     codes = [
-        SubsystemCode.from_support_arrays(n, *as_arrays(supports, None if kind is int else kind)),
+        SubsystemCode.from_support_arrays(n, *arrays),
+        # as lists, empty ones included, whose arrays numpy makes float64
+        SubsystemCode.from_support_arrays(n, *(a.tolist() for a in arrays)),
         SubsystemCode.from_supports(n, supports),
-        SubsystemCode.from_rows(n, rows),
+        SubsystemCode(n, rows),
     ]
     for code in codes:
-        assert code.supports == plain
+        assert supports_of(code) == plain
         assert code.gauge_matrix.rows == rows
         got_index, got_counts = code.interaction_table()
         assert got_index.dtype == got_counts.dtype == np.intp
@@ -683,7 +702,7 @@ def test_support_arrays_match_from_supports_and_the_key_loop(case):
 def test_support_arrays_read_off_rows_equal_from_supports(case):
     n, supports, _ = case
     sparse = SubsystemCode.from_supports(n, supports)
-    loaded = [SubsystemCode.from_rows(n, sparse.gauge_matrix.rows), SubsystemCode.from_json(sparse.to_json())]
+    loaded = [SubsystemCode(n, sparse.gauge_matrix.rows), SubsystemCode.from_json(sparse.to_json())]
     for dense in loaded:
         for got, want in zip(dense.support_arrays, sparse.support_arrays):
             assert got.dtype == np.intp and not got.flags.writeable
@@ -697,7 +716,7 @@ def test_to_json_matches_format_rows(case):
     sparse = SubsystemCode.from_supports(n, supports)
     rows = sparse.gauge_matrix.rows
     strings = format_rows(rows, n)
-    for code in (sparse, SubsystemCode.from_rows(n, rows)):
+    for code in (sparse, SubsystemCode(n, rows)):
         assert code.to_json() == {"n": n, "gauge_generators": strings}
 
 
@@ -708,8 +727,8 @@ def test_from_supports_stores_numpy_integer_qubits_as_python_ints(n):
         (np.array(xs, dtype=np.int64), tuple(np.int32(q) for q in zs)) for xs, zs in supports
     ]
     code = SubsystemCode.from_supports(n, numpy_supports)
-    assert code.supports == tuple(supports)
-    assert {type(q) for pair in code.supports for half in pair for q in half} == {int}
+    assert supports_of(code) == tuple(supports)
+    assert {a.dtype for a in code.support_arrays} == {np.dtype(np.intp)}
     plain = SubsystemCode.from_supports(n, supports)
     assert parameters(code) == parameters(plain)
     assert code.dumps() == plain.dumps()
@@ -727,7 +746,7 @@ def test_from_supports_accepts_exactly_the_increasing_in_range_supports(case):
         for half in pair
     )
     if valid:
-        assert SubsystemCode.from_supports(n, supports).supports == tuple(supports)
+        assert supports_of(SubsystemCode.from_supports(n, supports)) == tuple(supports)
     else:
         with pytest.raises(ValueError):
             SubsystemCode.from_supports(n, supports)

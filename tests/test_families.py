@@ -20,8 +20,9 @@ from qlocality.families import (
     surface_code,
 )
 from qlocality.geometry import Embedding, extract_interactions, validate_embedding
-from qlocality.pauli import symplectic_product
+from qlocality.pauli import symplectic_bits
 from qlocality.regions import is_correctable
+from tests.test_codes import supports_of
 
 
 # ── Bacon-Shor ─────────────────────────────────────────────────────────
@@ -109,7 +110,7 @@ def test_surface_code_matches_the_patch_walk(m):
     supports, coords = reference_surface_code(m)
     ec = surface_code(m)
     n = ec.code.n
-    assert ec.code.supports == supports
+    assert supports_of(ec.code) == supports
     rows = [sum(1 << q for q in xs) | sum(1 << q for q in zs) << n for xs, zs in supports]
     assert ec.code.gauge_matrix.rows == tuple(rows)
     assert ec.embedding.coordinates.tolist() == coords
@@ -259,13 +260,13 @@ def test_concat_substituted_generators_commute_with_block_generators():
     inner = small_inner_codes("five_one_three").code
     outer = bacon_shor(2).code
     cat = concatenate(inner, outer)
-    n_block_gens = outer.n * len(inner.gauge_generators)
-    block_gens = cat.gauge_generators[:n_block_gens]
-    outer_gens = cat.gauge_generators[n_block_gens:]
-    assert len(outer_gens) == parameters(inner).k * len(outer.gauge_generators)
+    n_block_gens = outer.n * len(inner.gauge_matrix)
+    block_gens = cat.gauge_matrix.rows[:n_block_gens]
+    outer_gens = cat.gauge_matrix.rows[n_block_gens:]
+    assert len(outer_gens) == parameters(inner).k * len(outer.gauge_matrix)
     for a in outer_gens:
         for b in block_gens:
-            assert symplectic_product(a, b) == 0
+            assert symplectic_bits(a, b, cat.n) == 0
 
 
 def test_concat_y_substitution():
@@ -274,10 +275,11 @@ def test_concat_y_substitution():
     outer = SubsystemCode.from_strings(["YY"])
     cat = concatenate(inner, outer)
     (pair,) = logical_representatives(inner)
-    sub = cat.gauge_generators[-1]
-    expected_block = pair.x_bar * pair.z_bar
-    assert sub.x_bits == expected_block.x_bits | (expected_block.x_bits << 3)
-    assert sub.z_bits == expected_block.z_bits | (expected_block.z_bits << 3)
+    sub = cat.gauge_matrix.rows[-1]
+    # the phase-free product of two Paulis XORs their bits
+    x = pair.x_bar.x_bits ^ pair.z_bar.x_bits
+    z = pair.x_bar.z_bits ^ pair.z_bar.z_bits
+    assert sub == (x | x << 3) | (z | z << 3) << 6
 
 
 def test_concat_rejects_k_zero_inner():

@@ -30,8 +30,8 @@ from qlocality.geometry import (
     validate_embedding,
     verify_tiling,
 )
-from qlocality.pauli import PauliVector
 from qlocality.regions import boundary, check_union_lemma, is_correctable
+from tests.test_codes import supports_of
 
 
 def all_pairs_violations(e):
@@ -375,8 +375,8 @@ def jittered_codes(draw):
         letters = ["I"] * n
         for q in rng.sample(range(n), rng.randint(2, min(n, 6))):
             letters[q] = rng.choice("XYZ")
-        gens.append(PauliVector.from_string("".join(letters)))
-    return SubsystemCode(n, gens), Embedding(dim, coords)
+        gens.append("".join(letters))
+    return SubsystemCode.from_strings(gens, n), Embedding(dim, coords)
 
 
 @settings(max_examples=200, deadline=None)
@@ -385,7 +385,7 @@ def test_interaction_lengths_match_per_pair_norm_exactly(code_and_embedding):
     code, e = code_and_embedding
     ints = extract_interactions(code, e)
     c = e.coordinates
-    assert [(i, j) for i, j, _ in ints.pairs] == sorted(code.interaction_counts())
+    assert [(i, j) for i, j, _ in ints.pairs] == sorted(map(tuple, code.interaction_index().tolist()))
     for i, j, length in ints.pairs:
         assert length == float(np.linalg.norm(c[i] - c[j]))
 
@@ -408,9 +408,11 @@ def test_holographic_f_box_matches_count_long(code_and_embedding, ell, data):
 
 def reference_interaction_counts(code):
     """The per-generator loop that extract_interactions ran before the table."""
+    n = code.n
     mult = {}
-    for g in code.gauge_generators:
-        for pair in itertools.combinations(sorted(g.support()), 2):
+    for row in code.gauge_matrix.rows:
+        qubits = [q for q in range(n) if (row | row >> n) >> q & 1]
+        for pair in itertools.combinations(qubits, 2):
             mult[pair] = mult.get(pair, 0) + 1
     return mult
 
@@ -426,16 +428,13 @@ def lettered_codes(draw):
     gens = draw(st.lists(st.one_of(kinds), max_size=10))
     if gens:
         gens += draw(st.lists(st.sampled_from(gens), max_size=4))
-    return SubsystemCode(n, [PauliVector.from_string(g) for g in gens])
+    return SubsystemCode.from_strings(gens, n)
 
 
 @settings(max_examples=200, deadline=None)
 @given(lettered_codes(), st.data())
 def test_interaction_table_matches_per_generator_loop(code, data):
     expected = reference_interaction_counts(code)
-    counts = code.interaction_counts()
-    assert dict(counts) == expected
-    assert list(counts) == sorted(expected)
     index, per_pair = code.interaction_table()
     assert index.tolist() == [list(pair) for pair in sorted(expected)]
     assert per_pair.tolist() == [expected[pair] for pair in sorted(expected)]
@@ -444,19 +443,18 @@ def test_interaction_table_matches_per_generator_loop(code, data):
     e = Embedding(2, coords)
     ints = extract_interactions(code, e)
     assert [(i, j) for i, j, _ in ints.pairs] == sorted(expected)
-    assert dict(ints.multiplicity) == expected
+    assert ints.counts.tolist() == per_pair.tolist()
     for i, j, length in ints.pairs:
         assert length == float(np.linalg.norm(e.coordinates[i] - e.coordinates[j]))
 
 
 def assert_table_matches_loop(code):
-    """The code's (index, counts) table and its map against the reference loop."""
+    """The code's (index, counts) table against the reference loop."""
     expected = reference_interaction_counts(code)
     index, counts = code.interaction_table()
     assert index.dtype == np.intp and index.shape == (len(expected), 2)
     assert index.tolist() == [list(pair) for pair in sorted(expected)]
     assert counts.tolist() == [expected[pair] for pair in sorted(expected)]
-    assert list(code.interaction_counts().items()) == sorted(expected.items())
     return expected
 
 
@@ -482,7 +480,7 @@ MIXED = ["XXII", "XXII", "ZZII", "YIYI", "IZXY", "XZII", "IIII", "IYIZ", "YYYY",
 def test_interaction_table_counts_repeated_and_mixed_generators(form):
     code = SubsystemCode.from_strings(MIXED)
     if form == "supports":
-        code = SubsystemCode.from_supports(code.n, code.supports)
+        code = SubsystemCode.from_supports(code.n, supports_of(code))
     expected = assert_table_matches_loop(code)
     assert expected[(0, 1)] == 5 and expected[(2, 3)] == 3
 
@@ -505,20 +503,14 @@ def test_extract_interactions_builds_no_pair_map():
     ec = families.bacon_shor(5)
     code = ec.code
     ints = extract_interactions(code, ec.embedding)
-    assert "multiplicity" not in vars(ints)
-    assert code._interaction_counts is None
+    # no per-pair Python object: the (i, j, length) tuples are built on first read
+    assert "pairs" not in vars(ints)
     index, counts = code.interaction_table()
     assert ints.index is index and ints.counts is counts
     for table in (counts, ints.counts):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 99
-    # the set's map is built from the shared arrays, not read from the code
-    assert dict(ints.multiplicity) == reference_interaction_counts(code)
-    assert code._interaction_counts is None
-    assert list(code.interaction_counts().items()) == list(ints.multiplicity.items())
-    assert code._interaction_counts is not None
-    with pytest.raises(TypeError):
-        ints.multiplicity[(0, 1)] = 99
+    assert len(ints.pairs) == len(index)
 
 
 def census_by_pairs(pairs, n, ell):
@@ -542,7 +534,7 @@ def boundary_by_pairs(code, u):
     """The per-pair loop of regions.boundary before the index array."""
     u = frozenset(u)
     outer, inner = set(), set()
-    for i, j in code.interaction_counts():
+    for i, j in code.interaction_index().tolist():
         if (i in u) != (j in u):
             if i in u:
                 inner.add(i)
@@ -559,7 +551,7 @@ def decoupled_by_pairs(code, parts):
     for idx, p in enumerate(parts):
         for q in p:
             membership[q] = idx
-    for i, j in code.interaction_counts():
+    for i, j in code.interaction_index().tolist():
         a, b = membership.get(i), membership.get(j)
         if a is not None and b is not None and a != b:
             return False
@@ -718,7 +710,7 @@ def chain_code(n):
         gens.append("I" * i + "XX" + "I" * (n - i - 2))
     for i in range(n):
         gens.append("I" * i + "Z" + "I" * (n - i - 1))
-    return SubsystemCode(n, [PauliVector.from_string(g) for g in gens])
+    return SubsystemCode.from_strings(gens, n)
 
 
 def random_walk(n=80, side=9.0, seed=11):
@@ -834,8 +826,8 @@ def near_pair_code(n, dim, side, seed):
     rng = random.Random(seed)
     pairs = [(i, j) for i, j in itertools.combinations(range(n), 2) if math.dist(pts[i], pts[j]) < 1.4]
     pairs += [tuple(rng.sample(range(n), 2)) for _ in range(4)]
-    gens = [PauliVector(n, (1 << i) | (1 << j), 0) for i, j in pairs]
-    gens += [PauliVector(n, 0, 1 << i) for i in range(n)]
+    gens = [(1 << i) | (1 << j) for i, j in pairs]
+    gens += [1 << n + i for i in range(n)]
     return SubsystemCode(n, gens), Embedding(dim, pts)
 
 
@@ -946,8 +938,8 @@ def jittered_lattice_sweep(seed):
         if (t := s[:ax] + (s[ax] + 1,) + s[ax + 1 :]) in index
     ]
     pairs += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 2 * side))]
-    gens = [PauliVector(n, (1 << i) | (1 << j), 0) for i, j in pairs]
-    gens += [PauliVector(n, 0, 1 << i) for i in range(n)]
+    gens = [(1 << i) | (1 << j) for i, j in pairs]
+    gens += [1 << n + i for i in range(n)]
     e = Embedding(dim, coords)
     ints = extract_interactions(SubsystemCode(n, gens), e)
     slab = side ** (dim - 1) * (2 * ell / 1.25 + 1)
@@ -1097,8 +1089,8 @@ def test_lattice_path_never_builds_pauli_vectors():
         ec.code, ec.embedding, box, 1.5, d=holographic_d(15.0, 1.5, 2)
     )
     assert sweep.outcome == holo.outcome == certify.OUTCOME_CERTIFIED
-    assert not {"gauge_generators", "gauge_matrix", "supports"} & set(vars(ec.code))
-    assert len(ec.code.gauge_generators) == 480  # built on first read
+    assert "gauge_matrix" not in vars(ec.code)
+    assert len(ec.code.gauge_matrix) == 480  # built on first read
 
 
 BS300_CHILD = """

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlocality.codes import DistanceResult, SubsystemCode, distance, parameters
-from qlocality.pauli import PauliVector, in_span, symplectic_product
+from qlocality.pauli import symplectic_bits
 from qlocality.regions import (
     ab_bound_check,
     abc_bound_check,
@@ -29,6 +29,7 @@ BS3 = bacon_shor_generators(3)
 
 
 def paulis_on(support, n):
+    """Every Pauli supported inside the qubit set, as bits x | z << n."""
     support = sorted(support)
     for letters in itertools.product("IXYZ", repeat=len(support)):
         x = z = 0
@@ -37,26 +38,26 @@ def paulis_on(support, n):
                 x |= 1 << q
             if letter in "ZY":
                 z |= 1 << q
-        yield PauliVector(n, x, z)
+        yield x | z << n
 
 
 def brute_correctable(code, u):
     """Enumerate all Paulis on u: correctable iff every stabilizer-commuting
     one lies in the gauge span."""
-    stab = [PauliVector.from_bits(code.n, b) for b in code.stabilizer_basis.rows]
+    stab = code.stabilizer_basis.rows
     for p in paulis_on(u, code.n):
-        if any(symplectic_product(p, s) for s in stab):
+        if any(symplectic_bits(p, s, code.n) for s in stab):
             continue
-        if not in_span(p, code.gauge_basis):
+        if not code.gauge_basis.contains(p):
             return False
     return True
 
 
 def brute_cleanable(code, u):
     for p in paulis_on(u, code.n):
-        if any(symplectic_product(p, g) for g in code.gauge_generators):
+        if any(symplectic_bits(p, g, code.n) for g in code.gauge_matrix.rows):
             continue
-        if not in_span(p, code.gauge_basis):
+        if not code.gauge_basis.contains(p):
             return False
     return True
 
@@ -101,7 +102,7 @@ def random_codes_and_regions(draw):
     n = draw(st.integers(1, 6))
     bits = st.integers(0, (1 << n) - 1)
     gens = draw(st.lists(st.tuples(bits, bits), max_size=7))
-    code = SubsystemCode(n, [PauliVector(n, x, z) for x, z in gens])
+    code = SubsystemCode(n, [x | z << n for x, z in gens])
     return code, draw(st.sets(st.integers(0, n - 1)))
 
 

@@ -5,10 +5,8 @@ from .bounds import (
     ProofConstants,
     ball_volume,
     class_bounds,
-    projector_bounds,
     proof_constants,
     regime_check,
-    subsystem_bounds,
 )
 from .certify import Certificate, expansion_sweep, holographic_certify, theorem_partition_builder
 from .codes import (
@@ -22,7 +20,6 @@ from .codes import (
     parameters,
 )
 from .families import (
-    ConcatPlan,
     EmbeddedCode,
     bacon_shor,
     build_concat_embedding,

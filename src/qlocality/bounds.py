@@ -91,7 +91,8 @@ def _class_exponent(code_class: str) -> int:
 def class_bounds(
     code_class: str, n: float, k: float, d: float, dim: int, mode: str = "asymptotic"
 ) -> BoundReport:
-    """M* and ell* for a code class, keyed by its exponent e.
+    """M* and ell* for a code class ("subsystem" or "projector"), keyed by
+    its exponent e; the one entry point for both classes.
 
     Asymptotic mode evaluates the max-expressions with unit constants;
     explicit mode substitutes the proofs' concrete constants (c0 scale
@@ -151,20 +152,6 @@ def _class_bounds(
         hypothesis_met={"d_regime": dist.hypothesis_met, "kd_regime": dim_branch.hypothesis_met},
         branches={"distance": dist.__dict__, "dimension": dim_branch.__dict__},
     )
-
-
-def subsystem_bounds(
-    n: float, k: float, d: float, dim: int, mode: str = "asymptotic"
-) -> BoundReport:
-    """M* and ell* for subsystem codes (e = 1)."""
-    return class_bounds("subsystem", n, k, d, dim, mode)
-
-
-def projector_bounds(
-    n: float, k: float, d: float, dim: int, mode: str = "asymptotic"
-) -> BoundReport:
-    """M* and ell* for commuting projector codes (e = 2, the 2/(D-1) exponent family)."""
-    return class_bounds("projector", n, k, d, dim, mode)
 
 
 @dataclass(frozen=True)

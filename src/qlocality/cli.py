@@ -342,8 +342,7 @@ def _cmd_concat(args: argparse.Namespace) -> int:
     outer_emb = _load_embedding(args.outer_embedding)
     inner = families.EmbeddedCode(inner_code, inner_emb, "inner", {})
     outer = families.EmbeddedCode(outer_code, outer_emb, "outer", {})
-    plan = families.ConcatPlan(inner=inner, outer=outer, ell_target=args.ell_target, ell2=args.ell2)
-    ec = families.build_concat_embedding(plan)
+    ec = families.build_concat_embedding(inner, outer, args.ell_target, args.ell2)
     _dump(ec.code.to_json(), args.out_code)
     _dump(ec.embedding.to_json(), args.out_embedding)
     _dump(ec.params, args.out_report)

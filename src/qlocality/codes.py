@@ -216,12 +216,8 @@ class SubsystemCode:
     def _setup(self, n: int) -> None:
         check_qubit_count(n)
         self.n = n
-        self._gauge_basis: BitMatrix | None = None
-        self._stabilizer_basis: BitMatrix | None = None
         self._parameters: CodeParameters | None = None
         self._interaction_table: tuple[np.ndarray, np.ndarray] | None = None
-        self._correctable_columns: QubitColumns | None = None
-        self._cleanable_columns: QubitColumns | None = None
 
     @classmethod
     def from_strings(cls, generators: Iterable[str], n: int | None = None) -> SubsystemCode:
@@ -271,32 +267,24 @@ class SubsystemCode:
         cuts.setflags(write=False)
         return flat, cuts
 
-    @property
+    @cached_property
     def gauge_basis(self) -> BitMatrix:
         """Deterministic RREF basis of the gauge span."""
-        if self._gauge_basis is None:
-            self._gauge_basis = self.gauge_matrix.row_basis()
-        return self._gauge_basis
+        return self.gauge_matrix.row_basis()
 
-    @property
+    @cached_property
     def stabilizer_basis(self) -> BitMatrix:
-        if self._stabilizer_basis is None:
-            self._stabilizer_basis = derive_stabilizer(self)
-        return self._stabilizer_basis
+        return derive_stabilizer(self)
 
-    @property
+    @cached_property
     def correctable_columns(self) -> QubitColumns:
         """Columns of the pair (S, C(G)): a region passes iff it is correctable."""
-        if self._correctable_columns is None:
-            self._correctable_columns = QubitColumns(self.stabilizer_basis, self.gauge_basis)
-        return self._correctable_columns
+        return QubitColumns(self.stabilizer_basis, self.gauge_basis)
 
-    @property
+    @cached_property
     def cleanable_columns(self) -> QubitColumns:
         """Columns of the pair (G, C(S)): a region passes iff it is dressed-cleanable."""
-        if self._cleanable_columns is None:
-            self._cleanable_columns = QubitColumns(self.gauge_basis, self.stabilizer_basis)
-        return self._cleanable_columns
+        return QubitColumns(self.gauge_basis, self.stabilizer_basis)
 
     def has_abelian_gauge(self) -> bool:
         """The gauge group is abelian iff its center is its whole span."""

@@ -1,5 +1,6 @@
 """Built-in code families with local embeddings, subsystem concatenation,
-and the dilated concatenated embedding recipe."""
+and the dilated concatenated embedding recipe, which takes the inner and
+outer embedded codes directly."""
 
 from __future__ import annotations
 
@@ -188,97 +189,71 @@ def concatenate(inner: SubsystemCode, outer: SubsystemCode) -> SubsystemCode:
     return SubsystemCode(n, rows)
 
 
-@dataclass(frozen=True)
-class ConcatPlan:
-    """Inputs for the dilated concatenated embedding.
-
-    ell_prime = 2*(sqrt(D) + ell2) with ell2 the outer code's interaction
-    locality (measured from its embedding unless overridden); the outer
-    embedding is dilated by ell_target / ell_prime.
-    """
-
-    inner: EmbeddedCode
-    outer: EmbeddedCode
-    ell_target: float
-    ell2: float | None = None
-
-    def outer_locality(self) -> float:
-        if self.ell2 is not None:
-            return self.ell2
-        ints = extract_interactions(self.outer.code, self.outer.embedding)
-        return ints.max_length()
-
-    @property
-    def dimension(self) -> int:
-        return self.outer.embedding.dimension
-
-    def ell_prime(self) -> float:
-        return 2.0 * (math.sqrt(self.dimension) + self.outer_locality())
-
-    def dilation(self) -> float:
-        return self.ell_target / self.ell_prime()
+def _diameter(points: np.ndarray) -> float:
+    """Largest distance between two of the (one or more) points, measured
+    as ``extract_interactions`` measures lengths, in row blocks of about
+    2^20 pairs."""
+    rows = max(1, (1 << 20) // len(points))
+    diameter = 0.0
+    for start in range(0, len(points), rows):
+        diff = points[start : start + rows, None] - points[None]
+        diameter = max(diameter, float(np.sqrt(np.vecdot(diff, diff)).max()))
+    return diameter
 
 
-def build_concat_embedding(plan: ConcatPlan) -> EmbeddedCode:
+def build_concat_embedding(
+    inner: EmbeddedCode, outer: EmbeddedCode, ell_target: float, ell2: float | None = None
+) -> EmbeddedCode:
     """Concatenate and embed: inner lattice blocks centered at the dilated
     outer coordinates.
 
-    Raises when ell_target < ell_prime or when the resulting point set
-    fails the pairwise-distance validation (blocks would overlap).  The
-    triangle bound dilation*ell2 + inner diameter is recorded in params and
-    every measured interaction length must stay below ell_target.
+    ell2 is the outer code's interaction locality, measured once from its
+    embedding unless given; ell_prime = 2*(sqrt(D) + ell2), and the outer
+    coordinates are dilated by ell_target / ell_prime.  Raises when
+    ell_target < ell_prime or when the resulting point set fails the
+    pairwise-distance validation (blocks would overlap).  The triangle
+    bound dilation*ell2 + inner diameter is recorded in params and every
+    measured interaction length must stay below ell_target.
     """
-    if plan.inner.embedding.dimension != plan.outer.embedding.dimension:
+    dim = outer.embedding.dimension
+    if inner.embedding.dimension != dim:
         raise ValueError("inner and outer embeddings have different dimensions")
-    ell_prime = plan.ell_prime()
-    if plan.ell_target < ell_prime:
+    if ell2 is None:
+        ell2 = extract_interactions(outer.code, outer.embedding).max_length()
+    ell_prime = 2.0 * (math.sqrt(dim) + ell2)
+    if ell_target < ell_prime:
         raise ValueError(
-            f"ell_target = {plan.ell_target:g} below ell_prime = {ell_prime:g}; "
-            "blocks would overlap"
+            f"ell_target = {ell_target:g} below ell_prime = {ell_prime:g}; blocks would overlap"
         )
-    dilation = plan.dilation()
-    dim = plan.dimension
-    inner_coords = plan.inner.embedding.coordinates
-    centroid = inner_coords.mean(axis=0) if len(inner_coords) else np.zeros(dim)
-    centered = inner_coords - centroid
-    outer_coords = plan.outer.embedding.coordinates
-
-    code = concatenate(plan.inner.code, plan.outer.code)
-    points = []
-    for b in range(plan.outer.code.n):
-        center = dilation * outer_coords[b]
-        for row in centered:
-            points.append(tuple(center + row))
-    embedding = Embedding(dim, points)
+    dilation = ell_target / ell_prime
+    code = concatenate(inner.code, outer.code)  # raises unless k1 >= 1, so n1 >= 1
+    centered = inner.embedding.coordinates - inner.embedding.coordinates.mean(axis=0)
+    # block b is the centered inner lattice moved to the dilated outer point b
+    points = dilation * outer.embedding.coordinates[:, None] + centered[None]
+    embedding = Embedding(dim, points.reshape(-1, dim))
     violations = validate_embedding(embedding)
     if violations:
         raise ValueError(
             f"dilation {dilation:g} leaves blocks too close: "
             f"{len(violations)} pairs under distance 1 (e.g. {violations[0]})"
         )
-    inner_diameter = 0.0
-    for i in range(len(centered)):
-        for j in range(i + 1, len(centered)):
-            inner_diameter = max(inner_diameter, float(np.linalg.norm(centered[i] - centered[j])))
-    ints = extract_interactions(code, embedding)
-    measured = ints.max_length()
-    if measured >= plan.ell_target:
-        raise AssertionError(
-            f"interaction of length {measured:g} >= ell_target {plan.ell_target:g}"
-        )
+    measured = extract_interactions(code, embedding).max_length()
+    if measured >= ell_target:
+        raise AssertionError(f"interaction of length {measured:g} >= ell_target {ell_target:g}")
+    diameter = _diameter(centered)
     return EmbeddedCode(
         code=code,
         embedding=embedding,
         family="concatenated",
         params={
-            "inner": plan.inner.family,
-            "outer": plan.outer.family,
-            "ell_target": plan.ell_target,
+            "inner": inner.family,
+            "outer": outer.family,
+            "ell_target": ell_target,
             "ell_prime": ell_prime,
             "dilation": dilation,
-            "ell2": plan.outer_locality(),
-            "inner_diameter": inner_diameter,
-            "triangle_bound": dilation * plan.outer_locality() + inner_diameter,
+            "ell2": ell2,
+            "inner_diameter": diameter,
+            "triangle_bound": dilation * ell2 + diameter,
             "max_interaction_length": measured,
         },
     )

@@ -171,9 +171,9 @@ class BitMatrix:
             raise ValueError("width must be nonnegative")
         self.width = width
         self.rows: tuple[int, ...] = tuple(rows)
-        mask = (1 << width) - 1
         for r in self.rows:
-            if r & ~mask:
+            # nonzero for a bit at or above width, and for a negative int
+            if r >> width:
                 raise ValueError("row has bits outside matrix width")
         self._rref: tuple[tuple[int, ...], tuple[int, ...]] | None = None
         self._pivot_rows: tuple[dict[int, int], int] = ({}, 0)

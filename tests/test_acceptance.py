@@ -14,10 +14,9 @@ import pytest
 
 from qlocality.bounds import (
     ball_volume,
+    class_bounds,
     emit_contours,
     proof_constants,
-    projector_bounds,
-    subsystem_bounds,
 )
 from qlocality.certify import (
     OUTCOME_CONTRADICTION,
@@ -26,7 +25,6 @@ from qlocality.certify import (
 )
 from qlocality.codes import SubsystemCode, distance, parameters
 from qlocality.families import (
-    ConcatPlan,
     bacon_shor,
     build_concat_embedding,
     concatenate,
@@ -249,16 +247,16 @@ def test_criterion_07_lemma_4_3():
 def test_criterion_08_explicit_constants():
     """D=2 constants to 1e-12 and the distance-branch ell formula."""
     ok = True
-    sub = subsystem_bounds(1e6, 1e3, 1e3, 2, mode="explicit")
+    sub = class_bounds("subsystem", 1e6, 1e3, 1e3, 2, mode="explicit")
     ok &= abs(sub.branches["dimension"]["c0"] - math.sqrt(math.pi) / 800.0) < 1e-12
-    proj = projector_bounds(1e6, 1e3, 1e3, 2, mode="explicit")
+    proj = class_bounds("projector", 1e6, 1e3, 1e3, 2, mode="explicit")
     ok &= abs(proj.branches["dimension"]["c0"] - math.sqrt(math.pi) / 3200.0) < 1e-12
     rng = random.Random(3)
     for _ in range(100):
         dim = rng.randrange(2, 6)
         n = rng.uniform(10.0, 1e10)
         d = rng.uniform(1.0, n)
-        rep = subsystem_bounds(n, 1.0, d, dim, mode="explicit")
+        rep = class_bounds("subsystem", n, 1.0, d, dim, mode="explicit")
         expected = ball_volume(dim) * d / (6.0**dim * dim * n ** ((dim - 1) / dim))
         ok &= abs(rep.branches["distance"]["ell_star"] - expected) <= 1e-12 * expected
     report(8, "explicit constants sqrt(pi)/800, sqrt(pi)/3200, and the ell formula", ok)
@@ -288,14 +286,14 @@ def test_criterion_10_concat_embedding():
     """Theorem 6.4 recipe: validates, max length < ell_target, within ell/2."""
     inner = small_inner_codes("five_one_three")
     outer = bacon_shor(2)
-    probe = ConcatPlan(inner=inner, outer=outer, ell_target=1.0)
-    plan = ConcatPlan(inner=inner, outer=outer, ell_target=4.0 * probe.ell_prime())
-    ec = build_concat_embedding(plan)
+    ell_prime = build_concat_embedding(inner, outer, 100.0).params["ell_prime"]
+    ell_target = 4.0 * ell_prime
+    ec = build_concat_embedding(inner, outer, ell_target)
     ok = validate_embedding(ec.embedding) == []
     measured = ec.params["max_interaction_length"]
-    ok &= measured < plan.ell_target
-    ok &= measured <= plan.ell_target / 2.0  # the proof's triangle bound
-    report(10, f"Theorem 6.4 embedding: L_max {measured:.2f} <= ell/2 {plan.ell_target / 2:.2f}", ok)
+    ok &= measured < ell_target
+    ok &= measured <= ell_target / 2.0  # the proof's triangle bound
+    report(10, f"Theorem 6.4 embedding: L_max {measured:.2f} <= ell/2 {ell_target / 2:.2f}", ok)
 
 
 def test_criterion_11_sweep_soundness():

@@ -16,10 +16,8 @@ from qlocality.bounds import (
     holographic_base_width,
     holographic_box_width,
     m_star_exponent,
-    projector_bounds,
     proof_constants,
     regime_check,
-    subsystem_bounds,
 )
 
 
@@ -38,7 +36,7 @@ def test_ball_volume_rejects_zero():
 
 
 def test_subsystem_asymptotic_example():
-    report = subsystem_bounds(1e6, 1e4, 1e3, 2, mode="asymptotic")
+    report = class_bounds("subsystem", 1e6, 1e4, 1e3, 2, mode="asymptotic")
     assert report.ell_star == pytest.approx(math.sqrt(10.0), rel=1e-12)
     assert report.m_star == pytest.approx(1e4)
     assert report.regime == "dimension-branch"
@@ -46,13 +44,13 @@ def test_subsystem_asymptotic_example():
 
 def test_subsystem_worst_case_good_code():
     n = 1e6
-    report = subsystem_bounds(n, n, n, 2, mode="asymptotic")
+    report = class_bounds("subsystem", n, n, n, 2, mode="asymptotic")
     assert report.ell_star == pytest.approx(math.sqrt(n), rel=1e-12)
     assert report.m_star == pytest.approx(n)
 
 
 def test_subsystem_explicit_constants_d2():
-    report = subsystem_bounds(1e6, 1e4, 1e3, 2, mode="explicit")
+    report = class_bounds("subsystem", 1e6, 1e4, 1e3, 2, mode="explicit")
     dim_branch = report.branches["dimension"]
     assert dim_branch["c0"] == pytest.approx(math.sqrt(math.pi) / 800.0, abs=1e-15)
     assert dim_branch["c1"] == pytest.approx((800.0 / math.sqrt(math.pi)) ** 2, rel=1e-12)
@@ -66,7 +64,7 @@ def test_subsystem_explicit_distance_ell_formula():
         dim = rng.randrange(2, 6)
         n = rng.uniform(1e3, 1e9)
         d = rng.uniform(1, n)
-        report = subsystem_bounds(n, 1, d, dim, mode="explicit")
+        report = class_bounds("subsystem", n, 1, d, dim, mode="explicit")
         expected = ball_volume(dim) * d / (6.0**dim * dim * n ** ((dim - 1) / dim))
         assert report.branches["distance"]["ell_star"] == pytest.approx(expected, rel=1e-12)
 
@@ -78,20 +76,20 @@ def test_subsystem_monotonicity():
         n = rng.uniform(100, 1e8)
         k = rng.uniform(1, n / 2)
         d = rng.uniform(1, n / 2)
-        base = subsystem_bounds(n, k, d, dim).ell_star
-        assert subsystem_bounds(n, k * 1.5, d, dim).ell_star >= base - 1e-12
-        assert subsystem_bounds(n, k, d * 1.5, dim).ell_star >= base - 1e-12
-        assert subsystem_bounds(n * 1.5, k, d, dim).ell_star <= base + 1e-12
+        base = class_bounds("subsystem", n, k, d, dim).ell_star
+        assert class_bounds("subsystem", n, k * 1.5, d, dim).ell_star >= base - 1e-12
+        assert class_bounds("subsystem", n, k, d * 1.5, dim).ell_star >= base - 1e-12
+        assert class_bounds("subsystem", n * 1.5, k, d, dim).ell_star <= base + 1e-12
 
 
 def test_subsystem_crossover_at_k_equals_d():
     # for D=2 the branches meet exactly at d = k
     for k in (10.0, 1e3, 1e5):
-        report = subsystem_bounds(1e7, k, k, 2)
+        report = class_bounds("subsystem", 1e7, k, k, 2)
         b = report.branches
         assert b["distance"]["ell_star"] == pytest.approx(b["dimension"]["ell_star"], rel=1e-12)
     # deterministic tie-break on an exactly representable crossover
-    report = subsystem_bounds(1e4, 100.0, 100.0, 2)
+    report = class_bounds("subsystem", 1e4, 100.0, 100.0, 2)
     b = report.branches
     assert b["distance"]["ell_star"] == b["dimension"]["ell_star"] == 1.0
     assert report.regime == "distance-branch"
@@ -99,24 +97,24 @@ def test_subsystem_crossover_at_k_equals_d():
 
 def test_subsystem_domain_errors():
     with pytest.raises(ValueError):
-        subsystem_bounds(100, 0, 10, 2)
+        class_bounds("subsystem", 100, 0, 10, 2)
     with pytest.raises(ValueError):
-        subsystem_bounds(100, 10, 10, 1)
+        class_bounds("subsystem", 100, 10, 10, 1)
     with pytest.raises(ValueError):
-        subsystem_bounds(100, 10, 10, 2, mode="bogus")
+        class_bounds("subsystem", 100, 10, 10, 2, mode="bogus")
 
 
 # ── projector bounds ───────────────────────────────────────────────────
 
 
 def test_projector_asymptotic_example():
-    report = projector_bounds(1e6, 1e4, 1e3, 2, mode="asymptotic")
+    report = class_bounds("projector", 1e6, 1e4, 1e3, 2, mode="asymptotic")
     assert report.ell_star == pytest.approx(10.0, rel=1e-12)
     assert report.regime == "dimension-branch"
 
 
 def test_projector_explicit_constant_d2():
-    report = projector_bounds(1e6, 1e4, 1e3, 2, mode="explicit")
+    report = class_bounds("projector", 1e6, 1e4, 1e3, 2, mode="explicit")
     dim_branch = report.branches["dimension"]
     assert dim_branch["c0"] == pytest.approx(math.sqrt(math.pi) / 3200.0, abs=1e-15)
     assert dim_branch["c1"] == pytest.approx((3200.0 / math.sqrt(math.pi)) ** 4, rel=1e-12)
@@ -125,7 +123,7 @@ def test_projector_explicit_constant_d2():
 def test_projector_crossover_at_d_squared_equals_kn():
     n, k = 1e8, 1e4
     d = math.sqrt(k * n)
-    report = projector_bounds(n, k, d, 2)
+    report = class_bounds("projector", n, k, d, 2)
     b = report.branches
     assert b["distance"]["ell_star"] == pytest.approx(b["dimension"]["ell_star"], rel=1e-9)
     assert report.regime == "distance-branch"
@@ -238,9 +236,10 @@ def test_class_bounds_reports_match_pinned_digest():
     for n, k, d in itertools.product(vals, repeat=3):
         for dim in (2, 3, 5):
             for mode in ("asymptotic", "explicit"):
-                for fn in (subsystem_bounds, projector_bounds):
+                for code_class in ("subsystem", "projector"):
                     try:
-                        h.update(repr(fn(n, k, d, dim, mode=mode).to_json()).encode())
+                        report = class_bounds(code_class, n, k, d, dim, mode=mode)
+                        h.update(repr(report.to_json()).encode())
                     except ValueError as exc:
                         h.update(str(exc).encode())
     for dim in (2, 3):

@@ -526,14 +526,14 @@ def test_contour_m_star_values():
 
 
 def test_contours_agree_with_bounds_at_finite_n():
-    from qlocality.bounds import projector_bounds, subsystem_bounds
+    from qlocality.bounds import class_bounds
 
     n = 1e6
-    for code_class, fn in (("subsystem", subsystem_bounds), ("projector", projector_bounds)):
+    for code_class in ("subsystem", "projector"):
         for kappa in (0.0, 0.25, 0.5, 0.75, 1.0):
             for delta in (0.0, 0.25, 0.5, 0.75, 1.0):
                 expected = ell_star_exponent(kappa, delta, 2, code_class)
-                report = fn(n, n**kappa, n**delta, 2, mode="asymptotic")
+                report = class_bounds(code_class, n, n**kappa, n**delta, 2, mode="asymptotic")
                 computed = max(math.log(report.ell_star, n), 0.0)
                 assert computed == pytest.approx(expected, abs=1e-6)
 

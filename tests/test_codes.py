@@ -449,8 +449,12 @@ def test_code_from_rows_keeps_rows_and_reads_paulis_from_them():
     assert "support_arrays" not in vars(code)
     assert code.to_json()["gauge_generators"] == ["XX", "ZZ"]
     assert supports_of(code) == (((0, 1), ()), ((), (0, 1)))
+    # a bit at or above the width, and a negative int, which has such bits
+    for rows in ([1 << 4], [-3]):
+        with pytest.raises(ValueError, match="row has bits outside matrix width"):
+            SubsystemCode(2, rows)
     with pytest.raises(ValueError, match="row has bits outside matrix width"):
-        SubsystemCode(2, [1 << 4])
+        BitMatrix(4, [-1])
 
 
 # ── batched parsing against the per-generator loops it replaced ────────

@@ -4,13 +4,13 @@ import hashlib
 import itertools
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from qlocality.codes import SubsystemCode, distance, logical_representatives, parameters
 from qlocality.families import (
-    ConcatPlan,
     EmbeddedCode,
     bacon_shor,
     build_concat_embedding,
@@ -335,56 +335,177 @@ def test_concat_output_bytes_pinned(inner, outer):
 # ── dilated embedding ──────────────────────────────────────────────────
 
 
-def make_plan(ell_target_factor=4.0):
+def generous_ell_prime(inner, outer):
+    """ell_prime read from a build whose ell_target clears it easily."""
+    return build_concat_embedding(inner, outer, 100.0).params["ell_prime"]
+
+
+def make_concat(ell_target_factor=4.0):
     inner = small_inner_codes("five_one_three")
     outer = bacon_shor(2)
-    plan = ConcatPlan(inner=inner, outer=outer, ell_target=1.0)
-    ell_prime = plan.ell_prime()
-    return ConcatPlan(inner=inner, outer=outer, ell_target=ell_target_factor * ell_prime)
+    ell_target = ell_target_factor * generous_ell_prime(inner, outer)
+    return inner, outer, ell_target, build_concat_embedding(inner, outer, ell_target)
 
 
 def test_concat_embedding_validates_and_is_local():
-    plan = make_plan(4.0)
-    ec = build_concat_embedding(plan)
+    _, _, ell_target, ec = make_concat(4.0)
     assert validate_embedding(ec.embedding) == []
     measured = ec.params["max_interaction_length"]
-    assert measured < plan.ell_target
+    assert measured < ell_target
     # the proof's triangle bound: inter- plus intra-block reach is at most ell/2
-    assert measured <= plan.ell_target / 2.0
+    assert measured <= ell_target / 2.0
     assert measured <= ec.params["triangle_bound"]
 
 
 def test_concat_embedding_boundary_case_rejected():
     inner = small_inner_codes("five_one_three")
     outer = bacon_shor(2)
-    plan = ConcatPlan(inner=inner, outer=outer, ell_target=1.0)
+    ell_prime = generous_ell_prime(inner, outer)
     with pytest.raises(ValueError):
-        build_concat_embedding(plan)  # ell_target < ell_prime
-    tight = ConcatPlan(inner=inner, outer=outer, ell_target=plan.ell_prime())
+        build_concat_embedding(inner, outer, 1.0)  # ell_target < ell_prime
     with pytest.raises(ValueError):
-        build_concat_embedding(tight)  # dilation 1: blocks overlap
+        build_concat_embedding(inner, outer, ell_prime)  # dilation 1: blocks overlap
 
 
 def test_concat_embedding_single_outer_qubit():
     inner = small_inner_codes("five_one_three")
     outer_code = SubsystemCode(1, [])
     outer = EmbeddedCode(outer_code, Embedding(2, [(0.0, 0.0)]), "single", {})
-    plan = ConcatPlan(inner=inner, outer=outer, ell_target=100.0, ell2=1.0)
-    ec = build_concat_embedding(plan)
+    ec = build_concat_embedding(inner, outer, 100.0, ell2=1.0)
     # one block: the inner lattice, recentered
     centered = inner.embedding.coordinates - inner.embedding.coordinates.mean(axis=0)
     assert np.allclose(ec.embedding.coordinates, centered)
 
 
 def test_concat_embedding_block_centers():
-    plan = make_plan(4.0)
-    ec = build_concat_embedding(plan)
-    dilation = plan.dilation()
-    n1 = plan.inner.code.n
-    for b in range(plan.outer.code.n):
+    inner, outer, ell_target, ec = make_concat(4.0)
+    dilation = ec.params["dilation"]
+    assert dilation == ell_target / ec.params["ell_prime"]
+    n1 = inner.code.n
+    for b in range(outer.code.n):
         block = ec.embedding.coordinates[b * n1 : (b + 1) * n1]
-        center = dilation * plan.outer.embedding.coordinates[b]
+        center = dilation * outer.embedding.coordinates[b]
         assert np.allclose(block.mean(axis=0), center)
+
+
+# The dilated embedding as it was built through a plan object that measured
+# the outer locality on every read, placed points one by one and took the
+# inner diameter by a loop over pairs; build_concat_embedding must match it
+# bit for bit.
+
+
+@dataclass(frozen=True)
+class ReferencePlan:
+    inner: EmbeddedCode
+    outer: EmbeddedCode
+    ell_target: float
+    ell2: float | None = None
+
+    def outer_locality(self):
+        if self.ell2 is not None:
+            return self.ell2
+        return extract_interactions(self.outer.code, self.outer.embedding).max_length()
+
+    def ell_prime(self):
+        return 2.0 * (math.sqrt(self.outer.embedding.dimension) + self.outer_locality())
+
+    def dilation(self):
+        return self.ell_target / self.ell_prime()
+
+
+def reference_concat_embedding(plan):
+    ell_prime = plan.ell_prime()
+    assert plan.ell_target >= ell_prime
+    dilation = plan.dilation()
+    dim = plan.outer.embedding.dimension
+    inner_coords = plan.inner.embedding.coordinates
+    centered = inner_coords - inner_coords.mean(axis=0)
+    code = concatenate(plan.inner.code, plan.outer.code)
+    points = []
+    for b in range(plan.outer.code.n):
+        center = dilation * plan.outer.embedding.coordinates[b]
+        for row in centered:
+            points.append(tuple(center + row))
+    embedding = Embedding(dim, points)
+    inner_diameter = 0.0
+    for i in range(len(centered)):
+        for j in range(i + 1, len(centered)):
+            inner_diameter = max(inner_diameter, float(np.linalg.norm(centered[i] - centered[j])))
+    measured = extract_interactions(code, embedding).max_length()
+    params = {
+        "inner": plan.inner.family,
+        "outer": plan.outer.family,
+        "ell_target": plan.ell_target,
+        "ell_prime": ell_prime,
+        "dilation": dilation,
+        "ell2": plan.outer_locality(),
+        "inner_diameter": inner_diameter,
+        "triangle_bound": dilation * plan.outer_locality() + inner_diameter,
+        "max_interaction_length": measured,
+    }
+    return code, embedding, params
+
+
+def scattered_inner(r, dim, seed):
+    """The repetition(r) code on r seeded random points at least 1 apart."""
+    coords = np.random.default_rng(seed).normal(size=(r, dim)) * 50.0
+    code = small_inner_codes("repetition", r=r).code
+    return EmbeddedCode(code, Embedding(dim, coords), "scattered", {})
+
+
+CONCAT_CASES = {
+    "five_one_three-in-bacon_shor-2": lambda: (
+        small_inner_codes("five_one_three"),
+        bacon_shor(2),
+        20.0,
+        None,
+    ),
+    "steane-in-repetition-3-D3": lambda: (
+        small_inner_codes("steane", dim=3),
+        small_inner_codes("repetition", r=3, dim=3),
+        30.0,
+        None,
+    ),
+    "one-outer-qubit": lambda: (
+        small_inner_codes("five_one_three"),
+        EmbeddedCode(SubsystemCode(1, []), Embedding(2, [(0.5, -2.0)]), "single", {}),
+        7.0,
+        None,
+    ),
+    "ell2-given": lambda: (small_inner_codes("five_one_three"), bacon_shor(2), 25.0, 1.5),
+    # off-lattice inner points, whose diameter has no exact closed form
+    "scattered-in-bacon_shor-2": lambda: (scattered_inner(40, 2, 5), bacon_shor(2), 1e4, None),
+    "scattered-in-repetition-3-D3": lambda: (
+        scattered_inner(30, 3, 6),
+        small_inner_codes("repetition", r=3, dim=3),
+        1e4,
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONCAT_CASES))
+def test_concat_embedding_matches_the_plan_path(case, monkeypatch):
+    inner, outer, ell_target, ell2 = CONCAT_CASES[case]()
+    code, embedding, params = reference_concat_embedding(
+        ReferencePlan(inner, outer, ell_target, ell2)
+    )
+    outer_reads = []
+
+    def counted(c, e):
+        outer_reads.append(c is outer.code)
+        return extract_interactions(c, e)
+
+    monkeypatch.setattr("qlocality.families.extract_interactions", counted)
+    ec = build_concat_embedding(inner, outer, ell_target, ell2)
+    assert ec.code.gauge_matrix.rows == code.gauge_matrix.rows
+    assert ec.embedding.coordinates.tobytes() == embedding.coordinates.tobytes()
+    assert ec.embedding.coordinates.shape == embedding.coordinates.shape
+    assert json.dumps(ec.params) == json.dumps(params)
+    assert params["inner_diameter"] > 0
+    # the outer locality is measured once, and not at all when it is given
+    assert outer_reads.count(True) == (ell2 is None)
+    assert outer_reads.count(False) == 1
 
 
 # ── saturation ─────────────────────────────────────────────────────────

@@ -1,7 +1,10 @@
 """Pauli bitset arithmetic against brute-force GF(2) oracles."""
 
+import importlib
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -455,3 +458,28 @@ def test_reduce_vector_matches_row_loop(case, data):
         for _ in range(4):
             vec = data.draw(st.integers(0, (1 << width) - 1))
             assert basis.reduce_vector(vec) == reference_reduce(reduced, pivots, vec)
+
+
+# ── names the benchmark's tracer wraps ─────────────────────────────────
+
+
+def load_spans():
+    """perfbench/spans.py, which sits outside the package and its tests."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_methods_resolve():
+    for layer, methods in load_spans().METHODS.items():
+        module = importlib.import_module(f"qlocality.{layer}")
+        for cls_name, meth in methods:
+            # the tracer reads the method off the class dict and restores it
+            assert meth in vars(getattr(module, cls_name)), (cls_name, meth)
+    # the rref wrapper counts a call as a miss when the cache slot is empty
+    m = BitMatrix(4, [0b0011, 0b0110])
+    assert m._rref is None
+    m.rref()
+    assert m._rref is not None

@@ -44,7 +44,6 @@ from .geometry import (
 )
 from .pauli import BitMatrix, PauliVector
 from .regions import (
-    Partition,
     ab_bound_check,
     abc_bound_check,
     boundary,

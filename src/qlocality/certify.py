@@ -34,7 +34,7 @@ from .geometry import (
     points_in_box,
     subdivide,
 )
-from .regions import Partition, ab_bound_check, abc_bound_check
+from .regions import ab_bound_check, abc_bound_check
 
 OUTCOME_CERTIFIED = "certified-correctable"
 OUTCOME_CONTRADICTION = "contradiction-reached"
@@ -608,17 +608,6 @@ def _near_faces(coords: np.ndarray, boxes: list[Box], margin: float, codim: int)
     return near
 
 
-@dataclass
-class _Division:
-    """Good cubes and bad boxes produced by tiling plus subdivision."""
-
-    tiling: GridTiling
-    good_cubes: list[Box]
-    bad_boxes: list[Box]
-    bad_cube_count: int
-    flags: list[str]
-
-
 def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct rows of an integer array in lexicographic (tuple) order,
     each row's index among them, and the row indices grouped that way, each
@@ -638,11 +627,13 @@ def _divide_space(
     tiling: GridTiling,
     ell: float,
     d1: float,
-) -> _Division:
+) -> tuple[list[Box], list[Box], int, list[str]]:
     """Classify every tiling cell that holds a point or borders one, in sorted
     order: a good cube when its mass is below d1, else a bad cube, kept whole
-    or subdivided.  Cells are integer rows, grouped by one lexsort for the
-    points and one for the occupied cells and their 3^D - 1 neighbours."""
+    or subdivided.  Returns the good cubes, the bad boxes, the number of bad
+    cubes and the flags raised.  Cells are integer rows, grouped by one
+    lexsort for the points and one for the occupied cells and their 3^D - 1
+    neighbours."""
     coords = e.coordinates
     w = tiling.width
     own = np.floor((coords - np.asarray(tiling.offset)) / w).astype(np.int64)
@@ -673,13 +664,7 @@ def _divide_space(
             bad_boxes.append(cube)
         else:
             bad_boxes.extend(subdivide(cube, cell_masses, ell, d1))
-    return _Division(
-        tiling=tiling,
-        good_cubes=good_cubes,
-        bad_boxes=bad_boxes,
-        bad_cube_count=bad_cube_count,
-        flags=flags,
-    )
+    return good_cubes, bad_boxes, bad_cube_count, flags
 
 
 def theorem_partition_builder(
@@ -689,15 +674,17 @@ def theorem_partition_builder(
     variant: str,
     seed: int = 0,
     verify: bool = True,
-) -> tuple[Partition, Certificate]:
+) -> tuple[list[list[int]], Certificate]:
     """Materialize the qubit division a theorem proof constructs.
 
     variant "thm3_2" builds the dressed-cleanable/remainder split A | B;
     variants "thm5_1_case1" and "thm5_1_case2" build the A | B | C split for
-    commuting projector codes.  The counting ledger evaluates each proof
-    inequality on the instance; hypothesis failures are recorded, not
-    asserted.  With verify=True the partition is fed to the matching
-    AB/ABC bound check, which must hold whenever its hypotheses do.
+    commuting projector codes.  The parts come back as sorted qubit lists,
+    disjoint and covering range(n), with the certificate.  The counting
+    ledger evaluates each proof inequality on the instance; hypothesis
+    failures are recorded, not asserted.  With verify=True the partition is
+    fed to the matching AB/ABC bound check, which must hold whenever its
+    hypotheses do.
     """
     if variant not in ("thm3_2", "thm5_1_case1", "thm5_1_case2"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -724,9 +711,9 @@ def theorem_partition_builder(
         tiling = find_tiling(coords[:0], coords, w, ell, dim, seed=seed)
     else:
         tiling = find_tiling(coords, np.repeat(coords, f, axis=0), w, ell, dim, seed=seed)
-    division = _divide_space(e, f, tiling, ell, d1)
-    flags.extend(division.flags)
-    all_boxes = division.good_cubes + division.bad_boxes
+    good_cubes, bad_boxes, bad_cube_count, division_flags = _divide_space(e, f, tiling, ell, d1)
+    flags.extend(division_flags)
+    all_boxes = good_cubes + bad_boxes
     margin2 = 2.0 * ell
 
     ledger: list[dict] = []
@@ -747,16 +734,16 @@ def theorem_partition_builder(
             "w0": w0,
             "long_interactions": len(long_pairs),
             "bad_qubits": int(np.count_nonzero(bad)),
-            "good_cubes": len(division.good_cubes),
-            "bad_cubes": division.bad_cube_count,
-            "bad_boxes": len(division.bad_boxes),
+            "good_cubes": len(good_cubes),
+            "bad_cubes": bad_cube_count,
+            "bad_boxes": len(bad_boxes),
             "flags": flags,
             "tiling": tiling.to_json(),
         },
     )
 
     if variant == "thm3_2":
-        entry("bad boxes < k/(10d)", len(division.bad_boxes), p.k / (10.0 * d))
+        entry("bad boxes < k/(10d)", len(bad_boxes), p.k / (10.0 * d))
         in_b = _near_faces(coords, all_boxes, margin2, 1) | bad
         entry("|B| < k", int(np.count_nonzero(in_b)), p.k)
         parts = [~in_b, in_b]
@@ -764,22 +751,21 @@ def theorem_partition_builder(
         in_c = _near_faces(coords, all_boxes, margin2, 2)
         in_b = _near_faces(coords, all_boxes, ell, 1)
         if variant == "thm5_1_case1":
-            entry("bad boxes < k/(10d)", len(division.bad_boxes), p.k / (10.0 * d))
+            entry("bad boxes < k/(10d)", len(bad_boxes), p.k / (10.0 * d))
             in_c |= bad
         else:
-            if division.bad_boxes:
+            if bad_boxes:
                 flags.append("bad boxes present despite the d >= k case hypothesis")
-            entry("bad boxes (case 2 expects 0) <= 1/10", len(division.bad_boxes), 0.1)
+            entry("bad boxes (case 2 expects 0) <= 1/10", len(bad_boxes), 0.1)
             # C takes both ends of each long interaction touching B',
             # including the bad qubits residing in B' themselves
-            in_b_prime = _near_faces(coords, division.good_cubes, margin2, 1) & ~in_c
+            in_b_prime = _near_faces(coords, good_cubes, margin2, 1) & ~in_c
             in_c[long_pairs[in_b_prime[long_pairs].any(axis=1)]] = True
             in_b |= bad
         in_b &= ~in_c
         entry("|C| < k", int(np.count_nonzero(in_c)), p.k)
         parts = [~(in_b | in_c), in_b, in_c]
     parts = [np.flatnonzero(part).tolist() for part in parts]
-    partition = Partition.of(code, parts)
     if verify:
         if variant == "thm3_2":
             check, key, name = ab_bound_check(code, *parts), "ab_check", "AB"
@@ -790,4 +776,4 @@ def theorem_partition_builder(
             cert.outcome = OUTCOME_STUCK
             cert.reason = f"{name} bound violated on the built partition"
     cert.metadata["ledger"] = ledger
-    return partition, cert
+    return parts, cert

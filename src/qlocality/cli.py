@@ -218,8 +218,9 @@ def _cmd_interactions(args: argparse.Namespace) -> int:
         m, f = geometry.count_long(ints, args.ell)
         out["ell"] = args.ell
         out["long_count"] = m
-        out["f_per_qubit"] = {str(q): v for q, v in sorted(f.items()) if v}
-        out["bad_qubits"] = sorted(ints.bad_qubits(args.ell))
+        bad = [q for q, v in f.items() if v]
+        out["f_per_qubit"] = {str(q): f[q] for q in bad}
+        out["bad_qubits"] = bad
     _dump(out, args.out)
     return EXIT_OK
 
@@ -284,9 +285,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     ints = (
         geometry.extract_interactions(code, emb)
         if code is not None
-        else geometry.InteractionSet(
-            emb.n, np.empty((0, 2), dtype=np.intp), np.empty(0), np.empty(0, dtype=np.intp)
-        )
+        else geometry.InteractionSet(emb.n, np.empty((0, 2), dtype=np.intp), np.empty(0))
     )
     cert = certify.expansion_sweep(emb, ints, args.ell, args.tau, args.d, mode=mode, code=code)
     _emit_certificate(cert, args.out)
@@ -310,10 +309,10 @@ def _cmd_holographic(args: argparse.Namespace) -> int:
 def _cmd_partition(args: argparse.Namespace) -> int:
     code = _load_code(args.code)
     emb = _load_embedding(args.embedding)
-    partition, cert = certify.theorem_partition_builder(
+    parts, cert = certify.theorem_partition_builder(
         code, emb, args.ell, args.variant, seed=args.seed, verify=not args.no_verify
     )
-    _dump({"partition": partition.to_json(), "certificate": cert.metadata}, args.out)
+    _dump({"partition": {"parts": parts}, "certificate": cert.metadata}, args.out)
     return EXIT_OK if cert.outcome != certify.OUTCOME_STUCK else EXIT_FAILED
 
 

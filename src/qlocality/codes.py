@@ -5,9 +5,9 @@ Paulis), held in two forms: packed GF(2) rows x | z << n
 (``gauge_matrix``), which the GF(2) layer reads, and a sparse form of two
 read-only intp arrays (``support_arrays``): the flat qubit list, each
 generator's X qubits then its Z qubits, and the cumulative end of each
-half.  The interaction table is built from the arrays with numpy, and
-``to_json`` writes each generator's string from them, setting its X, Z and
-Y letters in an I-filled buffer.  A code is built in either form and
+half.  The interaction index is built from the arrays with numpy, and
+``to_json`` writes each generator's string from them
+(``pauli.format_supports``).  A code is built in either form and
 derives the other on first use, by one flat walk over each half: code
 files and Pauli strings are parsed straight into rows
 (``pauli.parse_rows``), and lattice families build the arrays from their
@@ -42,6 +42,7 @@ from .pauli import (
     QubitColumns,
     centralizer,
     check_qubit_count,
+    format_supports,
     parse_rows,
     set_bits,
     symplectic_bits,
@@ -50,13 +51,12 @@ from .pauli import (
 
 @dataclass(frozen=True)
 class CodeParameters:
-    """[[n, k, d, g]] data; d is None until computed on demand."""
+    """[[n, k, g]] data and the stabilizer rank s; the distance is ``distance``'s."""
 
     n: int
     k: int
     g: int
     s: int
-    d: int | None = None
 
 
 @dataclass(frozen=True)
@@ -191,7 +191,8 @@ class SubsystemCode:
     def __init__(self, n: int, rows: Iterable[int] = ()) -> None:
         """A code from packed generator rows x | z << n (the ``gauge_matrix``
         form)."""
-        self._setup(n)
+        check_qubit_count(n)
+        self.n = n
         self.gauge_matrix = BitMatrix(2 * n, rows)
 
     @classmethod
@@ -201,8 +202,9 @@ class SubsystemCode:
         and ``ends[h]`` is the end of half h (generator h // 2, X for even h)
         in ``qubits``.  Every half must increase strictly within [0, n).  The
         arrays are copied; rows are built only when first read."""
+        check_qubit_count(n)
         code = cls.__new__(cls)
-        code._setup(n)
+        code.n = n
         code.support_arrays = _checked_arrays(n, qubits, ends)
         return code
 
@@ -212,12 +214,6 @@ class SubsystemCode:
         ``from_support_arrays``."""
         check_qubit_count(n)
         return cls.from_support_arrays(n, *_support_arrays(n, supports))
-
-    def _setup(self, n: int) -> None:
-        check_qubit_count(n)
-        self.n = n
-        self._parameters: CodeParameters | None = None
-        self._interaction_table: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def from_strings(cls, generators: Iterable[str], n: int | None = None) -> SubsystemCode:
@@ -290,70 +286,61 @@ class SubsystemCode:
         """The gauge group is abelian iff its center is its whole span."""
         return self.stabilizer_basis.rank() == self.gauge_basis.rank()
 
-    def interaction_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """The read-only pair table (index, counts): index is the m x 2 array
-        of qubit pairs (i, j), i < j, jointly covered by some gauge generator,
-        in sorted order, and counts[r] the number of generators covering pair r.
+    @cached_property
+    def _parameters(self) -> CodeParameters:
+        r = self.gauge_basis.rank()
+        s = self.stabilizer_basis.rank()
+        assert (r - s) % 2 == 0, "symplectic form on the gauge span has odd rank"
+        g = (r - s) // 2
+        return CodeParameters(n=self.n, k=self.n - s - g, g=g, s=s)
 
-        Built once from one array of integer keys i * n + j, read off
-        ``support_arrays`` with numpy: each generator's qubits (the sorted
-        union of its X and Z halves) give the keys of their pairs, one sort
-        groups equal keys, and the first of each group is a pair, its group
-        length the pair's count.
-        """
-        if self._interaction_table is None:
-            n = self.n
-            qubits, ends = self.support_arrays
-            gen_ends = ends[1::2]  # one past each generator's last position
-            gen = np.bincount(gen_ends, minlength=qubits.size + 1)[: qubits.size].cumsum()
-            # g * n + q per listed qubit q of generator g: increasing unless
-            # some generator has both halves, which a sort and dedup merge
-            keyed = gen * n + qubits
-            if (keyed[1:] <= keyed[:-1]).any():
-                gen, qubits = np.divmod(np.unique(keyed), n)
-                gen_ends = np.bincount(gen, minlength=gen_ends.size).cumsum()
-            # the qubit at position p pairs with those at p + 1 to end[p] - 1
-            end = gen_ends[gen]
-            later = end - 1 - np.arange(qubits.size)
-            runs = later.cumsum()
-            partner = np.arange(runs[-1] if runs.size else 0) + (end - runs).repeat(later)
-            flat = qubits.repeat(later) * n + qubits[partner]
-            flat.sort()
-            m = len(flat)
-            # edge[p]: a run of equal keys starts at p, or p = m
-            edge = np.empty(m + 1, dtype=bool)
-            edge[0] = edge[m] = True
-            np.not_equal(flat[1:], flat[:-1], out=edge[1:m])
-            bounds = edge.nonzero()[0]
-            counts = bounds[1:] - bounds[:-1]
-            index = np.empty((len(counts), 2), dtype=np.intp)
-            np.divmod(flat[bounds[:-1]], n, out=(index[:, 0], index[:, 1]))
-            index.setflags(write=False)
-            counts.setflags(write=False)
-            self._interaction_table = (index, counts)
-        return self._interaction_table
+    @cached_property
+    def _interaction_index(self) -> np.ndarray:
+        n = self.n
+        qubits, ends = self.support_arrays
+        gen_ends = ends[1::2]  # one past each generator's last position
+        gen = np.bincount(gen_ends, minlength=qubits.size + 1)[: qubits.size].cumsum()
+        # g * n + q per listed qubit q of generator g: increasing unless
+        # some generator has both halves, which a sort and dedup merge
+        keyed = gen * n + qubits
+        if (keyed[1:] <= keyed[:-1]).any():
+            gen, qubits = np.divmod(np.unique(keyed), n)
+            gen_ends = np.bincount(gen, minlength=gen_ends.size).cumsum()
+        # the qubit at position p pairs with those at p + 1 to end[p] - 1
+        end = gen_ends[gen]
+        later = end - 1 - np.arange(qubits.size)
+        runs = later.cumsum()
+        partner = np.arange(runs[-1] if runs.size else 0) + (end - runs).repeat(later)
+        flat = qubits.repeat(later) * n + qubits[partner]
+        # an in-place sort and a mask of where each run of equal keys starts
+        # (np.unique sorts a copy and took 40 times as long on BS-300's keys)
+        flat.sort()
+        first = np.empty(len(flat), dtype=bool)
+        first[:1] = True
+        np.not_equal(flat[1:], flat[:-1], out=first[1:])
+        keys = flat[first]
+        index = np.empty((len(keys), 2), dtype=np.intp)
+        np.divmod(keys, n, out=(index[:, 0], index[:, 1]))
+        index.setflags(write=False)
+        return index
 
     def interaction_index(self) -> np.ndarray:
-        """The index array of interaction_table()."""
-        return self.interaction_table()[0]
+        """The read-only m x 2 array of the qubit pairs (i, j), i < j, that
+        some gauge generator covers, in sorted order; built once.
+
+        One array of integer keys i * n + j is read off ``support_arrays``
+        with numpy: each generator's qubits (the sorted union of its X and Z
+        halves) give the keys of their pairs, one sort groups equal keys,
+        and the first of each group is a pair.
+        """
+        return self._interaction_index
 
     def to_json(self) -> dict:
         """``n`` and each generator as a Pauli string, written from
-        ``support_arrays``: X, then Z (Y where X was set), into letters
-        filled with I."""
-        n = self.n
+        ``support_arrays`` by ``format_supports``."""
         qubits, ends = self.support_arrays
-        flat, cuts = qubits.tolist(), ends.tolist()
-        blank = b"I" * n
-        gens = []
-        for start, x_end, z_end in zip([0, *cuts[1::2]], cuts[::2], cuts[1::2]):
-            letters = bytearray(blank)
-            for q in flat[start:x_end]:
-                letters[q] = 88  # X
-            for q in flat[x_end:z_end]:
-                letters[q] = 89 if letters[q] == 88 else 90  # Y, Z
-            gens.append(letters.decode("ascii"))
-        return {"n": n, "gauge_generators": gens}
+        gens = format_supports(self.n, qubits.tolist(), ends.tolist())
+        return {"n": self.n, "gauge_generators": gens}
 
     @classmethod
     def from_json(cls, obj: dict) -> SubsystemCode:
@@ -405,14 +392,7 @@ def derive_stabilizer(code: SubsystemCode) -> BitMatrix:
 
 
 def parameters(code: SubsystemCode) -> CodeParameters:
-    """(n, k, g, s) from the rank formulas; d left unset."""
-    if code._parameters is None:
-        r = code.gauge_basis.rank()
-        s = code.stabilizer_basis.rank()
-        assert (r - s) % 2 == 0, "symplectic form on the gauge span has odd rank"
-        g = (r - s) // 2
-        k = code.n - s - g
-        code._parameters = CodeParameters(n=code.n, k=k, g=g, s=s)
+    """(n, k, g, s) from the rank formulas, computed once per code."""
     return code._parameters
 
 

@@ -192,17 +192,13 @@ class InteractionSet:
     """Deduplicated qubit pairs with Euclidean lengths.
 
     ``index`` is the code's read-only m x 2 array of pairs (i, j), i < j,
-    sorted, ``lengths`` holds their lengths in the embedding, and
-    ``counts`` the number of generators each pair co-occurs in (metadata
-    only -- the bounds count pairs, not generator incidences).  ``index``
-    and ``counts`` are the code's cached table, shared by every set
-    extracted from that code.
+    sorted, shared by every set extracted from that code, and ``lengths``
+    holds their lengths in the embedding.
     """
 
     n: int
     index: np.ndarray
     lengths: np.ndarray
-    counts: np.ndarray
 
     @cached_property
     def pairs(self) -> tuple[tuple[int, int, float], ...]:
@@ -217,10 +213,6 @@ class InteractionSet:
     def max_length(self) -> float:
         return float(self.lengths.max()) if len(self.lengths) else 0.0
 
-    def bad_qubits(self, ell: float) -> frozenset[int]:
-        """Qubits participating in an interaction of length >= ell."""
-        return frozenset(self.long_pairs(ell).ravel().tolist())
-
     def to_json(self) -> dict:
         return {"n": self.n, "pairs": list(map(list, self.pairs))}
 
@@ -232,13 +224,13 @@ def check_code_size(e: Embedding, n: int) -> None:
 
 
 def extract_interactions(code: SubsystemCode, e: Embedding) -> InteractionSet:
-    """The code's cached pair table, with lengths from the embedding."""
+    """The code's cached pair index, with lengths from the embedding."""
     check_code_size(e, code.n)
-    index, counts = code.interaction_table()
+    index = code.interaction_index()
     diff = e.coordinates[index[:, 0]] - e.coordinates[index[:, 1]]
     lengths = np.sqrt(np.vecdot(diff, diff))
     lengths.setflags(write=False)
-    return InteractionSet(code.n, index, lengths, counts)
+    return InteractionSet(code.n, index, lengths)
 
 
 def count_long(s: InteractionSet, ell: float) -> tuple[int, dict[int, int]]:
@@ -504,7 +496,8 @@ def subdivide(b: Box, f: MassMap, ell: float, d1: float) -> list[Box]:
     light prefix, or a short (<= 10*ell) slab swallowing the mass point
     that tips the prefix over d1.  No two neighbours could be joined: the
     union of a box and the next holds the first one's tipping point, so it
-    is heavy and longer than 10*ell.  A mass point of the wrong dimension
+    is heavy and longer than 10*ell.  A step too small to move the float
+    cut point raises ValueError naming ell and the cut.  A mass point of the wrong dimension
     or with a non-finite coordinate, or a mass that is negative or not an
     integer (``json_int``), raises ValueError.
     """
@@ -554,6 +547,8 @@ def subdivide(b: Box, f: MassMap, ell: float, d1: float) -> list[Box]:
             step = min(10 * ell, cap)  # short heavy slab swallowing the tip
         else:
             step = min(prefix, cap)  # light prefix, capped to leave >= 5*ell
+        if cur + step == cur:
+            raise ValueError(f"ell = {ell} is too small to move the cut at {cur}")
         cur += step
         cuts.append(cur)
 

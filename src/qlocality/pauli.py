@@ -9,12 +9,10 @@ from typing import Collection, Iterable, Iterator, NoReturn, Sequence
 # bits, so a dense matrix of 2n rows holds n²/2 bytes (5 GB at this cap).
 MAX_QUBITS = 100_000
 
-# str.translate tables: the X and Z bit of each letter as a binary digit, and
-# the letter of each hex digit x + 2z.
+# str.translate tables: the X and Z bit of each letter as a binary digit
 _X_DIGITS = str.maketrans("IXYZ", "0110")
 _Z_DIGITS = str.maketrans("IXYZ", "0011")
 _NOT_LETTERS = str.maketrans("", "", "IXYZ")
-_HEX_LETTERS = str.maketrans("0123", "IXZY")
 
 # Letters per parsing block.  Cutting a block into rows shifts the block's
 # int once per row, so the cost per row grows with the block: at 2^16
@@ -79,18 +77,22 @@ def parse_rows(strings: Sequence[str], n: int) -> list[int]:
     return rows
 
 
-def format_rows(rows: Sequence[int], n: int) -> list[str]:
-    """Packed rows x | z << n as Pauli strings of n letters, the inverse of
-    ``parse_rows``."""
-    if n == 0:
-        return [""] * len(rows)
-    mask = (1 << n) - 1
-    # read each binary digit as a hex digit: hex digit i is then x_i + 2 z_i
-    return [
-        format(int(format(row & mask, "b"), 16) + 2 * int(format(row >> n, "b"), 16), f"0{n}x")
-        .translate(_HEX_LETTERS)[::-1]
-        for row in rows
-    ]
+def format_supports(n: int, qubits: Sequence[int], ends: Sequence[int]) -> list[str]:
+    """Pauli strings of n letters from the sparse form of
+    ``SubsystemCode.support_arrays``: ``qubits`` holds each operator's X
+    qubits, then its Z qubits, and ``ends[h]`` is the end of half h.  Each
+    string is an I-filled buffer with X, then Z (Y where X was set), written
+    in; the inverse of ``parse_rows``."""
+    blank = b"I" * n
+    strings = []
+    for start, x_end, z_end in zip([0, *ends[1::2]], ends[::2], ends[1::2]):
+        letters = bytearray(blank)
+        for q in qubits[start:x_end]:
+            letters[q] = 88  # X
+        for q in qubits[x_end:z_end]:
+            letters[q] = 89 if letters[q] == 88 else 90  # Y, Z
+        strings.append(letters.decode("ascii"))
+    return strings
 
 
 @dataclass(frozen=True)
@@ -118,7 +120,8 @@ class PauliVector:
         return cls.from_bits(len(s), parse_rows([s], len(s))[0])
 
     def to_string(self) -> str:
-        return format_rows([self.to_bits()], self.n)[0]
+        xs, zs = list(set_bits(self.x_bits)), list(set_bits(self.z_bits))
+        return format_supports(self.n, xs + zs, [len(xs), len(xs) + len(zs)])[0]
 
     @classmethod
     def from_bits(cls, n: int, bits: int) -> PauliVector:

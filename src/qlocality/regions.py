@@ -6,7 +6,7 @@ tests can distinguish "vacuously true" from "substantively verified".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -196,22 +196,6 @@ def abc_bound_check(
         bound_holds=bound,
         holds=(not hyp) or bool(bound),
     )
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Ordered disjoint regions covering all qubits."""
-
-    parts: tuple[frozenset[int], ...] = field(default_factory=tuple)
-
-    @classmethod
-    def of(cls, code: SubsystemCode, parts: Sequence[Iterable[int]]) -> Partition:
-        fparts = tuple(frozenset(p) for p in parts)
-        _require_partition(code, fparts)
-        return cls(fparts)
-
-    def to_json(self) -> dict:
-        return {"parts": [sorted(p) for p in self.parts]}
 
 
 def region_to_json(u: Iterable[int]) -> dict:

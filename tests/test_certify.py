@@ -6,6 +6,8 @@ from hashlib import sha256
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlocality import certify
 from qlocality.bounds import holographic_box_width, proof_constants
@@ -33,6 +35,7 @@ from qlocality.geometry import (
     verify_tiling,
 )
 from qlocality.regions import is_correctable
+from tests.test_codes import random_codes
 
 BS3 = bacon_shor(3)
 FIVE = small_inner_codes("five_one_three")
@@ -226,9 +229,7 @@ def test_library_rejects_infinite_parameters(entry):
 
 
 def empty_interactions(n):
-    return InteractionSet(
-        n, np.empty((0, 2), dtype=np.intp), np.empty(0), np.empty(0, dtype=np.intp)
-    )
+    return InteractionSet(n, np.empty((0, 2), dtype=np.intp), np.empty(0))
 
 
 def test_sweep_no_qubits_certified():
@@ -519,24 +520,24 @@ def test_certificate_trace_readable():
 
 
 def test_partition_bacon_shor_no_long_interactions():
-    partition, cert = theorem_partition_builder(BS3.code, BS3.embedding, 1.5, "thm3_2")
+    parts, cert = theorem_partition_builder(BS3.code, BS3.embedding, 1.5, "thm3_2")
     assert cert.outcome == OUTCOME_CERTIFIED
     assert cert.metadata["long_interactions"] == 0
     assert cert.metadata["bad_cubes"] == 0
-    a, b = partition.parts
-    assert a | b == frozenset(range(9))
+    a, b = parts
+    assert sorted(a + b) == list(range(9))
     assert cert.metadata["ab_check"]["holds"]
 
 
 def test_partition_five_qubit_all_variants():
     for variant in ("thm3_2", "thm5_1_case1", "thm5_1_case2"):
-        partition, cert = theorem_partition_builder(
+        parts, cert = theorem_partition_builder(
             FIVE.code, FIVE.embedding, 1.2, variant
         )
         assert cert.outcome == OUTCOME_CERTIFIED
-        covered = frozenset().union(*partition.parts)
+        covered = frozenset().union(*parts)
         assert covered == frozenset(range(5))
-        assert sum(len(p) for p in partition.parts) == 5
+        assert sum(len(p) for p in parts) == 5
 
 
 def test_partition_case2_no_bad_boxes_without_long_interactions():
@@ -550,13 +551,14 @@ def test_partition_case2_no_bad_boxes_without_long_interactions():
 def test_partition_with_long_interactions_case1():
     # stretch one qubit far away so its interactions exceed ell
     emb = Embedding(2, [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (0.0, 1.0), (9.0, 1.0)])
-    partition, cert = theorem_partition_builder(FIVE.code, emb, 2.0, "thm5_1_case1")
+    parts, cert = theorem_partition_builder(FIVE.code, emb, 2.0, "thm5_1_case1")
     assert cert.metadata["long_interactions"] > 0
     assert cert.outcome == OUTCOME_CERTIFIED
     assert cert.metadata["abc_check"]["holds"]
     # bad qubits always land in C in case 1
-    bad = extract_interactions(FIVE.code, emb).bad_qubits(2.0)
-    assert bad <= partition.parts[2]
+    _, f = count_long(extract_interactions(FIVE.code, emb), 2.0)
+    bad = {q for q, v in f.items() if v}
+    assert bad and bad <= set(parts[2])
 
 
 def test_partition_nonabelian_rejected_for_abc_variants():
@@ -572,8 +574,42 @@ def test_partition_unknown_variant():
 def test_partition_deterministic_per_seed():
     p1, c1 = theorem_partition_builder(FIVE.code, FIVE.embedding, 1.2, "thm3_2", seed=5)
     p2, c2 = theorem_partition_builder(FIVE.code, FIVE.embedding, 1.2, "thm3_2", seed=5)
-    assert p1.parts == p2.parts
+    assert p1 == p2
     assert c1.metadata["tiling"] == c2.metadata["tiling"]
+
+
+@st.composite
+def embedded_codes_with_logicals(draw):
+    """A random code with k >= 1 on n <= 8 qubits, placed at random points."""
+    code = draw(random_codes().filter(lambda c: c.n and parameters(c).k >= 1))
+    dim = draw(st.integers(2, 3))  # the proof constants need D >= 2
+    point = st.lists(st.floats(-12.0, 12.0), min_size=dim, max_size=dim)
+    coords = draw(st.lists(point, min_size=code.n, max_size=code.n))
+    return code, Embedding(dim, coords)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    embedded_codes_with_logicals(),
+    st.sampled_from([0.05, 0.5, 1.5, 4.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_partition_parts_are_sorted_disjoint_and_cover_every_qubit(case, ell, seed):
+    code, emb = case
+    for variant in ("thm3_2", "thm5_1_case1", "thm5_1_case2"):
+        built = []
+        for verify in (True, False):
+            if variant != "thm3_2" and verify and not code.has_abelian_gauge():
+                with pytest.raises(ValueError, match="abelian"):
+                    theorem_partition_builder(code, emb, ell, variant, seed, verify)
+                continue
+            parts, _ = theorem_partition_builder(code, emb, ell, variant, seed, verify)
+            assert len(parts) == (2 if variant == "thm3_2" else 3)
+            for part in parts:
+                assert part == sorted(set(part))
+            assert sorted(q for part in parts for q in part) == list(range(code.n))
+            built.append(parts)
+        assert all(parts == built[0] for parts in built)
 
 
 # ── pinned outcomes of the engines' exit paths ─────────────────────────
@@ -680,7 +716,7 @@ PARTITION_PINNED = {
 @pytest.mark.parametrize("ell, variant", sorted(PARTITION_PINNED))
 def test_partition_builder_matches_pinned_digests(ell, variant):
     code, emb = stretched_surface_code()
-    partition, cert = theorem_partition_builder(code, emb, ell, variant)
-    obj = {"partition": partition.to_json(), "metadata": cert.metadata, "outcome": cert.outcome}
+    parts, cert = theorem_partition_builder(code, emb, ell, variant)
+    obj = {"partition": {"parts": parts}, "metadata": cert.metadata, "outcome": cert.outcome}
     digest = sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
     assert digest == PARTITION_PINNED[ell, variant]

@@ -251,6 +251,25 @@ def test_subdivide_rejects_bad_mass_exits_two(capsys, tmp_path, mass, message):
     assert captured.err == f"error: {message}\n"
 
 
+def test_stuck_subdivision_cut_exits_two(tmp_path, bs3_files):
+    # both ran until killed: cur += 10*ell left the float cut at 1.0
+    spec = tmp_path / "spec.json"
+    masses = [{"point": [1, 0.5], "mass": 5}]
+    spec.write_text(json.dumps({"box": {"min": [0, 0], "max": [10, 1]}, "masses": masses}))
+    code_path, emb_path = bs3_files
+    for argv, ell in [
+        (["subdivide", str(spec), "--ell", "1e-20", "--d1", "1"], "1e-20"),
+        (["partition", code_path, emb_path, "--ell", "1e-300", "--variant", "thm3_2"], "1e-300"),
+    ]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qlocality.cli", *argv],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == EXIT_INPUT
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: ell = {ell} is too small to move the cut at 1.0\n"
+
+
 def test_sweep_stuck_exits_one(bs3_files, capsys):
     code_path, emb_path = bs3_files
     rc, out = run(

@@ -21,7 +21,7 @@ from qlocality.pauli import (
     BitMatrix,
     PauliVector,
     centralizer,
-    format_rows,
+    parse_rows,
     symplectic_bits,
 )
 from qlocality.families import surface_code
@@ -570,8 +570,7 @@ def test_code_from_supports_matches_code_from_paulis(code):
     sparse = SubsystemCode.from_supports(code.n, reference_supports(code))
     assert list(supports_of(code)) == reference_supports(code)
     assert sparse.dumps() == code.dumps()
-    for got, want in zip(sparse.interaction_table(), code.interaction_table()):
-        assert got.tolist() == want.tolist()
+    assert sparse.interaction_index().tolist() == code.interaction_index().tolist()
     assert parameters(sparse) == parameters(code)
     assert sparse.gauge_matrix.rows == code.gauge_matrix.rows
     assert repr(sparse) == repr(code)
@@ -650,8 +649,8 @@ def test_from_supports_rejects_a_qubit_past_intp_as_out_of_range():
 
 
 def reference_key_table(n, supports):
-    """The per-generator key loop the interaction table ran on supports,
-    grouped by np.unique."""
+    """The per-generator key loop the interaction index ran on supports,
+    deduplicated by np.unique."""
     keys = []
     for xs, zs in supports:
         qs = sorted({*xs, *zs}) if xs and zs else xs or zs
@@ -659,8 +658,8 @@ def reference_key_table(n, supports):
             keys.append(qs[0] * n + qs[1])
         else:
             keys.extend(i * n + j for i, j in itertools.combinations(qs, 2))
-    flat, counts = np.unique(np.array(keys, dtype=np.intp), return_counts=True)
-    return np.stack(np.divmod(flat, max(n, 1)), axis=1).reshape(-1, 2), counts
+    flat = np.unique(np.array(keys, dtype=np.intp))
+    return np.stack(np.divmod(flat, max(n, 1)), axis=1).reshape(-1, 2)
 
 
 @st.composite
@@ -682,7 +681,7 @@ def test_support_arrays_match_from_supports_and_the_key_loop(case):
     n, supports, kind = case
     plain = tuple(tuple(tuple(map(int, h)) for h in pair) for pair in supports)
     rows = tuple(sum(1 << q for q in xs) | sum(1 << q for q in zs) << n for xs, zs in plain)
-    index, counts = reference_key_table(n, plain)
+    index = reference_key_table(n, plain)
     arrays = as_arrays(supports, None if kind is int else kind)
     codes = [
         SubsystemCode.from_support_arrays(n, *arrays),
@@ -694,10 +693,9 @@ def test_support_arrays_match_from_supports_and_the_key_loop(case):
     for code in codes:
         assert supports_of(code) == plain
         assert code.gauge_matrix.rows == rows
-        got_index, got_counts = code.interaction_table()
-        assert got_index.dtype == got_counts.dtype == np.intp
+        got_index = code.interaction_index()
+        assert got_index.dtype == np.intp
         assert got_index.tolist() == index.tolist()
-        assert got_counts.tolist() == counts.tolist()
         assert repr(code) == f"SubsystemCode(n={n}, generators={len(plain)})"
 
 
@@ -715,11 +713,12 @@ def test_support_arrays_read_off_rows_equal_from_supports(case):
 
 @settings(max_examples=200, deadline=None)
 @given(random_supports())
-def test_to_json_matches_format_rows(case):
+def test_to_json_matches_pauli_to_string(case):
     n, supports, _ = case
     sparse = SubsystemCode.from_supports(n, supports)
     rows = sparse.gauge_matrix.rows
-    strings = format_rows(rows, n)
+    strings = [PauliVector.from_bits(n, row).to_string() for row in rows]
+    assert parse_rows(strings, n) == list(rows)
     for code in (sparse, SubsystemCode(n, rows)):
         assert code.to_json() == {"n": n, "gauge_generators": strings}
 

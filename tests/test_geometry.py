@@ -129,24 +129,22 @@ def test_interactions_independent_of_generator_order():
 
 
 def test_interaction_multiplicity_metadata():
-    # two generators sharing the same pair: counted once in pairs, twice in metadata
+    # two generators sharing the same pair: one interaction
     code = SubsystemCode.from_strings(["XX", "ZZ"])
     ints = extract_interactions(code, Embedding(2, [(0.0, 0.0), (1.0, 0.0)]))
     assert len(ints.pairs) == 1
     assert ints.index.tolist() == [[0, 1]]
-    assert ints.counts.tolist() == [2]
 
 
 def test_interaction_multiplicity_cannot_corrupt_the_code_table():
     code = SubsystemCode.from_strings(["XXI", "ZZI", "IYY"])
     emb = Embedding(2, [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
     ints = extract_interactions(code, emb)
-    for table in (*code.interaction_table(), ints.index, ints.counts, ints.lengths):
+    for table in (code.interaction_index(), ints.index, ints.lengths):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 99
     again = extract_interactions(code, emb)
     assert code.interaction_index().tolist() == again.index.tolist() == [[0, 1], [1, 2]]
-    assert again.counts.tolist() == [2, 1]
 
 
 @pytest.mark.parametrize(
@@ -159,9 +157,9 @@ def test_interaction_multiplicity_cannot_corrupt_the_code_table():
     ],
 )
 def test_long_pairs_and_bad_qubits_check_ell(ell, message):
-    # bad_qubits(nan) used to be empty and long_pairs(-1.0) every pair
+    # long_pairs(-1.0) used to be every pair
     ints = extract_interactions(BS3, unit_grid(3))
-    for census in (ints.long_pairs, ints.bad_qubits, lambda v: count_long(ints, v)):
+    for census in (ints.long_pairs, lambda v: count_long(ints, v)):
         with pytest.raises(ValueError, match=f"^{message}$"):
             census(ell)
 
@@ -456,6 +454,17 @@ def test_subdivide_rejects_malformed_masses(bad, message):
     masses = [((50.0, 5.0), 5), bad]
     with pytest.raises(ValueError, match=message):
         subdivide(box, masses, 1.0, 3.0)
+
+
+@pytest.mark.parametrize(
+    ("ell", "point", "cut"),
+    [(1e-20, 1.0, "1.0"), (1e-17, 1.0, "1.0"), (1e-12, 1e6, "1000000.0")],
+)
+def test_subdivide_rejects_a_cut_a_step_cannot_move(ell, point, cut):
+    # cur += 10*ell left the cut where it was, and the sweep looped forever
+    box = Box((0.0, 0.0), (2 * point + 10.0, 1.0))
+    with pytest.raises(ValueError, match=f"^ell = {ell} is too small to move the cut at {cut}$"):
+        subdivide(box, [((point, 0.5), 5)], ell, 1.0)
 
 
 def test_subdivide_random_configurations():

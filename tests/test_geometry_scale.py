@@ -253,7 +253,7 @@ def divide_space_loop(e, f, tiling, ell, d1):
             bad_boxes.append(cube)
         else:
             bad_boxes.extend(geometry.subdivide(cube, cell_masses, ell, d1))
-    return certify._Division(tiling, good_cubes, bad_boxes, bad_cube_count, flags)
+    return good_cubes, bad_boxes, bad_cube_count, flags
 
 
 @settings(max_examples=200, deadline=None)
@@ -407,7 +407,8 @@ def test_holographic_f_box_matches_count_long(code_and_embedding, ell, data):
 
 
 def reference_interaction_counts(code):
-    """The per-generator loop that extract_interactions ran before the table."""
+    """The per-generator loop that extract_interactions ran before the table:
+    each pair with the number of generators covering it."""
     n = code.n
     mult = {}
     for row in code.gauge_matrix.rows:
@@ -435,26 +436,24 @@ def lettered_codes(draw):
 @given(lettered_codes(), st.data())
 def test_interaction_table_matches_per_generator_loop(code, data):
     expected = reference_interaction_counts(code)
-    index, per_pair = code.interaction_table()
+    index = code.interaction_index()
     assert index.tolist() == [list(pair) for pair in sorted(expected)]
-    assert per_pair.tolist() == [expected[pair] for pair in sorted(expected)]
     assert code.interaction_index() is index
     coords = data.draw(st.lists(st.lists(COORD, min_size=2, max_size=2), min_size=code.n, max_size=code.n))
     e = Embedding(2, coords)
     ints = extract_interactions(code, e)
     assert [(i, j) for i, j, _ in ints.pairs] == sorted(expected)
-    assert ints.counts.tolist() == per_pair.tolist()
+    assert ints.index is index
     for i, j, length in ints.pairs:
         assert length == float(np.linalg.norm(e.coordinates[i] - e.coordinates[j]))
 
 
 def assert_table_matches_loop(code):
-    """The code's (index, counts) table against the reference loop."""
+    """The code's pair index against the reference loop."""
     expected = reference_interaction_counts(code)
-    index, counts = code.interaction_table()
+    index = code.interaction_index()
     assert index.dtype == np.intp and index.shape == (len(expected), 2)
     assert index.tolist() == [list(pair) for pair in sorted(expected)]
-    assert counts.tolist() == [expected[pair] for pair in sorted(expected)]
     return expected
 
 
@@ -470,7 +469,7 @@ def assert_table_matches_loop(code):
 )
 def test_interaction_table_without_pairs(code):
     assert assert_table_matches_loop(code) == {}
-    assert code.interaction_table()[1].shape == (0,)
+    assert code.interaction_index().shape == (0, 2)
 
 
 MIXED = ["XXII", "XXII", "ZZII", "YIYI", "IZXY", "XZII", "IIII", "IYIZ", "YYYY", "IIZZ"]
@@ -505,17 +504,16 @@ def test_extract_interactions_builds_no_pair_map():
     ints = extract_interactions(code, ec.embedding)
     # no per-pair Python object: the (i, j, length) tuples are built on first read
     assert "pairs" not in vars(ints)
-    index, counts = code.interaction_table()
-    assert ints.index is index and ints.counts is counts
-    for table in (counts, ints.counts):
-        with pytest.raises(ValueError, match="read-only"):
-            table[0] = 99
+    index = code.interaction_index()
+    assert ints.index is index
+    with pytest.raises(ValueError, match="read-only"):
+        index[0] = 99
     assert len(ints.pairs) == len(index)
 
 
 def census_by_pairs(pairs, n, ell):
-    """The per-pair loops of count_long, bad_qubits, max_length and the long
-    pairs before they read the index array."""
+    """The per-pair loops of count_long, the bad qubits, max_length and the
+    long pairs before they read the index array."""
     m = 0
     f = {q: 0 for q in range(n)}
     bad = set()
@@ -573,7 +571,7 @@ def test_census_matches_per_pair_loops(code, data):
     ell = data.draw(st.one_of(choices))
     m, f, bad, long, top = census_by_pairs(ints.pairs, n, ell)
     assert count_long(ints, ell) == (m, f)
-    assert ints.bad_qubits(ell) == bad
+    assert frozenset(q for q, v in count_long(ints, ell)[1].items() if v) == bad
     assert ints.long_pairs(ell).tolist() == long
     assert ints.max_length() == top
     # u may hold qubits outside [0, n), which are in no pair
@@ -601,9 +599,7 @@ def sweep_gamma_by_pairs(e, ell):
 @settings(max_examples=100, deadline=None)
 @given(clouds(max_n=30).filter(lambda e: e.n > 0), st.sampled_from([0.25, 0.5, 1.0, 1.5]))
 def test_sweep_gamma_matches_pairwise_loop(e, ell):
-    ints = InteractionSet(
-        e.n, np.empty((0, 2), dtype=np.intp), np.empty(0), np.empty(0, dtype=np.intp)
-    )
+    ints = InteractionSet(e.n, np.empty((0, 2), dtype=np.intp), np.empty(0))
     cert = certify.expansion_sweep(e, ints, ell, tau=e.n + 1, d=e.n + 1)
     assert cert.metadata["gamma"] == sweep_gamma_by_pairs(e, ell)
 
@@ -1034,9 +1030,7 @@ def test_chain_oracle_matches_is_correctable_and_needs_a_chain():
 def test_verified_sweep_rejects_qubit_count_mismatch():
     code, e = near_pair_code(40, 2, 9.0, 1)
     small = Embedding(2, e.coordinates[:-1])
-    ints = InteractionSet(
-        small.n, np.empty((0, 2), dtype=np.intp), np.empty(0), np.empty(0, dtype=np.intp)
-    )
+    ints = InteractionSet(small.n, np.empty((0, 2), dtype=np.intp), np.empty(0))
     with pytest.raises(ValueError, match="embedding has 39 points, code has 40 qubits"):
         certify.expansion_sweep(small, ints, 1.5, 10, 100, mode="verified", code=code)
 

@@ -7,7 +7,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qlocality.codes import SubsystemCode
@@ -17,7 +17,7 @@ from qlocality.pauli import (
     PauliVector,
     QubitColumns,
     centralizer,
-    format_rows,
+    format_supports,
     parse_rows,
     symplectic_bits,
 )
@@ -135,7 +135,31 @@ def test_parse_rows_match_from_string_bits_and_format_back(n, count, rng):
     strings = ["".join(rng.choices("IXYZ", k=n)) for _ in range(count)]
     rows = parse_rows(strings, n)
     assert rows == [P(s).to_bits() for s in strings]
-    assert format_rows(rows, n) == strings
+    assert format_supports(n, *sparse_form(rows, n)) == strings
+
+
+def sparse_form(rows, n):
+    """Rows x | z << n as format_supports' flat qubit list and half ends."""
+    qubits, ends = [], []
+    for row in rows:
+        for half in (row & ((1 << n) - 1), row >> n):
+            qubits += [q for q, bit in enumerate(format(half, "b")[::-1]) if bit == "1"]
+            ends.append(len(qubits))
+    return qubits, ends
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 9).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, 4**n - 1), max_size=8))
+))
+@example((0, [0, 0]))
+@example((1, [0, 1, 2, 3]))
+@example((3, [0b111_000, 0b000_111, 0b110_011]))
+def test_format_supports_inverts_parse_rows(case):
+    n, rows = case
+    strings = format_supports(n, *sparse_form(rows, n))
+    assert all(len(s) == n and set(s) <= set("IXYZ") for s in strings)
+    assert parse_rows(strings, n) == rows
 
 
 def test_bits_round_trip():

@@ -137,7 +137,7 @@ def _chain_oracle(code: SubsystemCode) -> Callable[[np.ndarray], bool]:
         assert not (held & ~region).any(), "a region does not contain the one before it"
         new = np.flatnonzero(region & ~held).tolist()
         held = region
-        return all(columns.add(basis, q) for q in new)
+        return columns.extend(basis, new)
 
     return correctable
 
@@ -684,11 +684,14 @@ def theorem_partition_builder(
     ledger evaluates each proof inequality on the instance; hypothesis
     failures are recorded, not asserted.  With verify=True the partition is
     fed to the matching AB/ABC bound check, which must hold whenever its
-    hypotheses do.
+    hypotheses do.  The thm5_1 variants reject a non-abelian gauge group
+    before any work, whether or not they verify.
     """
     if variant not in ("thm3_2", "thm5_1_case1", "thm5_1_case2"):
         raise ValueError(f"unknown variant {variant!r}")
     check_positive(ell, "ell")
+    if variant != "thm3_2" and not code.has_abelian_gauge():
+        raise ValueError("ABC bound requires an abelian gauge group")
     long_pairs = extract_interactions(code, e).long_pairs(ell)
     dim = e.dimension
     p = parameters(code)

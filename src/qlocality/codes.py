@@ -16,13 +16,15 @@ numpy index grids, so they never form an n-bit int on the geometric path.
 
 The gauge centralizer C(G) is computed once per code (cached on the gauge
 basis) and everything else reads it: the stabilizer group is the center
-G ∩ C(G), parameters follow from GF(2) ranks, canonical bare logical
-representatives come from a symplectic Gram-Schmidt on C(G) mod S, and the
-correctable columns stack C(G) over S.  Both region oracles read two cached
-per-qubit column sets (``pauli.QubitColumns``), and distance is a
-depth-first search over regions in which each child extends its parent's
-XOR basis by one qubit, and a region's last qubit is tested against its
-parent's basis without a copy.
+G ∩ C(G), found in one pass that also keeps 2k logical rows L of C(G)
+independent mod G; parameters follow from GF(2) ranks, and canonical bare
+logical representatives come from a symplectic Gram-Schmidt on C(G) mod S.
+Both region oracles read two cached per-qubit column sets
+(``pauli.QubitColumns``): the correctable columns over [L; S], which span
+C(G), and the cleanable columns over [L; G], which span C(S), so C(S) is
+never built.  Distance is a depth-first search over regions in which each
+child extends a copy of its parent's XOR basis by one qubit, and a
+region's last qubit is tested against its parent's basis without a copy.
 """
 
 from __future__ import annotations
@@ -269,18 +271,24 @@ class SubsystemCode:
         return self.gauge_matrix.row_basis()
 
     @cached_property
-    def stabilizer_basis(self) -> BitMatrix:
+    def _center(self) -> tuple[BitMatrix, tuple[int, ...]]:
         return derive_stabilizer(self)
+
+    @property
+    def stabilizer_basis(self) -> BitMatrix:
+        return self._center[0]
 
     @cached_property
     def correctable_columns(self) -> QubitColumns:
-        """Columns of the pair (S, C(G)): a region passes iff it is correctable."""
-        return QubitColumns(self.stabilizer_basis, self.gauge_basis)
+        """Columns over [L; S], which span C(G): a region passes iff it is
+        correctable."""
+        return QubitColumns(self.stabilizer_basis, self._center[1])
 
     @cached_property
     def cleanable_columns(self) -> QubitColumns:
-        """Columns of the pair (G, C(S)): a region passes iff it is dressed-cleanable."""
-        return QubitColumns(self.gauge_basis, self.stabilizer_basis)
+        """Columns over [L; G], which span C(S): a region passes iff it is
+        dressed-cleanable."""
+        return QubitColumns(self.gauge_basis, self._center[1])
 
     def has_abelian_gauge(self) -> bool:
         """The gauge group is abelian iff its center is its whole span."""
@@ -364,14 +372,19 @@ class SubsystemCode:
         return f"SubsystemCode(n={self.n}, generators={count})"
 
 
-def derive_stabilizer(code: SubsystemCode) -> BitMatrix:
-    """Basis of the center of the gauge span (the stabilizer group, mod phase).
+def derive_stabilizer(code: SubsystemCode) -> tuple[BitMatrix, tuple[int, ...]]:
+    """Basis of the center of the gauge span (the stabilizer group, mod
+    phase), and the code's 2k logical rows L.
 
     The center is S = G ∩ C(G).  Each basis vector of the cached C(G) is
     reduced mod G's RREF, and the reductions enter an XOR basis keyed by
     lowest set bit that carries, beside each reduction, the sum of C(G)
     vectors it reduces.  Reduction mod G is linear and the C(G) vectors are
-    independent, so the sums whose reduction cancels span S.
+    independent, so the sums whose reduction cancels span S.  The sums the
+    basis keeps are L: 2k vectors of C(G) independent mod G ⊇ S, so L with
+    S spans C(G) (of dimension 2k + s) and L with G spans C(S) (of
+    dimension 2n - s = r + 2k), which is what the region oracles' columns
+    need.
     """
     gauge = code.gauge_basis
     echelon: dict[int, tuple[int, int]] = {}
@@ -388,7 +401,8 @@ def derive_stabilizer(code: SubsystemCode) -> BitMatrix:
             vec ^= entry[1]
         else:
             stab_rows.append(vec)
-    return BitMatrix(gauge.width, stab_rows).row_basis()
+    logicals = tuple(vec for _, vec in echelon.values())
+    return BitMatrix(gauge.width, stab_rows).row_basis(), logicals
 
 
 def parameters(code: SubsystemCode) -> CodeParameters:
@@ -403,8 +417,9 @@ def distance(code: SubsystemCode, weight_cap: int | None = None) -> DistanceResu
     stabilizer-commuting Pauli outside the gauge span, by iterative
     deepening: for w = 1, 2, ... a depth-first search over the w-subsets in
     lexicographic order, where a child copies its parent's XOR basis and
-    adds one qubit's two columns, and the last qubit is tested against the
-    parent's basis in place (``QubitColumns.any_fails``).  Returns a
+    adds one qubit's two columns (``QubitColumns.extend(child, (q,))``),
+    and the last qubit is tested against the parent's basis in place
+    (``QubitColumns.any_fails``).  Returns a
     "greater than weight_cap" result when no such region exists up to the
     cap (default cap: n); a negative cap raises ValueError.
     """
@@ -423,7 +438,7 @@ def distance(code: SubsystemCode, weight_cap: int | None = None) -> DistanceResu
             return cols.any_fails(basis, start)
         for q in range(start, n - left + 1):
             child = dict(basis)
-            if not cols.add(child, q) or fails(child, q + 1, left - 1):
+            if not cols.extend(child, (q,)) or fails(child, q + 1, left - 1):
                 return True
         return False
 

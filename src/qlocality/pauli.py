@@ -219,8 +219,11 @@ class BitMatrix:
             pivot_mask = sum(1 << col for col in pivots)
             for col in reversed(pivots):
                 row = echelon[col]
-                for above in set_bits((row & pivot_mask) ^ (1 << col)):
-                    row ^= echelon[above]
+                above = (row & pivot_mask) ^ (1 << col)
+                while above:
+                    low = above & -above
+                    row ^= echelon[low.bit_length() - 1]
+                    above ^= low
                 echelon[col] = row
             self._rref = (tuple(echelon[col] for col in pivots), tuple(pivots))
             self._pivot_rows = (echelon, pivot_mask)
@@ -248,8 +251,11 @@ class BitMatrix:
         are those of vec's own pivot bits.
         """
         by_pivot, mask = self.pivot_rows()
-        for col in set_bits(vec & mask):
-            vec ^= by_pivot[col]
+        hits = vec & mask
+        while hits:
+            low = hits & -hits
+            vec ^= by_pivot[low.bit_length() - 1]
+            hits ^= low
         return vec
 
     def contains(self, vec: int) -> bool:
@@ -261,10 +267,19 @@ class BitMatrix:
         that hold it."""
         rows, pivots = self.rref()
         free = ((1 << self.width) - 1) ^ self._pivot_rows[1]
-        basis = {f: 1 << f for f in set_bits(free)}
+        basis: dict[int, int] = {}
+        bits = free
+        while bits:
+            low = bits & -bits
+            basis[low.bit_length() - 1] = low
+            bits ^= low
         for row, col in zip(rows, pivots):
-            for f in set_bits(row & free):
-                basis[f] |= 1 << col
+            pivot = 1 << col
+            bits = row & free
+            while bits:
+                low = bits & -bits
+                basis[low.bit_length() - 1] |= pivot
+                bits ^= low
         return BitMatrix(self.width, basis.values())
 
 
@@ -284,51 +299,59 @@ def centralizer(m: BitMatrix) -> BitMatrix:
 
 class QubitColumns:
     """Per-qubit X and Z columns that decide "every Pauli on U commuting with
-    ``constraints`` lies in ``span``" for any qubit set U.
+    ``constraints`` lies in A" for any qubit set U, where A is a span that
+    commutes with every constraint row.
 
-    ``span`` must commute with every constraint row, so the constraints lie
-    in sup = C(span), the Paulis commuting with span.  The kernel of the
-    constraints on U has dimension 2|U| - rank(constraints|_U) and holds
-    span's part on U, which is the kernel of sup there, of dimension
+    A itself is never stored: the columns are read off the stacked rows
+    [L; constraints], where the rows L (``logicals``) together with the
+    constraints span sup = C(A), the Paulis commuting with A.  The kernel
+    of the constraints on U has dimension 2|U| - rank(constraints|_U) and
+    holds A's part on U, which is the kernel of sup there, of dimension
     2|U| - rank(sup|_U).  So U passes iff the two ranks are equal.
 
-    Each qubit gets its X and its Z column over the stacked rows
-    [sup; constraints], constraint rows in the high bits.  U's columns have
-    rank rank(sup|_U), and in an XOR basis keyed by leading bit the pivots
-    in the high bits number rank(constraints|_U).  U therefore fails
-    exactly when a pivot lands in the low bits, and every superset fails.
+    Each qubit gets its X and its Z column over [L; constraints], L in the
+    low bits.  U's columns have rank rank(sup|_U), and in an XOR basis
+    keyed by leading bit the pivots in the high bits number
+    rank(constraints|_U).  U therefore fails exactly when a pivot lands in
+    the low bits, and every superset fails.  A code's oracles take L to be
+    its 2k logical rows (``codes.derive_stabilizer``), so the low part of
+    each column has 2k bits.
     """
 
-    def __init__(self, constraints: BitMatrix, span: BitMatrix) -> None:
-        if constraints.width % 2 or span.width != constraints.width:
-            raise ValueError("constraints and span need one even width")
+    def __init__(self, constraints: BitMatrix, logicals: Sequence[int]) -> None:
+        if constraints.width % 2:
+            raise ValueError("constraints need an even width")
         n = self.n = constraints.width // 2
-        sup = centralizer(span).rows
-        self.low = len(sup)
-        columns = transpose(sup + constraints.rows, 2 * n)
-        self.columns = [[columns[q], columns[q + n]] for q in range(n)]
+        self.low = len(logicals)
+        columns = transpose([*logicals, *constraints.rows], 2 * n)
+        self.columns = [(columns[q], columns[q + n]) for q in range(n)]
+        self.qubits = frozenset(range(n))
 
-    def add(self, basis: dict[int, int], qubit: int) -> bool:
-        """Add the qubit's two columns to ``basis``; False iff the region fails.
+    def extend(self, basis: dict[int, int], qubits: Iterable[int]) -> bool:
+        """Add the qubits' columns to ``basis``; False iff the region fails.
 
         ``basis`` maps leading bit to vector, all in the high bits; after a
-        False it is left part-updated and must be dropped.
+        False it is left part-updated and must be dropped.  A region gives
+        one verdict in any qubit order and split over any number of calls.
         """
-        for v in self.columns[qubit]:
-            while v:
-                top = v.bit_length() - 1
-                pivot = basis.get(top)
-                if pivot is None:
-                    if top < self.low:
-                        return False
-                    basis[top] = v
-                    break
-                v ^= pivot
+        columns, low, get = self.columns, self.low, basis.get
+        for q in qubits:
+            for v in columns[q]:
+                while v:
+                    top = v.bit_length() - 1
+                    pivot = get(top)
+                    if pivot is None:
+                        if top < low:
+                            return False
+                        basis[top] = v
+                        break
+                    v ^= pivot
         return True
 
     def any_fails(self, basis: dict[int, int], start: int) -> bool:
-        """True iff ``add`` would return False for some qubit from ``start`` to
-        n - 1, each added alone to ``basis``, which is left unchanged.
+        """True iff ``extend`` would return False for some qubit from
+        ``start`` to n - 1, each added alone to ``basis``, which is left
+        unchanged.
 
         A qubit's X column reduces against ``basis``; its Z column reduces
         against ``basis`` plus the reduced X column, whose leading bit no
@@ -355,9 +378,9 @@ class QubitColumns:
 
     def passes(self, support: Iterable[int]) -> bool:
         """True iff every Pauli on ``support`` (a qubit set) commuting with
-        the constraints lies in the span; a qubit outside [0, n) raises
-        ValueError."""
-        cols = set(support)
-        check_region(cols, self.n)
-        basis: dict[int, int] = {}
-        return all(self.add(basis, q) for q in cols)
+        the constraints lies in A; a qubit outside [0, n) raises ValueError
+        before any column is reduced.  A set or frozenset is read in place."""
+        region = support if isinstance(support, (set, frozenset)) else set(support)
+        if not region <= self.qubits:
+            check_region(region, self.n)
+        return self.extend({}, region)

@@ -369,6 +369,17 @@ def test_partition_cli(bs3_files, capsys):
     assert len(obj["partition"]["parts"]) == 2
 
 
+@pytest.mark.parametrize("variant", ["thm5_1_case1", "thm5_1_case2"])
+@pytest.mark.parametrize("verify", [[], ["--no-verify"]], ids=["verify", "no-verify"])
+def test_partition_abc_variant_on_nonabelian_code_exits_two(bs3_files, capsys, variant, verify):
+    code_path, emb_path = bs3_files
+    argv = ["partition", code_path, emb_path, "--ell", "1.5", "--variant", variant, *verify]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ABC bound requires an abelian gauge group\n"
+
+
 def test_construct_and_saturation(capsys, tmp_path):
     out_code = tmp_path / "c.json"
     out_emb = tmp_path / "e.json"

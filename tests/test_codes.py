@@ -79,8 +79,8 @@ def test_stabilizer_of_xx_zz_spans_the_abelian_gauge_group():
     # XX and ZZ commute (two anticommuting overlaps cancel mod 2), so the
     # center is the whole span, which contains their product YY
     code = SubsystemCode.from_strings(["XX", "ZZ"])
-    stab = derive_stabilizer(code)
-    assert stab.rank() == 2
+    stab, logicals = derive_stabilizer(code)
+    assert stab.rank() == 2 and logicals == ()
     assert stab.contains(P("YY").to_bits())
     assert stab.contains(P("XX").to_bits())
     assert stab.contains(P("ZZ").to_bits())
@@ -89,14 +89,16 @@ def test_stabilizer_of_xx_zz_spans_the_abelian_gauge_group():
 def test_stabilizer_of_nonabelian_pair_is_trivial():
     # XI and ZI anticommute; the center of their span is trivial
     code = SubsystemCode.from_strings(["XI", "ZI"])
-    assert derive_stabilizer(code).rank() == 0
+    stab, logicals = derive_stabilizer(code)
+    assert stab.rank() == 0 and len(logicals) == 2
     p = parameters(code)
     assert (p.k, p.g, p.s) == (1, 1, 0)
 
 
 def test_stabilizer_of_empty_gauge():
     code = SubsystemCode(3, [])
-    assert derive_stabilizer(code).rows == ()
+    stab, logicals = derive_stabilizer(code)
+    assert stab.rows == () and len(logicals) == 6
 
 
 def test_stabilizer_bacon_shor_2x2():
@@ -203,10 +205,10 @@ def test_gauge_centralizer_is_computed_once_per_code(monkeypatch):
     distance(code)
     gauge = code.gauge_basis
     assert sum(m is gauge for m in calls) == 1
-    # the one other nullspace is C(S), for the cleanable columns only
+    # the cleanable columns read C(S) as [L; G]: no nullspace of S is taken
     assert len(calls) == 1
     code.cleanable_columns
-    assert len(calls) == 2 and calls[1] is code.stabilizer_basis
+    assert len(calls) == 1
 
 
 # ── parameters ─────────────────────────────────────────────────────────

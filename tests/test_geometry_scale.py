@@ -412,7 +412,12 @@ def reference_interaction_counts(code):
     n = code.n
     mult = {}
     for row in code.gauge_matrix.rows:
-        qubits = [q for q in range(n) if (row | row >> n) >> q & 1]
+        qubits = []
+        bits = (row | row >> n) & ((1 << n) - 1)
+        while bits:
+            low = bits & -bits
+            qubits.append(low.bit_length() - 1)
+            bits ^= low
         for pair in itertools.combinations(qubits, 2):
             mult[pair] = mult.get(pair, 0) + 1
     return mult

@@ -247,8 +247,9 @@ def test_nullspace_is_annihilated():
 
 
 def kernel_in_span(support, constraints, span):
-    """The region predicate under test, built afresh for each question."""
-    return QubitColumns(constraints, span).passes(support)
+    """The region predicate under test, built afresh for each question; the
+    rows of C(span) with the constraints span C(span)."""
+    return QubitColumns(constraints, centralizer(span).rows).passes(support)
 
 
 def brute_kernel_in_span(support, gens, span_rows, n):
@@ -282,20 +283,21 @@ def test_centralizer_matches_swapped_nullspace():
 
 @settings(max_examples=400, deadline=None)
 @given(st.integers(0, 6), st.data())
-def test_any_fails_matches_add_on_copied_basis(n, data):
-    # any rows, commuting or not: the scan must agree with add whatever the
-    # columns hold; up to 2n + 2 span rows often give C(span) rows with X bits
+def test_any_fails_matches_extend_on_copied_basis(n, data):
+    # any rows, commuting or not: the scan must agree with extend whatever
+    # the columns hold; up to 2n + 2 span rows often give C(span) rows with X bits
     rows = st.lists(st.integers(0, (1 << 2 * n) - 1), max_size=2 * n + 2)
-    cols = QubitColumns(BitMatrix(2 * n, data.draw(rows)), BitMatrix(2 * n, data.draw(rows)))
+    span = BitMatrix(2 * n, data.draw(rows))
+    cols = QubitColumns(BitMatrix(2 * n, data.draw(rows)), centralizer(span).rows)
     # a basis from a region that passes: qubits that would fail are skipped
     basis: dict[int, int] = {}
     for q in data.draw(st.lists(st.integers(0, n - 1), max_size=4)) if n else []:
         child = dict(basis)
-        if cols.add(child, q):
+        if cols.extend(child, (q,)):
             basis = child
     kept = dict(basis)
     for start in range(n + 1):
-        expect = any(not cols.add(dict(basis), q) for q in range(start, n))
+        expect = any(not cols.extend(dict(basis), (q,)) for q in range(start, n))
         assert cols.any_fails(basis, start) == expect
         assert basis == kept
 

@@ -4,10 +4,12 @@ import itertools
 import random
 import re
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qlocality import certify
 from qlocality.codes import DistanceResult, SubsystemCode, distance, parameters
 from qlocality.pauli import symplectic_bits
 from qlocality.regions import (
@@ -112,6 +114,84 @@ def test_oracles_match_brute_force_on_random_codes(case):
     code, u = case
     assert is_correctable(code, u) == brute_correctable(code, u)
     assert is_dressed_cleanable(code, u) == brute_cleanable(code, u)
+
+
+# k = 0 (XX and ZZ: every region passes) and the empty gauge group on three
+# qubits (every nonempty region fails both oracles)
+K0_CODE = SubsystemCode.from_strings(["XX", "ZZ"])
+BARE_CODE = SubsystemCode(3, [])
+
+# each form a region may come in: the oracles read it as a qubit set
+REGION_FORMS = (
+    lambda u: sorted(u) * 2,
+    set,
+    frozenset,
+    lambda u: (q for q in sorted(u)),
+    lambda u: np.array(sorted(u), dtype=np.intp),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_codes_and_regions())
+@example((K0_CODE, {0, 1}))
+@example((BARE_CODE, {2}))
+def test_oracles_read_every_region_form(case):
+    code, u = case
+    correctable, cleanable = brute_correctable(code, u), brute_cleanable(code, u)
+    for form in REGION_FORMS:
+        assert is_correctable(code, form(u)) == correctable
+        assert is_dressed_cleanable(code, form(u)) == cleanable
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_codes_and_regions(), st.data())
+def test_extend_over_any_split_gives_the_one_shot_verdict(case, data):
+    code, u = case
+    # the region in a drawn order, cut into drawn chunks (some empty)
+    order = data.draw(st.permutations(sorted(u)))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(order)), max_size=4)))
+    chunks = [order[a:b] for a, b in zip([0, *cuts], [*cuts, len(order)])]
+    for columns in (code.correctable_columns, code.cleanable_columns):
+        basis: dict[int, int] = {}
+        assert all(columns.extend(basis, chunk) for chunk in chunks) == columns.extend({}, u)
+    assert code.correctable_columns.extend({}, u) == brute_correctable(code, u)
+    assert code.cleanable_columns.extend({}, u) == brute_cleanable(code, u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_codes_and_regions(), st.data())
+def test_chain_oracle_matches_a_fresh_oracle_along_growing_chains(case, data):
+    code, _ = case
+    order = data.draw(st.permutations(range(code.n)))
+    sizes = sorted(data.draw(st.lists(st.integers(0, code.n), min_size=1, max_size=code.n + 1)))
+    correctable = certify._chain_oracle(code)
+    region = np.zeros(code.n, dtype=bool)
+    for size in sizes:
+        region = region.copy()
+        region[order[:size]] = True
+        expected = is_correctable(code, order[:size])
+        assert correctable(region) == expected
+        if not expected:
+            break  # a chain stops at its first failure
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_codes_and_regions(), st.data())
+@example((BARE_CODE, {0}), None)
+def test_out_of_range_qubit_raises_the_range_message_first(case, data):
+    code, u = case
+    n = code.n
+    outside = -1 if data is None else data.draw(st.sampled_from([-1, -n - 1, n, n + 5]))
+    for oracle, brute in ((is_correctable, brute_correctable), (is_dressed_cleanable, brute_cleanable)):
+        # a qubit that fails alone comes first, so a verdict would come first
+        # if the range were checked during the reduction
+        fails_alone = [q for q in range(n) if not brute(code, [q])]
+        region = [*fails_alone[:1], *sorted(u), outside]
+        message = f"region {sorted(set(region))} outside qubit range [0, {n})"
+        for form in (list, set, frozenset):
+            with pytest.raises(ValueError) as raised:
+                oracle(code, form(region))
+            assert str(raised.value) == message
 
 
 def reference_distance(code):

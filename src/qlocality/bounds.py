@@ -301,19 +301,6 @@ class ContourTable:
             ],
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> ContourTable:
-        entries = tuple(
-            (e["kappa"], e["delta"], e["ell_exponent"], e["m_exponent"])
-            for e in obj["entries"]
-        )
-        return cls(
-            dimension=int(obj["dimension"]),
-            code_class=obj["code_class"],
-            grid_step=float(obj["grid_step"]),
-            entries=entries,
-        )
-
     def to_csv(self) -> str:
         lines = ["kappa,delta,ell_exponent,m_exponent"]
         for k, d, e, m in self.entries:

@@ -36,6 +36,10 @@ from .geometry import (
 )
 from .regions import ab_bound_check, abc_bound_check
 
+# A sanity bound, like pauli.MAX_QUBITS, on the steps of a cube ladder or of
+# one sweep axis; a unit-spaced chain of MAX_QUBITS qubits at ell = 0.1 fits.
+MAX_STEPS = 1_000_000
+
 OUTCOME_CERTIFIED = "certified-correctable"
 OUTCOME_CONTRADICTION = "contradiction-reached"
 OUTCOME_STUCK = "stuck-at"
@@ -235,7 +239,10 @@ def holographic_certify(
     # nominal sides may go nonpositive (empty cubes)
     center = tuple((lo + hi) / 2.0 for lo, hi in zip(b.mins, b.maxs))
     w_final = max(b.side_lengths)
-    n_steps = max(0, math.ceil((w_final - w_base) / (2.0 * ell)))
+    steps = (w_final - w_base) / (2.0 * ell)
+    if steps > MAX_STEPS:
+        raise ValueError(f"the cube ladder needs {steps:g} steps, over the cap of {MAX_STEPS}")
+    n_steps = max(0, math.ceil(steps))
     ladder = [w_final - 2.0 * ell * (n_steps - j) for j in range(n_steps + 1)]
 
     def cube_at(side: float) -> Box:
@@ -366,6 +373,9 @@ def expansion_sweep(
     coords = e.coordinates - e.coordinates.min(axis=0) + ell
     spread = float((coords.max(axis=0) - coords.min(axis=0)).max())
     extent = spread + 2.0 * ell + 1.0
+    steps = extent / ell
+    if steps > MAX_STEPS:
+        raise ValueError(f"the sweep needs {steps:g} steps per axis, over the cap of {MAX_STEPS}")
 
     # gamma: half the smallest positive b - a or |b - a - 2 ell| over pairs of
     # coordinate values a < b on one axis; rows of the difference table go in
@@ -517,7 +527,7 @@ def expansion_sweep(
         a[-1] += ell
         return True
 
-    max_iterations = int(10 * (extent / ell + 2) ** dim) + 1000
+    max_iterations = 10 * (math.ceil(steps) + 2) ** dim + 1000
     for _ in range(max_iterations):
         i = len(a)
         a_i = a[-1]

@@ -3,16 +3,16 @@
 Exit codes: 0 = success (including unmet hypotheses, which are reported
 as flags); 1 = a failed invariant or certification (stuck sweep, violated
 lemma assertion); 2 = input or format errors.  ``main`` is the one place
-that maps a rejected input to 2: a ``ValueError`` from a loader, a
-handler check or the library, or an ``OSError`` from reading or writing a
-file, becomes one ``error: <message>`` line on stderr.
+that maps a rejected input to 2: a ``ValueError`` from ``_load`` (the one
+reader of input files), a handler check or the library, or an ``OSError``
+from writing a file, becomes one ``error: <message>`` line on stderr.
 
 Each argv is parsed once: the subparser its first word names reads the
 rest (``parse_args``), and the full parser runs only when that word names
 no command.  JSON output is written by ``_json_text``, whose text equals
-``json.dumps(obj, sort_keys=True, indent=2)`` byte for byte without the
-pure-Python encoder that ``indent`` selects; certificates keep their
-compact ``json.dumps`` lines.
+``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)`` byte for
+byte without the pure-Python encoder that ``indent`` selects; certificates
+keep their compact ``json.dumps`` lines.
 """
 
 from __future__ import annotations
@@ -24,44 +24,50 @@ import math
 import os
 import stat
 import sys
-from typing import Callable
+from typing import Callable, TypeVar
 
 import numpy as np
 
 from . import bounds as bounds_mod
 from . import certify, families, geometry, regions
-from .codes import SubsystemCode, distance, json_int, parameters
+from .codes import SubsystemCode, distance, parameters
 
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_INPUT = 2
 
+T = TypeVar("T")
 
-def _load_json(path: str) -> dict:
+
+def _load(path: str, kind: str, build: Callable[[object], T]) -> T:
+    """What build makes of the JSON file at path.  Each fault becomes one
+    ``ValueError``: ``cannot read PATH``, ``malformed JSON in PATH`` (also
+    for bytes that are not UTF-8 or nesting too deep) or ``KIND file PATH``
+    with build's missing key or error."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"malformed JSON in {path}: {exc}") from None
-
-
-def _load_code(path: str) -> SubsystemCode:
-    return SubsystemCode.from_json(_load_json(path))
-
-
-def _load_embedding(path: str) -> geometry.Embedding:
-    obj = _load_json(path)
     try:
-        emb = geometry.Embedding.from_json(obj)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ValueError(f"malformed embedding file {path}: {exc}") from None
-    close = geometry.validate_embedding(emb)
-    if close:
-        i, j, dist = close[0]
-        raise ValueError(f"embedding file {path} places qubits {i} and {j} at distance {dist:g} < 1")
+        return build(obj)
+    except KeyError as exc:
+        raise ValueError(f"{kind} file {path}: missing key {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{kind} file {path}: {exc}") from None
+
+
+def _embedding(obj: dict) -> geometry.Embedding:
+    emb = geometry.Embedding.from_json(obj)
+    geometry.check_spacing(emb)
     return emb
+
+
+def _subdivide_spec(obj: dict) -> tuple[geometry.Box, geometry.MassMap]:
+    box = geometry.Box.from_json(obj["box"])  # subdivide checks each mass
+    return box, [(tuple(float(x) for x in m["point"]), m["mass"]) for m in obj["masses"]]
 
 
 def _finite_float(text: str) -> float:
@@ -110,7 +116,7 @@ _encode_str = json.encoder.encode_basestring_ascii
 def _float_text(x: float) -> str:
     if math.isfinite(x):
         return float.__repr__(x)
-    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+    raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
 
 
 def _key_text(key: object) -> str:
@@ -133,15 +139,17 @@ _LEAF_TEXT = {
 
 
 def _json_text(obj: object) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
+    """``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)``, byte
+    for byte.
 
     CPython's C encoder ignores ``indent``, so ``json.dumps`` would run its
     pure-Python generator encoder.  Here one recursive walk puts the text's
     pieces in a list that is joined once: leaves go through
-    ``int.__repr__``, ``float.__repr__`` (``NaN``, ``Infinity`` and
-    ``-Infinity`` as json writes them) and ``encode_basestring_ascii``,
+    ``int.__repr__``, ``float.__repr__`` and ``encode_basestring_ascii``,
     tuples are written as lists, dict items are sorted as json sorts them,
-    and a value json rejects raises the same ``TypeError``.
+    and a value json rejects raises the same error: ``TypeError`` for a
+    type, ``ValueError`` for a NaN or infinite float, so stdout is always
+    strict JSON.
     """
     parts: list[str] = []
     _json_parts(obj, "\n", parts.append)
@@ -197,21 +205,22 @@ def _emit_certificate(cert: certify.Certificate, path: str | None) -> None:
 
 
 def _cmd_params(args: argparse.Namespace) -> int:
-    p = parameters(_load_code(args.code))
+    p = parameters(_load(args.code, "code", SubsystemCode.from_json))
     _dump({"n": p.n, "k": p.k, "g": p.g, "s": p.s})
     print(f"n={p.n} k={p.k} g={p.g} s={p.s}", file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_distance(args: argparse.Namespace) -> int:
-    res = distance(_load_code(args.code), weight_cap=args.weight_cap)
+    code = _load(args.code, "code", SubsystemCode.from_json)
+    res = distance(code, weight_cap=args.weight_cap)
     _dump({"distance": res.value, "weight_cap": res.weight_cap, "is_lower_bound": res.is_lower_bound})
     return EXIT_OK
 
 
 def _cmd_interactions(args: argparse.Namespace) -> int:
-    code = _load_code(args.code)
-    emb = _load_embedding(args.embedding)
+    code = _load(args.code, "code", SubsystemCode.from_json)
+    emb = _load(args.embedding, "embedding", _embedding)
     ints = geometry.extract_interactions(code, emb)
     out = ints.to_json()
     if args.ell is not None:
@@ -234,13 +243,9 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_region(args: argparse.Namespace) -> int:
-    code = _load_code(args.code)
-    emb = _load_embedding(args.embedding) if args.embedding else None
-    obj = _load_json(args.region)
-    try:
-        reg = regions.region_from_json(obj, emb)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed region file {args.region}: {exc!r}") from None
+    code = _load(args.code, "code", SubsystemCode.from_json)
+    emb = _load(args.embedding, "embedding", _embedding) if args.embedding else None
+    reg = _load(args.region, "region", lambda obj: regions.region_from_json(obj, emb))
     if not (args.correctable or args.cleanable):
         raise ValueError("pass --correctable and/or --cleanable")
     out: dict = {"qubits": sorted(reg)}
@@ -253,7 +258,7 @@ def _cmd_check_region(args: argparse.Namespace) -> int:
 
 
 def _cmd_tile(args: argparse.Namespace) -> int:
-    emb = _load_embedding(args.embedding)
+    emb = _load(args.embedding, "embedding", _embedding)
     points = emb.coordinates
     tiling = geometry.find_tiling(points, points, args.w, args.ell, emb.dimension, seed=args.seed)
     report = geometry.verify_tiling(tiling, points, points, args.ell)
@@ -262,26 +267,16 @@ def _cmd_tile(args: argparse.Namespace) -> int:
 
 
 def _cmd_subdivide(args: argparse.Namespace) -> int:
-    obj = _load_json(args.spec)
-    try:
-        box = geometry.Box.from_json(obj["box"])
-        masses = [
-            (tuple(float(x) for x in m["point"]), json_int(m["mass"], "mass"))
-            for m in obj["masses"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed subdivide spec: {exc}") from None
+    box, masses = _load(args.spec, "subdivide spec", _subdivide_spec)
     boxes = geometry.subdivide(box, masses, args.ell, args.d1)
     _dump({"boxes": [b.to_json() for b in boxes]}, args.out)
     return EXIT_OK
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    code = _load_code(args.code) if args.code else None
-    emb = _load_embedding(args.embedding)
+    code = _load(args.code, "code", SubsystemCode.from_json) if args.code else None
+    emb = _load(args.embedding, "embedding", _embedding)
     mode = "verified" if args.verified else "strict"
-    if code is None and mode == "verified":
-        raise ValueError("verified mode needs a code file")
     ints = (
         geometry.extract_interactions(code, emb)
         if code is not None
@@ -293,13 +288,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_holographic(args: argparse.Namespace) -> int:
-    code = _load_code(args.code)
-    emb = _load_embedding(args.embedding)
-    obj = _load_json(args.box)
-    try:
-        box = geometry.Box.from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed box file {args.box}: {exc}") from None
+    code = _load(args.code, "code", SubsystemCode.from_json)
+    emb = _load(args.embedding, "embedding", _embedding)
+    box = _load(args.box, "box", geometry.Box.from_json)
     mode = "verified" if args.verified else "strict"
     cert = certify.holographic_certify(code, emb, box, args.ell, mode=mode, d=args.d)
     _emit_certificate(cert, args.out)
@@ -307,8 +298,8 @@ def _cmd_holographic(args: argparse.Namespace) -> int:
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
-    code = _load_code(args.code)
-    emb = _load_embedding(args.embedding)
+    code = _load(args.code, "code", SubsystemCode.from_json)
+    emb = _load(args.embedding, "embedding", _embedding)
     parts, cert = certify.theorem_partition_builder(
         code, emb, args.ell, args.variant, seed=args.seed, verify=not args.no_verify
     )
@@ -335,10 +326,10 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_concat(args: argparse.Namespace) -> int:
-    inner_code = _load_code(args.inner_code)
-    inner_emb = _load_embedding(args.inner_embedding)
-    outer_code = _load_code(args.outer_code)
-    outer_emb = _load_embedding(args.outer_embedding)
+    inner_code = _load(args.inner_code, "code", SubsystemCode.from_json)
+    inner_emb = _load(args.inner_embedding, "embedding", _embedding)
+    outer_code = _load(args.outer_code, "code", SubsystemCode.from_json)
+    outer_emb = _load(args.outer_embedding, "embedding", _embedding)
     inner = families.EmbeddedCode(inner_code, inner_emb, "inner", {})
     outer = families.EmbeddedCode(outer_code, outer_emb, "outer", {})
     ec = families.build_concat_embedding(inner, outer, args.ell_target, args.ell2)
@@ -349,8 +340,8 @@ def _cmd_concat(args: argparse.Namespace) -> int:
 
 
 def _cmd_saturation(args: argparse.Namespace) -> int:
-    code = _load_code(args.code)
-    ec = families.EmbeddedCode(code, _load_embedding(args.embedding), "file", {})
+    code = _load(args.code, "code", SubsystemCode.from_json)
+    ec = families.EmbeddedCode(code, _load(args.embedding, "embedding", _embedding), "file", {})
     report = families.saturation_report(ec, code_class=args.code_class, weight_cap=args.weight_cap)
     _dump(report.to_json(), args.out)
     return EXIT_OK

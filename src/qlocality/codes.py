@@ -352,11 +352,8 @@ class SubsystemCode:
 
     @classmethod
     def from_json(cls, obj: dict) -> SubsystemCode:
-        try:
-            n = json_int(obj["n"], "n")
-            gens = obj["gauge_generators"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed code object: {exc}") from None
+        n = json_int(obj["n"], "n")
+        gens = obj["gauge_generators"]
         if not isinstance(gens, list) or not all(isinstance(s, str) for s in gens):
             raise ValueError("gauge_generators must be a list of Pauli strings")
         return cls(n, parse_rows(gens, n))

@@ -17,7 +17,13 @@ from .codes import (
     logical_representatives,
     parameters,
 )
-from .geometry import Embedding, check_code_size, extract_interactions, validate_embedding
+from .geometry import (
+    Embedding,
+    check_code_size,
+    check_spacing,
+    extract_interactions,
+    validate_embedding,
+)
 from .pauli import check_qubit_count, set_bits
 
 
@@ -30,9 +36,7 @@ class EmbeddedCode:
 
     def __post_init__(self) -> None:
         check_code_size(self.embedding, self.code.n)
-        violations = validate_embedding(self.embedding)
-        if violations:
-            raise ValueError(f"embedding violates pairwise distance >= 1: {violations[:3]}")
+        check_spacing(self.embedding)
 
 
 def _lattice_coords(side: int, n: int, dim: int) -> np.ndarray:

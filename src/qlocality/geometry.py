@@ -71,14 +71,7 @@ class Embedding:
         if dimension < 1:
             raise ValueError("dimension must be positive")
         self.dimension = dimension
-        arr = np.asarray(coordinates, dtype=float)
-        if arr.size == 0:
-            arr = arr.reshape(0, dimension)
-        if arr.ndim != 2 or arr.shape[1] != dimension:
-            raise ValueError(f"coordinates must be n x {dimension}")
-        if not np.isfinite(arr).all():
-            raise ValueError("coordinates must be finite")
-        self.coordinates = arr
+        self.coordinates = _point_array(coordinates, dimension, "coordinates")
         self.coordinates.setflags(write=False)
         self._close_pairs: tuple[tuple[int, int, float], ...] | None = None
 
@@ -110,6 +103,14 @@ def validate_embedding(e: Embedding) -> list[tuple[int, int, float]]:
     if e._close_pairs is None:
         e._close_pairs = tuple(_close_pairs(e))
     return list(e._close_pairs)
+
+
+def check_spacing(e: Embedding) -> None:
+    """Raise ValueError naming the first pair of validate_embedding, if any."""
+    close = validate_embedding(e)
+    if close:
+        i, j, dist = close[0]
+        raise ValueError(f"qubits {i} and {j} are at distance {dist:g} < 1")
 
 
 def _close_pairs(e: Embedding) -> list[tuple[int, int, float]]:
@@ -227,8 +228,13 @@ def extract_interactions(code: SubsystemCode, e: Embedding) -> InteractionSet:
     """The code's cached pair index, with lengths from the embedding."""
     check_code_size(e, code.n)
     index = code.interaction_index()
-    diff = e.coordinates[index[:, 0]] - e.coordinates[index[:, 1]]
-    lengths = np.sqrt(np.vecdot(diff, diff))
+    overflowed: list[str] = []
+    with np.errstate(over="call", call=lambda kind, _: overflowed.append(kind)):
+        diff = e.coordinates[index[:, 0]] - e.coordinates[index[:, 1]]
+        lengths = np.sqrt(np.vecdot(diff, diff))
+        if overflowed:  # measure the inf rows again by hypot, which scales as it goes
+            over = lengths == np.inf
+            lengths[over] = np.hypot.reduce(diff[over], axis=1, initial=0.0)
     lengths.setflags(write=False)
     return InteractionSet(code.n, index, lengths)
 
@@ -299,11 +305,14 @@ class GridTiling:
 def _point_array(points: Sequence[Sequence[float]], dim: int, name: str) -> np.ndarray:
     """points as one float m x dim array, from a single np.asarray.
 
-    [] is the empty set; any other shape but m x dim raises ValueError
-    rather than being regrouped into points of the wrong width, and so
-    does a NaN or infinite coordinate.
+    [] is the empty set; any other shape but m x dim (ragged or empty rows
+    too) raises ValueError rather than being regrouped into points of the
+    wrong width, and so does a NaN or infinite coordinate.
     """
-    arr = np.asarray(points, dtype=float)
+    try:
+        arr = np.asarray(points, dtype=float)
+    except ValueError:
+        raise ValueError(f"{name} must be m rows of {dim} numbers") from None
     if arr.shape == (0,):
         return arr.reshape(0, dim)
     if arr.ndim != 2 or arr.shape[1] != dim:

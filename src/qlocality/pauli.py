@@ -31,7 +31,7 @@ def check_qubit_count(n: int) -> None:
 def check_region(qubits: Collection[int], n: int) -> None:
     """Raise ValueError unless every qubit of the set lies in [0, n)."""
     if qubits and (min(qubits) < 0 or max(qubits) >= n):
-        raise ValueError(f"region {sorted(qubits)} outside qubit range [0, {n})")
+        raise ValueError(f"region {sorted(map(int, qubits))} outside qubit range [0, {n})")
 
 
 def _raise_first_fault(strings: Sequence[str], n: int) -> NoReturn:

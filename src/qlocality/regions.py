@@ -198,10 +198,6 @@ def abc_bound_check(
     )
 
 
-def region_to_json(u: Iterable[int]) -> dict:
-    return {"qubits": sorted(u)}
-
-
 def region_from_json(obj: dict, embedding=None) -> frozenset[int]:
     """Load a region from {"qubits": [...]} or {"boxes": [...]} form.
 

@@ -165,7 +165,11 @@ def test_check_region_out_of_range_exits_two(bs3_files, capsys, tmp_path, flag, 
 
 @pytest.mark.parametrize(
     "region, detail",
-    [({"qubits": 5}, "TypeError"), ({"boxes": [{"min": [0, 0]}]}, "KeyError('max')")],
+    [
+        ({"qubits": 5}, "'int' object is not iterable"),
+        ({"boxes": [{"min": [0, 0]}]}, "missing key 'max'"),
+    ],
+    ids=["region0-TypeError", "region1-KeyError('max')"],  # what the region reader raises
 )
 def test_check_region_malformed_file_exits_two(bs3_files, capsys, tmp_path, region, detail):
     code_path, emb_path = bs3_files
@@ -175,7 +179,7 @@ def test_check_region_malformed_file_exits_two(bs3_files, capsys, tmp_path, regi
     assert main(argv) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: malformed region file {path}: {detail}")
+    assert captured.err == f"error: region file {path}: {detail}\n"
 
 
 def test_tile(bs3_files, capsys):
@@ -237,7 +241,7 @@ def test_subdivide(capsys, tmp_path):
         ({"point": [math.nan, 1], "mass": 1}, "mass point [nan, 1.0] is not finite"),
         (
             {"point": ["a", 1], "mass": 1},
-            "malformed subdivide spec: could not convert string to float: 'a'",
+            "subdivide spec file {spec}: could not convert string to float: 'a'",
         ),
     ],
 )
@@ -248,7 +252,7 @@ def test_subdivide_rejects_bad_mass_exits_two(capsys, tmp_path, mass, message):
     assert main(["subdivide", str(spec), "--ell", "1", "--d1", "3"]) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
+    assert captured.err == f"error: {message.format(spec=spec)}\n"
 
 
 def test_stuck_subdivision_cut_exits_two(tmp_path, bs3_files):
@@ -623,14 +627,6 @@ def test_contours_reject_dimension_below_two(capsys, dim):
     assert captured.err == "error: contours require D >= 2\n"
 
 
-def test_contour_table_round_trip():
-    from qlocality.bounds import ContourTable
-
-    table = emit_contours(3, "projector", 0.25)
-    again = ContourTable.from_json(json.loads(json.dumps(table.to_json())))
-    assert again == table
-
-
 # ── exit codes and determinism ─────────────────────────────────────────
 
 
@@ -708,8 +704,7 @@ def test_coincident_embedding_exits_two(coincident_files, capsys, command):
     assert main(argv) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "qubits 0 and 1 at distance 0 < 1" in captured.err
+    assert captured.err == f"error: embedding file {emb_path}: qubits 0 and 1 are at distance 0 < 1\n"
 
 
 @pytest.mark.parametrize(
@@ -1061,7 +1056,7 @@ def test_params_rejects_a_qubit_count_over_the_cap(tmp_path):
     proc = run_over_cap_child("params", str(code_path))
     assert proc.returncode == EXIT_INPUT, proc.stderr[-2000:]
     assert proc.stdout == ""
-    assert proc.stderr == "error: qubit count 1000000000000 outside [0, 100000]\n"
+    assert proc.stderr == f"error: code file {code_path}: qubit count 1000000000000 outside [0, 100000]\n"
 
 
 def test_concat_rejects_a_qubit_count_over_the_cap(tmp_path):
@@ -1088,6 +1083,82 @@ def test_concat_rejects_a_qubit_count_over_the_cap(tmp_path):
     assert proc.stderr == "error: qubit count 100005 outside [0, 100000]\n"
 
 
+# ── step counts and numbers past the float range ──────────────────────
+
+
+@pytest.mark.parametrize("kind", ["embedding", "box", "subdivide spec"])
+def test_integer_past_the_float_range_exits_two(bs3_files, capsys, tmp_path, kind):
+    code_path, emb_path = bs3_files
+    path = tmp_path / "huge.json"
+    huge = 10**400
+    obj, argv = {
+        "embedding": (
+            {"dimension": 1, "coordinates": [[0], [huge]]},
+            ["tile", str(path), "--w", "8", "--ell", "1", "--seed", "1"],
+        ),
+        "box": (
+            {"min": [huge, 0], "max": [1, 1]},
+            ["holographic", code_path, emb_path, "--box", str(path), "--ell", "0.1"],
+        ),
+        "subdivide spec": (
+            {"box": {"min": [0, 0], "max": [20, 4]}, "masses": [{"point": [huge, 1], "mass": 1}]},
+            ["subdivide", str(path), "--ell", "1", "--d1", "3"],
+        ),
+    }[kind]
+    path.write_text(json.dumps(obj))
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {kind} file {path}: int too large to convert to float\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "{emb}", "--code", "{code}", "--ell", "1e-300", "--tau", "3", "--d", "3"],
+         "the sweep needs 3e+300 steps per axis, over the cap of 1000000"),
+        (["sweep", "{emb}", "--ell", "5e-324", "--tau", "3", "--d", "3"],
+         "the sweep needs inf steps per axis, over the cap of 1000000"),
+        (["holographic", "{code}", "{emb}", "--box", "{box}", "--ell", "5e-324", "--verified",
+          "--d", "3"],
+         "the cube ladder needs inf steps, over the cap of 1000000"),
+        (["holographic", "{code}", "{emb}", "--box", "{box}", "--ell", "1e-6", "--verified",
+          "--d", "3"],
+         "the cube ladder needs 1.22865e+06 steps, over the cap of 1000000"),
+    ],
+    ids=["sweep-1e-300", "sweep-5e-324", "holographic-5e-324", "holographic-1e-6"],
+)
+def test_step_count_over_the_cap_exits_two(bs3_files, capsys, tmp_path, argv, message):
+    code_path, emb_path = bs3_files
+    box = tmp_path / "box.json"
+    box.write_text(json.dumps({"min": [0, 0], "max": [3, 3]}))
+    files = {"code": code_path, "emb": emb_path, "box": str(box)}
+    assert main([arg.format(**files) for arg in argv]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "far, rc, out",
+    [(1e200, EXIT_OK, 1e200), (1e308, EXIT_INPUT, None)],
+    ids=["finite", "past-the-float-range"],
+)
+def test_far_apart_pair_is_measured_or_rejected_in_one_line(capsys, tmp_path, far, rc, out):
+    code = tmp_path / "zz.json"
+    code.write_text(json.dumps({"n": 2, "gauge_generators": ["ZZ"]}))
+    emb = tmp_path / "far.json"
+    emb.write_text(json.dumps({"dimension": 2, "coordinates": [[-far, 0.0], [far, 0.0]]}))
+    assert main(["interactions", str(code), str(emb)]) == rc
+    captured = capsys.readouterr()
+    if out is None:
+        assert captured.out == ""
+        assert captured.err == "error: Out of range float values are not JSON compliant: inf\n"
+    else:
+        assert captured.err == ""
+        assert json.loads(captured.out)["pairs"] == [[0, 1, 2 * out]]
+
+
 # ── NaN box corners ────────────────────────────────────────────────────
 
 
@@ -1099,7 +1170,8 @@ def test_subdivide_nan_box_exits_two(capsys, tmp_path):
     assert main(["subdivide", str(spec), "--ell", "1", "--d1", "3"]) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: malformed subdivide spec: box corners [0.0, nan], [20.0, 4.0] must be finite\n"
+    corners = "box corners [0.0, nan], [20.0, 4.0] must be finite"
+    assert captured.err == f"error: subdivide spec file {spec}: {corners}\n"
 
 
 def test_holographic_nan_box_exits_two(bs3_files, capsys, tmp_path):
@@ -1110,7 +1182,7 @@ def test_holographic_nan_box_exits_two(bs3_files, capsys, tmp_path):
     assert main(argv) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: malformed box file {box}: box corners [0.0, 0.0], [1.0, nan] must be finite\n"
+    assert captured.err == f"error: box file {box}: box corners [0.0, 0.0], [1.0, nan] must be finite\n"
 
 
 def test_check_region_nan_box_exits_two(bs3_files, capsys, tmp_path):
@@ -1121,7 +1193,8 @@ def test_check_region_nan_box_exits_two(bs3_files, capsys, tmp_path):
     assert main(argv) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: box corners [nan, 0.0], [1.0, 0.0] must be finite\n"
+    corners = "box corners [nan, 0.0], [1.0, 0.0] must be finite"
+    assert captured.err == f"error: region file {region}: {corners}\n"
 
 
 # ── one parse per argv ────────────────────────────────────────────────
@@ -1218,19 +1291,23 @@ json_values = st.recursive(
 )
 
 
-def text_or_type_error(write, obj):
+def strict_dumps(obj):
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+
+
+def text_or_error(write, obj):
     try:
         return write(obj)
-    except TypeError:
-        return TypeError
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
 
 
 @settings(max_examples=300, deadline=None)
 @given(json_values)
 def test_json_writer_equals_indented_json_dumps(obj):
-    # a dict whose keys do not sort raises TypeError in both
-    expected = text_or_type_error(lambda o: json.dumps(o, sort_keys=True, indent=2), obj)
-    assert text_or_type_error(cli._json_text, obj) == expected
+    # a dict whose keys do not sort raises TypeError in both, and a NaN or
+    # infinite float (a key too) the same ValueError
+    assert text_or_error(cli._json_text, obj) == text_or_error(strict_dumps, obj)
 
 
 @pytest.mark.parametrize(
@@ -1246,5 +1323,11 @@ def test_json_writer_rejects_what_json_rejects(obj):
 
 
 def test_json_writer_writes_float_subclasses_as_floats():
-    obj = {"x": [np.float64(0.1), np.float64("nan")], "n": True}
-    assert cli._json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+    obj = {"x": [np.float64(0.1), np.float64(-2.5)], "n": True}
+    assert cli._json_text(obj) == strict_dumps(obj)
+    for bad in ({"x": [np.float64("nan")]}, {"x": np.float64("-inf")}):
+        with pytest.raises(ValueError) as expected:
+            strict_dumps(bad)
+        with pytest.raises(ValueError) as got:
+            cli._json_text(bad)
+        assert str(got.value) == str(expected.value)

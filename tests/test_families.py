@@ -51,6 +51,13 @@ def test_embedded_code_rejects_a_size_mismatch():
         EmbeddedCode(ec.code, short, "short", {})
 
 
+def test_embedded_code_names_the_first_close_pair():
+    code = SubsystemCode.from_strings(["XXI", "IZZ"])
+    close = Embedding(1, [(0.0,), (3.0,), (3.25,)])
+    with pytest.raises(ValueError, match=r"^qubits 1 and 2 are at distance 0.25 < 1$"):
+        EmbeddedCode(code, close, "close", {})
+
+
 @pytest.mark.parametrize(
     "build, n",
     [

@@ -86,8 +86,15 @@ def test_embedding_json_round_trip():
 
 
 def test_embedding_rejects_ragged_coordinates():
-    with pytest.raises(ValueError):
+    ragged = "must be m rows of 2 numbers"
+    with pytest.raises(ValueError, match=f"^coordinates {ragged}$"):
         Embedding(2, [(0.0, 0.0), (1.0,)])
+    with pytest.raises(ValueError, match=f"^x_points {ragged}$"):
+        find_tiling([(0.0, 0.0), (1.0,)], [], 16.0, 1.0, 2, seed=0)
+    # empty rows are not an empty point set
+    with pytest.raises(ValueError, match=r"^coordinates must be m x 2, got shape \(3, 0\)$"):
+        Embedding(2, [[], [], []])
+    assert Embedding(2, []).coordinates.shape == (0, 2)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from hashlib import sha256
 from pathlib import Path
 
@@ -388,6 +389,25 @@ def test_interaction_lengths_match_per_pair_norm_exactly(code_and_embedding):
     assert [(i, j) for i, j, _ in ints.pairs] == sorted(map(tuple, code.interaction_index().tolist()))
     for i, j, length in ints.pairs:
         assert length == float(np.linalg.norm(c[i] - c[j]))
+
+
+@pytest.mark.parametrize(
+    "a, b, length",
+    [
+        ((0.0,), (1e200,), 1e200),
+        ((0.0, 0.0), (3e200, -4e200), 5e200),
+        ((0.0, 0.0, 0.0), (1e300, 1e300, 1e300), math.sqrt(3.0) * 1e300),
+        ((0.0, 0.0), (1e308, 1e308), math.sqrt(2.0) * 1e308),
+        ((-1e308,), (1e308,), math.inf),  # the length itself is past the float range
+    ],
+)
+def test_interaction_lengths_past_the_squares_range(a, b, length):
+    # vecdot overflows to inf here; the row is measured again without a warning
+    code = SubsystemCode.from_strings(["XX"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lengths = extract_interactions(code, Embedding(len(a), [a, b])).lengths
+    assert lengths.tolist() == [pytest.approx(length, rel=1e-15)]
 
 
 @settings(max_examples=100, deadline=None)

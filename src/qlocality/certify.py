@@ -82,9 +82,11 @@ class Certificate:
         return self.outcome in (OUTCOME_CERTIFIED, OUTCOME_CONTRADICTION)
 
     def to_json_lines(self) -> str:
+        """One compact JSON line for the header, then one per step; a NaN or
+        infinite field raises ValueError, so the text is strict JSON."""
         header = {key: value for key, value in self.__dict__.items() if key != "steps"}
-        lines = [json.dumps({"header": header}, sort_keys=True)]
-        lines.extend(json.dumps(step.to_json(), sort_keys=True) for step in self.steps)
+        lines = [json.dumps({"header": header}, sort_keys=True, allow_nan=False)]
+        lines.extend(json.dumps(step.to_json(), sort_keys=True, allow_nan=False) for step in self.steps)
         return "\n".join(lines) + "\n"
 
     @classmethod

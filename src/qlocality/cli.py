@@ -30,7 +30,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import certify, families, geometry, regions
-from .codes import SubsystemCode, distance, parameters
+from .codes import SubsystemCode, distance, json_float, parameters
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -67,7 +67,10 @@ def _embedding(obj: dict) -> geometry.Embedding:
 
 def _subdivide_spec(obj: dict) -> tuple[geometry.Box, geometry.MassMap]:
     box = geometry.Box.from_json(obj["box"])  # subdivide checks each mass
-    return box, [(tuple(float(x) for x in m["point"]), m["mass"]) for m in obj["masses"]]
+    return box, [
+        (tuple(json_float(x, "mass point coordinate") for x in m["point"]), m["mass"])
+        for m in obj["masses"]
+    ]
 
 
 def _finite_float(text: str) -> float:
@@ -77,6 +80,16 @@ def _finite_float(text: str) -> float:
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _float_range_int(text: str) -> int:
+    """An integer that a float can hold, as the engines take d as one."""
+    try:
+        value = int(text)
+        float(value)
+    except (ValueError, OverflowError):
+        raise argparse.ArgumentTypeError(f"expected an integer in float range, got {text!r}") from None
     return value
 
 
@@ -426,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code", default=None)
     p.add_argument("--ell", type=_finite_float, required=True)
     p.add_argument("--tau", type=_finite_float, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_float_range_int, required=True)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--strict", action="store_true")
     group.add_argument("--verified", action="store_true")
@@ -438,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("embedding")
     p.add_argument("--box", required=True, help="JSON file with min/max corners")
     p.add_argument("--ell", type=_finite_float, required=True)
-    p.add_argument("--d", type=int, default=None)
+    p.add_argument("--d", type=_float_range_int, default=None)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--strict", action="store_true")
     group.add_argument("--verified", action="store_true")

@@ -25,16 +25,28 @@ C(G), and the cleanable columns over [L; G], which span C(S), so C(S) is
 never built.  Distance is a depth-first search over regions in which each
 child extends a copy of its parent's XOR basis by one qubit, and a
 region's last qubit is tested against its parent's basis without a copy.
+
+A two-body code, whose every gauge generator is XX or ZZ on two distinct
+qubits (Bacon-Shor, the repetition chain), skips that layer:
+``SubsystemCode.two_body`` finds the components of the XX and of the ZZ
+edges and the GF(2) matrix M of their overlaps, and ``parameters``,
+``distance`` and both region oracles read off M (see ``_TwoBody``).  It is
+detected from the form the code was built in, so neither form is derived
+for it: a row-built code is tested row by row and stops at the first row
+that is not two-body, an array-built one by one numpy test of every
+generator's half lengths.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -44,6 +56,7 @@ from .pauli import (
     QubitColumns,
     centralizer,
     check_qubit_count,
+    checked_region,
     format_supports,
     parse_rows,
     set_bits,
@@ -90,6 +103,14 @@ def json_int(value: object, what: str) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def json_float(value: object, what: str) -> float:
+    """A number read from JSON, as a float: an int or a float (a numpy one
+    too).  A string or a bool is rejected, though ``float`` reads both."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{what} must be a number, got {value!r}")
 
 
 # one generator's sparse form: its X qubits and its Z qubits, each sorted
@@ -170,6 +191,172 @@ def _support_arrays(n: int, supports: Iterable[Support]) -> tuple[np.ndarray, np
     flat.setflags(write=False)
     ends.setflags(write=False)
     return flat, ends
+
+
+# a two-body code's distance is a Gray-code walk over 2^k codewords up to
+# this k; past it the region search runs, as for any other code
+_MAX_WALK_RANK = 20
+
+
+def _components(n: int, edges: Iterable[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """Each qubit's component label under the edges, labels numbered by
+    each component's lowest qubit, and each component's size.
+
+    A union-find with path halving links the larger root under the
+    smaller, so every parent is at most its child.  Walking the qubits up
+    from 0, a qubit's parent is then labelled before it, and with its own
+    component's label.
+    """
+    parent = list(range(n))
+    for a, b in edges:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    labels: list[int] = []
+    count = 0
+    for q, p in enumerate(parent):
+        if p == q:
+            labels.append(count)
+            count += 1
+        else:
+            labels.append(labels[p])
+    return labels, list(Counter(labels).values())
+
+
+def _keeps_rank(vectors: Sequence[int], skip: set[int], rank: int) -> bool:
+    """True iff the vectors whose indices are not in skip have this rank
+    (at most the rank of all of them), found by an XOR basis keyed by
+    leading bit that stops once it is full."""
+    if not rank:
+        return True
+    basis: dict[int, int] = {}
+    for i, v in enumerate(vectors):
+        if i in skip:
+            continue
+        while v:
+            top = v.bit_length() - 1
+            pivot = basis.get(top)
+            if pivot is None:
+                basis[top] = v
+                if len(basis) == rank:
+                    return True
+                break
+            v ^= pivot
+    return False
+
+
+def _min_weight(basis: Sequence[int]) -> int:
+    """Least weight of a nonzero vector in the span of independent vectors:
+    a Gray-code walk adds one basis vector per step to reach every nonzero
+    sum once."""
+    best, v = math.inf, 0
+    for i in range(1, 1 << len(basis)):
+        v ^= basis[(i & -i).bit_length() - 1]
+        best = min(best, v.bit_count())
+    return int(best)
+
+
+class _TwoBody:
+    """A code whose gauge generators are each XX or ZZ on two qubits, solved
+    through its component matrix.
+
+    The XX edges split the qubits into c_x components X_a, the ZZ edges into
+    c_z components Z_b, and M is the c_x x c_z GF(2) matrix with M[a][b] =
+    |X_a ∩ Z_b| mod 2 (qubit q adds 1 to M[x(q)][z(q)]).  The X part of G
+    is the vectors even on every X_a, so an X vector's class mod G is its
+    parity pattern over the X components.  C(G)'s X part is the unions of
+    Z components: the union over B has pattern Mβ, and it is in S iff
+    Mβ = 0.  An X vector commutes with S iff its pattern is in M's column
+    space, and it is a nontrivial dressed logical iff its pattern is
+    nonzero, at weight at least the pattern's.  The Z side is the same with
+    M's rows.  Hence:
+
+    - k = rank M, s = c_x + c_z - 2 rank M, g = n - c_x - c_z + rank M;
+    - d = min(d_X, d_Z), the least nonzero weights in M's column space and
+      row space;
+    - U is correctable iff no nonzero column-space pattern lies on the X
+      components U touches, i.e. the rows of the untouched X components
+      keep rank M, and the same for the columns and Z components;
+    - U is dressed-cleanable iff no X component wholly inside U has a
+      nonzero row of M and no Z component wholly inside U a nonzero column.
+    """
+
+    def __init__(self, n: int, xx: Iterable[Sequence[int]], zz: Iterable[Sequence[int]]) -> None:
+        self.n = n
+        self.x_label, self.x_size = _components(n, xx)
+        self.z_label, self.z_size = _components(n, zz)
+        c_x, c_z = len(self.x_size), len(self.z_size)
+        rows, cols = [0] * c_x, [0] * c_z
+        for a, b in zip(self.x_label, self.z_label):
+            rows[a] ^= 1 << b
+            cols[b] ^= 1 << a
+        self.rows, self.cols = BitMatrix(c_z, rows), BitMatrix(c_x, cols)
+        self.k = k = self.rows.rank()
+        self.parameters = CodeParameters(n=n, k=k, g=n - c_x - c_z + k, s=c_x + c_z - 2 * k)
+
+    @classmethod
+    def from_rows(cls, n: int, rows: Iterable[int]) -> _TwoBody | None:
+        """The structure of packed rows x | z << n, or None at the first row
+        that is not XX or ZZ on two qubits."""
+        xx: list[tuple[int, int]] = []
+        zz: list[tuple[int, int]] = []
+        mask = (1 << n) - 1
+        for row in rows:
+            if row.bit_count() != 2:
+                return None
+            if not row >> n:
+                half, edges = row, xx
+            elif not row & mask:
+                half, edges = row >> n, zz
+            else:
+                return None
+            edges.append(((half & -half).bit_length() - 1, half.bit_length() - 1))
+        return cls(n, xx, zz)
+
+    @classmethod
+    def from_arrays(cls, n: int, qubits: np.ndarray, ends: np.ndarray) -> _TwoBody | None:
+        """The structure of the sparse form, or None unless every
+        generator's X and Z half lengths are (2, 0) or (0, 2)."""
+        halves = np.diff(ends, prepend=0).reshape(-1, 2)
+        if not (np.sort(halves, axis=1) == (0, 2)).all():
+            return None
+        pairs, is_x = qubits.reshape(-1, 2), halves[:, 0] == 2
+        return cls(n, pairs[is_x].tolist(), pairs[~is_x].tolist())
+
+    @cached_property
+    def qubits(self) -> frozenset[int]:
+        return frozenset(range(self.n))
+
+    @cached_property
+    def distance(self) -> int | None:
+        """min(d_X, d_Z) by two Gray-code walks over k basis vectors; None
+        when k = 0 or k > ``_MAX_WALK_RANK``."""
+        if not 0 < self.k <= _MAX_WALK_RANK:
+            return None
+        return min(_min_weight(self.cols.rref()[0]), _min_weight(self.rows.rref()[0]))
+
+    def is_correctable(self, support: Iterable[int]) -> bool:
+        region = checked_region(support, self.qubits)
+        for label, vectors in ((self.x_label, self.rows.rows), (self.z_label, self.cols.rows)):
+            if not _keeps_rank(vectors, {label[q] for q in region}, self.k):
+                return False
+        return True
+
+    def is_dressed_cleanable(self, support: Iterable[int]) -> bool:
+        region = checked_region(support, self.qubits)
+        for label, size, vectors in (
+            (self.x_label, self.x_size, self.rows.rows),
+            (self.z_label, self.z_size, self.cols.rows),
+        ):
+            for c, count in Counter([label[q] for q in region]).items():
+                if count == size[c] and vectors[c]:
+                    return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -291,11 +478,29 @@ class SubsystemCode:
         return QubitColumns(self.gauge_basis, self._center[1])
 
     def has_abelian_gauge(self) -> bool:
-        """The gauge group is abelian iff its center is its whole span."""
-        return self.stabilizer_basis.rank() == self.gauge_basis.rank()
+        """The gauge group is abelian iff its center is its whole span, that
+        is iff it has no gauge qubit (rank S = rank G)."""
+        return parameters(self).g == 0
+
+    @cached_property
+    def two_body(self) -> _TwoBody | None:
+        """The component-matrix structure when every gauge generator is XX
+        or ZZ on two distinct qubits, else None.  It is read off the support
+        arrays when the code holds them and off the rows otherwise, and the
+        other form is never derived for it; the row test stops at the first
+        row that fails."""
+        arrays = vars(self).get("support_arrays")
+        if arrays is not None:
+            return _TwoBody.from_arrays(self.n, *arrays)
+        return _TwoBody.from_rows(self.n, self.gauge_matrix)
 
     @cached_property
     def _parameters(self) -> CodeParameters:
+        two_body = self.two_body
+        return self._rank_parameters() if two_body is None else two_body.parameters
+
+    def _rank_parameters(self) -> CodeParameters:
+        """(n, k, g, s) from the ranks of the gauge span and its center."""
         r = self.gauge_basis.rank()
         s = self.stabilizer_basis.rank()
         assert (r - s) % 2 == 0, "symplectic form on the gauge span has odd rank"
@@ -403,29 +608,41 @@ def derive_stabilizer(code: SubsystemCode) -> tuple[BitMatrix, tuple[int, ...]]:
 
 
 def parameters(code: SubsystemCode) -> CodeParameters:
-    """(n, k, g, s) from the rank formulas, computed once per code."""
+    """(n, k, g, s), computed once per code: from the component matrix of a
+    two-body code (``SubsystemCode.two_body``), else from the rank formulas."""
     return code._parameters
 
 
 def distance(code: SubsystemCode, weight_cap: int | None = None) -> DistanceResult:
-    """Minimum weight of a dressed logical operator, via region search.
+    """Minimum weight of a dressed logical operator.
 
-    Searches for the smallest w such that some w-qubit region supports a
-    stabilizer-commuting Pauli outside the gauge span, by iterative
-    deepening: for w = 1, 2, ... a depth-first search over the w-subsets in
-    lexicographic order, where a child copies its parent's XOR basis and
-    adds one qubit's two columns (``QubitColumns.extend(child, (q,))``),
-    and the last qubit is tested against the parent's basis in place
-    (``QubitColumns.any_fails``).  Returns a
-    "greater than weight_cap" result when no such region exists up to the
-    cap (default cap: n); a negative cap raises ValueError.
+    A two-body code with k <= 20 reads d off its component matrix; any other
+    code runs the region search (``_search_distance``).  Returns a "greater
+    than weight_cap" result when d exceeds the cap (default cap: n); a
+    negative cap, then k = 0, raises ValueError.
     """
     if weight_cap is not None and weight_cap < 0:
         raise ValueError(f"weight_cap must be non-negative, got {weight_cap}")
-    p = parameters(code)
-    if p.k == 0:
+    if parameters(code).k == 0:
         raise ValueError("distance undefined for k = 0")
     cap = code.n if weight_cap is None else min(weight_cap, code.n)
+    d = None if code.two_body is None else code.two_body.distance
+    if d is None:
+        return _search_distance(code, cap)
+    return DistanceResult(weight_cap=cap, value=d if d <= cap else None)
+
+
+def _search_distance(code: SubsystemCode, cap: int) -> DistanceResult:
+    """The least w <= cap such that some w-qubit region supports a
+    stabilizer-commuting Pauli outside the gauge span, for a code with
+    k >= 1.
+
+    Iterative deepening: for w = 1, 2, ... a depth-first search over the
+    w-subsets in lexicographic order, where a child copies its parent's XOR
+    basis and adds one qubit's two columns (``QubitColumns.extend(child,
+    (q,))``), and the last qubit is tested against the parent's basis in
+    place (``QubitColumns.any_fails``).
+    """
     cols = code.correctable_columns
     n = code.n
 

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codes import SubsystemCode, json_int
+from .codes import SubsystemCode, json_float, json_int
 
 DISTANCE_SLACK = 1e-12
 
@@ -61,7 +61,10 @@ class Box:
 
     @classmethod
     def from_json(cls, obj: dict) -> Box:
-        return cls(tuple(float(v) for v in obj["min"]), tuple(float(v) for v in obj["max"]))
+        """The box {"min": [...], "max": [...]}; each corner value must be a
+        JSON number (``json_float``)."""
+        mins, maxs = (tuple(json_float(v, f"box {end}") for v in obj[end]) for end in ("min", "max"))
+        return cls(mins, maxs)
 
 
 class Embedding:
@@ -84,7 +87,14 @@ class Embedding:
 
     @classmethod
     def from_json(cls, obj: dict) -> Embedding:
-        return cls(json_int(obj["dimension"], "dimension"), obj["coordinates"])
+        """The embedding {"dimension": D, "coordinates": [[x, ...], ...]};
+        a coordinate must be a JSON number, though ``np.asarray`` reads a
+        string such as "0" or a bool as one."""
+        emb = cls(json_int(obj["dimension"], "dimension"), obj["coordinates"])
+        # the rows are m lists of D values once the constructor has passed them
+        if {str, bool} & set(map(type, itertools.chain.from_iterable(obj["coordinates"]))):
+            raise ValueError("coordinates must be numbers, not strings or booleans")
+        return emb
 
     def __repr__(self) -> str:
         return f"Embedding(D={self.dimension}, n={self.n})"

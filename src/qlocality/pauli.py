@@ -34,6 +34,16 @@ def check_region(qubits: Collection[int], n: int) -> None:
         raise ValueError(f"region {sorted(map(int, qubits))} outside qubit range [0, {n})")
 
 
+def checked_region(support: Iterable[int], qubits: frozenset[int]) -> Collection[int]:
+    """support as a set (a set or frozenset is read in place), after one
+    subset test against ``qubits`` = frozenset(range(n)); a qubit outside
+    [0, n) raises ``check_region``'s ValueError."""
+    region = support if isinstance(support, (set, frozenset)) else set(support)
+    if not region <= qubits:
+        check_region(region, len(qubits))
+    return region
+
+
 def _raise_first_fault(strings: Sequence[str], n: int) -> NoReturn:
     """Raise the ValueError for the first faulty string (see ``parse_rows``)."""
     for s in strings:
@@ -379,8 +389,5 @@ class QubitColumns:
     def passes(self, support: Iterable[int]) -> bool:
         """True iff every Pauli on ``support`` (a qubit set) commuting with
         the constraints lies in A; a qubit outside [0, n) raises ValueError
-        before any column is reduced.  A set or frozenset is read in place."""
-        region = support if isinstance(support, (set, frozenset)) else set(support)
-        if not region <= self.qubits:
-            check_region(region, self.n)
-        return self.extend({}, region)
+        before any column is reduced (``checked_region``)."""
+        return self.extend({}, checked_region(support, self.qubits))

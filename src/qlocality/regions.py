@@ -16,12 +16,20 @@ from .pauli import check_region
 
 
 def is_correctable(code: SubsystemCode, u: Iterable[int]) -> bool:
-    """True iff no non-trivial dressed logical operator is supported on u."""
+    """True iff no non-trivial dressed logical operator is supported on u:
+    read off the component matrix of a two-body code, else off the code's
+    correctable columns."""
+    if code.two_body is not None:
+        return code.two_body.is_correctable(u)
     return code.correctable_columns.passes(u)
 
 
 def is_dressed_cleanable(code: SubsystemCode, u: Iterable[int]) -> bool:
-    """True iff no non-trivial bare logical operator is supported on u."""
+    """True iff no non-trivial bare logical operator is supported on u:
+    read off the component matrix of a two-body code, else off the code's
+    cleanable columns."""
+    if code.two_body is not None:
+        return code.two_body.is_dressed_cleanable(u)
     return code.cleanable_columns.passes(u)
 
 

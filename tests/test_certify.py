@@ -395,6 +395,19 @@ def test_certificate_json_lines_round_trip():
     assert again.to_json_lines() == text
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("where", ["header", "step"])
+def test_certificate_json_lines_reject_a_non_finite_field(value, where):
+    ints = extract_interactions(BS3.code, BS3.embedding)
+    cert = expansion_sweep(BS3.embedding, ints, ell=2.0, tau=9.0, d=3, mode="strict")
+    if where == "header":
+        cert.metadata["w0"] = value
+    else:
+        cert.steps[0].threshold = value
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        cert.to_json_lines()
+
+
 def dense_column_embedding(n):
     """n qubits stacked on x = 0: tau = 2 makes coordinate 0 1-bad."""
     return Embedding(2, [(0.0, float(i)) for i in range(n)])

@@ -241,7 +241,7 @@ def test_subdivide(capsys, tmp_path):
         ({"point": [math.nan, 1], "mass": 1}, "mass point [nan, 1.0] is not finite"),
         (
             {"point": ["a", 1], "mass": 1},
-            "subdivide spec file {spec}: could not convert string to float: 'a'",
+            "subdivide spec file {spec}: mass point coordinate must be a number, got 'a'",
         ),
     ],
 )
@@ -1137,6 +1137,38 @@ def test_step_count_over_the_cap_exits_two(bs3_files, capsys, tmp_path, argv, me
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["sweep", "holographic"])
+def test_d_past_the_float_range_exits_two(bs3_files, capsys, tmp_path, command):
+    code_path, emb_path = bs3_files
+    box = tmp_path / "box.json"
+    box.write_text(json.dumps({"min": [0, 0], "max": [2, 2]}))
+    argv = {
+        "sweep": ["sweep", emb_path, "--code", code_path, "--ell", "1", "--tau", "3"],
+        "holographic": ["holographic", code_path, emb_path, "--box", str(box), "--ell", "1"],
+    }[command]
+    huge = "1" + "0" * 400
+    assert main([*argv, "--d", huge]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"error: argument --d: expected an integer in float range, got '{huge}'\n"
+    )
+    assert "Traceback" not in captured.err
+
+
+def test_non_finite_certificate_field_exits_two_and_writes_no_file(bs3_files, capsys, tmp_path):
+    # ell = 1e-320 makes the holographic base width w0 infinite
+    code_path, emb_path = bs3_files
+    box, out = tmp_path / "box.json", tmp_path / "c.jsonl"
+    box.write_text(json.dumps({"min": [0, 0], "max": [2, 2]}))
+    argv = ["holographic", code_path, emb_path, "--box", str(box), "--ell", "1e-320", "--out", str(out)]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Out of range float values are not JSON compliant\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qlocality.codes import (
+    CodeParameters,
+    DistanceResult,
     SubsystemCode,
+    _search_distance,
     derive_stabilizer,
     distance,
     logical_representatives,
@@ -24,7 +27,8 @@ from qlocality.pauli import (
     parse_rows,
     symplectic_bits,
 )
-from qlocality.families import surface_code
+from qlocality.families import bacon_shor, surface_code
+from qlocality.regions import is_correctable, is_dressed_cleanable
 from tests.test_pauli import reference_nullspace, reference_rref
 
 P = PauliVector.from_string
@@ -755,3 +759,90 @@ def test_from_supports_accepts_exactly_the_increasing_in_range_supports(case):
     else:
         with pytest.raises(ValueError):
             SubsystemCode.from_supports(n, supports)
+
+
+# ── two-body codes ─────────────────────────────────────────────────────
+
+
+@st.composite
+def two_body_cases(draw):
+    """(code, regions): XX and ZZ generators on random qubit pairs of n <= 9
+    qubits (repeats and the empty list included), built from rows or from
+    support arrays, and a few regions."""
+    n = draw(st.integers(0, 9))
+    pairs = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True).map(sorted)
+    edges = draw(st.lists(st.tuples(st.booleans(), pairs), max_size=2 * n + 3)) if n >= 2 else []
+    if draw(st.booleans()):
+        rows = [((1 << a | 1 << b) << (0 if is_x else n)) for is_x, (a, b) in edges]
+        code = SubsystemCode(n, rows)
+    else:
+        code = SubsystemCode.from_supports(
+            n, [((a, b), ()) if is_x else ((), (a, b)) for is_x, (a, b) in edges]
+        )
+    regions = draw(st.lists(st.sets(st.integers(0, n - 1)) if n else st.just(set()), max_size=6))
+    return code, regions
+
+
+def code_of(n, generators):
+    return SubsystemCode.from_strings(generators, n), []
+
+
+@settings(max_examples=200, deadline=None)
+@given(two_body_cases())
+@example(code_of(0, []))
+@example(code_of(3, []))
+@example(code_of(2, ["XX", "ZZ"]))  # k = 0
+@example((SubsystemCode.from_strings(["XXI", "XXI", "IZZ", "IZZ"]), [{0}, {0, 1}, {2}, {1, 2}]))
+def test_two_body_codes_match_the_general_layer(case):
+    code, regions = case
+    built = set(vars(code))
+    two_body = code.two_body
+    assert two_body is not None
+    # detection derives neither form from the other
+    assert {"gauge_matrix", "support_arrays"} & set(vars(code)) == {"gauge_matrix", "support_arrays"} & built
+    p = parameters(code)
+    assert p == code._rank_parameters()
+    assert code.has_abelian_gauge() == (code.stabilizer_basis.rank() == code.gauge_basis.rank())
+    n = code.n
+    if p.k == 0:
+        with pytest.raises(ValueError, match=r"^distance undefined for k = 0$"):
+            distance(code)
+    else:
+        for cap in [None, *range(n + 2)]:
+            assert distance(code, cap) == _search_distance(code, n if cap is None else min(cap, n))
+    for u in regions:
+        assert is_correctable(code, u) == code.correctable_columns.passes(u)
+        assert is_dressed_cleanable(code, u) == code.cleanable_columns.passes(u)
+
+
+@pytest.mark.parametrize(
+    "generators",
+    [["XY"], ["YX"], ["XZ"], ["ZX"], ["YI"], ["XI"], ["XXX"], ["XXI", "IZZ", "XZI"], ["ZZI", "XYI"]],
+)
+def test_rows_other_than_xx_or_zz_on_two_qubits_are_not_two_body(generators):
+    rows_code = SubsystemCode.from_strings(generators)
+    assert rows_code.two_body is None
+    assert "support_arrays" not in vars(rows_code)
+    arrays_code = SubsystemCode.from_supports(rows_code.n, supports_of(rows_code))
+    assert arrays_code.two_body is None
+    assert "gauge_matrix" not in vars(arrays_code)
+    assert parameters(rows_code) == rows_code._rank_parameters()
+
+
+def test_two_body_region_checks_keep_the_range_message():
+    code = bacon_shor_generators(3)
+    for oracle in (is_correctable, is_dressed_cleanable):
+        with pytest.raises(ValueError, match=r"^region \[0, 9\] outside qubit range \[0, 9\)$"):
+            oracle(code, [0, 9])
+
+
+def test_bacon_shor_300_from_its_component_matrix():
+    code = bacon_shor(300).code
+    assert parameters(code) == CodeParameters(n=90_000, k=1, g=89_401, s=598)
+    assert distance(code) == DistanceResult(weight_cap=90_000, value=300)
+    assert distance(code, weight_cap=299) == DistanceResult(weight_cap=299, value=None)
+    row, most_of_row = range(300), range(299)
+    assert not is_correctable(code, row) and not is_dressed_cleanable(code, row)
+    assert is_correctable(code, most_of_row) and is_dressed_cleanable(code, most_of_row)
+    # the general layer and the packed rows were never built
+    assert not {"gauge_matrix", "_center", "correctable_columns"} & set(vars(code))

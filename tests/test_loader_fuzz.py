@@ -3,8 +3,9 @@
 One hypothesis test per file kind (code, embedding, region, box and
 subdivide spec) starts from a valid file, applies one to three mutations
 and runs a command that reads it.  The mutations are wrong types, missing
-keys, ragged lists, empty rows, huge and subnormal numbers, a value nested
-10^5 deep, and bytes that are not UTF-8.  Each run must exit 0, 1 or 2,
+keys, ragged lists, empty rows, huge and subnormal numbers, numbers written
+as strings or booleans, a value nested 10^5 deep, and bytes that are not
+UTF-8.  Each run must exit 0, 1 or 2,
 print nothing on stderr or one ``error:`` / ``invariant failed:`` line,
 raise no warning, and print strict JSON where it prints JSON.
 """
@@ -50,7 +51,8 @@ COMMANDS = {
 
 BAD_VALUES = st.sampled_from(
     [
-        None, True, "x", 1.5, -1, 0, {}, [], [[], []], [[0.0], [1.0, 2.0]], [[0.0, "a"]],
+        None, True, False, "x", "0", " 2 ", 1.5, -1, 0, {}, [], [[], []], [[0.0], [1.0, 2.0]],
+        [[0.0, "a"]], [["0", "0"], [True, False]], ["0", False], [" 2 ", True],
         1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308, 5e-324, -5e-324,
         10**400, 2**63, DEEP, BAD_UTF8,
     ]
@@ -164,3 +166,18 @@ def test_valid_files_exit_zero(kind, tmp_path, capsys):
     for obj in VALID[kind]:
         rc, captured = check_run(kind, json.dumps(obj), tmp_path, capsys)
         assert (rc, captured.err) == (EXIT_OK, "")
+
+
+# numbers written as strings or booleans, which float() and np.asarray read
+NUMBER_LIKE = {
+    "embedding": {"dimension": 2, "coordinates": [["0", "0"], [True, False]]},
+    "box": {"min": ["0", False], "max": [" 2 ", True]},
+    "spec": {"box": {"min": [0, 0], "max": [20, 4]}, "masses": [{"point": ["10", True], "mass": 1}]},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NUMBER_LIKE))
+def test_numbers_written_as_strings_or_booleans_exit_two(kind, tmp_path, capsys):
+    rc, captured = check_run(kind, json.dumps(NUMBER_LIKE[kind]), tmp_path, capsys)
+    assert rc == EXIT_INPUT
+    assert captured.err.startswith(f"error: {kind if kind != 'spec' else 'subdivide spec'} file ")

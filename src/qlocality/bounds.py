@@ -264,19 +264,28 @@ def proof_constants(d: float, ell: float, dim: int, alpha: float = 1.0) -> Proof
     )
 
 
+def _ball_volume(dim: int) -> float:
+    """``ball_volume``, whose gamma overflows a float from D = 342 on, with
+    that overflow raised as ValueError."""
+    try:
+        return ball_volume(dim)
+    except OverflowError:
+        raise ValueError(f"the proof constants overflow a float at D={dim}") from None
+
+
 def holographic_box_width(d: float, ell: float, dim: int) -> float:
     """Maximum box side w0 for the holographic correctability certificate."""
     if dim < 2:
         raise ValueError("constants require D >= 2")
     if not (0 < d < math.inf and 0 < ell < math.inf):
         raise ValueError("d and ell must be positive and finite")
-    vol = ball_volume(dim)
+    vol = _ball_volume(dim)
     return (vol / (2.0 * 4.0 ** (dim + 1) * dim) * d / ell) ** (1.0 / (dim - 1))
 
 
 def holographic_base_width(d: float, dim: int) -> float:
     """Base-case cube side: packing already keeps the count below d."""
-    return (ball_volume(dim) / (2.0 * 4.0**dim) * d) ** (1.0 / dim)
+    return (_ball_volume(dim) / (2.0 * 4.0**dim) * d) ** (1.0 / dim)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .geometry import (
     points_in_box,
     subdivide,
 )
-from .regions import ab_bound_check, abc_bound_check
+from .regions import ab_bound_check, abc_bound_check, chain_oracle
 
 # A sanity bound, like pauli.MAX_QUBITS, on the steps of a cube ladder or of
 # one sweep axis; a unit-spaced chain of MAX_QUBITS qubits at ell = 0.1 fits.
@@ -123,29 +123,6 @@ class Certificate:
             bound = "" if step.threshold is None else f" < {step.threshold:g}"
             out.append(f"  [{step.index}] {step.rule}: {step.region}{count}{bound} {status}")
         return "\n".join(out)
-
-
-def _chain_oracle(code: SubsystemCode) -> Callable[[np.ndarray], bool]:
-    """Exact correctability of each region (a qubit mask) in a chain where
-    each region contains the one before.
-
-    One XOR basis of the code's correctable columns serves the whole chain,
-    and each call adds only the new qubits; the verdict equals a fresh
-    ``is_correctable`` because a basis's pivots do not depend on the order
-    its vectors came in.  After a False the chain must stop.
-    """
-    columns = code.correctable_columns
-    basis: dict[int, int] = {}
-    held = np.zeros(code.n, dtype=bool)
-
-    def correctable(region: np.ndarray) -> bool:
-        nonlocal held
-        assert not (held & ~region).any(), "a region does not contain the one before it"
-        new = np.flatnonzero(region & ~held).tolist()
-        held = region
-        return columns.extend(basis, new)
-
-    return correctable
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +229,7 @@ def holographic_certify(
 
     cert = Certificate(kind="holographic", mode=mode, outcome=OUTCOME_CERTIFIED, metadata=metadata)
     # the cubes share a center and grow, so their qubit sets form a chain
-    correctable = _chain_oracle(code) if mode == "verified" else None
+    correctable = chain_oracle(code) if mode == "verified" else None
     for index, side in enumerate(ladder):
         cube = cube_at(side)
         qubits = points_in_box(e, cube)
@@ -502,7 +479,7 @@ def expansion_sweep(
 
     # each expansion grows the region and each relabel keeps it, so the
     # verified regions form a chain
-    correctable = _chain_oracle(code) if mode == "verified" else None
+    correctable = chain_oracle(code) if mode == "verified" else None
 
     def expansion_step(rule: str) -> bool:
         """Run one item-1 / item-3 expansion; returns False when stuck."""

@@ -175,9 +175,9 @@ def _checked_arrays(n: int, qubits: np.ndarray, ends: np.ndarray) -> tuple[np.nd
 
 
 def _support_arrays(n: int, supports: Iterable[Support]) -> tuple[np.ndarray, np.ndarray]:
-    """The supports as the two read-only arrays of
-    ``SubsystemCode.from_support_arrays``, unchecked but for the qubits'
-    type: a bool or a non-integer qubit is rejected."""
+    """The supports as the two intp arrays that
+    ``SubsystemCode.from_support_arrays`` takes (and copies), unchecked but
+    for the qubits' type: a bool or a non-integer qubit is rejected."""
     halves = [tuple(half) for xs, zs in supports for half in (xs, zs)]
     qubits = list(itertools.chain.from_iterable(halves))
     if set(map(type, qubits)) - {int}:
@@ -188,8 +188,6 @@ def _support_arrays(n: int, supports: Iterable[Support]) -> tuple[np.ndarray, np
         # out of intp range is out of [0, n) too: -1 and n fail the same checks
         flat = np.array([min(max(q, -1), n) for q in qubits], dtype=np.intp)
     ends = np.fromiter(map(len, halves), dtype=np.intp, count=len(halves)).cumsum()
-    flat.setflags(write=False)
-    ends.setflags(write=False)
     return flat, ends
 
 

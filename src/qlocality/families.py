@@ -212,7 +212,8 @@ def build_concat_embedding(
     outer coordinates.
 
     ell2 is the outer code's interaction locality, measured once from its
-    embedding unless given; ell_prime = 2*(sqrt(D) + ell2), and the outer
+    embedding unless given (0 for an outer code with no interactions; a
+    negative one raises); ell_prime = 2*(sqrt(D) + ell2), and the outer
     coordinates are dilated by ell_target / ell_prime.  Raises when
     ell_target < ell_prime or when the resulting point set fails the
     pairwise-distance validation (blocks would overlap).  The triangle
@@ -224,6 +225,8 @@ def build_concat_embedding(
         raise ValueError("inner and outer embeddings have different dimensions")
     if ell2 is None:
         ell2 = extract_interactions(outer.code, outer.embedding).max_length()
+    elif not ell2 >= 0:
+        raise ValueError(f"ell2 must be non-negative, got {ell2:g}")
     ell_prime = 2.0 * (math.sqrt(dim) + ell2)
     if ell_target < ell_prime:
         raise ValueError(

@@ -7,7 +7,7 @@ tests can distinguish "vacuously true" from "substantively verified".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -22,6 +22,32 @@ def is_correctable(code: SubsystemCode, u: Iterable[int]) -> bool:
     if code.two_body is not None:
         return code.two_body.is_correctable(u)
     return code.correctable_columns.passes(u)
+
+
+def chain_oracle(code: SubsystemCode) -> Callable[[np.ndarray], bool]:
+    """``is_correctable`` of each region (a qubit mask) in a chain where
+    each region contains the one before; after a False the chain must stop.
+
+    A two-body code answers each region off its component matrix.  Any
+    other code grows one XOR basis of its correctable columns over the
+    whole chain, and each call adds only the new qubits; the verdict equals
+    a fresh one because a basis's pivots do not depend on the order its
+    vectors came in.
+    """
+    two_body = code.two_body
+    columns = code.correctable_columns if two_body is None else None
+    basis: dict[int, int] = {}
+    held = np.zeros(code.n, dtype=bool)
+
+    def correctable(region: np.ndarray) -> bool:
+        nonlocal held
+        assert not (held & ~region).any(), "a region does not contain the one before it"
+        new, held = region & ~held, region
+        if columns is None:
+            return two_body.is_correctable(np.flatnonzero(region).tolist())
+        return columns.extend(basis, np.flatnonzero(new).tolist())
+
+    return correctable
 
 
 def is_dressed_cleanable(code: SubsystemCode, u: Iterable[int]) -> bool:

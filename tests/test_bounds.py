@@ -220,6 +220,23 @@ def test_proof_constants_domain():
         proof_constants(10.0, 1.0, 2, alpha=0.5)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda dim: proof_constants(10.0, 0.1, dim),
+        lambda dim: holographic_box_width(10.0, 0.1, dim),
+        lambda dim: holographic_base_width(10.0, dim),
+    ],
+    ids=["proof_constants", "box_width", "base_width"],
+)
+def test_constants_past_the_ball_volume_overflow_raise_value_error(call):
+    # gamma(D/2 + 1) overflows a float from D = 342 on
+    call(341)
+    for dim in (342, 400):
+        with pytest.raises(ValueError, match=rf"^the proof constants overflow a float at D={dim}$"):
+            call(dim)
+
+
 def test_holographic_widths():
     assert holographic_box_width(1000.0, 2.0, 2) == pytest.approx(500 * math.pi / 256)
     assert holographic_base_width(1000.0, 2) == pytest.approx(math.sqrt(math.pi / 32.0 * 1000.0))

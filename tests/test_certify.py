@@ -417,6 +417,30 @@ def verified_sweep(code, emb, ell, tau, d):
     return expansion_sweep(emb, extract_interactions(code, emb), ell, tau, d, "verified", code)
 
 
+def whole_box(emb):
+    return Box(tuple(emb.coordinates.min(axis=0).tolist()), tuple(emb.coordinates.max(axis=0).tolist()))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: bacon_shor(3), lambda: small_inner_codes("repetition", 5)],
+    ids=["bacon_shor-3", "repetition-5"],
+)
+@pytest.mark.parametrize(
+    "engine",
+    [
+        lambda ec: verified_sweep(ec.code, ec.embedding, 1.0, 3.0, 3),
+        lambda ec: holographic_certify(ec.code, ec.embedding, whole_box(ec.embedding), 0.5, mode="verified"),
+    ],
+    ids=["sweep", "holographic"],
+)
+def test_verified_engines_on_two_body_codes_build_no_general_layer(build, engine):
+    ec = build()
+    # k >= 1, so the exact oracle stops both engines at some region
+    assert engine(ec).outcome == OUTCOME_STUCK
+    assert not {"_center", "correctable_columns"} & set(vars(ec.code))
+
+
 # (engine, mode, outcome) -> a run with that outcome; a verified run never
 # reaches a contradiction (the full qubit set holds a logical when k >= 1)
 # and a verified holographic run never reports a violated hypothesis

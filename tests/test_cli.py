@@ -129,6 +129,26 @@ def test_bounds_constant_overflow_exits_two(capsys):
     assert captured.err == "error: the explicit proof constants overflow a float at D=400\n"
 
 
+@pytest.mark.parametrize("command", ["holographic", "partition"])
+def test_constants_past_the_ball_volume_overflow_exit_two(capsys, tmp_path, command):
+    # gamma(D/2 + 1) in the unit-ball volume overflows a float at D = 400
+    dim = 400
+    code = tmp_path / "zz.json"
+    code.write_text(json.dumps({"n": 2, "gauge_generators": ["ZZ"]}))
+    emb = tmp_path / "pair.json"
+    emb.write_text(json.dumps({"dimension": dim, "coordinates": [[0] * dim, [1] + [0] * (dim - 1)]}))
+    box = tmp_path / "box.json"
+    box.write_text(json.dumps({"min": [0] * dim, "max": [1] * dim}))
+    argv = {
+        "holographic": ["holographic", str(code), str(emb), "--box", str(box), "--ell", "0.1"],
+        "partition": ["partition", str(code), str(emb), "--ell", "0.1", "--variant", "thm3_2"],
+    }[command]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the proof constants overflow a float at D=400\n"
+
+
 def test_check_region(bs3_files, capsys, tmp_path):
     code_path, _ = bs3_files
     region = tmp_path / "region.json"
@@ -526,6 +546,21 @@ def test_saturation_validates_its_embedding_once(capsys, tmp_path, close_pair_ca
     del close_pair_calls[:]  # the construction above validated its own
     assert main(["saturation", str(code_path), str(emb_path)]) == EXIT_OK
     assert len(close_pair_calls) == 1
+
+
+@pytest.mark.parametrize("ell2", ["-1.4142135623730951", "-1"])
+def test_concat_negative_ell2_exits_two(capsys, tmp_path, ell2):
+    # -sqrt(2) made ell_prime 0 in D = 2: a ZeroDivisionError traceback
+    paths = []
+    for name, ec in [("inner", small_inner_codes("five_one_three")), ("outer", bacon_shor(2))]:
+        for part, obj in [("code", ec.code.to_json()), ("embedding", ec.embedding.to_json())]:
+            p = tmp_path / f"{name}-{part}.json"
+            p.write_text(json.dumps(obj))
+            paths += [f"--{name}-{part}", str(p)]
+    assert main(["concat", "--ell-target", "30", "--ell2", ell2, *paths]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: ell2 must be non-negative, got {float(ell2):g}\n"
 
 
 def test_concat_validates_each_embedding_once(capsys, tmp_path, close_pair_calls):

@@ -374,6 +374,23 @@ def test_concat_embedding_boundary_case_rejected():
         build_concat_embedding(inner, outer, ell_prime)  # dilation 1: blocks overlap
 
 
+@pytest.mark.parametrize("ell2", [-1.0, -math.sqrt(2.0), -1e-300])
+def test_concat_embedding_rejects_a_negative_ell2(ell2):
+    # -sqrt(2) in D = 2 made ell_prime 0 and the dilation a ZeroDivisionError
+    inner = small_inner_codes("five_one_three")
+    with pytest.raises(ValueError, match=r"^ell2 must be non-negative, got -"):
+        build_concat_embedding(inner, bacon_shor(2), 100.0, ell2=ell2)
+
+
+def test_concat_embedding_takes_ell2_zero():
+    # zero is what an outer code with no interactions measures
+    inner = small_inner_codes("five_one_three")
+    outer = EmbeddedCode(SubsystemCode(2, []), Embedding(2, [(0.0, 0.0), (1.0, 0.0)]), "bare", {})
+    given = build_concat_embedding(inner, outer, 100.0, ell2=0.0)
+    measured = build_concat_embedding(inner, outer, 100.0)
+    assert given.params == measured.params and given.params["ell2"] == 0.0
+
+
 def test_concat_embedding_single_outer_qubit():
     inner = small_inner_codes("five_one_three")
     outer_code = SubsystemCode(1, [])

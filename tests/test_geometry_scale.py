@@ -31,7 +31,7 @@ from qlocality.geometry import (
     validate_embedding,
     verify_tiling,
 )
-from qlocality.regions import boundary, check_union_lemma, is_correctable
+from qlocality.regions import boundary, chain_oracle, check_union_lemma, is_correctable
 from tests.test_codes import supports_of
 
 
@@ -1031,25 +1031,27 @@ def test_strict_sweep_on_jittered_lattices_matches_pinned_digests(seed):
 
 
 def test_chain_oracle_matches_is_correctable_and_needs_a_chain():
-    ec = families.bacon_shor(4)
-    rng = random.Random(7)
-    qubits = list(range(ec.code.n))
-    rng.shuffle(qubits)
-    correctable = certify._chain_oracle(ec.code)
-    region = np.zeros(ec.code.n, dtype=bool)
-    for size in range(ec.code.n + 1):
-        region = region.copy()
-        region[qubits[:size]] = True
-        expected = is_correctable(ec.code, qubits[:size])
-        assert correctable(region) == expected
-        if not expected:
-            break
-    else:
-        raise AssertionError("the whole lattice must fail")
-    shrinking = certify._chain_oracle(ec.code)
-    assert shrinking(np.ones(ec.code.n, dtype=bool)) is False
-    with pytest.raises(AssertionError, match="does not contain"):
-        shrinking(np.zeros(ec.code.n, dtype=bool))
+    # Bacon-Shor is answered through its component matrix, the surface code
+    # through the growing basis
+    for ec in (families.bacon_shor(4), families.surface_code(3)):
+        rng = random.Random(7)
+        qubits = list(range(ec.code.n))
+        rng.shuffle(qubits)
+        correctable = chain_oracle(ec.code)
+        region = np.zeros(ec.code.n, dtype=bool)
+        for size in range(ec.code.n + 1):
+            region = region.copy()
+            region[qubits[:size]] = True
+            expected = is_correctable(ec.code, qubits[:size])
+            assert correctable(region) == expected
+            if not expected:
+                break
+        else:
+            raise AssertionError("the whole lattice must fail")
+        shrinking = chain_oracle(ec.code)
+        assert shrinking(np.ones(ec.code.n, dtype=bool)) is False
+        with pytest.raises(AssertionError, match="does not contain"):
+            shrinking(np.zeros(ec.code.n, dtype=bool))
 
 
 def test_verified_sweep_rejects_qubit_count_mismatch():

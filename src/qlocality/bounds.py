@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 from .geometry import ball_volume
 
@@ -244,9 +246,15 @@ def proof_constants(d: float, ell: float, dim: int, alpha: float = 1.0) -> Proof
         raise ValueError("alpha must be >= 1 and finite")
     vol = ball_volume(dim)
     c = vol ** (1.0 / dim) / (400.0 * alpha * dim)
-    lhs = 2.0**dim / vol * (2.0 * w0) ** (dim - 1) * ell
+    scale, span = 2.0**dim / vol, (2.0 * w0) ** (dim - 1)
+    lhs = scale * span * ell
     rhs = d / (16.0 * dim)
-    ineq1 = math.isclose(lhs, rhs, rel_tol=1e-9)
+    if all(map(_is_normal, (scale, span, lhs))):
+        ineq1 = math.isclose(lhs, rhs, rel_tol=1e-9)
+    else:  # past D = 323 for d / ell = 100 a factor leaves the float range: compare logs
+        log_lhs = math.log(2.0**dim) - _log_ball_volume(dim) + (dim - 1) * math.log(2.0 * w0)
+        log_lhs += math.log(ell)
+        ineq1 = math.isclose(log_lhs, math.log(rhs), rel_tol=0.0, abs_tol=1e-9)
     hypothesis = ell <= c * d ** (1.0 / dim)
     ineq2 = w0 >= 100.0 * alpha * dim * ell
     ineq3 = w0 >= (d / ell) ** (1.0 / (dim - 1)) / (90.0 * math.sqrt(dim))
@@ -273,19 +281,62 @@ def _ball_volume(dim: int) -> float:
         raise ValueError(f"the proof constants overflow a float at D={dim}") from None
 
 
+def _log_ball_volume(dim: int) -> float:
+    """log ``ball_volume(dim)``, through ``math.lgamma``."""
+    return dim / 2.0 * math.log(math.pi) - math.lgamma(dim / 2.0 + 1.0)
+
+
+def _is_normal(x: float) -> bool:
+    """x is a positive float that neither underflowed nor overflowed."""
+    return sys.float_info.min <= x < math.inf
+
+
+def _root(products: Sequence[float], log_base: Callable[[], float], degree: int) -> float:
+    """base^(1/degree), where base is a product of positive finite factors
+    and ``products`` are its partial products left to right, base last.
+    Where one of them under- or overflows a normal float, so that base has
+    lost bits or is 0 or inf, the root is exp(log_base() / degree) instead,
+    or inf if that overflows; a root whose every partial product is normal
+    keeps its bits."""
+    if all(map(_is_normal, products)):
+        return products[-1] ** (1.0 / degree)
+    try:
+        return math.exp(log_base() / degree)
+    except OverflowError:
+        return math.inf
+
+
 def holographic_box_width(d: float, ell: float, dim: int) -> float:
-    """Maximum box side w0 for the holographic correctability certificate."""
+    """Maximum box side w0 for the holographic correctability certificate:
+    (vol(B_D) / (2 * 4^(D+1) * D) * d / ell)^(1/(D-1)), taken in logs where
+    the product under- or overflows (from D = 255 on, its first quotient
+    alone is below the normal range)."""
     if dim < 2:
         raise ValueError("constants require D >= 2")
     if not (0 < d < math.inf and 0 < ell < math.inf):
         raise ValueError("d and ell must be positive and finite")
-    vol = _ball_volume(dim)
-    return (vol / (2.0 * 4.0 ** (dim + 1) * dim) * d / ell) ** (1.0 / (dim - 1))
+    scale = 2.0 * 4.0 ** (dim + 1) * dim
+    per_d = _ball_volume(dim) / scale
+    return _root(
+        (per_d, per_d * d, per_d * d / ell),
+        lambda: _log_ball_volume(dim) - math.log(scale) + math.log(d) - math.log(ell),
+        dim - 1,
+    )
 
 
 def holographic_base_width(d: float, dim: int) -> float:
-    """Base-case cube side: packing already keeps the count below d."""
-    return (_ball_volume(dim) / (2.0 * 4.0**dim) * d) ** (1.0 / dim)
+    """Base-case cube side: packing already keeps the count below d;
+    (vol(B_D) / (2 * 4^D) * d)^(1/D), in logs where that product under- or
+    overflows."""
+    if not 0 < d < math.inf:
+        raise ValueError("d must be positive and finite")
+    scale = 2.0 * 4.0**dim
+    per_d = _ball_volume(dim) / scale
+    return _root(
+        (per_d, per_d * d),
+        lambda: _log_ball_volume(dim) - math.log(scale) + math.log(d),
+        dim,
+    )
 
 
 # ---------------------------------------------------------------------------

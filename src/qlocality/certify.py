@@ -674,7 +674,8 @@ def theorem_partition_builder(
     failures are recorded, not asserted.  With verify=True the partition is
     fed to the matching AB/ABC bound check, which must hold whenever its
     hypotheses do.  The thm5_1 variants reject a non-abelian gauge group
-    before any work, whether or not they verify.
+    before any work, whether or not they verify.  An ell so small that the
+    box width w0 overflows a float is rejected before the tiling.
     """
     if variant not in ("thm3_2", "thm5_1_case1", "thm5_1_case2"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -693,6 +694,10 @@ def theorem_partition_builder(
     d1 = d / 10.0
 
     w0 = holographic_box_width(d, ell, dim)
+    if not math.isfinite(w0):
+        raise ValueError(
+            f"ell = {ell!r} is too small: the box width w0 ~ (d/ell)^(1/(D-1)) overflows a float"
+        )
     w = max(w0, 4.0 * ell)
     flags = []
     if w > w0:

@@ -9,10 +9,11 @@ from writing a file, becomes one ``error: <message>`` line on stderr.
 
 Each argv is parsed once: the subparser its first word names reads the
 rest (``parse_args``), and the full parser runs only when that word names
-no command.  JSON output is written by ``_json_text``, whose text equals
-``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)`` byte for
-byte without the pure-Python encoder that ``indent`` selects; certificates
-keep their compact ``json.dumps`` lines.
+no command.  JSON output is written by ``_dump`` in blocks of 1,024
+pieces, and its text (``_json_text``) equals ``json.dumps(obj,
+sort_keys=True, indent=2, allow_nan=False)`` byte for byte without the
+pure-Python encoder that ``indent`` selects; certificates keep their
+compact ``json.dumps`` lines.
 """
 
 from __future__ import annotations
@@ -103,24 +104,45 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _write(text: str, path: str | None = None) -> None:
-    """Write text to the file at path, or to stdout when there is none.
+class _Output:
+    """Text written to the file at path, or to stdout when there is none,
+    within a ``with`` block; the file is opened on the first ``write``.
 
-    An existing regular file is written over in place and then cut to the
-    text's length, so it keeps its inode, mode and hard links, as with
-    ``open(path, "w")``.  It is not truncated on open: ext4 starts writeback
-    of a file truncated on open when it is closed (``auto_da_alloc``), and
-    for a small command that costs more than the command's own work.  Other
-    targets, such as ``/dev/null`` or a FIFO, cannot be truncated and are
-    written as streams.
+    An existing regular file is written over in place and, when the block
+    ends without an error, cut to the written length, so it keeps its
+    inode, mode and hard links, as with ``open(path, "w")``.  It is not
+    truncated on open: ext4 starts writeback of a file truncated on open
+    when it is closed (``auto_da_alloc``), and for a small command that
+    costs more than the command's own work.  Other targets, such as
+    ``/dev/null`` or a FIFO, cannot be truncated and are written as streams.
     """
-    if path:
-        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
-            fh.write(text)
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.truncate()
-    else:
-        print(text, end="")
+
+    def __init__(self, path: str | None) -> None:
+        self.path = path
+        self.file = None
+
+    def write(self, text: str) -> None:
+        if not self.path:
+            sys.stdout.write(text)
+            return
+        if self.file is None:
+            self.file = open(os.open(self.path, os.O_WRONLY | os.O_CREAT, 0o666), "w")
+        self.file.write(text)
+
+    def __enter__(self) -> _Output:
+        return self
+
+    def __exit__(self, error: type | None, *_: object) -> None:
+        if self.file is not None:
+            with self.file as fh:
+                if error is None and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate()
+
+
+def _write(text: str, path: str | None = None) -> None:
+    """Write text to the file at path, or to stdout, as ``_Output`` does."""
+    with _Output(path) as out:
+        out.write(text)
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -165,18 +187,26 @@ def _json_text(obj: object) -> str:
     strict JSON.
     """
     parts: list[str] = []
-    _json_parts(obj, "\n", parts.append)
+    _json_parts(obj, "\n", parts)
     return "".join(parts)
 
 
-def _json_parts(obj: object, indent: str, put: Callable[[str], None]) -> None:
-    """Put obj's pieces; ``indent`` is a newline and the current level's
-    spaces.  Each item's value follows its separator: the opening bracket
-    or a comma, then the next level's newline and spaces (and a dict's
-    key)."""
+# pieces joined per write: an output of more is written in blocks
+_BLOCK_PIECES = 1 << 10
+
+
+def _json_parts(
+    obj: object, indent: str, parts: list[str], flush: Callable[[], None] | None = None
+) -> None:
+    """Append obj's pieces to parts; ``indent`` is a newline and the
+    current level's spaces.  Each item's value follows its separator: the
+    opening bracket or a comma, then the next level's newline and spaces
+    (and a dict's key).  After each list item, ``flush``, when given, is
+    called once parts holds ``_BLOCK_PIECES`` pieces."""
     leaf = _LEAF_TEXT.get(type(obj))
     if leaf is not None:
-        return put(leaf(obj))
+        return parts.append(leaf(obj))
+    put = parts.append
     inner = indent + "  "
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -185,7 +215,9 @@ def _json_parts(obj: object, indent: str, put: Callable[[str], None]) -> None:
         for value in obj:
             put(sep)
             sep = "," + inner
-            _json_parts(value, inner, put)
+            _json_parts(value, inner, parts, flush)
+            if flush is not None and len(parts) >= _BLOCK_PIECES:
+                flush()
         return put(indent + "]")
     if isinstance(obj, dict):
         if not obj:
@@ -194,7 +226,7 @@ def _json_parts(obj: object, indent: str, put: Callable[[str], None]) -> None:
         for key, value in sorted(obj.items()):
             put(sep + _encode_str(key if type(key) is str else _key_text(key)) + ": ")
             sep = "," + inner
-            _json_parts(value, inner, put)
+            _json_parts(value, inner, parts, flush)
         return put(indent + "}")
     for kind in (str, int, float):  # subclasses of the leaf types, in json's order
         if isinstance(obj, kind):
@@ -203,7 +235,23 @@ def _json_parts(obj: object, indent: str, put: Callable[[str], None]) -> None:
 
 
 def _dump(obj: dict, path: str | None = None) -> None:
-    _write(_json_text(obj) + "\n", path)
+    """``_json_text(obj)`` and a newline, written as ``_write`` writes.
+
+    The pieces are joined and written in blocks of ``_BLOCK_PIECES``, so a
+    lattice code's text is never held whole beside its encoded bytes.  An
+    output of fewer pieces is one write, made only after its whole text,
+    so a value json rejects leaves it unwritten.
+    """
+    with _Output(path) as out:
+        parts: list[str] = []
+
+        def flush() -> None:
+            out.write("".join(parts))
+            parts.clear()
+
+        _json_parts(obj, "\n", parts, flush)
+        parts.append("\n")
+        flush()
 
 
 def _emit_certificate(cert: certify.Certificate, path: str | None) -> None:

@@ -43,7 +43,6 @@ import itertools
 import json
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -196,9 +195,9 @@ def _support_arrays(n: int, supports: Iterable[Support]) -> tuple[np.ndarray, np
 _MAX_WALK_RANK = 20
 
 
-def _components(n: int, edges: Iterable[Sequence[int]]) -> tuple[list[int], list[int]]:
+def _components(n: int, edges: Iterable[Sequence[int]]) -> tuple[list[int], int]:
     """Each qubit's component label under the edges, labels numbered by
-    each component's lowest qubit, and each component's size.
+    each component's lowest qubit, and the number of components.
 
     A union-find with path halving links the larger root under the
     smaller, so every parent is at most its child.  Walking the qubits up
@@ -223,19 +222,17 @@ def _components(n: int, edges: Iterable[Sequence[int]]) -> tuple[list[int], list
             count += 1
         else:
             labels.append(labels[p])
-    return labels, list(Counter(labels).values())
+    return labels, count
 
 
-def _keeps_rank(vectors: Sequence[int], skip: set[int], rank: int) -> bool:
-    """True iff the vectors whose indices are not in skip have this rank
-    (at most the rank of all of them), found by an XOR basis keyed by
-    leading bit that stops once it is full."""
+def _keeps_rank(vectors: Iterable[int], rank: int) -> bool:
+    """True iff the vectors have this rank (at most the rank of all of
+    them), found by an XOR basis keyed by leading bit that stops once it is
+    full."""
     if not rank:
         return True
     basis: dict[int, int] = {}
-    for i, v in enumerate(vectors):
-        if i in skip:
-            continue
+    for v in vectors:
         while v:
             top = v.bit_length() - 1
             pivot = basis.get(top)
@@ -282,13 +279,25 @@ class _TwoBody:
       keep rank M, and the same for the columns and Z components;
     - U is dressed-cleanable iff no X component wholly inside U has a
       nonzero row of M and no Z component wholly inside U a nonzero column.
+
+    Only the live components, those with a nonzero row (X) or column (Z),
+    enter either test.  Their qubit sets are frozensets, built once on the
+    first region query (``_live``), so ``parameters`` and ``distance``
+    never pay for them.  The correctable test hands the rank test, which
+    stops at rank k, the vectors of the live components with
+    ``part.isdisjoint(U)``.  The cleanable test asks ``part <= U`` of every
+    live component, or, when U has fewer qubits than the side has live
+    components, of only those U touches.  The components are walked in C
+    (``map``, ``itertools.compress``), so no query takes more Python steps
+    than min(|U|, c) plus the rank test.  A growing chain (``untouched``,
+    ``extend``) keeps the live components no qubit has touched yet, drops
+    those each step's new qubits touch, and runs the rank test on the rest.
     """
 
     def __init__(self, n: int, xx: Iterable[Sequence[int]], zz: Iterable[Sequence[int]]) -> None:
         self.n = n
-        self.x_label, self.x_size = _components(n, xx)
-        self.z_label, self.z_size = _components(n, zz)
-        c_x, c_z = len(self.x_size), len(self.z_size)
+        self.x_label, c_x = _components(n, xx)
+        self.z_label, c_z = _components(n, zz)
         rows, cols = [0] * c_x, [0] * c_z
         for a, b in zip(self.x_label, self.z_label):
             rows[a] ^= 1 << b
@@ -338,23 +347,53 @@ class _TwoBody:
             return None
         return min(_min_weight(self.cols.rref()[0]), _min_weight(self.rows.rref()[0]))
 
+    @cached_property
+    def _live(self) -> tuple[tuple[dict[int, frozenset[int]], list[int]], ...]:
+        """Per side, X with M's rows then Z with M's columns: each live
+        component's qubit set keyed by its label, and the live vectors in
+        the same order."""
+        sides = []
+        for labels, vectors in ((self.x_label, self.rows.rows), (self.z_label, self.cols.rows)):
+            members: list[list[int]] = [[] for _ in vectors]
+            for q, a in enumerate(labels):
+                members[a].append(q)
+            live = [a for a, v in enumerate(vectors) if v]
+            sides.append(({a: frozenset(members[a]) for a in live}, [vectors[a] for a in live]))
+        return tuple(sides)
+
     def is_correctable(self, support: Iterable[int]) -> bool:
         region = checked_region(support, self.qubits)
-        for label, vectors in ((self.x_label, self.rows.rows), (self.z_label, self.cols.rows)):
-            if not _keeps_rank(vectors, {label[q] for q in region}, self.k):
+        for parts, vectors in self._live:
+            untouched = itertools.compress(vectors, map(region.isdisjoint, parts.values()))
+            if not _keeps_rank(untouched, self.k):
                 return False
         return True
 
     def is_dressed_cleanable(self, support: Iterable[int]) -> bool:
         region = checked_region(support, self.qubits)
-        for label, size, vectors in (
-            (self.x_label, self.x_size, self.rows.rows),
-            (self.z_label, self.z_size, self.cols.rows),
-        ):
-            for c, count in Counter([label[q] for q in region]).items():
-                if count == size[c] and vectors[c]:
+        for labels, (parts, _) in zip((self.x_label, self.z_label), self._live):
+            if len(region) < len(parts):
+                touched = set(map(labels.__getitem__, region))
+                if any(region.issuperset(parts[a]) for a in touched if a in parts):
                     return False
+            elif any(map(region.issuperset, parts.values())):
+                return False
         return True
+
+    def untouched(self) -> list[dict[int, int]]:
+        """The state of a growing chain for ``extend``: per side, each live
+        component's vector keyed by its label, none touched yet."""
+        return [{a: v for a, v in enumerate(vectors) if v} for vectors in (self.rows.rows, self.cols.rows)]
+
+    def extend(self, untouched: list[dict[int, int]], qubits: Iterable[int]) -> bool:
+        """Drop the components the qubits touch from ``untouched``, in place;
+        True iff the region of every qubit added so far is correctable.  The
+        qubits must lie in [0, n)."""
+        qubits = list(qubits)
+        for labels, left in zip((self.x_label, self.z_label), untouched):
+            for a in set(map(labels.__getitem__, qubits)):
+                left.pop(a, None)
+        return all(_keeps_rank(left.values(), self.k) for left in untouched)
 
 
 @dataclass(frozen=True)

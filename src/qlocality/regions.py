@@ -28,24 +28,26 @@ def chain_oracle(code: SubsystemCode) -> Callable[[np.ndarray], bool]:
     """``is_correctable`` of each region (a qubit mask) in a chain where
     each region contains the one before; after a False the chain must stop.
 
-    A two-body code answers each region off its component matrix.  Any
+    Each call reads only the qubits new since the last.  A two-body code
+    keeps the components of its component matrix that no qubit has touched
+    yet and drops those the new qubits touch (``_TwoBody.extend``).  Any
     other code grows one XOR basis of its correctable columns over the
-    whole chain, and each call adds only the new qubits; the verdict equals
-    a fresh one because a basis's pivots do not depend on the order its
-    vectors came in.
+    whole chain (``QubitColumns.extend``); the verdict equals a fresh one
+    because a basis's pivots do not depend on the order its vectors came
+    in.
     """
     two_body = code.two_body
-    columns = code.correctable_columns if two_body is None else None
-    basis: dict[int, int] = {}
+    if two_body is None:
+        columns, state = code.correctable_columns, {}
+    else:
+        columns, state = two_body, two_body.untouched()
     held = np.zeros(code.n, dtype=bool)
 
     def correctable(region: np.ndarray) -> bool:
         nonlocal held
         assert not (held & ~region).any(), "a region does not contain the one before it"
         new, held = region & ~held, region
-        if columns is None:
-            return two_body.is_correctable(np.flatnonzero(region).tolist())
-        return columns.extend(basis, np.flatnonzero(new).tolist())
+        return columns.extend(state, np.flatnonzero(new).tolist())
 
     return correctable
 

@@ -242,6 +242,32 @@ def test_holographic_widths():
     assert holographic_base_width(1000.0, 2) == pytest.approx(math.sqrt(math.pi / 32.0 * 1000.0))
 
 
+def test_widths_stay_positive_and_finite_up_to_the_ball_volume_overflow():
+    # the products under the roots underflow a float from D = 255 on (taken
+    # directly, both widths read 0.0 at D = 300 and 341), and 2^D / vol in
+    # ineq1 overflows from D = 326 on
+    for dim in range(2, 342):
+        w0, base = holographic_box_width(10.0, 0.1, dim), holographic_base_width(10.0, dim)
+        assert 0 < w0 < math.inf and 0 < base < math.inf
+        assert proof_constants(10.0, 0.1, dim).ineq1
+    assert holographic_box_width(10.0, 0.1, 341) == pytest.approx(0.05437980120243655, rel=1e-12)
+
+
+def test_widths_keep_the_direct_formula_bits_where_it_stays_in_range():
+    for dim in range(2, 251):
+        vol = ball_volume(dim)
+        for d, ell in ((10.0, 0.1), (3.0, 0.25), (1e6, 2.0)):
+            direct = (vol / (2.0 * 4.0 ** (dim + 1) * dim) * d / ell) ** (1.0 / (dim - 1))
+            assert holographic_box_width(d, ell, dim) == direct
+            assert holographic_base_width(d, dim) == (vol / (2.0 * 4.0**dim) * d) ** (1.0 / dim)
+
+
+@pytest.mark.parametrize("d", [0.0, -1.0, math.inf, math.nan])
+def test_base_width_rejects_a_distance_that_is_not_positive_and_finite(d):
+    with pytest.raises(ValueError, match=r"^d must be positive and finite$"):
+        holographic_base_width(d, 2)
+
+
 # ── one builder per code class ─────────────────────────────────────────
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from hashlib import sha256
 
 import numpy as np
@@ -601,6 +602,20 @@ def test_partition_with_long_interactions_case1():
 def test_partition_nonabelian_rejected_for_abc_variants():
     with pytest.raises(ValueError):
         theorem_partition_builder(BS3.code, BS3.embedding, 1.5, "thm5_1_case1")
+
+
+def test_partition_rejects_an_ell_that_overflows_w0_before_tiling(monkeypatch):
+    # w0 = (vol / (2 4^3 2) * d / ell)^1 is inf at ell = 5e-324 in D = 2
+    def no_tiling(*args, **kwargs):
+        raise AssertionError("find_tiling ran")
+
+    monkeypatch.setattr(certify, "find_tiling", no_tiling)
+    assert holographic_box_width(3.0, 5e-324, 2) == math.inf
+    message = "ell = 5e-324 is too small: the box width w0 ~ (d/ell)^(1/(D-1)) overflows a float"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        theorem_partition_builder(BS3.code, BS3.embedding, 5e-324, "thm3_2")
+    # in D = 3 the same ell leaves w0 finite, through logs
+    assert holographic_box_width(3.0, 5e-324, 3) < math.inf
 
 
 def test_partition_unknown_variant():

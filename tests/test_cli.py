@@ -393,6 +393,17 @@ def test_partition_cli(bs3_files, capsys):
     assert len(obj["partition"]["parts"]) == 2
 
 
+def test_partition_with_an_ell_that_overflows_w0_exits_two_naming_ell(bs3_files, capsys):
+    code_path, emb_path = bs3_files
+    argv = ["partition", code_path, emb_path, "--ell", "5e-324", "--variant", "thm3_2"]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: ell = 5e-324 is too small: the box width w0 ~ (d/ell)^(1/(D-1)) overflows a float\n"
+    )
+
+
 @pytest.mark.parametrize("variant", ["thm5_1_case1", "thm5_1_case2"])
 @pytest.mark.parametrize("verify", [[], ["--no-verify"]], ids=["verify", "no-verify"])
 def test_partition_abc_variant_on_nonabelian_code_exits_two(bs3_files, capsys, variant, verify):
@@ -1387,6 +1398,29 @@ def test_json_writer_rejects_what_json_rejects(obj):
     with pytest.raises(TypeError) as got:
         cli._json_text(obj)
     assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 10])
+def test_dump_in_blocks_writes_the_json_text_over_a_longer_file(tmp_path, capsys, monkeypatch, block):
+    monkeypatch.setattr(cli, "_BLOCK_PIECES", block)
+    obj = {"gauge_generators": ["XXIZ" * 40] * 30, "n": 160, "w": [0.5, None, True]}
+    text = cli._json_text(obj) + "\n"
+    out = tmp_path / "out.json"
+    out.write_text("x" * (2 * len(text)))
+    cli._dump(obj, str(out))
+    assert out.read_text() == text
+    cli._dump(obj)
+    assert capsys.readouterr().out == text
+
+
+def test_dump_of_a_value_json_rejects_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    with pytest.raises(ValueError):
+        cli._dump({"x": [1.0, math.nan]}, str(out))
+    assert not out.exists()
+    with pytest.raises(ValueError):
+        cli._dump({"x": [1.0, math.inf]})
+    assert capsys.readouterr().out == ""
 
 
 def test_json_writer_writes_float_subclasses_as_floats():

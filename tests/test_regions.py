@@ -1,8 +1,10 @@
 """Correctability and the correctable-set lemma verifiers against brute force."""
 
+import functools
 import itertools
 import random
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qlocality.codes import DistanceResult, SubsystemCode, distance, parameters
+from qlocality.families import bacon_shor, small_inner_codes
 from qlocality.pauli import symplectic_bits
 from qlocality.regions import (
     ab_bound_check,
@@ -173,6 +176,118 @@ def test_chain_oracle_matches_a_fresh_oracle_along_growing_chains(case, data):
         assert correctable(region) == expected
         if not expected:
             break  # a chain stops at its first failure
+
+
+# ── two-body codes at size: closed forms ──────────────────────────────
+
+
+@functools.lru_cache(maxsize=None)
+def bacon_shor_code(m):
+    return bacon_shor(m).code
+
+
+@functools.lru_cache(maxsize=None)
+def repetition_code(n):
+    return small_inner_codes("repetition", r=n).code
+
+
+def bs_correctable(m, u):
+    """BS-m (qubit r * m + c): U is correctable iff it misses a row and a column."""
+    return len({q // m for q in u}) < m and len({q % m for q in u}) < m
+
+
+def bs_cleanable(m, u):
+    """BS-m: U is dressed-cleanable iff it holds no full row or column."""
+    rows, cols = Counter(q // m for q in u), Counter(q % m for q in u)
+    return max(rows.values(), default=0) < m and max(cols.values(), default=0) < m
+
+
+def bs_region(rng, m, kind, size):
+    """size qubits (fewer if the kind has fewer) of BS-m: drawn at random,
+    inside the grid less one row and one column, or a full row or column
+    plus random fill."""
+    n = m * m
+    if kind == "random":
+        return set(rng.sample(range(n), size))
+    r, c = rng.randrange(m), rng.randrange(m)
+    if kind == "subgrid":
+        cells = [q for q in range(n) if q // m != r and q % m != c]
+        return set(rng.sample(cells, min(size, len(cells))))
+    line = {r * m + i for i in range(m)} if kind == "row" else {i * m + c for i in range(m)}
+    rest = [q for q in range(n) if q not in line]
+    return line | set(rng.sample(rest, max(0, min(size - m, len(rest)))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 40), st.sampled_from(["random", "subgrid", "row", "column"]), st.data())
+@example(40, "subgrid", None)
+@example(40, "row", None)
+def test_bacon_shor_oracles_match_the_closed_form_up_to_m_40(m, kind, data):
+    # region sizes from 0 to n, on both sides of the m components per side
+    n = m * m
+    if data is None:
+        sizes, rng = [0, 1, m - 1, m, m + 1, n // 3, n - 1, n], random.Random(m)
+    else:
+        sizes = [data.draw(st.integers(0, n)), data.draw(st.integers(0, 2 * m))]
+        rng = data.draw(st.randoms(use_true_random=False))
+    code = bacon_shor_code(m)
+    for size in sizes:
+        u = bs_region(rng, m, kind, size)
+        correctable, cleanable = bs_correctable(m, u), bs_cleanable(m, u)
+        for form in REGION_FORMS:
+            assert is_correctable(code, form(u)) == correctable
+            assert is_dressed_cleanable(code, form(u)) == cleanable
+
+
+@pytest.mark.parametrize("n", [2, 3, 50, 5_000])
+def test_repetition_oracles_pass_only_the_empty_region(n):
+    # n singleton X components and one Z component, each with a nonzero row
+    # or column of M: any qubit is a bare logical Z, so only the empty region
+    # passes either oracle, at sizes on both sides of the n X components
+    code = repetition_code(n)
+    rng = random.Random(n)
+    for size in sorted({0, 1, min(3, n), n // 3, n // 2, n - 1, n}):
+        u = set(rng.sample(range(n), size))
+        for form in REGION_FORMS:
+            assert is_correctable(code, form(u)) == (size == 0)
+            assert is_dressed_cleanable(code, form(u)) == (size == 0)
+
+
+def test_component_sets_wait_for_the_first_region_query():
+    code = bacon_shor(5).code
+    parameters(code)
+    distance(code)
+    assert "_live" not in vars(code.two_body)
+    is_correctable(code, [0])
+    assert "_live" in vars(code.two_body)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["bacon_shor", "repetition"]), st.booleans(), st.data())
+def test_chain_oracle_matches_fresh_verdicts_on_bs20_and_repetition_500(family, subgrid_first, data):
+    # orders that fill a subgrid of BS-20 first keep the chain correctable
+    # for hundreds of qubits; the repetition chain fails at its first qubit
+    rng = data.draw(st.randoms(use_true_random=False))
+    if family == "bacon_shor":
+        m, n, code = 20, 400, bacon_shor_code(20)
+        inside = [q for q in range(n) if q // m and q % m] if subgrid_first else []
+        rest = sorted(set(range(n)) - set(inside))
+        order = rng.sample(inside, len(inside)) + rng.sample(rest, len(rest))
+    else:
+        n, code = 500, repetition_code(500)
+        order = rng.sample(range(n), n)
+    sizes = sorted(rng.sample(range(n + 1), rng.randint(1, 40)))
+    correctable = chain_oracle(code)
+    region = np.zeros(n, dtype=bool)
+    for size in sizes:
+        region = region.copy()
+        region[order[:size]] = True
+        expected = is_correctable(code, order[:size])
+        if family == "bacon_shor":
+            assert expected == bs_correctable(m, order[:size])
+        assert correctable(region) == expected
+        if not expected:
+            break
 
 
 @settings(max_examples=200, deadline=None)

@@ -150,6 +150,17 @@ def _cube_slab_counts(e: Embedding, outer: Box, thickness: float) -> int:
     return total
 
 
+def _box_width(d: float, ell: float, dim: int) -> float:
+    """The holographic box width w0, or a ValueError naming ell when it
+    overflows a float."""
+    w0 = holographic_box_width(d, ell, dim)
+    if not math.isfinite(w0):
+        raise ValueError(
+            f"ell = {ell!r} is too small: the box width w0 ~ (d/ell)^(1/(D-1)) overflows a float"
+        )
+    return w0
+
+
 def holographic_certify(
     code: SubsystemCode,
     e: Embedding,
@@ -163,7 +174,8 @@ def holographic_certify(
     Strict mode checks the preconditions (ell small, sides <= w0,
     f_{>=ell}(V) <= d/10) and asserts the four boundary-type counts stay
     below d at every growth step.  Verified mode runs the same cube ladder
-    but takes its verdicts from the exact correctability oracle.
+    but takes its verdicts from the exact correctability oracle.  An ell so
+    small that the box width w0 overflows a float is rejected in both modes.
     """
     if mode not in ("strict", "verified"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -182,7 +194,7 @@ def holographic_certify(
 
     # f(V): the long pairs' endpoints inside the box
     f_v = int(np.count_nonzero(mask(points_in_box(e, b))[long_pairs]))
-    w0 = holographic_box_width(d, ell, dim)
+    w0 = _box_width(d, ell, dim)
     w_base = holographic_base_width(d, dim)
     ell_cap = d ** (1.0 / dim) / (8.0 * math.sqrt(dim))
 
@@ -693,11 +705,7 @@ def theorem_partition_builder(
     bad = f > 0
     d1 = d / 10.0
 
-    w0 = holographic_box_width(d, ell, dim)
-    if not math.isfinite(w0):
-        raise ValueError(
-            f"ell = {ell!r} is too small: the box width w0 ~ (d/ell)^(1/(D-1)) overflows a float"
-        )
+    w0 = _box_width(d, ell, dim)
     w = max(w0, 4.0 * ell)
     flags = []
     if w > w0:

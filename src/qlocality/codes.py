@@ -26,15 +26,16 @@ never built.  Distance is a depth-first search over regions in which each
 child extends a copy of its parent's XOR basis by one qubit, and a
 region's last qubit is tested against its parent's basis without a copy.
 
-A two-body code, whose every gauge generator is XX or ZZ on two distinct
-qubits (Bacon-Shor, the repetition chain), skips that layer:
-``SubsystemCode.two_body`` finds the components of the XX and of the ZZ
-edges and the GF(2) matrix M of their overlaps, and ``parameters``,
-``distance`` and both region oracles read off M (see ``_TwoBody``).  It is
-detected from the form the code was built in, so neither form is derived
-for it: a row-built code is tested row by row and stops at the first row
-that is not two-body, an array-built one by one numpy test of every
-generator's half lengths.
+``SubsystemCode.solver`` picks, once per code, the one object that
+answers ``parameters``, ``distance`` and both region verdicts (single and
+chained): ``_TwoBody`` when every generator is XX or ZZ on two qubits
+(Bacon-Shor, the repetition chain), which reads all of them off the GF(2)
+overlap matrix of the XX and ZZ components; else ``_Matching`` for a CSS
+stabilizer code with at most two X and two Z checks per qubit (the
+surface and toric codes), which reads them off tree-cotree labels on its
+two matching graphs; else ``_General``, a view of the layer above.  Each
+structure is detected from the form the code was built in, so neither
+form is derived for it, and a row test stops at the first row that fails.
 """
 
 from __future__ import annotations
@@ -294,8 +295,9 @@ class _TwoBody:
     those each step's new qubits touch, and runs the rank test on the rest.
     """
 
-    def __init__(self, n: int, xx: Iterable[Sequence[int]], zz: Iterable[Sequence[int]]) -> None:
-        self.n = n
+    def __init__(self, code: SubsystemCode, xx: Iterable[Sequence[int]], zz: Iterable[Sequence[int]]) -> None:
+        self.code = code
+        self.n = n = code.n
         self.x_label, c_x = _components(n, xx)
         self.z_label, c_z = _components(n, zz)
         rows, cols = [0] * c_x, [0] * c_z
@@ -307,11 +309,12 @@ class _TwoBody:
         self.parameters = CodeParameters(n=n, k=k, g=n - c_x - c_z + k, s=c_x + c_z - 2 * k)
 
     @classmethod
-    def from_rows(cls, n: int, rows: Iterable[int]) -> _TwoBody | None:
+    def from_rows(cls, code: SubsystemCode, rows: Iterable[int]) -> _TwoBody | None:
         """The structure of packed rows x | z << n, or None at the first row
         that is not XX or ZZ on two qubits."""
         xx: list[tuple[int, int]] = []
         zz: list[tuple[int, int]] = []
+        n = code.n
         mask = (1 << n) - 1
         for row in rows:
             if row.bit_count() != 2:
@@ -323,29 +326,32 @@ class _TwoBody:
             else:
                 return None
             edges.append(((half & -half).bit_length() - 1, half.bit_length() - 1))
-        return cls(n, xx, zz)
+        return cls(code, xx, zz)
 
     @classmethod
-    def from_arrays(cls, n: int, qubits: np.ndarray, ends: np.ndarray) -> _TwoBody | None:
+    def from_arrays(cls, code: SubsystemCode, qubits: np.ndarray, ends: np.ndarray) -> _TwoBody | None:
         """The structure of the sparse form, or None unless every
         generator's X and Z half lengths are (2, 0) or (0, 2)."""
         halves = np.diff(ends, prepend=0).reshape(-1, 2)
         if not (np.sort(halves, axis=1) == (0, 2)).all():
             return None
         pairs, is_x = qubits.reshape(-1, 2), halves[:, 0] == 2
-        return cls(n, pairs[is_x].tolist(), pairs[~is_x].tolist())
+        return cls(code, pairs[is_x].tolist(), pairs[~is_x].tolist())
 
     @cached_property
     def qubits(self) -> frozenset[int]:
         return frozenset(range(self.n))
 
     @cached_property
-    def distance(self) -> int | None:
-        """min(d_X, d_Z) by two Gray-code walks over k basis vectors; None
-        when k = 0 or k > ``_MAX_WALK_RANK``."""
-        if not 0 < self.k <= _MAX_WALK_RANK:
-            return None
+    def _walk(self) -> int:
+        """min(d_X, d_Z) by two Gray-code walks over k basis vectors."""
         return min(_min_weight(self.cols.rref()[0]), _min_weight(self.rows.rref()[0]))
+
+    def distance(self, cap: int) -> DistanceResult:
+        """d from the walk, or from the region search when k > ``_MAX_WALK_RANK``."""
+        if self.k > _MAX_WALK_RANK:
+            return _search_distance(self.code, cap)
+        return DistanceResult(weight_cap=cap, value=self._walk if self._walk <= cap else None)
 
     @cached_property
     def _live(self) -> tuple[tuple[dict[int, frozenset[int]], list[int]], ...]:
@@ -394,6 +400,321 @@ class _TwoBody:
             for a in set(map(labels.__getitem__, qubits)):
                 left.pop(a, None)
         return all(_keeps_rank(left.values(), self.k) for left in untouched)
+
+
+# a graph as each vertex's (neighbour, qubit) list, the extra vertex last
+Adjacency = list[list[tuple[int, int]]]
+
+
+def _matching_graph(n: int, checks: list[list[int]]) -> tuple[list[tuple[int, int]], Adjacency]:
+    """The matching graph of the checks (each qubit in at most two), with
+    a vertex per check plus the extra vertex ``len(checks)``: each qubit's
+    edge, between the checks that hold it (lower first, the extra vertex
+    standing in for a missing one), and the adjacency lists, a loop listed
+    once."""
+    outer = len(checks)
+    first, second = [outer] * n, [outer] * n
+    for c, qubits in enumerate(checks):
+        for q in qubits:
+            if first[q] == outer:
+                first[q] = c
+            else:
+                second[q] = c
+    # a qubit's other end from check c is first + second - c
+    adjacent = [[(first[q] + second[q] - c, q) for q in qubits] for c, qubits in enumerate(checks)]
+    adjacent.append([(first[q], q) for q in range(n) if second[q] == outer])
+    return list(zip(first, second)), adjacent
+
+
+def _forest(adjacent: Adjacency, free: list[bool]) -> tuple[list[bool], list[tuple[int, int]]]:
+    """A spanning forest over the free edges, grown by depth-first search
+    from the extra vertex first: each edge's flag, and each vertex it
+    reaches with the edge it came in by, parents before children."""
+    outer = len(adjacent) - 1
+    seen, entry, reached = [False] * (outer + 1), [False] * len(free), []
+    for start in (outer, *range(outer)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack = [start]
+        while stack:
+            for w, q in adjacent[stack.pop()]:
+                if free[q] and not seen[w]:
+                    seen[w] = entry[q] = True
+                    reached.append((w, q))
+                    stack.append(w)
+    return entry, reached
+
+
+def _tree_cotree_labels(
+    n: int, adjacent: Adjacency, dual: list[list[int]], dual_adjacent: Adjacency
+) -> tuple[list[int], int]:
+    """Each qubit's label in GF(2)^k as a k-bit int, and k, on the matching
+    graph of one check type (``adjacent``), given the other type's checks
+    and graph (``dual``, ``dual_adjacent``); see ``_Matching``."""
+    tree, _ = _forest(adjacent, [True] * n)
+    cotree, reached = _forest(dual_adjacent, [not t for t in tree])
+    labels, k = [0] * n, 0
+    for q in range(n):
+        if not (tree[q] or cotree[q]):
+            labels[q], k = 1 << k, k + 1
+    # leaf first: each check's edge to its parent takes the sum of its others
+    for w, q in reversed(reached):
+        total = 0
+        for p in dual[w]:
+            total ^= labels[p]
+        labels[q] = total
+    return labels, k
+
+
+def _root(parent: dict[int, int], potential: dict[int, int], v: int) -> tuple[int, int]:
+    """v's root in a union-find with XOR potentials (a vertex absent from
+    ``parent`` is a root), and the label sum from v to it; halves the path."""
+    total = 0
+    while (up := parent.get(v)) is not None:
+        top = parent.get(up)
+        if top is not None:
+            potential[v] ^= potential[up]
+            parent[v] = up = top
+        total ^= potential[v]
+        v = up
+    return v, total
+
+
+def _closes_no_logical(side: tuple, union: tuple, qubits: Iterable[int]) -> bool:
+    """Add the qubits' edges of one matching graph to its union-find; False
+    at the first edge that closes a cycle with a nonzero label."""
+    (ends, _, labels), (parent, potential) = side, union
+    for q in qubits:
+        a, b = ends[q]
+        a, to_a = _root(parent, potential, a)
+        b, to_b = _root(parent, potential, b)
+        if a != b:
+            parent[a], potential[a] = b, to_a ^ to_b ^ labels[q]
+        elif to_a ^ to_b ^ labels[q]:
+            return False
+    return True
+
+
+def _least_cycle(side: tuple, k: int, cap: int) -> frozenset[int] | None:
+    """The qubits of a least-weight cycle with a nonzero label in one
+    matching graph, if one has weight at most ``cap``, else None.
+
+    Breadth-first search in the 2^k-fold label cover, whose state
+    ``v << k | x`` is vertex v reached with label sum x, from one end of
+    each edge with a nonzero label (every such cycle holds one).  A vertex
+    reached again with another label closes a walk of nonzero label whose
+    weight is the sum of the two depths; a least cycle through the source
+    closes by depth ceil(d/2), so a search stops once 2·depth passes the
+    best so far.  The walk's two paths, summed, are the cycle.
+    """
+    ends, adjacent, labels = side
+    low = (1 << k) - 1
+    best, cycle = cap + 1, None
+    for source in dict.fromkeys([a for (a, _), label in zip(ends, labels) if label]):
+        start = source << k
+        back: dict[int, tuple[int, int] | None] = {start: None}
+        first = {source: (start, 0)}
+        frontier, depth = [start], 0
+        while frontier and 2 * depth + 2 <= best:
+            depth += 1
+            reached = []
+            for state in frontier:
+                x = state & low
+                for w, q in adjacent[state >> k]:
+                    new = w << k | (x ^ labels[q])
+                    if new in back:
+                        continue
+                    back[new] = (state, q)
+                    reached.append(new)
+                    other = first.get(w)
+                    if other is None:
+                        first[w] = (new, depth)
+                    elif other[1] + depth < best:
+                        best, cycle = other[1] + depth, _path(back, other[0]) ^ _path(back, new)
+            frontier = reached
+    return cycle
+
+
+def _path(back: dict[int, tuple[int, int] | None], state: int) -> frozenset[int]:
+    """The qubits of the search path to ``state``, each used an odd number
+    of times."""
+    qubits: set[int] = set()
+    while (step := back[state]) is not None:
+        state, q = step
+        qubits ^= {q}
+    return frozenset(qubits)
+
+
+class _Matching:
+    """A CSS stabilizer code whose every qubit is in at most two X checks
+    and at most two Z checks, and whose every X check meets every Z check
+    evenly (the planar surface code, the toric code, the repetition code),
+    solved on its two matching graphs (Dennis-Kitaev-Landahl-Preskill 2002).
+
+    G_Z has a vertex per Z check plus one boundary vertex, and an edge per
+    qubit between the Z checks that hold it, the boundary standing in for a
+    missing one.  An X error commutes with every Z check iff its edges are
+    a cycle of G_Z (even at every check vertex), and each X check is one.
+    Tree-cotree labels (Eppstein 2003) give each edge a vector in GF(2)^k
+    whose sum over a cycle is 0 iff the cycle is a sum of X checks
+    (``_tree_cotree_labels``):
+
+    - T, a spanning forest of G_Z, is labelled 0, so a cycle's label is the
+      sum over its edges off T, each of which closes one cycle with T;
+    - C is a spanning forest of G_X (X checks plus one outer vertex) over
+      the edges off T, grown from the outer vertex first; the k edges in
+      neither T nor C get the unit vectors;
+    - C is peeled leaf first: each X check sets its edge to its parent so
+      that its edges sum to 0.  A tree of C rooted at an X check needs no
+      such edge: its checks sum to edges of T.
+
+    The X checks restricted to the edges off T are C's incidence rows, so
+    they have rank |C|; the labels map the cycle space, of dimension
+    n - |T|, onto GF(2)^k with a kernel of dimension |C| that holds every X
+    check, so the kernel is the X-check span and k counts the X logicals.
+    Z errors are the same with G_X and G_Z swapped, and the two k must agree.
+    Hence, with g = 0 and s = n - k:
+
+    - U is correctable (and, in a stabilizer code, dressed-cleanable) iff
+      neither G_Z nor G_X restricted to U's edges holds a cycle with a
+      nonzero label: a union-find with XOR potentials adds U's edges and
+      stops at the first such cycle, and a growing chain keeps adding to
+      the same union-finds;
+    - d is the least weight of such a cycle (``_least_cycle``), whose
+      qubits ``witness`` keeps; past k = ``_MAX_WALK_RANK`` the region
+      search runs instead.
+
+    Detection reads the form the code was built in.  Rows are tested with
+    a few int operations each, so the test stops at the first row with both
+    an X and a Z part or with a qubit's third X or Z check; arrays are
+    tested by numpy, on half lengths and per-qubit check counts.
+    """
+
+    def __init__(self, code: SubsystemCode, sides: tuple, k: int) -> None:
+        self.code, self.sides, self.k = code, sides, k
+        self.parameters = CodeParameters(n=code.n, k=k, g=0, s=code.n - k)
+        self.witness: frozenset[int] | None = None
+
+    @classmethod
+    def from_checks(cls, code: SubsystemCode, x_checks: list[list[int]], z_checks: list[list[int]]) -> _Matching | None:
+        """The structure of the checks' qubit lists (no qubit in three of
+        one type), or None when an X and a Z check meet oddly or the two k
+        differ."""
+        n = code.n
+        (x_ends, x_graph), (z_ends, z_graph) = _matching_graph(n, x_checks), _matching_graph(n, z_checks)
+        # every X and Z check meet evenly iff every (X, Z) pair of the
+        # qubits' ends, extra vertices included, comes up an even number of
+        # times: once the check pairs are even, so are those with an extra
+        # vertex, as each check's pairs number twice its weight
+        w = len(z_graph)
+        meets = sorted(
+            itertools.chain.from_iterable(
+                (a * w + c, a * w + d, b * w + c, b * w + d) for (a, b), (c, d) in zip(x_ends, z_ends)
+            )
+        )
+        if meets[::2] != meets[1::2]:
+            return None
+        x_labels, k = _tree_cotree_labels(n, z_graph, x_checks, x_graph)
+        z_labels, k_z = _tree_cotree_labels(n, x_graph, z_checks, z_graph)
+        if k != k_z:
+            return None
+        return cls(code, ((z_ends, z_graph, x_labels), (x_ends, x_graph, z_labels)), k)
+
+    @classmethod
+    def from_rows(cls, code: SubsystemCode, rows: Iterable[int]) -> _Matching | None:
+        n = code.n
+        mask = (1 << n) - 1
+        halves: tuple[list[int], list[int]] = ([], [])
+        once, twice = [0, 0], [0, 0]
+        for row in rows:
+            x, z = row & mask, row >> n
+            if x and z:
+                return None
+            side, half = (1, z) if z else (0, x)
+            if half & twice[side]:
+                return None
+            twice[side] |= half & once[side]
+            once[side] |= half
+            halves[side].append(half)
+        return cls.from_checks(code, *([list(set_bits(h)) for h in side] for side in halves))
+
+    @classmethod
+    def from_arrays(cls, code: SubsystemCode, qubits: np.ndarray, ends: np.ndarray) -> _Matching | None:
+        lengths = np.diff(ends, prepend=0).reshape(-1, 2)
+        is_z = lengths[:, 1] > 0
+        if (lengths[is_z, 0] > 0).any():
+            return None
+        on_z = np.repeat(is_z, lengths.sum(axis=1))
+        if any((np.bincount(qubits[side]) > 2).any() for side in (~on_z, on_z)):
+            return None
+        flat, cuts = qubits.tolist(), ends.tolist()
+        checks: tuple[list[list[int]], list[list[int]]] = ([], [])
+        for start, x_end, z_end, z in zip([0, *cuts[1::2]], cuts[::2], cuts[1::2], is_z.tolist()):
+            checks[z].append(flat[x_end:z_end] if z else flat[start:x_end])
+        return cls.from_checks(code, *checks)
+
+    @cached_property
+    def qubits(self) -> frozenset[int]:
+        return frozenset(range(self.code.n))
+
+    def distance(self, cap: int) -> DistanceResult:
+        """d as the least weight of a cycle with a nonzero label on either
+        graph, found once and kept as ``witness``."""
+        if self.k > _MAX_WALK_RANK:
+            return _search_distance(self.code, cap)
+        if self.witness is None:
+            for side in self.sides:
+                limit = cap if self.witness is None else len(self.witness) - 1
+                self.witness = _least_cycle(side, self.k, limit) or self.witness
+        d = self.witness and len(self.witness)
+        return DistanceResult(weight_cap=cap, value=d if d and d <= cap else None)
+
+    def untouched(self) -> list[tuple[dict[int, int], dict[int, int]]]:
+        """The state of a growing chain for ``extend``: per graph, an empty
+        union-find."""
+        return [({}, {}), ({}, {})]
+
+    def extend(self, unions: list, qubits: Iterable[int]) -> bool:
+        """Add the qubits' edges to both union-finds, in place; True iff the
+        region of every qubit added so far is correctable.  The qubits must
+        lie in [0, n)."""
+        qubits = list(qubits)
+        return all(map(_closes_no_logical, self.sides, unions, itertools.repeat(qubits)))
+
+    def is_correctable(self, support: Iterable[int]) -> bool:
+        return self.extend(self.untouched(), checked_region(support, self.qubits))
+
+    is_dressed_cleanable = is_correctable
+
+
+class _General:
+    """Any code, answered by the GF(2) layer the code caches: the rank
+    formulas, the region search and the two column sets.  A chain grows one
+    XOR basis of the correctable columns; its verdict equals a fresh one, as
+    a basis's pivots do not depend on the order its vectors came in."""
+
+    def __init__(self, code: SubsystemCode) -> None:
+        self.code = code
+
+    @cached_property
+    def parameters(self) -> CodeParameters:
+        return self.code._rank_parameters()
+
+    def distance(self, cap: int) -> DistanceResult:
+        return _search_distance(self.code, cap)
+
+    def is_correctable(self, support: Iterable[int]) -> bool:
+        return self.code.correctable_columns.passes(support)
+
+    def is_dressed_cleanable(self, support: Iterable[int]) -> bool:
+        return self.code.cleanable_columns.passes(support)
+
+    def untouched(self) -> dict[int, int]:
+        return {}
+
+    def extend(self, basis: dict[int, int], qubits: Iterable[int]) -> bool:
+        return self.code.correctable_columns.extend(basis, qubits)
 
 
 @dataclass(frozen=True)
@@ -519,22 +840,28 @@ class SubsystemCode:
         is iff it has no gauge qubit (rank S = rank G)."""
         return parameters(self).g == 0
 
-    @cached_property
-    def two_body(self) -> _TwoBody | None:
-        """The component-matrix structure when every gauge generator is XX
-        or ZZ on two distinct qubits, else None.  It is read off the support
-        arrays when the code holds them and off the rows otherwise, and the
-        other form is never derived for it; the row test stops at the first
-        row that fails."""
+    def _detect(self, kind: type[_TwoBody] | type[_Matching]) -> _TwoBody | _Matching | None:
+        """The structure ``kind`` reads off the support arrays when the code
+        holds them and off the rows otherwise, or None; the other form is
+        never derived, and the row test stops at the first row that fails."""
         arrays = vars(self).get("support_arrays")
         if arrays is not None:
-            return _TwoBody.from_arrays(self.n, *arrays)
-        return _TwoBody.from_rows(self.n, self.gauge_matrix)
+            return kind.from_arrays(self, *arrays)
+        return kind.from_rows(self, self.gauge_matrix)
 
     @cached_property
-    def _parameters(self) -> CodeParameters:
-        two_body = self.two_body
-        return self._rank_parameters() if two_body is None else two_body.parameters
+    def solver(self) -> _TwoBody | _Matching | _General:
+        """The one object that answers ``parameters``, ``distance`` and the
+        region verdicts: the two-body structure, else the matching-graph
+        one, else the general GF(2) layer."""
+        return self._detect(_TwoBody) or self._detect(_Matching) or _General(self)
+
+    @property
+    def two_body(self) -> _TwoBody | None:
+        """The solver when every gauge generator is XX or ZZ on two distinct
+        qubits (the component-matrix structure), else None."""
+        solver = self.solver
+        return solver if isinstance(solver, _TwoBody) else None
 
     def _rank_parameters(self) -> CodeParameters:
         """(n, k, g, s) from the ranks of the gauge span and its center."""
@@ -645,28 +972,22 @@ def derive_stabilizer(code: SubsystemCode) -> tuple[BitMatrix, tuple[int, ...]]:
 
 
 def parameters(code: SubsystemCode) -> CodeParameters:
-    """(n, k, g, s), computed once per code: from the component matrix of a
-    two-body code (``SubsystemCode.two_body``), else from the rank formulas."""
-    return code._parameters
+    """(n, k, g, s), computed once per code by its solver."""
+    return code.solver.parameters
 
 
 def distance(code: SubsystemCode, weight_cap: int | None = None) -> DistanceResult:
     """Minimum weight of a dressed logical operator.
 
-    A two-body code with k <= 20 reads d off its component matrix; any other
-    code runs the region search (``_search_distance``).  Returns a "greater
-    than weight_cap" result when d exceeds the cap (default cap: n); a
-    negative cap, then k = 0, raises ValueError.
+    Answered by the code's solver (``SubsystemCode.solver``).  Returns a
+    "greater than weight_cap" result when d exceeds the cap (default cap:
+    n); a negative cap, then k = 0, raises ValueError.
     """
     if weight_cap is not None and weight_cap < 0:
         raise ValueError(f"weight_cap must be non-negative, got {weight_cap}")
     if parameters(code).k == 0:
         raise ValueError("distance undefined for k = 0")
-    cap = code.n if weight_cap is None else min(weight_cap, code.n)
-    d = None if code.two_body is None else code.two_body.distance
-    if d is None:
-        return _search_distance(code, cap)
-    return DistanceResult(weight_cap=cap, value=d if d <= cap else None)
+    return code.solver.distance(code.n if weight_cap is None else min(weight_cap, code.n))
 
 
 def _search_distance(code: SubsystemCode, cap: int) -> DistanceResult:

@@ -16,49 +16,35 @@ from .pauli import check_region
 
 
 def is_correctable(code: SubsystemCode, u: Iterable[int]) -> bool:
-    """True iff no non-trivial dressed logical operator is supported on u:
-    read off the component matrix of a two-body code, else off the code's
-    correctable columns."""
-    if code.two_body is not None:
-        return code.two_body.is_correctable(u)
-    return code.correctable_columns.passes(u)
+    """True iff no non-trivial dressed logical operator is supported on u,
+    as the code's solver answers (``SubsystemCode.solver``)."""
+    return code.solver.is_correctable(u)
 
 
 def chain_oracle(code: SubsystemCode) -> Callable[[np.ndarray], bool]:
     """``is_correctable`` of each region (a qubit mask) in a chain where
     each region contains the one before; after a False the chain must stop.
 
-    Each call reads only the qubits new since the last.  A two-body code
-    keeps the components of its component matrix that no qubit has touched
-    yet and drops those the new qubits touch (``_TwoBody.extend``).  Any
-    other code grows one XOR basis of its correctable columns over the
-    whole chain (``QubitColumns.extend``); the verdict equals a fresh one
-    because a basis's pivots do not depend on the order its vectors came
-    in.
+    Each call hands the solver only the qubits new since the last, to add
+    to one state it keeps over the whole chain (``untouched``, ``extend``).
     """
-    two_body = code.two_body
-    if two_body is None:
-        columns, state = code.correctable_columns, {}
-    else:
-        columns, state = two_body, two_body.untouched()
+    solver = code.solver
+    state = solver.untouched()
     held = np.zeros(code.n, dtype=bool)
 
     def correctable(region: np.ndarray) -> bool:
         nonlocal held
         assert not (held & ~region).any(), "a region does not contain the one before it"
         new, held = region & ~held, region
-        return columns.extend(state, np.flatnonzero(new).tolist())
+        return solver.extend(state, np.flatnonzero(new).tolist())
 
     return correctable
 
 
 def is_dressed_cleanable(code: SubsystemCode, u: Iterable[int]) -> bool:
-    """True iff no non-trivial bare logical operator is supported on u:
-    read off the component matrix of a two-body code, else off the code's
-    cleanable columns."""
-    if code.two_body is not None:
-        return code.two_body.is_dressed_cleanable(u)
-    return code.cleanable_columns.passes(u)
+    """True iff no non-trivial bare logical operator is supported on u, as
+    the code's solver answers."""
+    return code.solver.is_dressed_cleanable(u)
 
 
 def boundary(code: SubsystemCode, u: Iterable[int]) -> frozenset[int]:

@@ -393,6 +393,18 @@ def test_partition_cli(bs3_files, capsys):
     assert len(obj["partition"]["parts"]) == 2
 
 
+def test_surface_30_params_and_distance_through_the_cli(tmp_path, capsys):
+    # the code file is read into rows, so the row-form matching detector runs at n = 1,741
+    code_path = str(tmp_path / "surface30.json")
+    rc, _ = run(capsys, "construct", "--family", "surface", "--size", "30", "--out-code", code_path)
+    assert rc == EXIT_OK
+    rc, out = run(capsys, "params", code_path)
+    assert rc == EXIT_OK and json.loads(out) == {"n": 1741, "k": 1, "g": 0, "s": 1740}
+    rc, out = run(capsys, "distance", code_path)
+    assert rc == EXIT_OK
+    assert json.loads(out) == {"distance": 30, "weight_cap": 1741, "is_lower_bound": False}
+
+
 def test_partition_with_an_ell_that_overflows_w0_exits_two_naming_ell(bs3_files, capsys):
     code_path, emb_path = bs3_files
     argv = ["partition", code_path, emb_path, "--ell", "5e-324", "--variant", "thm3_2"]
@@ -1165,9 +1177,10 @@ def test_integer_past_the_float_range_exits_two(bs3_files, capsys, tmp_path, kin
          "the sweep needs 3e+300 steps per axis, over the cap of 1000000"),
         (["sweep", "{emb}", "--ell", "5e-324", "--tau", "3", "--d", "3"],
          "the sweep needs inf steps per axis, over the cap of 1000000"),
+        # an ell this small overflows w0, which is checked first
         (["holographic", "{code}", "{emb}", "--box", "{box}", "--ell", "5e-324", "--verified",
           "--d", "3"],
-         "the cube ladder needs inf steps, over the cap of 1000000"),
+         "ell = 5e-324 is too small: the box width w0 ~ (d/ell)^(1/(D-1)) overflows a float"),
         (["holographic", "{code}", "{emb}", "--box", "{box}", "--ell", "1e-6", "--verified",
           "--d", "3"],
          "the cube ladder needs 1.22865e+06 steps, over the cap of 1000000"),
@@ -1205,7 +1218,7 @@ def test_d_past_the_float_range_exits_two(bs3_files, capsys, tmp_path, command):
 
 
 def test_non_finite_certificate_field_exits_two_and_writes_no_file(bs3_files, capsys, tmp_path):
-    # ell = 1e-320 makes the holographic base width w0 infinite
+    # ell = 1e-320 makes the holographic box width w0 infinite
     code_path, emb_path = bs3_files
     box, out = tmp_path / "box.json", tmp_path / "c.jsonl"
     box.write_text(json.dumps({"min": [0, 0], "max": [2, 2]}))
@@ -1213,8 +1226,26 @@ def test_non_finite_certificate_field_exits_two_and_writes_no_file(bs3_files, ca
     assert main(argv) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: Out of range float values are not JSON compliant\n"
+    assert captured.err == (
+        "error: ell = 1e-320 is too small: the box width w0 ~ (d/ell)^(1/(D-1)) overflows a float\n"
+    )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("ell", ["5e-324", "1e-320"])
+@pytest.mark.parametrize("flags", [[], ["--out", "c.jsonl"], ["--verified"]], ids=["strict", "out", "verified"])
+def test_holographic_with_an_ell_that_overflows_w0_exits_two_naming_ell(bs3_files, capsys, tmp_path, ell, flags):
+    code_path, emb_path = bs3_files
+    box = tmp_path / "box.json"
+    box.write_text(json.dumps({"min": [0, 0], "max": [2, 2]}))
+    flags = [str(tmp_path / f) if f.endswith(".jsonl") else f for f in flags]
+    assert main(["holographic", code_path, emb_path, "--box", str(box), "--ell", ell, *flags]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: ell = {float(ell)!r} is too small: the box width w0 ~ (d/ell)^(1/(D-1)) overflows a float\n"
+    )
+    assert not (tmp_path / "c.jsonl").exists()
 
 
 @pytest.mark.parametrize(

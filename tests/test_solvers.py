@@ -1,0 +1,282 @@
+"""The solver seam: every structured solver against the general GF(2) layer,
+detection, presentation changes, and the matching solver's distance witness."""
+
+import dataclasses
+import itertools
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qlocality.certify import expansion_sweep, holographic_certify
+from qlocality.codes import (
+    DistanceResult,
+    SubsystemCode,
+    _General,
+    _Matching,
+    _TwoBody,
+    distance,
+    parameters,
+)
+from qlocality.families import bacon_shor, concatenate, small_inner_codes, surface_code
+from qlocality.geometry import Box, extract_interactions
+from qlocality.regions import chain_oracle, is_correctable, is_dressed_cleanable
+from tests.test_codes import FIVE, supports_of, two_body_cases
+
+
+def css_code(n, x_checks, z_checks, as_rows):
+    """A CSS code from its checks' qubit lists, built from rows or from
+    support arrays."""
+    supports = [(tuple(sorted(c)), ()) for c in x_checks] + [((), tuple(sorted(c))) for c in z_checks]
+    if not as_rows:
+        return SubsystemCode.from_supports(n, supports)
+    return SubsystemCode(n, [sum(1 << q for q in xs) | sum(1 << q for q in zs) << n for xs, zs in supports])
+
+
+def planar_patch(height, width, dropped=(), as_rows=False):
+    """The unrotated surface-code layout on a height x width grid: data on
+    the points with r + c even, X checks at odd rows and Z checks at odd
+    columns of the others, each on its up to four grid neighbours; the
+    checks numbered in ``dropped`` (row-major) are left out, as holes."""
+    data = {(r, c): i for i, (r, c) in enumerate(
+        (r, c) for r in range(height) for c in range(width) if (r + c) % 2 == 0
+    )}
+    x_checks, z_checks = [], []
+    checks = [(r, c) for r in range(height) for c in range(width) if (r + c) % 2]
+    for index, (r, c) in enumerate(checks):
+        near = [data[p] for p in ((r - 1, c), (r, c - 1), (r, c + 1), (r + 1, c)) if p in data]
+        if index not in dropped:
+            (x_checks if r % 2 else z_checks).append(near)
+    return css_code(len(data), x_checks, z_checks, as_rows)
+
+
+def toric_code(size, as_rows=False):
+    """Kitaev's toric code on a size x size torus: qubit 2(r size + c) is
+    the edge from (r, c) to (r, c + 1), the next one the edge to (r + 1, c);
+    X checks on vertices and Z checks on plaquettes."""
+
+    def h(r, c):
+        return 2 * ((r % size) * size + c % size)
+
+    def v(r, c):
+        return h(r, c) + 1
+
+    cells = list(itertools.product(range(size), repeat=2))
+    stars = [[h(r, c), h(r, c - 1), v(r, c), v(r - 1, c)] for r, c in cells]
+    plaquettes = [[h(r, c), h(r + 1, c), v(r, c), v(r, c + 1)] for r, c in cells]
+    return css_code(2 * size * size, stars, plaquettes, as_rows)
+
+
+@st.composite
+def planar_patches(draw):
+    """(code, regions): a patch of up to 5 x 5 grid points (n <= 13) with
+    random checks dropped, from rows or arrays, and a few regions."""
+    height, width = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    checks = height * width // 2
+    dropped = draw(st.sets(st.integers(0, max(checks - 1, 0)), max_size=3))
+    code = planar_patch(height, width, dropped, draw(st.booleans()))
+    return code, draw(st.lists(st.sets(st.integers(0, code.n - 1)), max_size=6))
+
+
+@st.composite
+def toric_codes(draw):
+    code = toric_code(draw(st.integers(2, 4)), draw(st.booleans()))
+    return code, draw(st.lists(st.sets(st.integers(0, code.n - 1)), max_size=6))
+
+
+def check_against_general(kind, code, regions, order):
+    """``kind``'s structure of the code answers as ``_General`` does:
+    parameters, distance at every cap from a cold structure and from the
+    cached one, both oracles on the regions, and a chain along ``order``."""
+    solver, general = code._detect(kind), _General(code)
+    p = general.parameters
+    assert solver.parameters == p
+    n = code.n
+    if p.k:
+        d = general.distance(n).value
+        for cap in range(n + 1):
+            expected = DistanceResult(weight_cap=cap, value=d if d <= cap else None)
+            assert code._detect(kind).distance(cap) == expected
+            assert solver.distance(cap) == expected
+    for u in regions:
+        assert solver.is_correctable(u) == general.is_correctable(u)
+        assert solver.is_dressed_cleanable(u) == general.is_dressed_cleanable(u)
+    state, basis = solver.untouched(), general.untouched()
+    for start, end in itertools.pairwise(sorted({0, n, *(c for c in (1, 2, 4, n // 2, n - 1) if 0 < c < n)})):
+        verdict = solver.extend(state, order[start:end])
+        assert verdict == general.extend(basis, order[start:end])
+        if not verdict:
+            break
+
+
+@pytest.mark.parametrize("kind", [_TwoBody, _Matching])
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        planar_patches().map(lambda case: (*case, _Matching)),
+        toric_codes().map(lambda case: (*case, _Matching)),
+        two_body_cases().map(lambda case: (*case, _TwoBody)),
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_every_solver_that_accepts_a_code_matches_the_general_layer(kind, case, rng):
+    code, regions, home = case
+    built = {"gauge_matrix", "support_arrays"} & set(vars(code))
+    solver = code._detect(kind)
+    # detection reads only the form the code was built in
+    assert {"gauge_matrix", "support_arrays"} & set(vars(code)) == built
+    if kind is home:
+        assert solver is not None
+    if solver is not None:
+        check_against_general(kind, code, regions, rng.sample(range(code.n), code.n))
+
+
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_toric_codes_take_the_matching_solver(size):
+    code = toric_code(size)
+    assert isinstance(code.solver, _Matching)
+    assert parameters(code).k == 2
+    assert distance(code).value == size
+
+
+def with_product(code, i, j):
+    rows = code.gauge_matrix.rows
+    return SubsystemCode(code.n, [*rows, rows[i] ^ rows[j]])
+
+
+STEANE = small_inner_codes("steane").code
+BS2 = bacon_shor(2).code
+REJECTED = {
+    "steane": STEANE,
+    "five_one_three": FIVE,
+    "concat-513-bs2": concatenate(FIVE, BS2),
+    "concat-steane-bs2": concatenate(STEANE, BS2),
+    # Z checks 0 and 1 are on qubits 0 1 3 and 1 2 4: their product puts
+    # qubit 3 in a third Z check
+    "surface-3-with-a-product": with_product(surface_code(3).code, 0, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(REJECTED))
+@pytest.mark.parametrize("form", ["rows", "arrays"])
+def test_detection_rejects_codes_off_both_structures(name, form):
+    code = REJECTED[name]
+    if form == "arrays":
+        code = SubsystemCode.from_supports(code.n, supports_of(code))
+    built = {"gauge_matrix", "support_arrays"} & set(vars(code))
+    assert code._detect(_TwoBody) is None and code._detect(_Matching) is None
+    assert isinstance(code.solver, _General)
+    assert {"gauge_matrix", "support_arrays"} & set(vars(code)) == built
+
+
+# ── presentation changes ───────────────────────────────────────────────
+
+
+def permuted(code, rng):
+    rows = list(code.gauge_matrix.rows)
+    rng.shuffle(rows)
+    return SubsystemCode(code.n, rows)
+
+
+def duplicated(code, rng):
+    rows = code.gauge_matrix.rows
+    return SubsystemCode(code.n, [*rows, rows[rng.randrange(len(rows))]])
+
+
+def multiplied(code, rng):
+    i, j = rng.sample(range(len(code.gauge_matrix.rows)), 2)
+    return with_product(code, i, j)
+
+
+PRESENTED = {
+    "BS-4": lambda: bacon_shor(4).code,
+    "surface-4": lambda: surface_code(4).code,
+    "toric-3": lambda: toric_code(3),
+    "steane": lambda: small_inner_codes("steane").code,
+}
+
+
+def answers(code, regions, order):
+    """Every exact answer about the code: parameters, distance at every cap,
+    both verdicts on the regions, and the chain verdicts along ``order``."""
+    chain, mask, verdicts = chain_oracle(code), np.zeros(code.n, dtype=bool), []
+    for size in range(code.n + 1):
+        mask = mask.copy()
+        mask[order[:size]] = True
+        verdicts.append(chain(mask))
+        if not verdicts[-1]:
+            break
+    return (
+        parameters(code),
+        [distance(code, cap) for cap in range(code.n + 1)],
+        [(is_correctable(code, u), is_dressed_cleanable(code, u)) for u in regions],
+        verdicts,
+    )
+
+
+@pytest.mark.parametrize("change", [permuted, duplicated, multiplied])
+@pytest.mark.parametrize("name", list(PRESENTED))
+def test_presentation_changes_keep_every_answer(name, change):
+    rng = random.Random(f"{name}-{change.__name__}")
+    code = PRESENTED[name]()
+    regions = [set(rng.sample(range(code.n), rng.randint(0, code.n))) for _ in range(30)]
+    order = rng.sample(range(code.n), code.n)
+    assert answers(change(code, rng), regions, order) == answers(code, regions, order)
+
+
+def test_surface_3_with_a_product_answers_through_the_general_layer_as_surface_3():
+    rng = random.Random(3)
+    code = surface_code(3).code
+    regions = [set(rng.sample(range(code.n), rng.randint(0, code.n))) for _ in range(30)]
+    order = rng.sample(range(code.n), code.n)
+    extended = REJECTED["surface-3-with-a-product"]
+    assert answers(extended, regions, order) == answers(code, regions, order)
+    assert isinstance(extended.solver, _General) and isinstance(code.solver, _Matching)
+
+
+def certificates(ec):
+    """The strict and verified sweep and holographic certificates, as bytes."""
+    ints = extract_interactions(ec.code, ec.embedding)
+    box = Box((0.0, 0.0), (2.0, 2.0))
+    return [
+        *(expansion_sweep(ec.embedding, ints, 1.0, 10.0, 3, mode, ec.code) for mode in ("strict", "verified")),
+        *(holographic_certify(ec.code, ec.embedding, box, 0.5, mode) for mode in ("strict", "verified")),
+    ]
+
+
+@pytest.mark.parametrize("build", [bacon_shor, surface_code], ids=["BS-3", "surface-3"])
+def test_generator_permutation_keeps_every_certificate_byte(build):
+    ec = build(3)
+    shuffled = permuted(ec.code, random.Random(3))
+    assert shuffled.gauge_matrix.rows != ec.code.gauge_matrix.rows
+    before = [cert.to_json_lines() for cert in certificates(ec)]
+    after = [cert.to_json_lines() for cert in certificates(dataclasses.replace(ec, code=shuffled))]
+    assert after == before
+
+
+# ── the matching solver's distance witness ─────────────────────────────
+
+
+def check_witness(solver, d):
+    """The matching solver keeps, with d, a cycle of weight d that the
+    general layer finds not correctable."""
+    assert solver.distance(solver.code.n) == DistanceResult(weight_cap=solver.code.n, value=d)
+    assert len(solver.witness) == d
+    assert not _General(solver.code).is_correctable(solver.witness)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_surface_distance_witness_is_a_logical_of_weight_d(m):
+    check_witness(surface_code(m).code.solver, m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(planar_patches())
+def test_patch_distance_witness_is_a_logical_of_weight_d(case):
+    code, _ = case
+    # a one-row patch is also two-body, so the matching solver is asked directly
+    solver = code._detect(_Matching)
+    if solver.k:
+        check_witness(solver, _General(code).distance(code.n).value)

@@ -10,6 +10,7 @@ ground truth on small codes and needs no hypotheses.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -129,25 +130,68 @@ class Certificate:
 # Holographic cube certification
 
 
-def _cube_slab_counts(e: Embedding, outer: Box, thickness: float) -> int:
-    """Qubits in the 2D face slabs of thickness ``thickness`` just inside outer.
+def _ladder_counts(
+    coords: np.ndarray, center: tuple[float, ...], sides: np.ndarray, ell: float, long_pairs: np.ndarray
+) -> tuple[np.ndarray, list[list[int]]]:
+    """Each point's entry rung into the cubes Box.cube(center, max(side, 0))
+    of a ladder whose sides do not decrease (len(sides) when it enters
+    none), and per rung the counts of a grow step: types (i)-(iv), then the
+    qubits in the cube.
 
-    Overlapping corners are counted once per slab, matching the proof's
-    cover bound, so the total over-counts the true shell population.  A
-    slab is outer with one axis cut to [min, min + thickness] or
-    [max - thickness, max], so each slab reuses outer's per-axis tests.
+    Rung j's cube holds the points with entry <= j.  Type (i) counts the
+    points of its 2D face slabs of thickness ell, the cube with one axis
+    cut to [min, min + ell] or [max - ell, max] (overlapping corners are
+    counted once per slab, matching the proof's cover bound, so the total
+    over-counts the true shell population); type (ii) the same for the
+    cube 2*ell wider.  The corners move out as j grows, so each corner test
+    holds on a suffix of the rungs (x >= min, x <= max) or on a prefix
+    (x <= min + ell, x >= max - ell), and one searchsorted per axis and
+    test places it.  Types (iii)/(iv) count the outside and inside ends of
+    the long pairs across U = {entry < j}: the points with entry >= j and
+    a partner that entered before j, and the points that entered before j
+    with a partner that has not.  So each point holds one rung interval
+    [start, stop) per slab and count, and one difference array sums them.
     """
-    c = e.coordinates
-    lo, hi = np.array(outer.mins), np.array(outer.maxs)
-    above, below = c >= lo, c <= hi
-    inside = above & below
-    total = 0
-    for axis in range(outer.dimension):
-        rest = np.delete(inside, axis, axis=1).all(axis=1)
-        x = c[:, axis]
-        total += int(np.count_nonzero(rest & above[:, axis] & (x <= lo[axis] + thickness)))
-        total += int(np.count_nonzero(rest & (x >= hi[axis] - thickness) & below[:, axis]))
-    return total
+    rungs = len(sides)
+    x = np.ascontiguousarray(coords.T)
+    neg_x, c = -x, np.array(center)[:, None]
+    starts: list[list[np.ndarray]] = [[], [], [], [], []]
+    stops: list[list[np.ndarray]] = [[], [], [], [], []]
+    for kind, family in enumerate((sides, sides + 2.0 * ell)):
+        half = np.maximum(family, 0.0) / 2.0
+        # -min, max, -(min + ell) and max - ell per axis and rung, each
+        # ascending; -(c - half) is half - c exactly
+        neg_lo, hi = half - c, c + half
+        neg_lo_in, hi_in = neg_lo - ell, hi - ell
+        low = [neg_lo[a].searchsorted(neg_x[a]) for a in range(len(c))]
+        high = [hi[a].searchsorted(x[a]) for a in range(len(c))]
+        axis_entry = list(map(np.maximum, low, high))
+        for a in range(len(c)):
+            # the slabs of axis a also need the point inside on every other axis
+            other = functools.reduce(np.maximum, axis_entry[:a] + axis_entry[a + 1 :])
+            starts[kind] += [np.maximum(low[a], other), np.maximum(high[a], other)]
+            stops[kind] += [neg_lo_in[a].searchsorted(neg_x[a], "right"), hi_in[a].searchsorted(x[a], "right")]
+        if kind == 0:
+            entry = functools.reduce(np.maximum, axis_entry)
+    if len(long_pairs):
+        ends = long_pairs.T.ravel()
+        partners = entry[long_pairs[:, ::-1].T.ravel()]
+        least, most = np.full(len(coords), rungs), np.full(len(coords), -1)
+        np.minimum.at(least, ends, partners)
+        np.maximum.at(most, ends, partners)
+        starts[2].append(least + 1)
+        stops[2].append(entry + 1)
+        starts[3].append(entry + 1)
+        stops[3].append(most + 1)
+    starts[4].append(entry)
+    stops[4].append(np.full(len(coords), rungs + 1))
+    width = rungs + 2
+    offsets = np.repeat(np.arange(0, 5 * width, width), [len(coords) * len(part) for part in starts])
+    first = np.concatenate(sum(starts, [])) + offsets
+    last = np.concatenate(sum(stops, [])) + offsets
+    keep = first < last
+    steps = np.bincount(first[keep], minlength=5 * width) - np.bincount(last[keep], minlength=5 * width)
+    return entry, steps.reshape(5, width).cumsum(axis=1)[:, :rungs].tolist()
 
 
 def _box_width(d: float, ell: float, dim: int) -> float:
@@ -187,13 +231,10 @@ def holographic_certify(
             raise ValueError("distance search failed; pass d explicitly")
     dim = e.dimension
 
-    def mask(qubits: list[int]) -> np.ndarray:
-        out = np.zeros(e.n, dtype=bool)
-        out[qubits] = True
-        return out
-
     # f(V): the long pairs' endpoints inside the box
-    f_v = int(np.count_nonzero(mask(points_in_box(e, b))[long_pairs]))
+    in_box = np.zeros(e.n, dtype=bool)
+    in_box[points_in_box(e, b)] = True
+    f_v = int(np.count_nonzero(in_box[long_pairs]))
     w0 = _box_width(d, ell, dim)
     w_base = holographic_base_width(d, dim)
     ell_cap = d ** (1.0 / dim) / (8.0 * math.sqrt(dim))
@@ -234,40 +275,52 @@ def holographic_certify(
     if steps > MAX_STEPS:
         raise ValueError(f"the cube ladder needs {steps:g} steps, over the cap of {MAX_STEPS}")
     n_steps = max(0, math.ceil(steps))
-    ladder = [w_final - 2.0 * ell * (n_steps - j) for j in range(n_steps + 1)]
 
     def cube_at(side: float) -> Box:
         return Box.cube(center, max(side, 0.0))
 
+    sides = [w_final - 2.0 * ell * n_steps]
+    base = cube_at(sides[0])
+    in_base = np.zeros(e.n, dtype=bool)
+    in_base[points_in_box(e, base)] = True
+    if n_steps:
+        with np.errstate(over="ignore"):
+            sides = w_final - 2.0 * ell * np.arange(n_steps, -1, -1)
+            entry, (*counts, held) = _ladder_counts(e.coordinates, center, sides, ell, long_pairs)
+        sides = sides.tolist()
+        # Box.cube raises on a rung whose cube or wider cube has a corner
+        # past the float range; the corners move out, so the widest shows
+        # whether any rung does
+        half = max(sides[-1] + 2.0 * ell, 0.0) / 2.0
+        overflows = not all(math.isfinite(c - half) and math.isfinite(c + half) for c in center)
+
     cert = Certificate(kind="holographic", mode=mode, outcome=OUTCOME_CERTIFIED, metadata=metadata)
     # the cubes share a center and grow, so their qubit sets form a chain
     correctable = chain_oracle(code) if mode == "verified" else None
-    for index, side in enumerate(ladder):
-        cube = cube_at(side)
-        qubits = points_in_box(e, cube)
+    for index, side in enumerate(sides):
         if index == 0:
             # the base cube: packing alone bounds its qubits
             rule, boundary = "base-cube", "packing bound" if mode == "strict" else "exact check"
-            details = {"packing_bound": packing_bound(cube)}
-            count, bound = len(qubits), details["packing_bound"]
+            details = {"packing_bound": packing_bound(base)}
+            count, bound = int(np.count_nonzero(in_base)), details["packing_bound"]
+            verdict = bound < d if correctable is None else correctable(in_base)
         else:
+            if overflows:
+                cube_at(side), cube_at(side + 2.0 * ell)
             # type (i): shell between this cube and U, counted through the 2D
             # thickness-ell slab cover; type (ii): shell just outside this
             # cube; types (iii)/(iv): the outside and inside ends of the long
             # interactions across the U boundary
             rule, boundary = "grow-cube", "types (i)-(iv)"
-            ends = in_u[long_pairs]
-            cross = ends[:, 0] != ends[:, 1]
-            details = {
-                "type_i": _cube_slab_counts(e, cube, ell),
-                "type_ii": _cube_slab_counts(e, cube_at(side + 2.0 * ell), ell),
-                "type_iii": len(np.unique(long_pairs[cross][~ends[cross]])),
-                "type_iv": len(np.unique(long_pairs[cross][ends[cross]])),
-            }
+            names = ("type_i", "type_ii", "type_iii", "type_iv")
+            details = {name: values[index] for name, values in zip(names, counts)}
             count = bound = sum(details.values())
-            details["qubits_in_cube"] = len(qubits)
-        in_u = mask(qubits)  # U at the next step
-        verdict = bound < d if correctable is None else correctable(in_u)
+            details["qubits_in_cube"] = held[index]
+            if correctable is None:
+                verdict = bound < d
+            else:
+                # a rung that gained no qubit holds the region the last call passed
+                verdict = held[index] == held[index - 1] or correctable(entry <= index)
         cert.steps.append(
             CertificateStep(
                 index=index,
@@ -311,9 +364,9 @@ def _bad_intervals(values: np.ndarray, ell: float, tau: float) -> list[tuple[flo
     lo = np.sort(values - ell)
     hi = np.sort(values + ell)
     points = np.unique(np.concatenate([lo, hi]))
-    entered = np.searchsorted(lo, points, "right")
-    closed = entered - np.searchsorted(hi, points, "left") > tau
-    after = entered - np.searchsorted(hi, points, "right") > tau
+    entered = lo.searchsorted(points, "right")
+    closed = entered - hi.searchsorted(points, "left") > tau
+    after = entered - hi.searchsorted(points, "right") > tau
     starts = closed & np.concatenate([[True], ~after[:-1]])
     ends = closed & ~after
     return list(zip(points[starts].tolist(), points[ends].tolist()))
@@ -360,9 +413,17 @@ def expansion_sweep(
             metadata={"n": 0, "note": "no qubits"},
         )
 
-    # translate so each dimension's minimum coordinate sits at exactly ell
-    coords = e.coordinates - e.coordinates.min(axis=0) + ell
-    spread = float((coords.max(axis=0) - coords.min(axis=0)).max())
+    # one sort per axis serves the translation, gamma, the bad-interval
+    # census and every level opening: order[j] lists the qubits by
+    # coordinate j and columns[j] holds those coordinates, translated so
+    # each dimension's minimum sits at exactly ell (x - min + ell is
+    # monotone in x, so the order holds)
+    order = e.coordinates.T.argsort(axis=1)
+    columns = np.sort(e.coordinates.T, axis=1)
+    lowest = columns[:, 0]
+    coords = e.coordinates - lowest + ell
+    columns = columns - lowest[:, None] + ell
+    spread = float((columns[:, -1] - columns[:, 0]).max())
     extent = spread + 2.0 * ell + 1.0
     steps = extent / ell
     if steps > MAX_STEPS:
@@ -372,8 +433,8 @@ def expansion_sweep(
     # coordinate values a < b on one axis; rows of the difference table go in
     # blocks of about 2^20 entries
     smallest = []
-    for axis in range(dim):
-        vals = np.unique(coords[:, axis])
+    for column in columns:
+        vals = column[np.concatenate([[True], column[1:] != column[:-1]])]
         rows = max(1, (1 << 20) // len(vals))
         for start in range(0, len(vals), rows):
             delta = vals[None, :] - vals[start : start + rows, None]
@@ -387,7 +448,7 @@ def expansion_sweep(
     bad_mask = np.zeros(n, dtype=bool)
     bad_mask[s.long_pairs(ell)] = True
     # every coordinate of the last axis is good, so it needs no census
-    bad_intervals = [_bad_intervals(coords[:, axis], ell, tau) for axis in range(dim - 1)] + [[]]
+    bad_intervals = [_bad_intervals(columns[axis], ell, tau) for axis in range(dim - 1)] + [[]]
 
     def bad_end(axis: int, x: float) -> float | None:
         """End of the bad interval holding x on axis, or None when x is good."""
@@ -400,9 +461,6 @@ def expansion_sweep(
     # len(a), and nxts holds nxt_j for each lower level j < i
     a = [0.0]
     nxts: list[float] = []
-
-    def slab_mask(axis: int, center: float) -> np.ndarray:
-        return np.abs(coords[:, axis] - center) <= ell
 
     def between(axis: int, lo: float, hi: float) -> np.ndarray:
         return (lo <= coords[:, axis]) & (coords[:, axis] <= hi)
@@ -447,12 +505,16 @@ def expansion_sweep(
     nxt_gap_cap = 2.0 * n * ell / tau + 3.0 * ell + 2.0 * gamma + 2.0 * ell + 1e-9
     prev_lex = tuple(a)
 
+    # per open level, the region label up to its own coordinate: "V[" and
+    # a_j formatted for each lower level j
+    labels = ["V["]
+
     def record(rule: str, count: int | None, verdict: bool, boundary: str, details: dict) -> None:
         cert.steps.append(
             CertificateStep(
                 index=len(cert.steps) + 1,
                 rule=rule,
-                region="V[" + ", ".join(f"{c:g}" for c in a) + "]",
+                region=f"{labels[-1]}{a[-1]:g}]",
                 boundary=boundary,
                 boundary_count=count,
                 threshold=float(d) if count is not None else None,
@@ -461,33 +523,59 @@ def expansion_sweep(
             )
         )
 
-    # per open level: the size of B plus the lower levels' slabs, and the
-    # sorted current-axis coordinates of the qubits outside them (at depth
-    # D, only those inside the final box's lower-axis ranges); built on
-    # first use
-    levels: list[tuple[int, list[float]] | None] = [None]
+    column_lists = columns[: dim - 1].tolist()
+
+    def slab(axis: int, center: float) -> np.ndarray:
+        """The qubits with |q_axis - center| <= ell: q_axis - center rounds
+        monotonically in q_axis, so they form one run of order[axis]."""
+        column = column_lists[axis]
+
+        def gap(v: float) -> float:
+            return v - center
+
+        return order[axis, bisect_left(column, -ell, key=gap) : bisect_right(column, ell, key=gap)]
+
+    def open_level(i: int) -> list:
+        """[size of B plus the lower levels' slabs, the sorted current-axis
+        coordinates of the qubits outside them (at depth D > 1, only those
+        inside the final box's lower-axis ranges), and the window [lo, hi)
+        of those within ell of a_i, which only moves forward]."""
+        covered = bad_mask.copy()
+        for j in range(i - 1):
+            covered[slab(j, a[j])] = True
+            covered[slab(j, nxts[j])] = True
+        if i == dim > 1:
+            # the qubits with a_1 <= q_1 <= nxt_1, then the other ranges
+            kept = order[0, columns[0].searchsorted(a[0]) : columns[0].searchsorted(nxts[0], "right")]
+            kept = kept[~covered[kept]]
+            for j in range(1, dim - 1):
+                x = coords[kept, j]
+                kept = kept[(a[j] <= x) & (x <= nxts[j])]
+            values = np.sort(coords[kept, i - 1])
+        else:
+            values = columns[i - 1][~covered[order[i - 1]]]
+        return [int(np.count_nonzero(covered)), values.tolist(), 0, 0]
+
+    # the open levels' states, each built on first use
+    levels: list[list | None] = [None]
 
     def frontier_count() -> int:
         """Size of the union of B with the frontier slabs of the current state."""
-        i = len(a)
         if levels[-1] is None:
-            outside = ~bad_mask
-            for j in range(i - 1):
-                outside &= ~slab_mask(j, a[j]) & ~slab_mask(j, nxts[j])
-            fixed = n - int(np.count_nonzero(outside))
-            if i == dim:
-                for j in range(dim - 1):
-                    outside &= between(j, a[j], nxts[j])
-            levels[-1] = (fixed, np.sort(coords[outside, i - 1]).tolist())
-        fixed, values = levels[-1]
+            levels[-1] = open_level(len(a))
+        level = levels[-1]
+        fixed, values, lo, hi = level
         # v - a_i rounds monotonically in v, so the values with
-        # |v - a_i| <= ell form one run of the sorted list
+        # |v - a_i| <= ell form one run of the sorted list; a_i only grows
+        # while the level is open, so both ends of the run move forward
         a_i = float(a[-1])
-
-        def gap(v: float) -> float:
-            return v - a_i
-
-        return fixed + bisect_right(values, ell, key=gap) - bisect_left(values, -ell, key=gap)
+        end = len(values)
+        while lo < end and values[lo] - a_i < -ell:
+            lo += 1
+        while hi < end and values[hi] - a_i <= ell:
+            hi += 1
+        level[2], level[3] = lo, hi
+        return fixed + hi - lo
 
     # each expansion grows the region and each relabel keeps it, so the
     # verified regions form a chain
@@ -529,6 +617,7 @@ def expansion_sweep(
             # the stored nxt value is exactly nxt_{i-1}(a_{i-1} + ell)
             a.pop()
             levels.pop()
+            labels.pop()
             a[-1] = nxts.pop()
             record(
                 "finish-dimension",
@@ -559,6 +648,7 @@ def expansion_sweep(
                     )
                     return cert
                 nxts.append(nxt_val)
+                labels.append(f"{labels[-1]}{a_i:g}, ")
                 a.append(0.0)
                 levels.append(None)
                 record(

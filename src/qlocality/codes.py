@@ -44,6 +44,7 @@ import itertools
 import json
 import math
 import operator
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -257,7 +258,20 @@ def _min_weight(basis: Sequence[int]) -> int:
     return int(best)
 
 
-class _TwoBody:
+class _Solver:
+    """What the three solvers share: each reaches its code through a weak
+    reference.  The code caches its solver, so a strong one would make a
+    cycle, and a dropped code would wait for the cyclic garbage collector."""
+
+    def __init__(self, code: SubsystemCode) -> None:
+        self._code = weakref.ref(code)
+
+    @property
+    def code(self) -> SubsystemCode:
+        return self._code()
+
+
+class _TwoBody(_Solver):
     """A code whose gauge generators are each XX or ZZ on two qubits, solved
     through its component matrix.
 
@@ -296,7 +310,7 @@ class _TwoBody:
     """
 
     def __init__(self, code: SubsystemCode, xx: Iterable[Sequence[int]], zz: Iterable[Sequence[int]]) -> None:
-        self.code = code
+        super().__init__(code)
         self.n = n = code.n
         self.x_label, c_x = _components(n, xx)
         self.z_label, c_z = _components(n, zz)
@@ -546,7 +560,7 @@ def _path(back: dict[int, tuple[int, int] | None], state: int) -> frozenset[int]
     return frozenset(qubits)
 
 
-class _Matching:
+class _Matching(_Solver):
     """A CSS stabilizer code whose every qubit is in at most two X checks
     and at most two Z checks, and whose every X check meets every Z check
     evenly (the planar surface code, the toric code, the repetition code),
@@ -592,7 +606,8 @@ class _Matching:
     """
 
     def __init__(self, code: SubsystemCode, sides: tuple, k: int) -> None:
-        self.code, self.sides, self.k = code, sides, k
+        super().__init__(code)
+        self.sides, self.k = sides, k
         self.parameters = CodeParameters(n=code.n, k=k, g=0, s=code.n - k)
         self.witness: frozenset[int] | None = None
 
@@ -688,14 +703,11 @@ class _Matching:
     is_dressed_cleanable = is_correctable
 
 
-class _General:
+class _General(_Solver):
     """Any code, answered by the GF(2) layer the code caches: the rank
     formulas, the region search and the two column sets.  A chain grows one
     XOR basis of the correctable columns; its verdict equals a fresh one, as
     a basis's pivots do not depend on the order its vectors came in."""
-
-    def __init__(self, code: SubsystemCode) -> None:
-        self.code = code
 
     @cached_property
     def parameters(self) -> CodeParameters:

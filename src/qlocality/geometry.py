@@ -506,6 +506,51 @@ def find_tiling(
 MassMap = Sequence[tuple[Sequence[float], int]]
 
 
+def _mass_prefix(b: Box, f: MassMap) -> tuple[list[float], list[int]]:
+    """The x_1 coordinates of the mass points in b (closed membership, as
+    Box.contains), sorted, and the prefix sums of their masses in that
+    order, from 0.
+
+    One numpy pass reads a map of numeric points of b's dimension, with
+    coordinates of magnitude at most 2^53 (so each converts to a float
+    exactly) and int masses whose total fits an int64.  Any other map takes
+    the per-mass loop, which raises the first fault's ValueError.
+    """
+    f = list(f)
+    dim = b.dimension
+    masses = [m for _, m in f]
+    try:
+        points = np.array([p for p, _ in f])
+    except (ValueError, TypeError, OverflowError):
+        points = None
+    if (
+        points is not None
+        and points.dtype.kind in "iuf"
+        and points.shape == (len(f), dim)
+        and set(map(type, masses)) <= {int}
+        and (np.abs(points) <= 2.0**53).all()
+        and min(masses, default=0) >= 0
+        and sum(masses) < 1 << 63
+    ):
+        inside = ((points >= b.mins) & (points <= b.maxs)).all(axis=1)
+        xs = points[inside, 0].astype(float)
+        order = xs.argsort(kind="stable")
+        return xs[order].tolist(), [0, *np.array(masses, dtype=np.int64)[inside][order].cumsum().tolist()]
+    kept = []
+    for point, m in f:
+        if len(point) != dim:
+            raise ValueError(f"mass point {list(point)} has {len(point)} coordinates, box has {dim}")
+        if not all(map(math.isfinite, point)):
+            raise ValueError(f"mass point {list(point)} is not finite")
+        m = json_int(m, "mass")
+        if m < 0:
+            raise ValueError(f"mass at {list(point)} is negative: {m}")
+        if all(map(operator.le, b.mins, point)) and all(map(operator.le, point, b.maxs)):
+            kept.append((float(point[0]), m))
+    kept.sort(key=lambda t: t[0])
+    return [x for x, _ in kept], [0, *itertools.accumulate(m for _, m in kept)]
+
+
 def subdivide(b: Box, f: MassMap, ell: float, d1: float) -> list[Box]:
     """Split b by hyperplanes orthogonal to x_1 into boxes that are light or short.
 
@@ -526,23 +571,7 @@ def subdivide(b: Box, f: MassMap, ell: float, d1: float) -> list[Box]:
     height = hi - lo
     if height < 5 * ell:
         raise ValueError(f"box height {height} < 5*ell = {5 * ell}")
-    # one pass checks each mass and keeps those in b (closed membership, as
-    # Box.contains, with the comparisons mapped in C)
-    dim, mins, maxs = b.dimension, b.mins, b.maxs
-    masses = []
-    for point, m in f:
-        if len(point) != dim:
-            raise ValueError(f"mass point {list(point)} has {len(point)} coordinates, box has {dim}")
-        if not all(map(math.isfinite, point)):
-            raise ValueError(f"mass point {list(point)} is not finite")
-        m = json_int(m, "mass")
-        if m < 0:
-            raise ValueError(f"mass at {list(point)} is negative: {m}")
-        if all(map(operator.le, mins, point)) and all(map(operator.le, point, maxs)):
-            masses.append((float(point[0]), m))
-    masses.sort(key=lambda t: t[0])
-    xs = [x for x, _ in masses]
-    cum = [0, *itertools.accumulate(m for _, m in masses)]
+    xs, cum = _mass_prefix(b, f)
 
     def mass(a: float, c: float) -> int:
         """Mass in [a, c), or in [a, c] when c is the top of b."""

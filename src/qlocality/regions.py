@@ -27,16 +27,16 @@ def chain_oracle(code: SubsystemCode) -> Callable[[np.ndarray], bool]:
 
     Each call hands the solver only the qubits new since the last, to add
     to one state it keeps over the whole chain (``untouched``, ``extend``).
+    The oracle holds the code, which the solver only references weakly.
     """
-    solver = code.solver
-    state = solver.untouched()
+    state = code.solver.untouched()
     held = np.zeros(code.n, dtype=bool)
 
     def correctable(region: np.ndarray) -> bool:
         nonlocal held
         assert not (held & ~region).any(), "a region does not contain the one before it"
         new, held = region & ~held, region
-        return solver.extend(state, np.flatnonzero(new).tolist())
+        return code.solver.extend(state, np.flatnonzero(new).tolist())
 
     return correctable
 

@@ -2,8 +2,10 @@
 detection, presentation changes, and the matching solver's distance witness."""
 
 import dataclasses
+import gc
 import itertools
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -269,7 +271,9 @@ def check_witness(solver, d):
 
 @pytest.mark.parametrize("m", range(2, 9))
 def test_surface_distance_witness_is_a_logical_of_weight_d(m):
-    check_witness(surface_code(m).code.solver, m)
+    # the solver references its code weakly, so the test holds the code
+    code = surface_code(m).code
+    check_witness(code.solver, m)
 
 
 @settings(max_examples=100, deadline=None)
@@ -280,3 +284,37 @@ def test_patch_distance_witness_is_a_logical_of_weight_d(case):
     solver = code._detect(_Matching)
     if solver.k:
         check_witness(solver, _General(code).distance(code.n).value)
+
+
+@pytest.mark.parametrize(
+    "build, kind",
+    [
+        (lambda: bacon_shor(3).code, _TwoBody),
+        (lambda: surface_code(3).code, _Matching),
+        (lambda: small_inner_codes("steane").code, _General),
+    ],
+    ids=["two-body", "matching", "general"],
+)
+def test_a_dropped_code_is_freed_without_the_cyclic_collector(build, kind):
+    code = build()
+    assert type(code.solver) is kind
+    parameters(code)
+    distance(code)
+    is_correctable(code, [0])
+    is_dressed_cleanable(code, [0])
+    oracle = chain_oracle(code)
+    region = np.zeros(code.n, dtype=bool)
+    region[0] = True
+    oracle(region)
+    ref = weakref.ref(code)
+    del code
+    # the oracle keeps the code it checks
+    assert ref() is not None
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del oracle
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()

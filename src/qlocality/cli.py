@@ -201,8 +201,10 @@ def _json_parts(
     """Append obj's pieces to parts; ``indent`` is a newline and the
     current level's spaces.  Each item's value follows its separator: the
     opening bracket or a comma, then the next level's newline and spaces
-    (and a dict's key).  After each list item, ``flush``, when given, is
-    called once parts holds ``_BLOCK_PIECES`` pieces."""
+    (and a dict's key).  An item whose value has an exact leaf type is one
+    piece, its separator and text, written in the loop; any other value
+    is walked by a recursive call.  After each list item, ``flush``, when
+    given, is called once parts holds ``_BLOCK_PIECES`` pieces."""
     leaf = _LEAF_TEXT.get(type(obj))
     if leaf is not None:
         return parts.append(leaf(obj))
@@ -213,9 +215,13 @@ def _json_parts(
             return put("[]")
         sep = "[" + inner
         for value in obj:
-            put(sep)
+            leaf = _LEAF_TEXT.get(type(value))
+            if leaf is not None:
+                put(sep + leaf(value))
+            else:
+                put(sep)
+                _json_parts(value, inner, parts, flush)
             sep = "," + inner
-            _json_parts(value, inner, parts, flush)
             if flush is not None and len(parts) >= _BLOCK_PIECES:
                 flush()
         return put(indent + "]")
@@ -224,9 +230,14 @@ def _json_parts(
             return put("{}")
         sep = "{" + inner
         for key, value in sorted(obj.items()):
-            put(sep + _encode_str(key if type(key) is str else _key_text(key)) + ": ")
+            head = sep + _encode_str(key if type(key) is str else _key_text(key)) + ": "
+            leaf = _LEAF_TEXT.get(type(value))
+            if leaf is not None:
+                put(head + leaf(value))
+            else:
+                put(head)
+                _json_parts(value, inner, parts, flush)
             sep = "," + inner
-            _json_parts(value, inner, parts, flush)
         return put(indent + "}")
     for kind in (str, int, float):  # subclasses of the leaf types, in json's order
         if isinstance(obj, kind):

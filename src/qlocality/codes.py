@@ -33,9 +33,12 @@ chained): ``_TwoBody`` when every generator is XX or ZZ on two qubits
 overlap matrix of the XX and ZZ components; else ``_Matching`` for a CSS
 stabilizer code with at most two X and two Z checks per qubit (the
 surface and toric codes), which reads them off tree-cotree labels on its
-two matching graphs; else ``_General``, a view of the layer above.  Each
-structure is detected from the form the code was built in, so neither
-form is derived for it, and a row test stops at the first row that fails.
+two matching graphs; else ``_Concatenated`` for a code
+``families.concatenate`` built, which reads ``parameters`` and a floor
+for the distance search off the two codes it was built from; else
+``_General``, a view of the layer above.  Each structure is detected from
+the form the code was built in, so neither form is derived for it, and a
+row test stops at the first row that fails.
 """
 
 from __future__ import annotations
@@ -729,6 +732,36 @@ class _General(_Solver):
         return self.code.correctable_columns.extend(basis, qubits)
 
 
+class _Concatenated(_General):
+    """A code ``families.concatenate`` built from (inner, outer), which it
+    keeps as ``_parts``, answered from the parts' own answers (see
+    ``concatenate`` for why they hold): n = n1·n2, k = k1·k2,
+    g = k1·g2 + n2·g1, and d >= d1·d2.
+
+    ``distance(cap)`` asks each part for its distance capped at ``cap``, a
+    part past the cap counting as cap + 1.  A floor d1·d2 above the cap
+    answers "> cap" without building the code's GF(2) layer; otherwise the
+    region search starts at the floor.  Region verdicts and chains stay on
+    the general layer.
+    """
+
+    @cached_property
+    def parameters(self) -> CodeParameters:
+        (inner, outer), n = self.code._parts, self.code.n
+        p1, p2 = parameters(inner), parameters(outer)
+        k, g = p1.k * p2.k, p1.k * p2.g + p2.n * p1.g
+        return CodeParameters(n=n, k=k, g=g, s=n - k - g)
+
+    def distance(self, cap: int) -> DistanceResult:
+        floor = 1
+        for part in self.code._parts:
+            d = distance(part, cap).value
+            floor *= cap + 1 if d is None else d
+        if floor > cap:
+            return DistanceResult(weight_cap=cap, value=None)
+        return _search_distance(self.code, cap, start=floor)
+
+
 @dataclass(frozen=True)
 class LogicalPair:
     index: int
@@ -746,6 +779,9 @@ class SubsystemCode:
     ``from_support_arrays`` and ``from_supports`` the sparse form, and each
     form is derived from the other on first read.
     """
+
+    # the (inner, outer) codes of a concatenation, set by families.concatenate
+    _parts: tuple[SubsystemCode, SubsystemCode] | None = None
 
     def __init__(self, n: int, rows: Iterable[int] = ()) -> None:
         """A code from packed generator rows x | z << n (the ``gauge_matrix``
@@ -865,8 +901,13 @@ class SubsystemCode:
     def solver(self) -> _TwoBody | _Matching | _General:
         """The one object that answers ``parameters``, ``distance`` and the
         region verdicts: the two-body structure, else the matching-graph
-        one, else the general GF(2) layer."""
-        return self._detect(_TwoBody) or self._detect(_Matching) or _General(self)
+        one, else the parts of a concatenation, else the general GF(2)
+        layer."""
+        return (
+            self._detect(_TwoBody)
+            or self._detect(_Matching)
+            or (_General if self._parts is None else _Concatenated)(self)
+        )
 
     @property
     def two_body(self) -> _TwoBody | None:
@@ -1002,34 +1043,34 @@ def distance(code: SubsystemCode, weight_cap: int | None = None) -> DistanceResu
     return code.solver.distance(code.n if weight_cap is None else min(weight_cap, code.n))
 
 
-def _search_distance(code: SubsystemCode, cap: int) -> DistanceResult:
-    """The least w <= cap such that some w-qubit region supports a
+def _search_distance(code: SubsystemCode, cap: int, start: int = 1) -> DistanceResult:
+    """The least w in [start, cap] such that some w-qubit region supports a
     stabilizer-commuting Pauli outside the gauge span, for a code with
-    k >= 1.
+    k >= 1 and d >= start.
 
-    Iterative deepening: for w = 1, 2, ... a depth-first search over the
-    w-subsets in lexicographic order, where a child copies its parent's XOR
-    basis and adds one qubit's two columns (``QubitColumns.extend(child,
-    (q,))``), and the last qubit is tested against the parent's basis in
-    place (``QubitColumns.any_fails``).
+    Iterative deepening: for w = start, start + 1, ... a depth-first search
+    over the w-subsets in lexicographic order (``_fails``).
     """
     cols = code.correctable_columns
-    n = code.n
-
-    def fails(basis: dict[int, int], start: int, left: int) -> bool:
-        """True iff some ``left`` qubits from ``start`` on make the region fail."""
-        if left == 1:
-            return cols.any_fails(basis, start)
-        for q in range(start, n - left + 1):
-            child = dict(basis)
-            if not cols.extend(child, (q,)) or fails(child, q + 1, left - 1):
-                return True
-        return False
-
-    for w in range(1, cap + 1):
-        if fails({}, 0, w):
+    for w in range(start, cap + 1):
+        if _fails(cols, code.n, {}, 0, w):
             return DistanceResult(weight_cap=cap, value=w)
     return DistanceResult(weight_cap=cap, value=None)
+
+
+def _fails(cols: QubitColumns, n: int, basis: dict[int, int], start: int, left: int) -> bool:
+    """True iff some ``left`` qubits from ``start`` on make the region whose
+    XOR basis is ``basis`` fail.  A child copies its parent's basis and adds
+    one qubit's two columns (``QubitColumns.extend(child, (q,))``), and the
+    last qubit is tested against the parent's basis in place
+    (``QubitColumns.any_fails``)."""
+    if left == 1:
+        return cols.any_fails(basis, start)
+    for q in range(start, n - left + 1):
+        child = dict(basis)
+        if not cols.extend(child, (q,)) or _fails(cols, n, child, q + 1, left - 1):
+            return True
+    return False
 
 
 def logical_representatives(code: SubsystemCode) -> list[LogicalPair]:

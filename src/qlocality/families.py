@@ -160,9 +160,23 @@ def concatenate(inner: SubsystemCode, outer: SubsystemCode) -> SubsystemCode:
     (X -> x_bar, Z -> z_bar, Y -> x_bar * z_bar, phases dropped).  Both are
     built on packed rows: an inner row moves to block j by shifting its X
     and Z halves, and an outer generator's row is the XOR of the lifted
-    logical rows its X and Z bits select.  The result has n = n1*n2,
-    k = k1*k2, g = k1*g2 + n2*g1 and d >= d1*d2; an n over ``MAX_QUBITS``
-    raises ValueError before any row is built.
+    logical rows its X and Z bits select.  An n over ``MAX_QUBITS`` raises
+    ValueError before any row is built.
+
+    The result has n = n1*n2, k = k1*k2, g = k1*g2 + n2*g1 (each block's
+    g1 inner gauge qubits, and each copy's g2 outer ones) and s = n - k - g,
+    and its dressed distance is d >= d1*d2 (Knill-Laflamme's concatenation
+    bound, which holds for subsystem codes too).  Each block's inner
+    stabilizers, and each copy's lifted outer stabilizers, are in the
+    result's stabilizer group.  So a dressed logical P, restricted to one
+    block, commutes with S1: it is an inner gauge operator times an inner
+    bare logical.  Per copy, those logical parts form an outer Pauli that
+    commutes with S2.  Were every copy's in G2, P would be in the gauge
+    group; so some copy's is a dressed outer logical, nontrivial on at
+    least d2 blocks, and on each of them P has weight at least d1.  The
+    code records (inner, outer) as
+    its ``_parts``, so its solver answers ``parameters`` from the parts'
+    and starts the distance search at d1*d2 (``codes._Concatenated``).
     """
     p1 = parameters(inner)
     if p1.k < 1:
@@ -190,7 +204,9 @@ def concatenate(inner: SubsystemCode, outer: SubsystemCode) -> SubsystemCode:
             for j in set_bits(g >> n2):
                 row ^= z_lifted[j]
             rows.append(row)
-    return SubsystemCode(n, rows)
+    code = SubsystemCode(n, rows)
+    code._parts = (inner, outer)
+    return code
 
 
 def _diameter(points: np.ndarray) -> float:

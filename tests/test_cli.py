@@ -1454,6 +1454,23 @@ def test_dump_of_a_value_json_rejects_writes_nothing(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("dim, code_class", [(2, "subsystem"), (3, "projector")])
+def test_json_writer_equals_json_dumps_on_contour_tables(dim, code_class):
+    obj = emit_contours(dim, code_class, 0.1).to_json()
+    assert cli._json_text(obj) == strict_dumps(obj)
+
+
+def test_json_writer_equals_json_dumps_on_an_interactions_file(tmp_path, capsys):
+    code, emb = tmp_path / "code.json", tmp_path / "emb.json"
+    argv = ["construct", "--family", "bacon_shor", "--size", "4", "--out-code", str(code), "--out-embedding", str(emb)]
+    assert run(capsys, *argv)[0] == EXIT_OK
+    rc, out = run(capsys, "interactions", str(code), str(emb), "--ell", "0.5")
+    assert rc == EXIT_OK
+    obj = json.loads(out)
+    assert obj["f_per_qubit"] and obj["pairs"]
+    assert out == strict_dumps(obj) + "\n"
+
+
 def test_json_writer_writes_float_subclasses_as_floats():
     obj = {"x": [np.float64(0.1), np.float64(-2.5)], "n": True}
     assert cli._json_text(obj) == strict_dumps(obj)

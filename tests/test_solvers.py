@@ -9,13 +9,16 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qlocality import codes
 from qlocality.certify import expansion_sweep, holographic_certify
 from qlocality.codes import (
+    CodeParameters,
     DistanceResult,
     SubsystemCode,
+    _Concatenated,
     _General,
     _Matching,
     _TwoBody,
@@ -25,7 +28,7 @@ from qlocality.codes import (
 from qlocality.families import bacon_shor, concatenate, small_inner_codes, surface_code
 from qlocality.geometry import Box, extract_interactions
 from qlocality.regions import chain_oracle, is_correctable, is_dressed_cleanable
-from tests.test_codes import FIVE, supports_of, two_body_cases
+from tests.test_codes import FIVE, random_codes, supports_of, two_body_cases
 
 
 def css_code(n, x_checks, z_checks, as_rows):
@@ -173,6 +176,106 @@ def test_detection_rejects_codes_off_both_structures(name, form):
     assert {"gauge_matrix", "support_arrays"} & set(vars(code)) == built
 
 
+# ── the concatenation solver ───────────────────────────────────────────
+
+
+def fresh(code):
+    """The code's rows in a new code, with no cache."""
+    return SubsystemCode(code.n, code.gauge_matrix.rows)
+
+
+def check_concatenation(inner, outer):
+    """``_Concatenated`` answers the concatenation as ``_General`` does:
+    parameters, and distance at every cap from a cold code (fresh parts
+    too) and from the cached one, which is at least d1·d2.  Returns
+    (d, d1·d2), or None for k = 0."""
+    code = concatenate(inner, outer)
+    solver, general = _Concatenated(code), _General(code)
+    p = general.parameters
+    assert solver.parameters == p
+    if not p.k:
+        return None
+    n = code.n
+    d = general.distance(n).value
+    floor = distance(inner).value * distance(outer).value
+    assert d >= floor
+    for cap in range(n + 1):
+        expected = DistanceResult(weight_cap=cap, value=d if d <= cap else None)
+        cold = concatenate(fresh(inner), fresh(outer))
+        assert _Concatenated(cold).distance(cap) == expected
+        assert solver.distance(cap) == expected
+    return d, floor
+
+
+NAMED_PARTS = {
+    "steane": STEANE,
+    "five_one_three": FIVE,
+    "BS-2": BS2,
+    "BS-3": bacon_shor(3).code,
+    "repetition-3": small_inner_codes("repetition", r=3).code,
+    "surface-2": surface_code(2).code,
+}
+
+
+@pytest.mark.parametrize(
+    "inner, outer, d, floor",
+    [
+        ("steane", "BS-2", 6, 6),
+        ("five_one_three", "BS-2", 6, 6),
+        ("repetition-3", "five_one_three", 5, 3),
+    ],
+)
+def test_concatenation_floor_tight_and_not(inner, outer, d, floor):
+    assert check_concatenation(NAMED_PARTS[inner], NAMED_PARTS[outer]) == (d, floor)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from(list(NAMED_PARTS.values())), random_codes().filter(lambda c: c.n <= 5)),
+        min_size=2,
+        max_size=2,
+    )
+)
+def test_concatenation_solver_matches_the_general_layer(parts):
+    inner, outer = parts
+    assume(inner.n * outer.n <= 28 and parameters(inner).k >= 1)
+    # the general layer's search, the reference, grows as C(n, d): a floor
+    # past 6 ([[5,1,3]] in itself, d = 9) takes it seconds
+    assume(parameters(outer).k == 0 or distance(inner).value * distance(outer).value <= 6)
+    check_concatenation(inner, outer)
+
+
+def test_concatenated_distance_searches_from_the_floor(monkeypatch):
+    code = concatenate(STEANE, BS2)
+    levels, search = [], codes._fails
+
+    def spy(cols, n, basis, start, left):
+        if n == code.n and start == 0:
+            levels.append(left)
+        return search(cols, n, basis, start, left)
+
+    monkeypatch.setattr(codes, "_fails", spy)
+    assert distance(code) == DistanceResult(weight_cap=28, value=6)
+    # d >= 3·2 rules out every level below 6
+    assert levels == [6]
+
+
+def test_a_capped_concatenation_below_the_floor_builds_no_general_layer():
+    code = concatenate(STEANE, BS2)
+    assert isinstance(code.solver, _Concatenated)
+    assert parameters(code) == CodeParameters(n=28, k=1, g=1, s=26)
+    assert distance(code, weight_cap=2) == DistanceResult(weight_cap=2, value=None)
+    assert distance(code, weight_cap=5) == DistanceResult(weight_cap=5, value=None)
+    assert not {"_center", "gauge_basis", "correctable_columns"} & set(vars(code))
+
+
+def test_a_concatenation_read_back_from_its_rows_takes_the_general_layer():
+    code = fresh(concatenate(STEANE, BS2))
+    assert type(code.solver) is _General
+    assert distance(code, weight_cap=2) == DistanceResult(weight_cap=2, value=None)
+
+
 # ── presentation changes ───────────────────────────────────────────────
 
 
@@ -292,8 +395,9 @@ def test_patch_distance_witness_is_a_logical_of_weight_d(case):
         (lambda: bacon_shor(3).code, _TwoBody),
         (lambda: surface_code(3).code, _Matching),
         (lambda: small_inner_codes("steane").code, _General),
+        (lambda: concatenate(small_inner_codes("steane").code, bacon_shor(2).code), _Concatenated),
     ],
-    ids=["two-body", "matching", "general"],
+    ids=["two-body", "matching", "general", "concatenation"],
 )
 def test_a_dropped_code_is_freed_without_the_cyclic_collector(build, kind):
     code = build()
@@ -316,5 +420,23 @@ def test_a_dropped_code_is_freed_without_the_cyclic_collector(build, kind):
         del oracle
         assert ref() is None
     finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_a_general_distance_search_leaves_no_unreachable_object():
+    code = small_inner_codes("steane").code
+    parameters(code)
+    was_enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    gc.collect()
+    saved = len(gc.garbage)
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert distance(code) == DistanceResult(weight_cap=7, value=3)
+        assert gc.collect() == 0
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[saved:]
         if was_enabled:
             gc.enable()

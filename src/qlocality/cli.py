@@ -447,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("code")
     p.set_defaults(fn=_cmd_params)
 
-    p = sub.add_parser("distance", help="distance by depth-first region search")
+    p = sub.add_parser("distance", help="the exact distance d, or > cap, from the code's solver")
     p.add_argument("code")
     p.add_argument("--weight-cap", type=_non_negative_int, default=None)
     p.set_defaults(fn=_cmd_distance)

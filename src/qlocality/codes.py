@@ -22,23 +22,26 @@ logical representatives come from a symplectic Gram-Schmidt on C(G) mod S.
 Both region oracles read two cached per-qubit column sets
 (``pauli.QubitColumns``): the correctable columns over [L; S], which span
 C(G), and the cleanable columns over [L; G], which span C(S), so C(S) is
-never built.  Distance is a depth-first search over regions in which each
-child extends a copy of its parent's XOR basis by one qubit, and a
-region's last qubit is tested against its parent's basis without a copy.
+never built.  The distance search is depth-first over regions: each child
+extends a copy of its parent's XOR basis by one qubit, and a region's last
+qubit is tested against its parent's basis without a copy.
 
 ``SubsystemCode.solver`` picks, once per code, the one object that
 answers ``parameters``, ``distance`` and both region verdicts (single and
-chained): ``_TwoBody`` when every generator is XX or ZZ on two qubits
-(Bacon-Shor, the repetition chain), which reads all of them off the GF(2)
-overlap matrix of the XX and ZZ components; else ``_Matching`` for a CSS
+chained).  ``_General`` answers them all from the GF(2) layer above, and
+keeps the code's one distance record: d once found, else a weight below
+which every region is known correctable.  The other solvers are
+``_General``s that override only what their structure answers:
+``_TwoBody`` when every generator is XX or ZZ on two qubits (Bacon-Shor,
+the repetition chain), which reads all of them off the GF(2) overlap
+matrix of the XX and ZZ components; else ``_Matching`` for a CSS
 stabilizer code with at most two X and two Z checks per qubit (the
 surface and toric codes), which reads them off tree-cotree labels on its
 two matching graphs; else ``_Concatenated`` for a code
 ``families.concatenate`` built, which reads ``parameters`` and a floor
-for the distance search off the two codes it was built from; else
-``_General``, a view of the layer above.  Each structure is detected from
-the form the code was built in, so neither form is derived for it, and a
-row test stops at the first row that fails.
+for the distance search off the two codes it was built from.  Each
+structure is detected from the form the code was built in, so neither
+form is derived for it, and a row test stops at the first row that fails.
 """
 
 from __future__ import annotations
@@ -195,8 +198,9 @@ def _support_arrays(n: int, supports: Iterable[Support]) -> tuple[np.ndarray, np
     return flat, ends
 
 
-# a two-body code's distance is a Gray-code walk over 2^k codewords up to
-# this k; past it the region search runs, as for any other code
+# up to this k, a two-body code's distance is a Gray-code walk over its 2^k
+# codewords and a matching code's a search in its 2^k-fold label cover; past
+# it, each asks ``_General._least``, the region search
 _MAX_WALK_RANK = 20
 
 
@@ -261,20 +265,78 @@ def _min_weight(basis: Sequence[int]) -> int:
     return int(best)
 
 
-class _Solver:
-    """What the three solvers share: each reaches its code through a weak
-    reference.  The code caches its solver, so a strong one would make a
-    cycle, and a dropped code would wait for the cyclic garbage collector."""
+class _General:
+    """Any code, answered by the GF(2) layer the code caches: the rank
+    formulas, the region search and the two column sets.  Each structured
+    solver subclasses it and overrides only what its structure answers.
+
+    A solver reaches its code through a weak reference: the code caches its
+    solver, so a strong one would make a cycle, and a dropped code would
+    wait for the cyclic garbage collector.  ``distance`` keeps one record:
+    ``d`` once found, else ``clear``, a weight up to which every region is
+    correctable (d > clear); a cap the record does not settle asks
+    ``_least``.  A region's verdict is a chain of one step, and a chain
+    grows one XOR basis of the correctable columns, whose verdict does not
+    depend on the order the qubits came in.
+    """
 
     def __init__(self, code: SubsystemCode) -> None:
         self._code = weakref.ref(code)
+        self.d: int | None = None
+        self.clear = 0
 
     @property
     def code(self) -> SubsystemCode:
         return self._code()
 
+    @cached_property
+    def qubits(self) -> frozenset[int]:
+        return frozenset(range(self.code.n))
 
-class _TwoBody(_Solver):
+    @cached_property
+    def parameters(self) -> CodeParameters:
+        """(n, k, g, s) from the ranks of the gauge span and its center."""
+        code = self.code
+        r, s = code.gauge_basis.rank(), code.stabilizer_basis.rank()
+        assert (r - s) % 2 == 0, "symplectic form on the gauge span has odd rank"
+        g = (r - s) // 2
+        return CodeParameters(n=code.n, k=code.n - s - g, g=g, s=s)
+
+    def distance(self, cap: int) -> DistanceResult:
+        """d if d <= cap, else "> cap", for a code with k >= 1."""
+        if self.d is None and cap > self.clear:
+            self.d = self._least(cap)
+            if self.d is None:
+                self.clear = max(self.clear, cap)
+        d = self.d
+        return DistanceResult(weight_cap=cap, value=d if d is not None and d <= cap else None)
+
+    def _least(self, cap: int) -> int | None:
+        """d, given d > ``clear``, or None when d > cap (a solver that finds
+        d past the cap may return it).  Here the least w from clear + 1 to
+        cap such that some w-qubit region fails, by iterative deepening: a
+        depth-first search over the w-subsets in lexicographic order
+        (``_fails``) for each w in turn."""
+        code = self.code
+        for w in range(self.clear + 1, cap + 1):
+            if _fails(code.correctable_columns, code.n, {}, 0, w):
+                return w
+        return None
+
+    def is_correctable(self, support: Iterable[int]) -> bool:
+        return self.extend(self.untouched(), checked_region(support, self.qubits))
+
+    def is_dressed_cleanable(self, support: Iterable[int]) -> bool:
+        return self.code.cleanable_columns.passes(support)
+
+    def untouched(self) -> dict[int, int]:
+        return {}
+
+    def extend(self, basis: dict[int, int], qubits: Iterable[int]) -> bool:
+        return self.code.correctable_columns.extend(basis, qubits)
+
+
+class _TwoBody(_General):
     """A code whose gauge generators are each XX or ZZ on two qubits, solved
     through its component matrix.
 
@@ -314,7 +376,7 @@ class _TwoBody(_Solver):
 
     def __init__(self, code: SubsystemCode, xx: Iterable[Sequence[int]], zz: Iterable[Sequence[int]]) -> None:
         super().__init__(code)
-        self.n = n = code.n
+        n = code.n
         self.x_label, c_x = _components(n, xx)
         self.z_label, c_z = _components(n, zz)
         rows, cols = [0] * c_x, [0] * c_z
@@ -355,20 +417,12 @@ class _TwoBody(_Solver):
         pairs, is_x = qubits.reshape(-1, 2), halves[:, 0] == 2
         return cls(code, pairs[is_x].tolist(), pairs[~is_x].tolist())
 
-    @cached_property
-    def qubits(self) -> frozenset[int]:
-        return frozenset(range(self.n))
-
-    @cached_property
-    def _walk(self) -> int:
-        """min(d_X, d_Z) by two Gray-code walks over k basis vectors."""
-        return min(_min_weight(self.cols.rref()[0]), _min_weight(self.rows.rref()[0]))
-
-    def distance(self, cap: int) -> DistanceResult:
-        """d from the walk, or from the region search when k > ``_MAX_WALK_RANK``."""
+    def _least(self, cap: int) -> int | None:
+        """d = min(d_X, d_Z) by two Gray-code walks over k basis vectors,
+        whatever the cap."""
         if self.k > _MAX_WALK_RANK:
-            return _search_distance(self.code, cap)
-        return DistanceResult(weight_cap=cap, value=self._walk if self._walk <= cap else None)
+            return super()._least(cap)
+        return min(_min_weight(self.cols.rref()[0]), _min_weight(self.rows.rref()[0]))
 
     @cached_property
     def _live(self) -> tuple[tuple[dict[int, frozenset[int]], list[int]], ...]:
@@ -563,7 +617,7 @@ def _path(back: dict[int, tuple[int, int] | None], state: int) -> frozenset[int]
     return frozenset(qubits)
 
 
-class _Matching(_Solver):
+class _Matching(_General):
     """A CSS stabilizer code whose every qubit is in at most two X checks
     and at most two Z checks, and whose every X check meets every Z check
     evenly (the planar surface code, the toric code, the repetition code),
@@ -672,21 +726,15 @@ class _Matching(_Solver):
             checks[z].append(flat[x_end:z_end] if z else flat[start:x_end])
         return cls.from_checks(code, *checks)
 
-    @cached_property
-    def qubits(self) -> frozenset[int]:
-        return frozenset(range(self.code.n))
-
-    def distance(self, cap: int) -> DistanceResult:
+    def _least(self, cap: int) -> int | None:
         """d as the least weight of a cycle with a nonzero label on either
-        graph, found once and kept as ``witness``."""
+        graph, if it is at most the cap; the cycle is kept as ``witness``."""
         if self.k > _MAX_WALK_RANK:
-            return _search_distance(self.code, cap)
-        if self.witness is None:
-            for side in self.sides:
-                limit = cap if self.witness is None else len(self.witness) - 1
-                self.witness = _least_cycle(side, self.k, limit) or self.witness
-        d = self.witness and len(self.witness)
-        return DistanceResult(weight_cap=cap, value=d if d and d <= cap else None)
+            return super()._least(cap)
+        for side in self.sides:
+            limit = cap if self.witness is None else len(self.witness) - 1
+            self.witness = _least_cycle(side, self.k, limit) or self.witness
+        return self.witness and len(self.witness)
 
     def untouched(self) -> list[tuple[dict[int, int], dict[int, int]]]:
         """The state of a growing chain for ``extend``: per graph, an empty
@@ -700,36 +748,7 @@ class _Matching(_Solver):
         qubits = list(qubits)
         return all(map(_closes_no_logical, self.sides, unions, itertools.repeat(qubits)))
 
-    def is_correctable(self, support: Iterable[int]) -> bool:
-        return self.extend(self.untouched(), checked_region(support, self.qubits))
-
-    is_dressed_cleanable = is_correctable
-
-
-class _General(_Solver):
-    """Any code, answered by the GF(2) layer the code caches: the rank
-    formulas, the region search and the two column sets.  A chain grows one
-    XOR basis of the correctable columns; its verdict equals a fresh one, as
-    a basis's pivots do not depend on the order its vectors came in."""
-
-    @cached_property
-    def parameters(self) -> CodeParameters:
-        return self.code._rank_parameters()
-
-    def distance(self, cap: int) -> DistanceResult:
-        return _search_distance(self.code, cap)
-
-    def is_correctable(self, support: Iterable[int]) -> bool:
-        return self.code.correctable_columns.passes(support)
-
-    def is_dressed_cleanable(self, support: Iterable[int]) -> bool:
-        return self.code.cleanable_columns.passes(support)
-
-    def untouched(self) -> dict[int, int]:
-        return {}
-
-    def extend(self, basis: dict[int, int], qubits: Iterable[int]) -> bool:
-        return self.code.correctable_columns.extend(basis, qubits)
+    is_dressed_cleanable = _General.is_correctable
 
 
 class _Concatenated(_General):
@@ -738,11 +757,11 @@ class _Concatenated(_General):
     ``concatenate`` for why they hold): n = n1·n2, k = k1·k2,
     g = k1·g2 + n2·g1, and d >= d1·d2.
 
-    ``distance(cap)`` asks each part for its distance capped at ``cap``, a
-    part past the cap counting as cap + 1.  A floor d1·d2 above the cap
-    answers "> cap" without building the code's GF(2) layer; otherwise the
-    region search starts at the floor.  Region verdicts and chains stay on
-    the general layer.
+    ``_least(cap)`` asks each part for its distance capped at ``cap``, a
+    part past the cap counting as cap + 1, and raises ``clear`` to
+    d1·d2 - 1 before the region search.  A floor above the cap answers
+    "> cap" without building the code's GF(2) layer.  Region verdicts and
+    chains stay on the general layer.
     """
 
     @cached_property
@@ -752,14 +771,13 @@ class _Concatenated(_General):
         k, g = p1.k * p2.k, p1.k * p2.g + p2.n * p1.g
         return CodeParameters(n=n, k=k, g=g, s=n - k - g)
 
-    def distance(self, cap: int) -> DistanceResult:
+    def _least(self, cap: int) -> int | None:
         floor = 1
         for part in self.code._parts:
             d = distance(part, cap).value
             floor *= cap + 1 if d is None else d
-        if floor > cap:
-            return DistanceResult(weight_cap=cap, value=None)
-        return _search_distance(self.code, cap, start=floor)
+        self.clear = max(self.clear, floor - 1)
+        return super()._least(cap)
 
 
 @dataclass(frozen=True)
@@ -898,7 +916,7 @@ class SubsystemCode:
         return kind.from_rows(self, self.gauge_matrix)
 
     @cached_property
-    def solver(self) -> _TwoBody | _Matching | _General:
+    def solver(self) -> _General:
         """The one object that answers ``parameters``, ``distance`` and the
         region verdicts: the two-body structure, else the matching-graph
         one, else the parts of a concatenation, else the general GF(2)
@@ -908,21 +926,6 @@ class SubsystemCode:
             or self._detect(_Matching)
             or (_General if self._parts is None else _Concatenated)(self)
         )
-
-    @property
-    def two_body(self) -> _TwoBody | None:
-        """The solver when every gauge generator is XX or ZZ on two distinct
-        qubits (the component-matrix structure), else None."""
-        solver = self.solver
-        return solver if isinstance(solver, _TwoBody) else None
-
-    def _rank_parameters(self) -> CodeParameters:
-        """(n, k, g, s) from the ranks of the gauge span and its center."""
-        r = self.gauge_basis.rank()
-        s = self.stabilizer_basis.rank()
-        assert (r - s) % 2 == 0, "symplectic form on the gauge span has odd rank"
-        g = (r - s) // 2
-        return CodeParameters(n=self.n, k=self.n - s - g, g=g, s=s)
 
     @cached_property
     def _interaction_index(self) -> np.ndarray:
@@ -1041,21 +1044,6 @@ def distance(code: SubsystemCode, weight_cap: int | None = None) -> DistanceResu
     if parameters(code).k == 0:
         raise ValueError("distance undefined for k = 0")
     return code.solver.distance(code.n if weight_cap is None else min(weight_cap, code.n))
-
-
-def _search_distance(code: SubsystemCode, cap: int, start: int = 1) -> DistanceResult:
-    """The least w in [start, cap] such that some w-qubit region supports a
-    stabilizer-commuting Pauli outside the gauge span, for a code with
-    k >= 1 and d >= start.
-
-    Iterative deepening: for w = start, start + 1, ... a depth-first search
-    over the w-subsets in lexicographic order (``_fails``).
-    """
-    cols = code.correctable_columns
-    for w in range(start, cap + 1):
-        if _fails(cols, code.n, {}, 0, w):
-            return DistanceResult(weight_cap=cap, value=w)
-    return DistanceResult(weight_cap=cap, value=None)
 
 
 def _fails(cols: QubitColumns, n: int, basis: dict[int, int], start: int, left: int) -> bool:

@@ -13,7 +13,8 @@ from qlocality.codes import (
     CodeParameters,
     DistanceResult,
     SubsystemCode,
-    _search_distance,
+    _General,
+    _TwoBody,
     derive_stabilizer,
     distance,
     logical_representatives,
@@ -796,12 +797,11 @@ def code_of(n, generators):
 def test_two_body_codes_match_the_general_layer(case):
     code, regions = case
     built = set(vars(code))
-    two_body = code.two_body
-    assert two_body is not None
+    assert isinstance(code.solver, _TwoBody)
     # detection derives neither form from the other
     assert {"gauge_matrix", "support_arrays"} & set(vars(code)) == {"gauge_matrix", "support_arrays"} & built
     p = parameters(code)
-    assert p == code._rank_parameters()
+    assert p == _General(code).parameters
     assert code.has_abelian_gauge() == (code.stabilizer_basis.rank() == code.gauge_basis.rank())
     n = code.n
     if p.k == 0:
@@ -809,7 +809,7 @@ def test_two_body_codes_match_the_general_layer(case):
             distance(code)
     else:
         for cap in [None, *range(n + 2)]:
-            assert distance(code, cap) == _search_distance(code, n if cap is None else min(cap, n))
+            assert distance(code, cap) == _General(code).distance(n if cap is None else min(cap, n))
     for u in regions:
         assert is_correctable(code, u) == code.correctable_columns.passes(u)
         assert is_dressed_cleanable(code, u) == code.cleanable_columns.passes(u)
@@ -821,12 +821,12 @@ def test_two_body_codes_match_the_general_layer(case):
 )
 def test_rows_other_than_xx_or_zz_on_two_qubits_are_not_two_body(generators):
     rows_code = SubsystemCode.from_strings(generators)
-    assert rows_code.two_body is None
+    assert not isinstance(rows_code.solver, _TwoBody)
     assert "support_arrays" not in vars(rows_code)
     arrays_code = SubsystemCode.from_supports(rows_code.n, supports_of(rows_code))
-    assert arrays_code.two_body is None
+    assert not isinstance(arrays_code.solver, _TwoBody)
     assert "gauge_matrix" not in vars(arrays_code)
-    assert parameters(rows_code) == rows_code._rank_parameters()
+    assert parameters(rows_code) == _General(rows_code).parameters
 
 
 def test_two_body_region_checks_keep_the_range_message():

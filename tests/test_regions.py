@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qlocality.codes import DistanceResult, SubsystemCode, distance, parameters
+from qlocality.codes import DistanceResult, SubsystemCode, _TwoBody, distance, parameters
 from qlocality.families import bacon_shor, small_inner_codes
 from qlocality.pauli import symplectic_bits
 from qlocality.regions import (
@@ -257,9 +257,10 @@ def test_component_sets_wait_for_the_first_region_query():
     code = bacon_shor(5).code
     parameters(code)
     distance(code)
-    assert "_live" not in vars(code.two_body)
+    assert isinstance(code.solver, _TwoBody)
+    assert "_live" not in vars(code.solver)
     is_correctable(code, [0])
-    assert "_live" in vars(code.two_body)
+    assert "_live" in vars(code.solver)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 """The solver seam: every structured solver against the general GF(2) layer,
-detection, presentation changes, and the matching solver's distance witness."""
+detection, the distance record, presentation changes, and the matching
+solver's distance witness."""
 
 import dataclasses
 import gc
@@ -172,7 +173,7 @@ def test_detection_rejects_codes_off_both_structures(name, form):
         code = SubsystemCode.from_supports(code.n, supports_of(code))
     built = {"gauge_matrix", "support_arrays"} & set(vars(code))
     assert code._detect(_TwoBody) is None and code._detect(_Matching) is None
-    assert isinstance(code.solver, _General)
+    assert type(code.solver) is (_General if code._parts is None else _Concatenated)
     assert {"gauge_matrix", "support_arrays"} & set(vars(code)) == built
 
 
@@ -229,14 +230,15 @@ def test_concatenation_floor_tight_and_not(inner, outer, d, floor):
     assert check_concatenation(NAMED_PARTS[inner], NAMED_PARTS[outer]) == (d, floor)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.one_of(st.sampled_from(list(NAMED_PARTS.values())), random_codes().filter(lambda c: c.n <= 5)),
-        min_size=2,
-        max_size=2,
-    )
+PART_PAIRS = st.lists(
+    st.one_of(st.sampled_from(list(NAMED_PARTS.values())), random_codes().filter(lambda c: c.n <= 5)),
+    min_size=2,
+    max_size=2,
 )
+
+
+@settings(max_examples=60, deadline=None)
+@given(PART_PAIRS)
 def test_concatenation_solver_matches_the_general_layer(parts):
     inner, outer = parts
     assume(inner.n * outer.n <= 28 and parameters(inner).k >= 1)
@@ -246,19 +248,40 @@ def test_concatenation_solver_matches_the_general_layer(parts):
     check_concatenation(inner, outer)
 
 
-def test_concatenated_distance_searches_from_the_floor(monkeypatch):
-    code = concatenate(STEANE, BS2)
+def spy_levels(monkeypatch):
+    """The (n, w) of every top-level search level ``codes._fails`` runs
+    from now on, in order."""
     levels, search = [], codes._fails
 
     def spy(cols, n, basis, start, left):
-        if n == code.n and start == 0:
-            levels.append(left)
+        if start == 0 and not basis:
+            levels.append((n, left))
         return search(cols, n, basis, start, left)
 
     monkeypatch.setattr(codes, "_fails", spy)
+    return levels
+
+
+def test_concatenated_distance_searches_from_the_floor(monkeypatch):
+    code = concatenate(STEANE, BS2)
+    distance(STEANE)
+    levels = spy_levels(monkeypatch)
     assert distance(code) == DistanceResult(weight_cap=28, value=6)
     # d >= 3·2 rules out every level below 6
-    assert levels == [6]
+    assert levels == [(28, 6)]
+
+
+def test_every_cap_on_a_concatenation_runs_only_the_levels_its_record_leaves_open(monkeypatch):
+    # fresh parts, so every search level is counted from cold
+    code = concatenate(small_inner_codes("steane").code, bacon_shor(2).code)
+    levels = spy_levels(monkeypatch)
+    for cap in range(code.n + 1):
+        assert distance(code, cap) == DistanceResult(weight_cap=cap, value=6 if cap >= 6 else None)
+    # Steane's levels 1 (cap 1) and 2, 3 (cap 4), then level 6 at the floor
+    assert levels == [(7, 1), (7, 2), (7, 3), (28, 6)]
+    levels.clear()
+    assert distance(code) == DistanceResult(weight_cap=28, value=6)
+    assert levels == []
 
 
 def test_a_capped_concatenation_below_the_floor_builds_no_general_layer():
@@ -274,6 +297,47 @@ def test_a_concatenation_read_back_from_its_rows_takes_the_general_layer():
     code = fresh(concatenate(STEANE, BS2))
     assert type(code.solver) is _General
     assert distance(code, weight_cap=2) == DistanceResult(weight_cap=2, value=None)
+
+
+# ── the distance record ────────────────────────────────────────────────
+
+
+def concatenations():
+    """Concatenations of n <= 28 with k >= 1 and, as above, a floor <= 6."""
+    return PART_PAIRS.filter(
+        lambda parts: parts[0].n * parts[1].n <= 28
+        and parameters(parts[0]).k >= 1
+        and parameters(parts[1]).k >= 1
+        and distance(parts[0]).value * distance(parts[1]).value <= 6
+    ).map(lambda parts: concatenate(*parts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        random_codes(),
+        two_body_cases().map(lambda case: case[0]),
+        planar_patches().map(lambda case: case[0]),
+        concatenations(),
+    ),
+    st.data(),
+)
+def test_one_solver_answers_every_cap_sequence_as_a_fresh_general_search(code, data):
+    assume(code.n and parameters(code).k >= 1)
+    drawn = data.draw(st.lists(st.integers(0, code.n), min_size=1, max_size=6))
+    # repeats, and both orders
+    caps = drawn + drawn[::-1]
+    expected = {cap: _General(code).distance(cap) for cap in set(caps)}
+    d = _General(code).distance(code.n).value
+    solver, found = code.solver, False
+    for cap in caps:
+        assert solver.distance(cap) == expected[cap]
+        found = found or cap >= d
+        if isinstance(solver, _Matching):
+            # the witness is kept from the first answer that finds d, through
+            # every capped miss after it
+            assert (solver.witness is not None) == found
+            assert not found or len(solver.witness) == d
 
 
 # ── presentation changes ───────────────────────────────────────────────
@@ -338,7 +402,7 @@ def test_surface_3_with_a_product_answers_through_the_general_layer_as_surface_3
     order = rng.sample(range(code.n), code.n)
     extended = REJECTED["surface-3-with-a-product"]
     assert answers(extended, regions, order) == answers(code, regions, order)
-    assert isinstance(extended.solver, _General) and isinstance(code.solver, _Matching)
+    assert type(extended.solver) is _General and isinstance(code.solver, _Matching)
 
 
 def certificates(ec):

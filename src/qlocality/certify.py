@@ -281,6 +281,9 @@ def holographic_certify(
 
     sides = [w_final - 2.0 * ell * n_steps]
     base = cube_at(sides[0])
+    # the base cube is one box query, not entry == 0 of _ladder_counts: a
+    # zero-step ladder (three of perfbench geometry-scale's four holographic
+    # runs) then never pays for the ladder pass, which costs more
     in_base = np.zeros(e.n, dtype=bool)
     in_base[points_in_box(e, base)] = True
     if n_steps:

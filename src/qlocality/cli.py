@@ -10,10 +10,10 @@ from writing a file, becomes one ``error: <message>`` line on stderr.
 Each argv is parsed once: the subparser its first word names reads the
 rest (``parse_args``), and the full parser runs only when that word names
 no command.  JSON output is written by ``_dump`` in blocks of 1,024
-pieces, and its text (``_json_text``) equals ``json.dumps(obj,
-sort_keys=True, indent=2, allow_nan=False)`` byte for byte without the
-pure-Python encoder that ``indent`` selects; certificates keep their
-compact ``json.dumps`` lines.
+pieces, and equals ``json.dumps(obj, sort_keys=True, indent=2,
+allow_nan=False)`` and a newline byte for byte without the pure-Python
+encoder that ``indent`` selects; certificates keep their compact
+``json.dumps`` lines.
 """
 
 from __future__ import annotations
@@ -173,38 +173,18 @@ _LEAF_TEXT = {
 }
 
 
-def _json_text(obj: object) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)``, byte
-    for byte.
-
-    CPython's C encoder ignores ``indent``, so ``json.dumps`` would run its
-    pure-Python generator encoder.  Here one recursive walk puts the text's
-    pieces in a list that is joined once: leaves go through
-    ``int.__repr__``, ``float.__repr__`` and ``encode_basestring_ascii``,
-    tuples are written as lists, dict items are sorted as json sorts them,
-    and a value json rejects raises the same error: ``TypeError`` for a
-    type, ``ValueError`` for a NaN or infinite float, so stdout is always
-    strict JSON.
-    """
-    parts: list[str] = []
-    _json_parts(obj, "\n", parts)
-    return "".join(parts)
-
-
 # pieces joined per write: an output of more is written in blocks
 _BLOCK_PIECES = 1 << 10
 
 
-def _json_parts(
-    obj: object, indent: str, parts: list[str], flush: Callable[[], None] | None = None
-) -> None:
+def _json_parts(obj: object, indent: str, parts: list[str], flush: Callable[[], None]) -> None:
     """Append obj's pieces to parts; ``indent`` is a newline and the
     current level's spaces.  Each item's value follows its separator: the
     opening bracket or a comma, then the next level's newline and spaces
     (and a dict's key).  An item whose value has an exact leaf type is one
     piece, its separator and text, written in the loop; any other value
-    is walked by a recursive call.  After each list item, ``flush``, when
-    given, is called once parts holds ``_BLOCK_PIECES`` pieces."""
+    is walked by a recursive call.  After each list item, ``flush`` is
+    called once parts holds ``_BLOCK_PIECES`` pieces."""
     leaf = _LEAF_TEXT.get(type(obj))
     if leaf is not None:
         return parts.append(leaf(obj))
@@ -222,7 +202,7 @@ def _json_parts(
                 put(sep)
                 _json_parts(value, inner, parts, flush)
             sep = "," + inner
-            if flush is not None and len(parts) >= _BLOCK_PIECES:
+            if len(parts) >= _BLOCK_PIECES:
                 flush()
         return put(indent + "]")
     if isinstance(obj, dict):
@@ -246,7 +226,12 @@ def _json_parts(
 
 
 def _dump(obj: dict, path: str | None = None) -> None:
-    """``_json_text(obj)`` and a newline, written as ``_write`` writes.
+    """``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)`` and a
+    newline, byte for byte, written as ``_write`` writes.  CPython's C
+    encoder ignores ``indent``, so one recursive walk (``_json_parts``)
+    stands in for json's pure-Python one; a value json rejects raises
+    json's error, ``TypeError`` for a type and ``ValueError`` for a NaN or
+    infinite float, so stdout is always strict JSON.
 
     The pieces are joined and written in blocks of ``_BLOCK_PIECES``, so a
     lattice code's text is never held whole beside its encoded bytes.  An

@@ -327,7 +327,7 @@ class _General:
         return self.extend(self.untouched(), checked_region(support, self.qubits))
 
     def is_dressed_cleanable(self, support: Iterable[int]) -> bool:
-        return self.code.cleanable_columns.passes(support)
+        return self.code.cleanable_columns.extend({}, checked_region(support, self.qubits))
 
     def untouched(self) -> dict[int, int]:
         return {}
@@ -365,13 +365,12 @@ class _TwoBody(_General):
     first region query (``_live``), so ``parameters`` and ``distance``
     never pay for them.  The correctable test hands the rank test, which
     stops at rank k, the vectors of the live components with
-    ``part.isdisjoint(U)``.  The cleanable test asks ``part <= U`` of every
-    live component, or, when U has fewer qubits than the side has live
-    components, of only those U touches.  The components are walked in C
-    (``map``, ``itertools.compress``), so no query takes more Python steps
-    than min(|U|, c) plus the rank test.  A growing chain (``untouched``,
-    ``extend``) keeps the live components no qubit has touched yet, drops
-    those each step's new qubits touch, and runs the rank test on the rest.
+    ``part.isdisjoint(U)``, and the cleanable test asks ``part <= U`` of
+    every live component.  Both walk every live component in C (``map``,
+    ``itertools.compress``), so only the rank test takes Python steps.  A
+    growing chain (``untouched``, ``extend``) keeps the live components no
+    qubit has touched yet, drops those each step's new qubits touch, and
+    runs the rank test on the rest.
     """
 
     def __init__(self, code: SubsystemCode, xx: Iterable[Sequence[int]], zz: Iterable[Sequence[int]]) -> None:
@@ -448,12 +447,8 @@ class _TwoBody(_General):
 
     def is_dressed_cleanable(self, support: Iterable[int]) -> bool:
         region = checked_region(support, self.qubits)
-        for labels, (parts, _) in zip((self.x_label, self.z_label), self._live):
-            if len(region) < len(parts):
-                touched = set(map(labels.__getitem__, region))
-                if any(region.issuperset(parts[a]) for a in touched if a in parts):
-                    return False
-            elif any(map(region.issuperset, parts.values())):
+        for parts, _ in self._live:
+            if any(map(region.issuperset, parts.values())):
                 return False
         return True
 
@@ -891,14 +886,14 @@ class SubsystemCode:
 
     @cached_property
     def correctable_columns(self) -> QubitColumns:
-        """Columns over [L; S], which span C(G): a region passes iff it is
-        correctable."""
+        """Columns over [L; S], which span C(G): ``extend`` from an empty
+        basis is True on a region iff it is correctable."""
         return QubitColumns(self.stabilizer_basis, self._center[1])
 
     @cached_property
     def cleanable_columns(self) -> QubitColumns:
-        """Columns over [L; G], which span C(S): a region passes iff it is
-        dressed-cleanable."""
+        """Columns over [L; G], which span C(S): ``extend`` from an empty
+        basis is True on a region iff it is dressed-cleanable."""
         return QubitColumns(self.gauge_basis, self._center[1])
 
     def has_abelian_gauge(self) -> bool:

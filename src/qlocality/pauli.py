@@ -28,19 +28,16 @@ def check_qubit_count(n: int) -> None:
         raise ValueError(f"qubit count {n} outside [0, {MAX_QUBITS}]")
 
 
-def check_region(qubits: Collection[int], n: int) -> None:
-    """Raise ValueError unless every qubit of the set lies in [0, n)."""
-    if qubits and (min(qubits) < 0 or max(qubits) >= n):
-        raise ValueError(f"region {sorted(map(int, qubits))} outside qubit range [0, {n})")
-
-
 def checked_region(support: Iterable[int], qubits: frozenset[int]) -> Collection[int]:
     """support as a set (a set or frozenset is read in place), after one
-    subset test against ``qubits`` = frozenset(range(n)); a qubit outside
-    [0, n) raises ``check_region``'s ValueError."""
+    subset test against ``qubits`` = frozenset(range(n)): the one range test
+    of a region.  A region with a qubit outside [0, n), or with a value
+    that is no qubit (0.5), raises a ValueError that shows it sorted, each
+    integer as an int and any other value as given."""
     region = support if isinstance(support, (set, frozenset)) else set(support)
     if not region <= qubits:
-        check_region(region, len(qubits))
+        shown = sorted(int(q) if hasattr(q, "__index__") else q for q in region)
+        raise ValueError(f"region {shown} outside qubit range [0, {len(qubits)})")
     return region
 
 
@@ -309,8 +306,9 @@ def centralizer(m: BitMatrix) -> BitMatrix:
 
 class QubitColumns:
     """Per-qubit X and Z columns that decide "every Pauli on U commuting with
-    ``constraints`` lies in A" for any qubit set U, where A is a span that
-    commutes with every constraint row.
+    ``constraints`` lies in A" for a given qubit set U, where A is a span
+    that commutes with every constraint row.  The columns only reduce: a
+    caller checks U's range first (``checked_region``).
 
     A itself is never stored: the columns are read off the stacked rows
     [L; constraints], where the rows L (``logicals``) together with the
@@ -331,11 +329,10 @@ class QubitColumns:
     def __init__(self, constraints: BitMatrix, logicals: Sequence[int]) -> None:
         if constraints.width % 2:
             raise ValueError("constraints need an even width")
-        n = self.n = constraints.width // 2
+        n = constraints.width // 2
         self.low = len(logicals)
         columns = transpose([*logicals, *constraints.rows], 2 * n)
         self.columns = [(columns[q], columns[q + n]) for q in range(n)]
-        self.qubits = frozenset(range(n))
 
     def extend(self, basis: dict[int, int], qubits: Iterable[int]) -> bool:
         """Add the qubits' columns to ``basis``; False iff the region fails.
@@ -343,6 +340,7 @@ class QubitColumns:
         ``basis`` maps leading bit to vector, all in the high bits; after a
         False it is left part-updated and must be dropped.  A region gives
         one verdict in any qubit order and split over any number of calls.
+        The qubits must lie in [0, n).
         """
         columns, low, get = self.columns, self.low, basis.get
         for q in qubits:
@@ -385,9 +383,3 @@ class QubitColumns:
                     pivot = x
                 z ^= pivot
         return False
-
-    def passes(self, support: Iterable[int]) -> bool:
-        """True iff every Pauli on ``support`` (a qubit set) commuting with
-        the constraints lies in A; a qubit outside [0, n) raises ValueError
-        before any column is reduced (``checked_region``)."""
-        return self.extend({}, checked_region(support, self.qubits))

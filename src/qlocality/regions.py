@@ -12,7 +12,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .codes import SubsystemCode, json_int, parameters
-from .pauli import check_region
+from .pauli import checked_region
 
 
 def is_correctable(code: SubsystemCode, u: Iterable[int]) -> bool:
@@ -83,20 +83,16 @@ def check_union_lemma(
     or correctable (projector mode, abelian gauge group required)."""
     if mode not in ("subsystem", "projector"):
         raise ValueError(f"unknown mode {mode!r}")
-    parts = [frozenset(r) for r in regions]
-    for p in parts:
-        check_region(p, code.n)
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            if parts[i] & parts[j]:
-                raise ValueError("regions must be pairwise disjoint")
+    parts = [checked_region(r, code.solver.qubits) for r in regions]
+    label = np.full(code.n, -1)
+    for idx, p in enumerate(parts):
+        label[list(p)] = idx
+    if np.count_nonzero(label >= 0) != sum(map(len, parts)):
+        raise ValueError("regions must be pairwise disjoint")
     if mode == "projector" and not code.has_abelian_gauge():
         raise ValueError("projector mode requires an abelian gauge group")
 
     # decoupled: no pair joins two of the regions
-    label = np.full(code.n, -1)
-    for idx, p in enumerate(parts):
-        label[list(p)] = idx
     ends = label[code.interaction_index()]
     decoupled = not ((ends >= 0).all(axis=1) & (ends[:, 0] != ends[:, 1])).any()
     each_correctable = all(is_correctable(code, p) for p in parts)
@@ -148,13 +144,10 @@ def check_expansion_lemma(
 
 
 def _require_partition(code: SubsystemCode, parts: Sequence[frozenset[int]]) -> None:
-    seen: set[int] = set()
-    total = 0
+    qubits = code.solver.qubits
     for p in parts:
-        check_region(p, code.n)
-        total += len(p)
-        seen |= p
-    if total != code.n or seen != set(range(code.n)):
+        checked_region(p, qubits)
+    if sum(map(len, parts)) != code.n or frozenset().union(*parts) != qubits:
         raise ValueError("regions do not form a partition of all qubits")
 
 

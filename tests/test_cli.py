@@ -1,7 +1,9 @@
 """CLI surface: subcommands, exit codes, round trips, determinism."""
 
 import argparse
+import contextlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -1404,6 +1406,14 @@ def strict_dumps(obj):
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
 
 
+def dumped(obj):
+    """What ``cli._dump`` writes to stdout for obj."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._dump(obj)
+    return out.getvalue()
+
+
 def text_or_error(write, obj):
     try:
         return write(obj)
@@ -1416,7 +1426,7 @@ def text_or_error(write, obj):
 def test_json_writer_equals_indented_json_dumps(obj):
     # a dict whose keys do not sort raises TypeError in both, and a NaN or
     # infinite float (a key too) the same ValueError
-    assert text_or_error(cli._json_text, obj) == text_or_error(strict_dumps, obj)
+    assert text_or_error(dumped, obj) == text_or_error(lambda o: strict_dumps(o) + "\n", obj)
 
 
 @pytest.mark.parametrize(
@@ -1427,7 +1437,7 @@ def test_json_writer_rejects_what_json_rejects(obj):
     with pytest.raises(TypeError) as expected:
         json.dumps(obj, sort_keys=True, indent=2)
     with pytest.raises(TypeError) as got:
-        cli._json_text(obj)
+        dumped(obj)
     assert str(got.value) == str(expected.value)
 
 
@@ -1435,7 +1445,7 @@ def test_json_writer_rejects_what_json_rejects(obj):
 def test_dump_in_blocks_writes_the_json_text_over_a_longer_file(tmp_path, capsys, monkeypatch, block):
     monkeypatch.setattr(cli, "_BLOCK_PIECES", block)
     obj = {"gauge_generators": ["XXIZ" * 40] * 30, "n": 160, "w": [0.5, None, True]}
-    text = cli._json_text(obj) + "\n"
+    text = strict_dumps(obj) + "\n"
     out = tmp_path / "out.json"
     out.write_text("x" * (2 * len(text)))
     cli._dump(obj, str(out))
@@ -1457,7 +1467,7 @@ def test_dump_of_a_value_json_rejects_writes_nothing(tmp_path, capsys):
 @pytest.mark.parametrize("dim, code_class", [(2, "subsystem"), (3, "projector")])
 def test_json_writer_equals_json_dumps_on_contour_tables(dim, code_class):
     obj = emit_contours(dim, code_class, 0.1).to_json()
-    assert cli._json_text(obj) == strict_dumps(obj)
+    assert dumped(obj) == strict_dumps(obj) + "\n"
 
 
 def test_json_writer_equals_json_dumps_on_an_interactions_file(tmp_path, capsys):
@@ -1473,10 +1483,10 @@ def test_json_writer_equals_json_dumps_on_an_interactions_file(tmp_path, capsys)
 
 def test_json_writer_writes_float_subclasses_as_floats():
     obj = {"x": [np.float64(0.1), np.float64(-2.5)], "n": True}
-    assert cli._json_text(obj) == strict_dumps(obj)
+    assert dumped(obj) == strict_dumps(obj) + "\n"
     for bad in ({"x": [np.float64("nan")]}, {"x": np.float64("-inf")}):
         with pytest.raises(ValueError) as expected:
             strict_dumps(bad)
         with pytest.raises(ValueError) as got:
-            cli._json_text(bad)
+            dumped(bad)
         assert str(got.value) == str(expected.value)

@@ -811,8 +811,8 @@ def test_two_body_codes_match_the_general_layer(case):
         for cap in [None, *range(n + 2)]:
             assert distance(code, cap) == _General(code).distance(n if cap is None else min(cap, n))
     for u in regions:
-        assert is_correctable(code, u) == code.correctable_columns.passes(u)
-        assert is_dressed_cleanable(code, u) == code.cleanable_columns.passes(u)
+        assert is_correctable(code, u) == _General(code).is_correctable(u)
+        assert is_dressed_cleanable(code, u) == _General(code).is_dressed_cleanable(u)
 
 
 @pytest.mark.parametrize(

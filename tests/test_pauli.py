@@ -17,6 +17,7 @@ from qlocality.pauli import (
     PauliVector,
     QubitColumns,
     centralizer,
+    checked_region,
     format_supports,
     parse_rows,
     symplectic_bits,
@@ -248,8 +249,10 @@ def test_nullspace_is_annihilated():
 
 def kernel_in_span(support, constraints, span):
     """The region predicate under test, built afresh for each question; the
-    rows of C(span) with the constraints span C(span)."""
-    return QubitColumns(constraints, centralizer(span).rows).passes(support)
+    rows of C(span) with the constraints span C(span).  The support is read
+    as a set and range-checked by ``checked_region``."""
+    region = checked_region(support, frozenset(range(constraints.width // 2)))
+    return QubitColumns(constraints, centralizer(span).rows).extend({}, region)
 
 
 def brute_kernel_in_span(support, gens, span_rows, n):

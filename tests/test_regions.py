@@ -11,8 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qlocality.codes import DistanceResult, SubsystemCode, _TwoBody, distance, parameters
-from qlocality.families import bacon_shor, small_inner_codes
+from qlocality.codes import DistanceResult, SubsystemCode, _General, _Matching, _TwoBody, distance, parameters
+from qlocality.families import bacon_shor, small_inner_codes, surface_code
 from qlocality.pauli import symplectic_bits
 from qlocality.regions import (
     ab_bound_check,
@@ -430,6 +430,30 @@ def test_region_predicates_name_the_qubit_range(predicate, region, shown):
     message = f"region {shown} outside qubit range [0, 9)"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         predicate(BS3, region)
+
+
+RANGE_CHECKS = {
+    "is_correctable": is_correctable,
+    "is_dressed_cleanable": is_dressed_cleanable,
+    "check_union_lemma": lambda code, region: check_union_lemma(code, [region]),
+    "ab_bound_check": lambda code, region: ab_bound_check(code, region, range(code.n)),
+}
+
+
+@pytest.mark.parametrize("check", RANGE_CHECKS.values(), ids=RANGE_CHECKS)
+@pytest.mark.parametrize(
+    "code, solver",
+    [(BS3, _TwoBody), (surface_code(3).code, _Matching), (small_inner_codes("steane").code, _General)],
+    ids=["two-body", "matching", "general"],
+)
+@pytest.mark.parametrize("region, shown", [([0.5, 2], "[0.5, 2]"), ([1.5], "[1.5]")])
+def test_non_integer_qubits_fail_every_range_check(check, code, solver, region, shown):
+    # each solver's range check, and the lemma checks' part checks, name a
+    # value that is no qubit, as they name one outside [0, n)
+    assert type(code.solver) is solver
+    message = f"region {shown} outside qubit range [0, {code.n})"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check(code, region)
 
 
 # ── boundary ───────────────────────────────────────────────────────────

@@ -6,6 +6,11 @@ arguments with the paper-level constants: every accepted step carries a
 boundary count that must stay below d.  Verified mode cross-checks each
 intermediate region with the exact correctability oracle, which is the
 ground truth on small codes and needs no hypotheses.
+
+An outcome names only what the replayed proof found; stuck-at alone sets
+``stuck_step``, to the last step's index.  A bound the proof guarantees (the
+sweep's lexicographic increase, nxt-gap cap and iteration budget; the AB/ABC
+bound on a built partition) raises ``AssertionError`` when it fails.
 """
 
 from __future__ import annotations
@@ -248,6 +253,7 @@ def holographic_certify(
         "f_box": f_v,
         "box": b.to_json(),
     }
+    cert = Certificate(kind="holographic", mode=mode, outcome=OUTCOME_CERTIFIED, metadata=metadata)
     violations = []
     # ell > d^(1/D) / (8 sqrt(D)) iff (8 ell)^(2D) D^D > d^2, decided exactly
     # in integers from the ratios p/q of ell and dp/dq of d
@@ -259,13 +265,8 @@ def holographic_certify(
     if f_v > d / 10.0:
         violations.append(f"f(box) = {f_v} exceeds d/10 = {d / 10.0:g}")
     if mode == "strict" and violations:
-        return Certificate(
-            kind="holographic",
-            mode=mode,
-            outcome=OUTCOME_VIOLATED,
-            reason="; ".join(violations),
-            metadata=metadata,
-        )
+        cert.outcome, cert.reason = OUTCOME_VIOLATED, "; ".join(violations)
+        return cert
 
     # descend from the final cube in 2*ell steps until the base-case width;
     # nominal sides may go nonpositive (empty cubes)
@@ -297,7 +298,6 @@ def holographic_certify(
         half = max(sides[-1] + 2.0 * ell, 0.0) / 2.0
         overflows = not all(math.isfinite(c - half) and math.isfinite(c + half) for c in center)
 
-    cert = Certificate(kind="holographic", mode=mode, outcome=OUTCOME_CERTIFIED, metadata=metadata)
     # the cubes share a center and grow, so their qubit sets form a chain
     correctable = chain_oracle(code) if mode == "verified" else None
     for index, side in enumerate(sides):
@@ -406,7 +406,6 @@ def expansion_sweep(
         check_code_size(e, code.n)
     dim = e.dimension
     n = e.n
-    k = parameters(code).k if code is not None else None
 
     if n == 0:
         return Certificate(
@@ -644,12 +643,7 @@ def expansion_sweep(
                 nxt_val = end + gamma
                 gap = nxt_val - a_i
                 if gap > nxt_gap_cap:
-                    cert.outcome = OUTCOME_VIOLATED
-                    cert.stuck_step = len(cert.steps)
-                    cert.reason = (
-                        f"nxt gap {gap:g} exceeds packed-slab bound {nxt_gap_cap:g}"
-                    )
-                    return cert
+                    raise AssertionError(f"nxt gap {gap:g} exceeds packed-slab bound {nxt_gap_cap:g}")
                 nxts.append(nxt_val)
                 labels.append(f"{labels[-1]}{a_i:g}, ")
                 a.append(0.0)
@@ -662,12 +656,14 @@ def expansion_sweep(
                     {"nxt": nxt_val, "gap": gap},
                 )
         lex = tuple(a)
-        assert lex > prev_lex, "sweep failed to increase the lexicographic index"
+        if lex <= prev_lex:
+            raise AssertionError("sweep failed to increase the lexicographic index")
         prev_lex = lex
     else:
-        raise RuntimeError("sweep did not terminate within the iteration budget")
+        raise AssertionError("sweep did not terminate within the iteration budget")
 
-    if k is not None and k >= 1:
+    # k is read only here, so a sweep that stops early never builds the code's solver
+    if code is not None and (k := parameters(code).k) >= 1:
         cert.outcome = OUTCOME_CONTRADICTION
         cert.reason = f"full qubit set certified correctable while k = {k} >= 1"
     return cert
@@ -777,8 +773,8 @@ def theorem_partition_builder(
     disjoint and covering range(n), with the certificate.  The counting
     ledger evaluates each proof inequality on the instance; hypothesis
     failures are recorded, not asserted.  With verify=True the partition is
-    fed to the matching AB/ABC bound check, which must hold whenever its
-    hypotheses do.  The thm5_1 variants reject a non-abelian gauge group
+    fed to the matching AB/ABC bound check, a theorem whose failure raises
+    AssertionError.  The thm5_1 variants reject a non-abelian gauge group
     before any work, whether or not they verify.  An ell so small that the
     box width w0 overflows a float is rejected before the tiling.
     """
@@ -869,9 +865,8 @@ def theorem_partition_builder(
             check, key, name = ab_bound_check(code, *parts), "ab_check", "AB"
         else:
             check, key, name = abc_bound_check(code, *parts), "abc_check", "ABC"
-        cert.metadata[key] = check.__dict__
         if not check.holds:
-            cert.outcome = OUTCOME_STUCK
-            cert.reason = f"{name} bound violated on the built partition"
+            raise AssertionError(f"{name} bound violated on the built partition")
+        cert.metadata[key] = check.__dict__
     cert.metadata["ledger"] = ledger
     return parts, cert

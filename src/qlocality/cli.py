@@ -1,11 +1,13 @@
 """Command-line surface: JSON in, JSON out, deterministic seeds.
 
 Exit codes: 0 = success (including unmet hypotheses, which are reported
-as flags); 1 = a failed invariant or certification (stuck sweep, violated
-lemma assertion); 2 = input or format errors.  ``main`` is the one place
-that maps a rejected input to 2: a ``ValueError`` from ``_load`` (the one
-reader of input files), a handler check or the library, or an ``OSError``
-from writing a file, becomes one ``error: <message>`` line on stderr.
+as flags); 1 = a certificate that ends ``stuck-at``, a failed tiling check
+or a failed invariant; 2 = input or format errors.  ``main`` is the one
+error boundary: a ``ValueError`` (from ``_load``, the one reader of input
+files, a handler check or the library) or an ``OSError`` from writing a
+file becomes one ``error: <message>`` line on stderr and exit 2, and an
+``AssertionError`` (a bound the proof guarantees) one ``invariant failed:
+<message>`` line and exit 1.
 
 Each argv is parsed once: the subparser its first word names reads the
 rest (``parse_args``), and the full parser runs only when that word names
@@ -250,11 +252,13 @@ def _dump(obj: dict, path: str | None = None) -> None:
         flush()
 
 
-def _emit_certificate(cert: certify.Certificate, path: str | None) -> None:
-    """The certificate as JSON lines to path, if given; its trace to stdout."""
+def _emit_certificate(cert: certify.Certificate, path: str | None) -> int:
+    """The certificate as JSON lines to path, if given; its trace to stdout.
+    Returns the exit code: 1 iff the proof is stuck-at a step, else 0."""
     if path:
         _write(cert.to_json_lines(), path)
     print(cert.trace())
+    return EXIT_FAILED if cert.outcome == certify.OUTCOME_STUCK else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +344,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         else geometry.InteractionSet(emb.n, np.empty((0, 2), dtype=np.intp), np.empty(0))
     )
     cert = certify.expansion_sweep(emb, ints, args.ell, args.tau, args.d, mode=mode, code=code)
-    _emit_certificate(cert, args.out)
-    return EXIT_OK if cert.certified or cert.outcome == certify.OUTCOME_VIOLATED else EXIT_FAILED
+    return _emit_certificate(cert, args.out)
 
 
 def _cmd_holographic(args: argparse.Namespace) -> int:
@@ -350,8 +353,7 @@ def _cmd_holographic(args: argparse.Namespace) -> int:
     box = _load(args.box, "box", geometry.Box.from_json)
     mode = "verified" if args.verified else "strict"
     cert = certify.holographic_certify(code, emb, box, args.ell, mode=mode, d=args.d)
-    _emit_certificate(cert, args.out)
-    return EXIT_FAILED if cert.outcome == certify.OUTCOME_STUCK else EXIT_OK
+    return _emit_certificate(cert, args.out)
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
@@ -361,7 +363,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         code, emb, args.ell, args.variant, seed=args.seed, verify=not args.no_verify
     )
     _dump({"partition": {"parts": parts}, "certificate": cert.metadata}, args.out)
-    return EXIT_OK if cert.outcome != certify.OUTCOME_STUCK else EXIT_FAILED
+    return EXIT_OK
 
 
 # family name -> builder of the embedded code from --size; each looks its

@@ -1,5 +1,6 @@
 """Proof engines: holographic certification, expansion sweep, partition builders."""
 
+import dataclasses
 import json
 import math
 import re
@@ -276,6 +277,30 @@ def test_sweep_full_certification_reports_contradiction():
     assert "start-next-dimension" in rules
     assert "expand-last-dimension" in rules
     assert "finish-dimension" in rules
+
+
+# label -> (embedded code, ell, tau, d) of a strict sweep that sticks
+STUCK_SWEEPS = {
+    "steane": (lambda: small_inner_codes("steane"), 1.0, 3.0, 2),
+    "bacon_shor-3": (lambda: bacon_shor(3), 2.0, 9.0, 3),
+}
+
+
+@pytest.mark.parametrize("label", sorted(STUCK_SWEEPS))
+def test_strict_sweep_that_sticks_never_builds_the_solver(label):
+    # k is read only for the contradiction, which a stuck sweep never reaches
+    build, ell, tau, d = STUCK_SWEEPS[label]
+    ec = build()
+    cert = expansion_sweep(ec.embedding, extract_interactions(ec.code, ec.embedding), ell, tau, d, code=ec.code)
+    assert cert.outcome == OUTCOME_STUCK
+    assert "solver" not in vars(ec.code)
+
+
+def test_strict_sweep_reads_k_for_its_contradiction():
+    ec = bacon_shor(3)
+    cert = expansion_sweep(ec.embedding, extract_interactions(ec.code, ec.embedding), 2.0, 6.0, 100, code=ec.code)
+    assert cert.outcome == OUTCOME_CONTRADICTION
+    assert cert.reason == "full qubit set certified correctable while k = 1 >= 1"
 
 
 def test_sweep_without_code_reports_certified():
@@ -578,6 +603,21 @@ def test_partition_five_qubit_all_variants():
         assert sum(len(p) for p in parts) == 5
 
 
+# variant -> the bound check its partition is fed to, and the bound's name
+PARTITION_BOUNDS = {"thm3_2": ("ab_bound_check", "AB"), "thm5_1_case1": ("abc_bound_check", "ABC")}
+
+
+@pytest.mark.parametrize("variant", sorted(PARTITION_BOUNDS))
+def test_a_failed_partition_bound_raises_as_an_invariant(monkeypatch, variant):
+    # the bound is a theorem, so only a forced report can fail it
+    check, name = PARTITION_BOUNDS[variant]
+    real = getattr(certify, check)
+    monkeypatch.setattr(certify, check, lambda code, *parts: dataclasses.replace(real(code, *parts), holds=False))
+    with pytest.raises(AssertionError) as failure:
+        theorem_partition_builder(FIVE.code, FIVE.embedding, 1.2, variant)
+    assert str(failure.value) == f"{name} bound violated on the built partition"
+
+
 def test_partition_case2_no_bad_boxes_without_long_interactions():
     # d >= k and no long interactions: zero bad boxes, per the 1/10 count
     _, cert = theorem_partition_builder(FIVE.code, FIVE.embedding, 10.0, "thm5_1_case2")
@@ -733,15 +773,13 @@ def test_sweep_coordinate_zero_two_bad_matches_pin():
 
 def test_sweep_nxt_gap_violation_matches_pin(monkeypatch):
     # counting bounds every bad interval by the packed-slab cap, so the
-    # census is replaced by one interval far longer than it
+    # census is replaced by one interval far longer than it; the cap is a
+    # bound the proof guarantees, so its failure is an invariant, not an outcome
     monkeypatch.setattr(certify, "_bad_intervals", lambda values, ell, tau: [(5.0, 1000.0)])
     emb = line_embedding(10)
-    cert = expansion_sweep(emb, empty_interactions(10), ell=1.0, tau=2.0, d=100)
-    assert cert.outcome == OUTCOME_VIOLATED
-    assert cert.stuck_step == 4
-    assert cert.reason == "nxt gap 996.5 exceeds packed-slab bound 16"
-    digest = sha256(cert.to_json_lines().encode()).hexdigest()
-    assert digest == "4da9cfdbeb61c8a440beee87d772b38fd4e575bd2ef550112dbe08a0cc992e5c"
+    with pytest.raises(AssertionError) as failure:
+        expansion_sweep(emb, empty_interactions(10), ell=1.0, tau=2.0, d=100)
+    assert str(failure.value) == "nxt gap 996.5 exceeds packed-slab bound 16"
 
 
 def stretched_surface_code():

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import dataclasses
 import importlib.util
 import io
 import json
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlocality.bounds import ell_star_exponent, emit_contours, m_star_exponent
-from qlocality import cli, geometry
+from qlocality import certify, cli, geometry
 from qlocality.cli import EXIT_FAILED, EXIT_INPUT, EXIT_OK, main
 from qlocality.codes import distance, parameters
 from qlocality.families import bacon_shor, small_inner_codes
@@ -342,6 +343,38 @@ def test_sweep_hypothesis_violation_exits_zero(capsys, tmp_path):
     )
     assert rc == EXIT_OK
     assert "hypothesis-violated" in out
+
+
+def forced_invariants(monkeypatch, tmp_path, bs3_files):
+    """command -> (argv, message) of the two bounds the proof guarantees,
+    each failure forced: a bad interval past the sweep's nxt-gap cap, and
+    an AB report that fails on the built partition."""
+    monkeypatch.setattr(certify, "_bad_intervals", lambda values, ell, tau: [(5.0, 1000.0)])
+    real = certify.ab_bound_check
+    monkeypatch.setattr(certify, "ab_bound_check", lambda *args: dataclasses.replace(real(*args), holds=False))
+    line = tmp_path / "line.json"
+    line.write_text(json.dumps(geometry.Embedding(2, [(float(i), 0.0) for i in range(10)]).to_json()))
+    code_path, emb_path = bs3_files
+    return {
+        "sweep": (
+            ["sweep", str(line), "--ell", "1", "--tau", "2", "--d", "100"],
+            "nxt gap 996.5 exceeds packed-slab bound 16",
+        ),
+        "partition": (
+            ["partition", code_path, emb_path, "--ell", "1.5", "--variant", "thm3_2", "--out", str(tmp_path / "p.json")],
+            "AB bound violated on the built partition",
+        ),
+    }
+
+
+@pytest.mark.parametrize("command", ["sweep", "partition"])
+def test_failed_invariant_exits_one_with_one_line(monkeypatch, tmp_path, bs3_files, capsys, command):
+    argv, message = forced_invariants(monkeypatch, tmp_path, bs3_files)[command]
+    assert main(argv) == EXIT_FAILED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invariant failed: {message}\n"
+    assert not (tmp_path / "p.json").exists()
 
 
 def test_sweep_certificate_file_round_trips(bs3_files, capsys, tmp_path):

@@ -206,6 +206,22 @@ def test_certificate_matches_pin(label):
     assert list(digest(CORPUS[label])) == PINNED[label]
 
 
+def test_every_certificate_keeps_the_outcome_contract():
+    # stuck_step is set iff the proof is stuck-at a step, and then names the
+    # last step; reason is None iff the region was certified correctable
+    checked = 0
+    for label, (outcome, _) in sorted(PINNED.items()):
+        if outcome == "error":
+            continue
+        cert = CORPUS[label]()
+        stuck = cert.outcome == certify.OUTCOME_STUCK
+        assert (cert.stuck_step is not None) == stuck, label
+        assert not stuck or cert.stuck_step == cert.steps[-1].index, label
+        assert (cert.reason is None) == (cert.outcome == certify.OUTCOME_CERTIFIED), label
+        checked += 1
+    assert checked == 570
+
+
 # ── the cube ladder's counts against a per-rung recount ───────────────
 
 
